@@ -135,20 +135,18 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
     if h < 3 or w < 3:
         raise TooSmall(f"need at least 3x3 for LBP codes, got {w}x{h}")
 
-    active = np.zeros((h, w), dtype=np.int64)
-    active[1:-1, 1:-1] = _lbp_active(gray, lbp_threshold)
-    interior = np.zeros((h, w), dtype=np.int64)
-    interior[1:-1, 1:-1] = 1
-
+    # Zero-pad to whole tiles: padding adds nothing to either count.
     tiles_y = (h + window - 1) // window
     tiles_x = (w + window - 1) // window
+    active = np.zeros((tiles_y * window, tiles_x * window), dtype=bool)
+    active[1:h - 1, 1:w - 1] = _lbp_active(gray, lbp_threshold)
+    interior = np.zeros_like(active)
+    interior[1:h - 1, 1:w - 1] = True
+    tiles = (tiles_y, window, tiles_x, window)
+    numer = active.reshape(tiles).sum(axis=(1, 3))
+    denom = interior.reshape(tiles).sum(axis=(1, 3))
     scores = np.zeros((tiles_y, tiles_x), dtype=np.float64)
-    for ty in range(tiles_y):
-        for tx in range(tiles_x):
-            ys = slice(ty * window, min((ty + 1) * window, h))
-            xs = slice(tx * window, min((tx + 1) * window, w))
-            denom = interior[ys, xs].sum()
-            scores[ty, tx] = active[ys, xs].sum() / denom if denom else 0.0
+    np.divide(numer, denom, out=scores, where=denom > 0)
     return SharpnessMap(scores=scores, window=window, image_shape=(h, w))
 
 

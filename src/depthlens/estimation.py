@@ -153,11 +153,10 @@ def rescale_disparity(disparity: DisparityMap, constant: float) -> DisparityMap:
     return DisparityMap(disparity.values / constant)
 
 
-def _find_blob(image: RasterImage, fiducial: FiducialSpec):
-    """Row/column indices of the thresholded fiducial blob."""
-    gray = image.to_gray().data
+def _find_blob(gray: np.ndarray, fiducial: FiducialSpec):
+    """Row/column indices of the thresholded fiducial blob in a gray raster."""
     if fiducial.reference_box is not None:
-        window = fiducial.reference_box.to_mask(image.width, image.height)
+        window = fiducial.reference_box.to_mask(gray.shape[1], gray.shape[0])
         hits = (gray <= fiducial.detection_threshold) & window
     else:
         hits = gray <= fiducial.detection_threshold
@@ -173,7 +172,7 @@ def _find_blob(image: RasterImage, fiducial: FiducialSpec):
 def proxy_estimate_depth(image: RasterImage, fiducial: FiducialSpec,
                          k: CameraIntrinsics) -> float:
     """Depth from the fiducial's apparent height (bounding extent)."""
-    ys, _ = _find_blob(image, fiducial)
+    ys, _ = _find_blob(image.to_gray().data, fiducial)
     height_px = int(ys.max() - ys.min() + 1)
     return k.focal_px * fiducial.physical_height_m / height_px
 
@@ -267,9 +266,9 @@ class ProxyDepthMapper:
         self.far_m = far_m
 
     def estimate_map(self, image: RasterImage, tag: str | None = None) -> np.ndarray:
-        gray = image.to_gray().data.astype(np.float64)
-        depth = self.near_m + (self.far_m - self.near_m) * gray / 255.0
-        ys, xs = _find_blob(image, self.fiducial)
+        gray = image.to_gray().data
+        depth = self.near_m + (self.far_m - self.near_m) * gray.astype(np.float64) / 255.0
+        ys, xs = _find_blob(gray, self.fiducial)
         height_px = int(ys.max() - ys.min() + 1)
         vehicle_depth = self.intrinsics.focal_px * self.fiducial.physical_height_m / height_px
         depth[ys.min():ys.max() + 1, xs.min():xs.max() + 1] = vehicle_depth

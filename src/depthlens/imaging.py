@@ -13,12 +13,22 @@ reproduces both effects on 8-bit rasters:
 * ``level_to_profile`` maps the discretized lens strength 1..9 onto a
   (scale, blur) pair; strength 1 adds the least blur, 9 the most.
 
+Both kernels touch only a bounding box: ``scale_region`` the box of the
+lens region, ``box_blur`` the box of its mask grown by the radius and
+clipped to the frame. Both are separable. Source x of a resampled pixel
+depends only on its column and source y only on its row, so the bilinear
+taps are gathered as whole rows, then columns. The blur takes running sums
+along each axis (a summed-area table, Crow 1984); each clipped window is
+the difference of two slices of an edge-padded cumulative sum, held in
+int32 whenever the frame is small enough for that to be exact, else int64.
+
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -114,17 +124,36 @@ class RegionMasks:
     out_of_lens: np.ndarray
 
 
+def _lens_box(width: int, height: int, region: LensRegion):
+    """Bounding box of the in-lens pixels and the in-lens mask over it.
+
+    Returns ``(rows, cols, inside)``: two slices into the frame and the
+    boolean mask of shape ``(rows, cols)``. The circle predicate is the same
+    float expression on every pixel it evaluates; a row (column) whose own
+    squared offset already exceeds ``r**2`` cannot hold an in-lens pixel,
+    because the other squared term is non-negative and rounding is monotone.
+    """
+    if region.kind is RegionKind.FULL_FRAME:
+        return slice(0, height), slice(0, width), np.ones((height, width), dtype=bool)
+    dy2 = (np.arange(height, dtype=np.float64) - region.center_y) ** 2
+    dx2 = (np.arange(width, dtype=np.float64) - region.center_x) ** 2
+    r2 = region.radius ** 2
+    ys = np.flatnonzero(dy2 <= r2)
+    xs = np.flatnonzero(dx2 <= r2)
+    if ys.size == 0 or xs.size == 0:
+        return slice(0, 0), slice(0, 0), np.zeros((0, 0), dtype=bool)
+    rows = slice(int(ys[0]), int(ys[-1]) + 1)
+    cols = slice(int(xs[0]), int(xs[-1]) + 1)
+    return rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
+
+
 def region_masks(width: int, height: int, region: LensRegion) -> RegionMasks:
     """Pixel (x, y) is in-lens iff its center lies within the region."""
     if width < 1 or height < 1:
         raise ValueError("mask dimensions must be positive")
-    if region.kind is RegionKind.FULL_FRAME:
-        inside = np.ones((height, width), dtype=bool)
-    else:
-        ys = np.arange(height, dtype=np.float64)[:, None]
-        xs = np.arange(width, dtype=np.float64)[None, :]
-        inside = ((xs - region.center_x) ** 2 + (ys - region.center_y) ** 2
-                  <= region.radius ** 2)
+    rows, cols, box = _lens_box(width, height, region)
+    inside = np.zeros((height, width), dtype=bool)
+    inside[rows, cols] = box
     return RegionMasks(in_lens=inside, out_of_lens=~inside)
 
 
@@ -134,25 +163,31 @@ def _region_center(image: RasterImage, region: LensRegion) -> tuple[float, float
     return (image.width - 1) / 2.0, (image.height - 1) / 2.0
 
 
-def _bilinear(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample at float coords (already clamped into the frame)."""
-    h, w = data.shape[:2]
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
-    if data.ndim == 3:
-        fx = fx[:, None]
-        fy = fy[:, None]
-    v00 = data[y0, x0].astype(np.float64)
-    v01 = data[y0, x1].astype(np.float64)
-    v10 = data[y1, x0].astype(np.float64)
-    v11 = data[y1, x1].astype(np.float64)
-    top = v00 * (1 - fx) + v01 * fx
-    bot = v10 * (1 - fx) + v11 * fx
-    return top * (1 - fy) + bot * fy
+def _write_masked(box: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
+    """Store ``values`` (one row per box row, channels folded into it, all
+    integral) into the pixels of the raster view ``box`` that ``mask``
+    selects."""
+    channels = 1 if box.ndim == 2 else box.shape[2]
+    np.copyto(box.reshape(len(box), -1), values, casting="unsafe",
+              where=np.repeat(mask, channels, axis=1))
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``a * (1 - t) + b * t`` in that operation order, overwriting ``a``
+    and ``b`` (both float64 temporaries)."""
+    a *= 1 - t
+    b *= t
+    a += b
+    return a
+
+
+def _source_coords(start: int, stop: int, center: float, scale: float, size: int):
+    """Bilinear taps along one axis for output positions [start, stop):
+    lower and upper source index and the weight of the upper one."""
+    s = center + (np.arange(start, stop, dtype=np.intp) - center) / scale
+    np.clip(s, 0.0, size - 1.0, out=s)
+    lo = np.floor(s).astype(np.intp)
+    return lo, np.minimum(lo + 1, size - 1), s - lo
 
 
 def scale_region(image: RasterImage, region: LensRegion, scale: float) -> RasterImage:
@@ -166,22 +201,70 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    masks = region_masks(image.width, image.height, region)
-    sel = masks.in_lens
-    if not sel.any():
+    rows, cols, inside = _lens_box(image.width, image.height, region)
+    if not inside.any():
         raise DegenerateRegion("lens region does not intersect the frame")
     if scale == 1.0:
         return image.copy()
     cx, cy = _region_center(image, region)
-    ys, xs = np.nonzero(sel)
-    sx = cx + (xs - cx) / scale
-    sy = cy + (ys - cy) / scale
-    np.clip(sx, 0.0, image.width - 1.0, out=sx)
-    np.clip(sy, 0.0, image.height - 1.0, out=sy)
-    sampled = _bilinear(image.data, sx, sy)
-    out = image.data.copy()
-    out[ys, xs] = np.floor(sampled + 0.5).astype(np.uint8)
+    x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
+    y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
+    # Rows first, then columns; RGB channels are folded into the row so
+    # every weight broadcasts along a contiguous axis.
+    fx = np.repeat(fx, image.channels)
+    fy = fy[:, None]
+    data = image.data
+
+    def taps(src_rows):
+        gathered = data[src_rows]
+        return (gathered[:, x0].reshape(len(src_rows), -1).astype(np.float64),
+                gathered[:, x1].reshape(len(src_rows), -1).astype(np.float64))
+
+    top = _lerp(*taps(y0), fx)
+    bot = _lerp(*taps(y1), fx)
+    sampled = _lerp(top, bot, fy)
+    sampled += 0.5
+    np.floor(sampled, out=sampled)
+    out = data.copy()
+    _write_masked(out[rows, cols], sampled, inside)
     return RasterImage(out)
+
+
+def _window_sums(a: np.ndarray, axis: int, start: int, stop: int, radius: int,
+                 dtype) -> np.ndarray:
+    """Sums of ``a`` over ``[i - radius, i + radius]`` along ``axis`` (0 or
+    1), clipped to ``a``, for ``i`` in ``[start, stop)``.
+
+    The cumulative sum is stored edge-padded by ``radius`` on both sides, so
+    every clipped window is the difference of two contiguous slices.
+    """
+    n = a.shape[axis]
+    shape = list(a.shape)
+    shape[axis] = n + 2 * radius + 1
+    padded = np.empty(shape, dtype=dtype)
+
+    def at(lo, hi):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(lo, hi)
+        return tuple(index)
+
+    padded[at(0, radius + 1)] = 0
+    if axis == 0:
+        # np.cumsum walks axis 0 one strided column at a time; adding whole
+        # rows is several times faster.
+        for i in range(n):
+            np.add(padded[radius + i], a[i], out=padded[radius + 1 + i])
+    else:
+        np.cumsum(a, axis=axis, dtype=dtype, out=padded[at(radius + 1, radius + 1 + n)])
+    padded[at(radius + 1 + n, None)] = padded[at(radius + n, radius + 1 + n)]
+    return (padded[at(start + 2 * radius + 1, stop + 2 * radius + 1)]
+            - padded[at(start, stop)])
+
+
+def _window_counts(start: int, stop: int, size: int, radius: int) -> np.ndarray:
+    """In-frame length of the window around each position in [start, stop)."""
+    i = np.arange(start, stop)
+    return np.minimum(i + radius + 1, size) - np.maximum(i - radius, 0)
 
 
 def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
@@ -199,31 +282,29 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
         )
     if radius < 0:
         raise ValueError("blur radius must be non-negative")
-    if radius == 0 or not mask.any():
+    ys = np.flatnonzero(mask.any(axis=1))
+    if radius == 0 or ys.size == 0:
         return image.copy()
-
-    data = image.data if image.data.ndim == 3 else image.data[:, :, None]
-    h, w = data.shape[:2]
-    integral = np.zeros((h + 1, w + 1, data.shape[2]), dtype=np.int64)
-    np.cumsum(np.cumsum(data, axis=0, dtype=np.int64), axis=1, out=integral[1:, 1:])
-
-    ys = np.arange(h)
-    xs = np.arange(w)
-    y0 = np.maximum(ys - radius, 0)
-    y1 = np.minimum(ys + radius, h - 1) + 1
-    x0 = np.maximum(xs - radius, 0)
-    x1 = np.minimum(xs + radius, w - 1) + 1
-    window_sum = (integral[y1[:, None], x1[None, :]]
-                  - integral[y0[:, None], x1[None, :]]
-                  - integral[y1[:, None], x0[None, :]]
-                  + integral[y0[:, None], x0[None, :]])
-    count = ((y1 - y0)[:, None] * (x1 - x0)[None, :])[:, :, None]
-    mean = (2 * window_sum + count) // (2 * count)  # round half-up
-
-    out = data.copy()
-    out[mask] = mean[mask].astype(np.uint8)
-    out = out[:, :, 0] if image.data.ndim == 2 else out
-    return RasterImage(np.ascontiguousarray(out))
+    xs = np.flatnonzero(mask.any(axis=0))
+    h, w = mask.shape
+    y0, y1 = int(ys[0]), int(ys[-1]) + 1
+    x0, x1 = int(xs[0]), int(xs[-1]) + 1
+    # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
+    dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
+    sy0, sx0 = max(y0 - radius, 0), max(x0 - radius, 0)
+    src = image.data[sy0:min(y1 + radius, h), sx0:min(x1 + radius, w)]
+    sums = _window_sums(src, 1, x0 - sx0, x1 - sx0, radius, dtype)
+    # Fold RGB channels into the row: each (column, channel) is a column.
+    sums = _window_sums(sums.reshape(len(sums), -1), 0, y0 - sy0, y1 - sy0,
+                        radius, dtype)
+    channels = image.channels
+    count = np.multiply.outer(
+        _window_counts(y0, y1, h, radius).astype(dtype),
+        np.repeat(_window_counts(x0, x1, w, radius), channels).astype(dtype))
+    mean = (2 * sums + count) // (2 * count)  # round half-up
+    out = image.data.copy()
+    _write_masked(out[y0:y1, x0:x1], mean, mask[y0:y1, x0:x1])
+    return RasterImage(out)
 
 
 class LensKind(Enum):
@@ -277,8 +358,9 @@ def level_to_profile(lens_kind: LensKind, level: int,
     ``calibration`` maps level -> {"scale_factor": s, "blur_radius": r} and
     overrides the defaults verbatim for the levels it lists.
     """
-    if not isinstance(level, int) or not 1 <= level <= 9:
+    if not isinstance(level, numbers.Integral) or not 1 <= level <= 9:
         raise BadLevel(f"level must be an integer in 1..9, got {level!r}")
+    level = int(level)
     if region is None:
         region = LensRegion.full_frame()
     span = CONCAVE_SCALE_SPAN if lens_kind is LensKind.CONCAVE else CONVEX_SCALE_SPAN

@@ -4,10 +4,17 @@ The two-stage ray trace below deliberately avoids the closed-form rational
 expressions in ``depthlens.optics``: each stage solves the reciprocal lens
 relation on its own and magnifications come from the per-stage object
 distances, so agreement between the two paths is a real cross-check.
+
+The raster oracles are the straightforward dense kernels the package
+started from; the production kernels must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from depthlens.errors import DegenerateRegion
+from depthlens.imaging import LensRegion, RasterImage, RegionKind
 from depthlens.optics import AttackGeometry, ScenarioKind, classify_scenario
 
 
@@ -45,3 +52,117 @@ def raytrace_expected_depth(geometry: AttackGeometry) -> float:
 
     _, m_ori = _stage(f_c, d_o1 + d_b)
     return abs(m_ori / m_total) * d_o1
+
+
+# ---------------------------------------------------------------- imaging ----
+# The original dense raster kernels: every pixel of the frame, 2-D index
+# gathers and a full-frame int64 summed-area table. The production versions
+# work on bounding boxes with separable sums and must match these bit for bit.
+
+def dense_in_lens(width: int, height: int, region: LensRegion) -> np.ndarray:
+    """In-lens predicate evaluated on every pixel of the frame."""
+    if region.kind is RegionKind.FULL_FRAME:
+        return np.ones((height, width), dtype=bool)
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    return ((xs - region.center_x) ** 2 + (ys - region.center_y) ** 2
+            <= region.radius ** 2)
+
+
+def _bilinear(data: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Sample at float coords (already clamped into the frame)."""
+    h, w = data.shape[:2]
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = sx - x0
+    fy = sy - y0
+    if data.ndim == 3:
+        fx = fx[:, None]
+        fy = fy[:, None]
+    v00 = data[y0, x0].astype(np.float64)
+    v01 = data[y0, x1].astype(np.float64)
+    v10 = data[y1, x0].astype(np.float64)
+    v11 = data[y1, x1].astype(np.float64)
+    top = v00 * (1 - fx) + v01 * fx
+    bot = v10 * (1 - fx) + v11 * fx
+    return top * (1 - fy) + bot * fy
+
+
+def dense_scale_region(image: RasterImage, region: LensRegion,
+                       scale: float) -> RasterImage:
+    """Reference ``scale_region``: bilinear samples gathered per in-lens pixel."""
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    sel = dense_in_lens(image.width, image.height, region)
+    if not sel.any():
+        raise DegenerateRegion("lens region does not intersect the frame")
+    if scale == 1.0:
+        return image.copy()
+    if region.kind is RegionKind.CIRCLE:
+        cx, cy = float(region.center_x), float(region.center_y)
+    else:
+        cx, cy = (image.width - 1) / 2.0, (image.height - 1) / 2.0
+    ys, xs = np.nonzero(sel)
+    sx = cx + (xs - cx) / scale
+    sy = cy + (ys - cy) / scale
+    np.clip(sx, 0.0, image.width - 1.0, out=sx)
+    np.clip(sy, 0.0, image.height - 1.0, out=sy)
+    sampled = _bilinear(image.data, sx, sy)
+    out = image.data.copy()
+    out[ys, xs] = np.floor(sampled + 0.5).astype(np.uint8)
+    return RasterImage(out)
+
+
+def dense_box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
+    """Reference ``box_blur``: full-frame summed-area table, four gathers."""
+    if radius == 0 or not mask.any():
+        return image.copy()
+    data = image.data if image.data.ndim == 3 else image.data[:, :, None]
+    h, w = data.shape[:2]
+    integral = np.zeros((h + 1, w + 1, data.shape[2]), dtype=np.int64)
+    np.cumsum(np.cumsum(data, axis=0, dtype=np.int64), axis=1, out=integral[1:, 1:])
+
+    ys = np.arange(h)
+    xs = np.arange(w)
+    y0 = np.maximum(ys - radius, 0)
+    y1 = np.minimum(ys + radius, h - 1) + 1
+    x0 = np.maximum(xs - radius, 0)
+    x1 = np.minimum(xs + radius, w - 1) + 1
+    window_sum = (integral[y1[:, None], x1[None, :]]
+                  - integral[y0[:, None], x1[None, :]]
+                  - integral[y1[:, None], x0[None, :]]
+                  + integral[y0[:, None], x0[None, :]])
+    count = ((y1 - y0)[:, None] * (x1 - x0)[None, :])[:, :, None]
+    mean = (2 * window_sum + count) // (2 * count)  # round half-up
+
+    out = data.copy()
+    out[mask] = mean[mask].astype(np.uint8)
+    out = out[:, :, 0] if image.data.ndim == 2 else out
+    return RasterImage(np.ascontiguousarray(out))
+
+
+# ---------------------------------------------------------------- defense ----
+
+def tile_loop_lbp_scores(active: np.ndarray, window: int) -> np.ndarray:
+    """Reference per-tile scores: one Python iteration per tile.
+
+    ``active`` is the (h-2, w-2) interior activity map; a tile's score is
+    its active count over its interior-pixel count, 0.0 when it has none.
+    """
+    h, w = active.shape[0] + 2, active.shape[1] + 2
+    act = np.zeros((h, w), dtype=np.int64)
+    act[1:-1, 1:-1] = active
+    interior = np.zeros((h, w), dtype=np.int64)
+    interior[1:-1, 1:-1] = 1
+    tiles_y = (h + window - 1) // window
+    tiles_x = (w + window - 1) // window
+    scores = np.zeros((tiles_y, tiles_x), dtype=np.float64)
+    for ty in range(tiles_y):
+        for tx in range(tiles_x):
+            ys = slice(ty * window, min((ty + 1) * window, h))
+            xs = slice(tx * window, min((tx + 1) * window, w))
+            denom = interior[ys, xs].sum()
+            scores[ty, tx] = act[ys, xs].sum() / denom if denom else 0.0
+    return scores

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from depthlens.defense import (DEFAULT_LBP_SCORE_THRESHOLD, DEFAULT_VARLAP_THRESHOLD,
-                               laplacian, lbp_sharpness_map, segment_blur,
+                               _lbp_active, laplacian, lbp_sharpness_map, segment_blur,
                                variance_of_laplacian, varlap_verdict)
 from depthlens.errors import TooSmall
 from depthlens.imaging import (BlurPlacement, LensKind, LensRegion, RasterImage,
@@ -12,6 +13,7 @@ from depthlens.imaging import (BlurPlacement, LensKind, LensRegion, RasterImage,
                                region_masks, AttackProfile)
 
 from helpers import noise_image, textured_image
+from oracles import tile_loop_lbp_scores
 
 
 def impulse_image():
@@ -105,6 +107,16 @@ class TestLbpSharpness:
         a = lbp_sharpness_map(RasterImage(base), window=32).scores
         b = lbp_sharpness_map(RasterImage(shifted), window=32).scores
         assert np.array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(3, 70), w=st.integers(3, 70), window=st.integers(8, 24),
+           delta=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=9, w=17, window=8, delta=20, seed=0)  # edge tiles with no interior
+    def test_matches_tile_loop_oracle(self, h, w, window, delta, seed):
+        gray = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+        scores = lbp_sharpness_map(RasterImage(gray), window, delta).scores
+        expected = tile_loop_lbp_scores(_lbp_active(gray, delta), window)
+        assert np.array_equal(scores, expected)
 
     def test_window_floor(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depthlens.errors import BadLevel, DegenerateRegion, ParseError
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
@@ -10,6 +11,50 @@ from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegio
 from depthlens import defense
 
 from helpers import blob_extent, noise_image, textured_image
+from oracles import dense_box_blur, dense_in_lens, dense_scale_region
+
+MAX_SIDE = 70
+
+
+@st.composite
+def rasters(draw):
+    """Random gray or RGB frame, 1x1 up to MAX_SIDE on each side."""
+    h = draw(st.integers(1, MAX_SIDE))
+    w = draw(st.integers(1, MAX_SIDE))
+    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
+
+
+def _coord(lo, hi):
+    # whole numbers hit pixel centers exactly on the circle boundary
+    return st.one_of(st.integers(lo, hi).map(float), st.floats(lo, hi))
+
+
+@st.composite
+def regions(draw, width, height):
+    """Full frame, or a circle inside, straddling or wholly off the frame."""
+    if draw(st.integers(0, 4)) == 0:
+        return LensRegion.full_frame()
+    reach = 2 * max(width, height)
+    return LensRegion.circle(draw(_coord(-reach, width + reach)),
+                             draw(_coord(-reach, height + reach)),
+                             draw(_coord(1, reach)))
+
+
+@st.composite
+def masks(draw, width, height):
+    """Random density, empty, single-pixel, full, or a lens region."""
+    kind = draw(st.sampled_from(["random", "empty", "pixel", "full", "region"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return rng.random((height, width)) < draw(st.floats(0, 1))
+    if kind == "region":
+        return dense_in_lens(width, height, draw(regions(width, height)))
+    mask = np.full((height, width), kind == "full")
+    if kind == "pixel":
+        mask[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
+    return mask
 
 
 def disk_image(size=200, radius=30, background=220, fill=10):
@@ -48,8 +93,40 @@ class TestRegionMasks:
             assert not (masks.in_lens & masks.out_of_lens).any()
             assert (masks.in_lens | masks.out_of_lens).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_dense_predicate(self, data):
+        w = data.draw(st.integers(1, MAX_SIDE))
+        h = data.draw(st.integers(1, MAX_SIDE))
+        region = data.draw(regions(w, h))
+        got = region_masks(w, h, region)
+        assert np.array_equal(got.in_lens, dense_in_lens(w, h, region))
+        assert np.array_equal(got.out_of_lens, ~got.in_lens)
+
 
 class TestScaleRegion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_dense_oracle(self, data):
+        img = data.draw(rasters())
+        region = data.draw(regions(img.width, img.height))
+        scale = data.draw(st.one_of(st.just(1.0), st.floats(0.2, 4.0)))
+        try:
+            expected = dense_scale_region(img, region, scale)
+        except DegenerateRegion:
+            with pytest.raises(DegenerateRegion):
+                scale_region(img, region, scale)
+            return
+        assert np.array_equal(scale_region(img, region, scale).data, expected.data)
+
+    def test_blend_order_is_part_of_the_bytes(self):
+        # a sample here lies within rounding error of a .5 tie, so blending
+        # as a + (b - a) * t instead of a * (1 - t) + b * t flips one byte
+        img = RasterImage(np.array([[91, 189], [64, 30]], np.uint8))
+        expected = dense_scale_region(img, LensRegion.full_frame(), 1.1)
+        out = scale_region(img, LensRegion.full_frame(), 1.1)
+        assert np.array_equal(out.data, expected.data)
+
     def test_identity_bitwise(self):
         img = textured_image(seed=2)
         out = scale_region(img, LensRegion.circle(128, 128, 80), 1.0)
@@ -92,6 +169,25 @@ class TestScaleRegion:
 
 
 class TestBoxBlur:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_dense_oracle(self, data):
+        img = data.draw(rasters())
+        mask = data.draw(masks(img.width, img.height))
+        radius = data.draw(st.integers(0, 15))
+        expected = dense_box_blur(img, mask, radius)
+        assert np.array_equal(box_blur(img, mask, radius).data, expected.data)
+
+    @pytest.mark.parametrize("radius", [9, 1100])
+    def test_wide_accumulator_exact(self, radius):
+        # 2*255*h*w exceeds int32 here; at radius 1100 the central windows
+        # cover the whole frame, so 2*sum + count itself would overflow it
+        size = 2100
+        assert 2 * 255 * size * size > 2 ** 31
+        img = RasterImage(np.full((size, size), 255, np.uint8))
+        out = box_blur(img, np.ones((size, size), bool), radius)
+        assert (out.data == 255).all()
+
     def test_constant_unchanged(self):
         img = RasterImage(np.full((20, 20), 77, np.uint8))
         for r in (1, 2, 5):
@@ -160,9 +256,14 @@ class TestLevelProfiles:
         assert all(b > a for a, b in zip(radii, radii[1:]))
 
     def test_bad_levels(self):
-        for level in (0, 10, -3):
+        for level in (0, 10, -3, 3.0, np.float64(3.0), np.int64(10)):
             with pytest.raises(BadLevel):
                 level_to_profile(LensKind.CONCAVE, level)
+
+    def test_numpy_integer_level_accepted(self):
+        p = level_to_profile(LensKind.CONVEX, np.int64(3))
+        assert p == level_to_profile(LensKind.CONVEX, 3)
+        assert type(p.level) is int
 
     def test_profile_invariant_checks(self):
         with pytest.raises(BadLevel):
