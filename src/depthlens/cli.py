@@ -9,7 +9,8 @@ Conventions shared by all commands:
 
 * units are meters / seconds / pixels throughout;
 * every option can also come from a ``key = value`` config file via
-  ``--config``; explicit flags win over file entries;
+  ``--config``; an option resolves flag > config file > registered default,
+  and a line is a comment only when its first non-blank character is ``#``;
 * human-readable numbers print with 6 significant digits, CSV output keeps
   full float precision;
 * exit codes: 0 success, 1 domain error (singular / infeasible geometry),
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,33 +36,37 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _config_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes", "on")
+
+
 class _Command:
-    """One subcommand: its parser plus the option registry used to merge
-    config-file entries (flags override the file)."""
+    """One subcommand: its parser plus the option registry, which maps each
+    option to the parser of its config-file value and its one default. The
+    argparse parser leaves every option at None, so ``_resolve`` can tell an
+    explicit flag from an unset one."""
 
     def __init__(self, subparsers, name: str, help_text: str):
         self.parser = subparsers.add_parser(name, help=help_text)
         self.parser.add_argument("--config", default=None,
                                  help="key = value file supplying defaults")
-        self.types: dict[str, object] = {}
+        self.options: dict[str, tuple[object, object]] = {}
 
-    def opt(self, flag: str, **kwargs):
+    def opt(self, flag: str, default=None, **kwargs):
         action = self.parser.add_argument(flag, **kwargs)
-        self.types[action.dest] = kwargs.get("type", str)
-        return action
+        self.options[action.dest] = (kwargs.get("type", str), default)
 
     def flag(self, flag: str, **kwargs):
-        action = self.parser.add_argument(flag, action="store_true", **kwargs)
-        self.types[action.dest] = bool
-        return action
+        action = self.parser.add_argument(flag, action="store_true", default=None, **kwargs)
+        self.options[action.dest] = (_config_bool, False)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -69,20 +75,16 @@ def _load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _merge_config(ns: argparse.Namespace, command: _Command) -> None:
-    if not ns.config:
-        return
-    entries = _load_config_file(ns.config)
-    for key, raw in entries.items():
-        if key not in command.types:
+def _resolve(ns: argparse.Namespace, command: _Command) -> None:
+    """Fill every option the command line left unset: the config file's
+    entry if it has one, else the registered default."""
+    entries = _load_config_file(ns.config) if ns.config else {}
+    for key in entries:
+        if key not in command.options:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(ns, key, None) not in (None, False):
-            continue  # explicit flag wins
-        typ = command.types[key]
-        if typ is bool:
-            setattr(ns, key, raw.lower() in ("1", "true", "yes", "on"))
-        else:
-            setattr(ns, key, typ(raw))
+    for dest, (parse, default) in command.options.items():
+        if getattr(ns, dest) is None:  # an explicit flag wins, even 0 or 0.0
+            setattr(ns, dest, parse(entries[dest]) if dest in entries else default)
 
 
 def _require(ns, *names):
@@ -92,13 +94,12 @@ def _require(ns, *names):
 
 
 def _parse_region(ns) -> LensRegion:
-    kind = ns.region or "full"
-    if kind == "full":
+    if ns.region == "full":
         return LensRegion.full_frame()
-    if kind == "circle":
+    if ns.region == "circle":
         _require(ns, "cx", "cy", "radius")
         return LensRegion.circle(ns.cx, ns.cy, ns.radius)
-    raise ValueError(f"region must be 'full' or 'circle', got {kind!r}")
+    raise ValueError(f"region must be 'full' or 'circle', got {ns.region!r}")
 
 
 def _lens_kind(name: str) -> LensKind:
@@ -106,6 +107,22 @@ def _lens_kind(name: str) -> LensKind:
         return LensKind(name)
     except ValueError:
         raise ValueError(f"lens kind must be concave or convex, got {name!r}") from None
+
+
+def _lens_spec(ns) -> optics.LensSpec:
+    """The attack lens named by --lens, its --f magnitude signed by kind."""
+    _require(ns, "f")
+    concave = _lens_kind(ns.lens) is LensKind.CONCAVE
+    return optics.LensSpec(-abs(ns.f) if concave else abs(ns.f))
+
+
+def _first_box(ns) -> estimation.Box:
+    """The first box of the --boxes file; the file must hold one."""
+    _require(ns, "boxes")
+    boxes = estimation.load_boxes(ns.boxes)
+    if not boxes:
+        raise ValueError(f"no boxes in {ns.boxes}")
+    return boxes[0]
 
 
 # ---------------------------------------------------------------- optics ----
@@ -120,10 +137,6 @@ def _add_optics(sub) -> _Command:
     cmd.opt("--table", type=str,
             help="emit the full (f, d_b, d_o1) sweep CSV for concave|convex")
     return cmd
-
-
-def _signed_focal(lens: str, magnitude: float) -> float:
-    return -abs(magnitude) if lens == "concave" else abs(magnitude)
 
 
 def cmd_optics(ns) -> int:
@@ -141,13 +154,7 @@ def cmd_optics(ns) -> int:
 
     _require(ns, "lens", "do1", "fc", "db")
     camera = optics.CameraSpec(focal_length_m=ns.fc, lens_gap_m=ns.db)
-    if ns.lens == "none":
-        lens = None
-    else:
-        _require(ns, "f")
-        if ns.lens not in ("concave", "convex"):
-            raise ValueError(f"lens must be concave, convex or none, got {ns.lens!r}")
-        lens = optics.LensSpec(_signed_focal(ns.lens, ns.f))
+    lens = None if ns.lens == "none" else _lens_spec(ns)
     geom = optics.AttackGeometry(ns.do1, lens, camera)
     result = optics.combined_magnification(geom)
     scenario_name = result.scenario.value if result.scenario else "pass_through"
@@ -166,12 +173,12 @@ def _add_simulate(sub) -> _Command:
     cmd = _Command(sub, "simulate", "render an attacked image")
     cmd.opt("--input", type=str, help="benign PGM/PPM")
     cmd.opt("--output", type=str, help="attacked image path")
-    cmd.opt("--lens-kind", type=str, help="concave | convex")
+    cmd.opt("--lens-kind", type=str, default="concave", help="concave | convex")
     cmd.opt("--level", type=int, help="discrete attack level 1..9")
     cmd.opt("--scale", type=float, help="override rescale factor")
     cmd.opt("--blur", type=int, help="override blur radius, px")
     cmd.opt("--placement", type=str, help="override: in_lens | out_of_lens")
-    cmd.opt("--region", type=str, help="full (default) | circle")
+    cmd.opt("--region", type=str, default="full", help="full (default) | circle")
     cmd.opt("--cx", type=float, help="circle center x, px")
     cmd.opt("--cy", type=float, help="circle center y, px")
     cmd.opt("--radius", type=float, help="circle radius, px")
@@ -181,27 +188,20 @@ def _add_simulate(sub) -> _Command:
 
 
 def _build_profile(ns, region: LensRegion) -> AttackProfile:
-    kind = _lens_kind(ns.lens_kind) if ns.lens_kind else LensKind.CONCAVE
-    if ns.level is not None:
-        profile = level_to_profile(kind, ns.level, region=region)
+    """The --level profile, or the identity (scale 1, blur 0) without one,
+    with --scale, --blur and --placement applied on top."""
+    if ns.level is None and ns.scale is None and ns.blur is None:
+        raise ValueError("give --level or an explicit --scale/--blur profile")
+    kind = _lens_kind(ns.lens_kind)
+    if ns.level is None:
+        profile = replace(level_to_profile(kind, 1, region=region),
+                          scale_factor=1.0, blur_radius=0)
     else:
-        if ns.scale is None and ns.blur is None:
-            raise ValueError("give --level or an explicit --scale/--blur profile")
-        default_placement = (BlurPlacement.OUT_OF_LENS if kind is LensKind.CONCAVE
-                             else BlurPlacement.IN_LENS)
-        profile = AttackProfile(lens_kind=kind, level=1, region=region,
-                                scale_factor=ns.scale if ns.scale is not None else 1.0,
-                                blur_radius=ns.blur if ns.blur is not None else 0,
-                                blur_placement=default_placement)
-        return profile
-    scale = profile.scale_factor if ns.scale is None else ns.scale
-    blur = profile.blur_radius if ns.blur is None else ns.blur
-    placement = profile.blur_placement
-    if ns.placement is not None:
-        placement = BlurPlacement(ns.placement)
-    return AttackProfile(lens_kind=profile.lens_kind, level=profile.level,
-                         region=region, scale_factor=scale, blur_radius=blur,
-                         blur_placement=placement)
+        profile = level_to_profile(kind, ns.level, region=region)
+    placement = None if ns.placement is None else BlurPlacement(ns.placement)
+    overrides = {"scale_factor": ns.scale, "blur_radius": ns.blur,
+                 "blur_placement": placement}
+    return replace(profile, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_simulate(ns) -> int:
@@ -229,58 +229,58 @@ def _add_optimize(sub) -> _Command:
     cmd.opt("--input", type=str, help="benign PGM/PPM")
     cmd.opt("--mode", type=str, help="targeted | untargeted")
     cmd.opt("--lens-kind", type=str, help="concave | convex")
-    cmd.opt("--alphas", type=str, help="comma list, default 0.1,0.2,0.3,0.4")
+    cmd.opt("--alphas", type=str, default="0.1,0.2,0.3,0.4",
+            help="comma list, default 0.1,0.2,0.3,0.4")
     cmd.opt("--boxes", type=str, help="vehicle bounding-box file (first box used)")
-    cmd.opt("--region", type=str, help="full (default) | circle")
+    cmd.opt("--region", type=str, default="full", help="full (default) | circle")
     cmd.opt("--cx", type=float, help="circle center x, px")
     cmd.opt("--cy", type=float, help="circle center y, px")
     cmd.opt("--radius", type=float, help="circle radius, px")
-    cmd.opt("--estimator", type=str, help="proxy (default) | external")
+    cmd.opt("--estimator", type=str, default="proxy", help="proxy (default) | external")
     cmd.opt("--maps", type=str, help="map directory for the external estimator")
-    cmd.opt("--map-kind", type=str, help="disparity (default) | depth")
+    cmd.opt("--map-kind", type=str, default="disparity",
+            help="disparity (default) | depth")
     cmd.opt("--rescale", type=float, help="divide external disparities by this")
     cmd.opt("--y-tar", type=float, help="target value for targeted mode")
     cmd.opt("--fiducial-height", type=float, help="proxy fiducial height, m")
     cmd.opt("--focal-px", type=float, help="proxy focal length, px")
-    cmd.opt("--baseline", type=float, help="stereo baseline, m (default 0.54)")
-    cmd.opt("--detect-threshold", type=int, help="proxy blob threshold (default 96)")
+    cmd.opt("--baseline", type=float, default=0.54,
+            help="stereo baseline, m (default 0.54)")
+    cmd.opt("--detect-threshold", type=int,
+            default=estimation.FiducialSpec.detection_threshold,
+            help="proxy blob threshold (default 96)")
     cmd.opt("--output", type=str, help="CSV path (default stdout)")
     return cmd
 
 
 def cmd_optimize(ns) -> int:
-    _require(ns, "input", "mode", "lens_kind", "boxes")
+    _require(ns, "input", "mode", "lens_kind")
     image = RasterImage.load(ns.input)
     mode = attack_opt.Mode(ns.mode)
     kind = _lens_kind(ns.lens_kind)
     region = _parse_region(ns)
-    boxes = estimation.load_boxes(ns.boxes)
-    if not boxes:
-        raise ValueError(f"no boxes in {ns.boxes}")
-    alphas = [float(a) for a in (ns.alphas or "0.1,0.2,0.3,0.4").split(",")]
+    box = _first_box(ns)
+    alphas = [float(a) for a in ns.alphas.split(",")]
 
-    estimator_name = ns.estimator or "proxy"
-    if estimator_name == "proxy":
+    if ns.estimator == "proxy":
         _require(ns, "fiducial_height", "focal_px")
         fiducial = estimation.FiducialSpec(
             physical_height_m=ns.fiducial_height,
-            detection_threshold=ns.detect_threshold if ns.detect_threshold is not None else 96,
-            reference_box=boxes[0])
-        intrinsics = estimation.CameraIntrinsics(
-            baseline_m=ns.baseline if ns.baseline is not None else 0.54,
-            focal_px=ns.focal_px)
+            detection_threshold=ns.detect_threshold, reference_box=box)
+        intrinsics = estimation.CameraIntrinsics(baseline_m=ns.baseline,
+                                                 focal_px=ns.focal_px)
         estimator = estimation.ProxyDepthMapper(fiducial, intrinsics)
-    elif estimator_name == "external":
+    elif ns.estimator == "external":
         _require(ns, "maps")
         estimator = estimation.DirectoryMapEstimator(
-            ns.maps, kind=ns.map_kind or "disparity", rescale=ns.rescale)
+            ns.maps, kind=ns.map_kind, rescale=ns.rescale)
     else:
-        raise ValueError(f"estimator must be proxy or external, got {estimator_name!r}")
+        raise ValueError(f"estimator must be proxy or external, got {ns.estimator!r}")
 
     y_tar = ns.y_tar
     if y_tar is None and mode is attack_opt.Mode.TARGETED:
         y_tar = attack_opt.DEFAULT_Y_TAR[kind]
-    cfg = attack_opt.LossConfig(alpha=alphas[0], mode=mode, vehicle_box=boxes[0],
+    cfg = attack_opt.LossConfig(alpha=alphas[0], mode=mode, vehicle_box=box,
                                 region=region, y_tar=y_tar)
     rows = attack_opt.alpha_sweep(image, estimator, cfg, alphas, kind)
     csv_text = attack_opt.sweep_to_csv(rows)
@@ -303,9 +303,16 @@ def _add_metrics(sub) -> _Command:
     cmd.opt("--target", type=float, help="target value (aer)")
     cmd.opt("--attacked-map", type=str, help="attacked map file (map mode)")
     cmd.opt("--benign-map", type=str, help="benign map file (adr map mode)")
-    cmd.opt("--map-kind", type=str, help="depth (default) | disparity")
+    cmd.opt("--map-kind", type=str, default="depth", help="depth (default) | disparity")
     cmd.opt("--boxes", type=str, help="mask box file (first box used)")
     return cmd
+
+
+def _box_mean(ns, map_path) -> float:
+    """Mean of the map file's valid pixels under the first --boxes box."""
+    box = _first_box(ns)
+    loaded = estimation.load_depth_map(map_path, kind=ns.map_kind)
+    return estimation.masked_mean(loaded, box.to_mask(loaded.width, loaded.height))
 
 
 def cmd_metrics(ns) -> int:
@@ -314,22 +321,14 @@ def cmd_metrics(ns) -> int:
         raise ValueError(f"kind must be adr or aer, got {ns.kind!r}")
 
     if ns.attacked_map:
-        _require(ns, "boxes")
-        boxes = estimation.load_boxes(ns.boxes)
-        kind = ns.map_kind or "depth"
-        att = estimation.load_depth_map(ns.attacked_map, kind=kind)
-        mask = boxes[0].to_mask(att.width, att.height)
-        attacked = estimation.masked_mean(att, mask)
+        attacked = _box_mean(ns, ns.attacked_map)
     else:
         _require(ns, "attacked")
         attacked = ns.attacked
 
     if ns.kind == "adr":
         if ns.benign_map:
-            boxes = estimation.load_boxes(ns.boxes)
-            kind = ns.map_kind or "depth"
-            ben = estimation.load_depth_map(ns.benign_map, kind=kind)
-            benign = estimation.masked_mean(ben, boxes[0].to_mask(ben.width, ben.height))
+            benign = _box_mean(ns, ns.benign_map)
         else:
             _require(ns, "benign")
             benign = ns.benign
@@ -347,8 +346,10 @@ def _add_defend(sub) -> _Command:
     cmd.opt("--input", type=str, help="image to score")
     cmd.opt("--method", type=str, help="varlap | lbp")
     cmd.opt("--threshold", type=float, help="verdict threshold (method default)")
-    cmd.opt("--window", type=int, help="lbp tile size, px (default 32)")
-    cmd.opt("--delta", type=int, help="lbp neighbor delta (default 20)")
+    cmd.opt("--window", type=int, default=defense.DEFAULT_TILE_PX,
+            help="lbp tile size, px (default 32)")
+    cmd.opt("--delta", type=int, default=defense.DEFAULT_LBP_DELTA,
+            help="lbp neighbor delta (default 20)")
     cmd.opt("--mask-out", type=str, help="write the blur mask PGM here (lbp)")
     return cmd
 
@@ -361,9 +362,8 @@ def cmd_defend(ns) -> int:
         verdict = defense.varlap_verdict(image, threshold)
     elif ns.method == "lbp":
         threshold = ns.threshold if ns.threshold is not None else defense.DEFAULT_LBP_SCORE_THRESHOLD
-        window = ns.window if ns.window is not None else defense.DEFAULT_TILE_PX
-        delta = ns.delta if ns.delta is not None else defense.DEFAULT_LBP_DELTA
-        sharpness = defense.lbp_sharpness_map(image, window=window, lbp_threshold=delta)
+        sharpness = defense.lbp_sharpness_map(image, window=ns.window,
+                                              lbp_threshold=ns.delta)
         verdict = defense.segment_blur(sharpness, threshold)
     else:
         raise ValueError(f"unsupported method {ns.method!r} (varlap or lbp)")
@@ -380,15 +380,20 @@ def cmd_defend(ns) -> int:
 
 def _add_scenario(sub) -> _Command:
     cmd = _Command(sub, "scenario", "closed-loop braking run")
-    cmd.opt("--gap0", type=float, help="initial gap, m (default 40)")
-    cmd.opt("--speed", type=float, help="ego speed, m/s (default 10)")
-    cmd.opt("--max-decel", type=float, help="braking deceleration, m/s^2 (default 6)")
-    cmd.opt("--margin", type=float, help="safety margin, m (default 2)")
-    cmd.opt("--dt", type=float, help="tick, s (default 0.01)")
-    cmd.opt("--max-time", type=float, help="simulation cap, s (default 60)")
-    cmd.opt("--sigma", type=float, help="perception noise sigma, m (default 0)")
-    cmd.opt("--seed", type=int, help="noise seed (default 0)")
-    cmd.opt("--ratio", type=float, help="perceived/true depth ratio")
+    defaults = scenario.ScenarioConfig  # class attributes hold field defaults
+    cmd.opt("--gap0", type=float, default=40.0, help="initial gap, m (default 40)")
+    cmd.opt("--speed", type=float, default=10.0, help="ego speed, m/s (default 10)")
+    cmd.opt("--max-decel", type=float, default=6.0,
+            help="braking deceleration, m/s^2 (default 6)")
+    cmd.opt("--margin", type=float, default=2.0, help="safety margin, m (default 2)")
+    cmd.opt("--dt", type=float, default=defaults.dt_s, help="tick, s (default 0.01)")
+    cmd.opt("--max-time", type=float, default=defaults.max_sim_time_s,
+            help="simulation cap, s (default 60)")
+    cmd.opt("--sigma", type=float, default=defaults.noise_sigma_m,
+            help="perception noise sigma, m (default 0)")
+    cmd.opt("--seed", type=int, default=defaults.seed, help="noise seed (default 0)")
+    cmd.opt("--ratio", type=float, default=defaults.depth_ratio,
+            help="perceived/true depth ratio")
     cmd.flag("--ratio-from-optics", help="derive the ratio from lens geometry")
     cmd.opt("--lens", type=str, help="concave | convex (with --ratio-from-optics)")
     cmd.opt("--f", type=float, help="attack lens focal length magnitude, m")
@@ -400,25 +405,18 @@ def _add_scenario(sub) -> _Command:
 
 
 def cmd_scenario(ns) -> int:
+    ratio = ns.ratio
     if ns.ratio_from_optics:
         _require(ns, "lens", "f", "db", "do1", "fc")
         geom = optics.AttackGeometry(
-            ns.do1, optics.LensSpec(_signed_focal(ns.lens, ns.f)),
+            ns.do1, _lens_spec(ns),
             optics.CameraSpec(focal_length_m=ns.fc, lens_gap_m=ns.db))
         ratio = optics.combined_magnification(geom).depth_ratio
         print(f"ratio={_fmt(ratio)}")
-    else:
-        ratio = ns.ratio if ns.ratio is not None else 1.0
     cfg = scenario.ScenarioConfig(
-        initial_gap_m=ns.gap0 if ns.gap0 is not None else 40.0,
-        ego_speed_mps=ns.speed if ns.speed is not None else 10.0,
-        max_decel_mps2=ns.max_decel if ns.max_decel is not None else 6.0,
-        safety_margin_m=ns.margin if ns.margin is not None else 2.0,
-        depth_ratio=ratio,
-        dt_s=ns.dt if ns.dt is not None else 0.01,
-        noise_sigma_m=ns.sigma if ns.sigma is not None else 0.0,
-        max_sim_time_s=ns.max_time if ns.max_time is not None else 60.0,
-        seed=ns.seed if ns.seed is not None else 0)
+        initial_gap_m=ns.gap0, ego_speed_mps=ns.speed, max_decel_mps2=ns.max_decel,
+        safety_margin_m=ns.margin, depth_ratio=ratio, dt_s=ns.dt,
+        noise_sigma_m=ns.sigma, max_sim_time_s=ns.max_time, seed=ns.seed)
     outcome, ticks = scenario.run_scenario(cfg)
     print(scenario.outcome_summary(outcome))
     if ns.log:
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _merge_config(ns, commands[ns.command])
+        _resolve(ns, commands[ns.command])
         return _HANDLERS[ns.command](ns)
     except SingularConfiguration as exc:
         print(f"error: singular configuration: {exc}", file=sys.stderr)

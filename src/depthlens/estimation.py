@@ -29,49 +29,34 @@ from .imaging import RasterImage
 
 
 @dataclass(frozen=True)
-class DepthMap:
+class _Map:
+    """A 2-d float map; NaN marks invalid pixels."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.values.ndim != 2:
+            raise ValueError(f"map must be 2-d, got shape {self.values.shape}")
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def valid_mask(self) -> np.ndarray:
+        return np.isfinite(self.values)
+
+
+class DepthMap(_Map):
     """Per-pixel depth in meters; NaN marks invalid pixels."""
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError(f"map must be 2-d, got shape {self.values.shape}")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
-
-@dataclass(frozen=True)
-class DisparityMap:
+class DisparityMap(_Map):
     """Per-pixel disparity (non-negative); NaN marks invalid pixels."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError(f"map must be 2-d, got shape {self.values.shape}")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 @dataclass(frozen=True)
@@ -125,24 +110,24 @@ class FiducialSpec:
             raise ValueError("detection threshold must be an 8-bit level")
 
 
+def _reciprocal(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """baseline * focal_px / value; non-positive values go invalid (NaN)."""
+    vals = values.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (k.baseline_m * k.focal_px) / vals
+    out[~np.isfinite(out)] = np.nan
+    out[vals <= 0] = np.nan
+    return out
+
+
 def disparity_to_depth(disparity: DisparityMap, k: CameraIntrinsics) -> DepthMap:
     """depth = baseline * focal_px / disparity; zero disparity goes invalid."""
-    vals = disparity.values.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = (k.baseline_m * k.focal_px) / vals
-    depth[~np.isfinite(depth)] = np.nan
-    depth[vals <= 0] = np.nan
-    return DepthMap(depth)
+    return DepthMap(_reciprocal(disparity.values, k))
 
 
 def depth_to_disparity(depth: DepthMap, k: CameraIntrinsics) -> DisparityMap:
     """Inverse of ``disparity_to_depth`` (same reciprocal formula)."""
-    vals = depth.values.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disp = (k.baseline_m * k.focal_px) / vals
-    disp[~np.isfinite(disp)] = np.nan
-    disp[vals <= 0] = np.nan
-    return DisparityMap(disp)
+    return DisparityMap(_reciprocal(depth.values, k))
 
 
 def rescale_disparity(disparity: DisparityMap, constant: float) -> DisparityMap:

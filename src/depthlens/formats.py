@@ -39,44 +39,57 @@ def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def _read_int_token(buf: bytes, pos: int, what: str) -> tuple[int, int]:
+def _read_number(buf: bytes, pos: int, what: str, parse=int):
     token, end = _read_token(buf, pos)
     try:
-        return int(token), end
+        return parse(token), end
     except ValueError:
         raise ParseError(f"bad {what} {token!r}", byte_offset=pos) from None
 
 
-def read_pnm(path) -> np.ndarray:
-    """Load a binary PGM/PPM. Returns uint8 (h, w) or (h, w, 3)."""
+def _read_raster(path, px_bytes: dict[bytes, int], what: str, maxval: int | None):
+    """Parse ``magic width height third`` plus one whitespace byte, then the
+    raster behind it.
+
+    ``px_bytes`` maps each accepted magic to its bytes per pixel. The third
+    token must equal ``maxval``; without one it is the PFM scale, a nonzero
+    float. Returns the magic, the third token's value, the height, the width
+    and a memoryview of the raster bytes.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     magic, pos = _read_token(buf, 0)
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
+    if magic not in px_bytes:
+        raise ParseError(f"not a {what} (magic {magic!r})", byte_offset=0)
+    width, pos = _read_number(buf, pos, "width")
+    height, pos = _read_number(buf, pos, "height")
+    if maxval is None:
+        third, pos = _read_number(buf, pos, "scale", float)
+        if third == 0:
+            raise ParseError("scale must be nonzero", byte_offset=pos)
     else:
-        raise ParseError(f"not a binary PGM/PPM (magic {magic!r})", byte_offset=0)
-    width, pos = _read_int_token(buf, pos, "width")
-    height, pos = _read_int_token(buf, pos, "height")
-    maxval, pos = _read_int_token(buf, pos, "maxval")
+        third, pos = _read_number(buf, pos, "maxval")
+        if third != maxval:
+            raise ParseError(f"unsupported maxval {third} (only {maxval})", byte_offset=pos)
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}", byte_offset=pos)
-    if maxval != 255:
-        raise ParseError(f"unsupported maxval {maxval} (only 255)", byte_offset=pos)
     pos += 1  # single whitespace byte separates header from raster
-    need = width * height * channels
-    raster = buf[pos:pos + need]
+    need = width * height * px_bytes[magic]
+    raster = memoryview(buf)[pos:pos + need]  # a view: no copy of the raster
     if len(raster) != need:
         raise ParseError(
             f"raster truncated: expected {need} bytes, got {len(raster)}",
             byte_offset=pos + len(raster),
         )
-    data = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return data.reshape(height, width).copy()
-    return data.reshape(height, width, 3).copy()
+    return magic, third, height, width, raster
+
+
+def read_pnm(path) -> np.ndarray:
+    """Load a binary PGM/PPM. Returns uint8 (h, w) or (h, w, 3)."""
+    magic, _, height, width, raster = _read_raster(
+        path, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
 
 
 def write_pnm(path, data: np.ndarray) -> None:
@@ -101,25 +114,7 @@ def read_pgm16(path, scale_path=None) -> np.ndarray:
     The sidecar defaults to ``<path>.scale`` and holds one float: physical
     units per raw count.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, pos = _read_token(buf, 0)
-    if magic != b"P5":
-        raise ParseError(f"not a binary PGM (magic {magic!r})", byte_offset=0)
-    width, pos = _read_int_token(buf, pos, "width")
-    height, pos = _read_int_token(buf, pos, "height")
-    maxval, pos = _read_int_token(buf, pos, "maxval")
-    if maxval != 65535:
-        raise ParseError(f"expected 16-bit PGM (maxval 65535), got {maxval}",
-                         byte_offset=pos)
-    pos += 1
-    need = width * height * 2
-    raster = buf[pos:pos + need]
-    if len(raster) != need:
-        raise ParseError(
-            f"raster truncated: expected {need} bytes, got {len(raster)}",
-            byte_offset=pos + len(raster),
-        )
+    _, _, height, width, raster = _read_raster(path, {b"P5": 2}, "16-bit PGM", 65535)
     raw = np.frombuffer(raster, dtype=">u2").reshape(height, width)
     if scale_path is None:
         scale_path = str(path) + ".scale"
@@ -134,10 +129,16 @@ def read_pgm16(path, scale_path=None) -> np.ndarray:
 
 
 def write_pgm16(path, values: np.ndarray, scale: float, scale_path=None) -> None:
-    """Write float values as 16-bit PGM counts of ``scale`` units each."""
+    """Write float values as 16-bit PGM counts of ``scale`` units each.
+
+    A count has no NaN or infinity, so non-finite values are rejected: a NaN
+    hole written as count 0 would read back as a valid zero sample.
+    """
     if scale <= 0:
         raise ValueError("scale must be positive")
     counts = np.round(np.asarray(values, dtype=np.float64) / scale)
+    if not np.isfinite(counts).all():
+        raise ValueError("values must be finite (16-bit counts have no NaN or inf)")
     if counts.min() < 0 or counts.max() > 65535:
         raise ValueError("values do not fit 16-bit counts at this scale")
     arr = counts.astype(">u2")
@@ -153,30 +154,8 @@ def write_pgm16(path, values: np.ndarray, scale: float, scale_path=None) -> None
 
 def read_pfm(path) -> np.ndarray:
     """Load a grayscale PFM as float32 (h, w), top-down row order."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, pos = _read_token(buf, 0)
-    if magic == b"PF":
-        raise ParseError("color PFM not supported (grayscale 'Pf' only)", byte_offset=0)
-    if magic != b"Pf":
-        raise ParseError(f"not a PFM file (magic {magic!r})", byte_offset=0)
-    width, pos = _read_int_token(buf, pos, "width")
-    height, pos = _read_int_token(buf, pos, "height")
-    token, pos = _read_token(buf, pos)
-    try:
-        scale = float(token)
-    except ValueError:
-        raise ParseError(f"bad scale token {token!r}", byte_offset=pos) from None
-    if scale == 0:
-        raise ParseError("scale must be nonzero", byte_offset=pos)
-    pos += 1
-    need = width * height * 4
-    raster = buf[pos:pos + need]
-    if len(raster) != need:
-        raise ParseError(
-            f"raster truncated: expected {need} bytes, got {len(raster)}",
-            byte_offset=pos + len(raster),
-        )
+    _, scale, height, width, raster = _read_raster(
+        path, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raster, dtype=dtype).reshape(height, width)
     return data[::-1].astype(np.float32)  # stored bottom-up

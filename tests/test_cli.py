@@ -1,11 +1,16 @@
 """Command-line surface: happy paths, exit codes, self-consistency."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from depthlens import formats
+from depthlens import cli, formats
 from depthlens.cli import main
-from depthlens.imaging import RasterImage
+from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
+                               RasterImage, apply_attack_transform)
 
 from helpers import noise_image, textured_image, concave_sweep_fixture
 
@@ -117,6 +122,21 @@ class TestSimulateCommand:
         assert code == 0
         assert dst.read_bytes() == src.read_bytes()
 
+    def test_placement_override_without_level(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        dst = tmp_path / "out.pgm"
+        textured_image((64, 64), seed=6).save(src)
+        code, out, _ = run(capsys, "simulate", "--input", str(src), "--output",
+                           str(dst), "--scale", "1.2", "--blur", "3", "--placement",
+                           "in_lens", "--region", "circle", "--cx", "32", "--cy",
+                           "32", "--radius", "16")
+        assert code == 0
+        assert parse_kv(out)["placement"] == "in_lens"
+        profile = AttackProfile(LensKind.CONCAVE, 1, LensRegion.circle(32, 32, 16),
+                                1.2, 3, BlurPlacement.IN_LENS)
+        expected = apply_attack_transform(RasterImage.load(src), profile)
+        assert np.array_equal(RasterImage.load(dst).data, expected.data)
+
 
 class TestOptimizeCommand:
     def test_proxy_sweep_csv(self, tmp_path, capsys):
@@ -207,6 +227,24 @@ class TestMetricsCommand:
                          "--benign", "1")
         assert code == 2
 
+    def test_benign_map_without_boxes_exits_two(self, tmp_path, capsys):
+        ben = tmp_path / "m.pfm"
+        formats.write_pfm(ben, np.full((6, 6), 0.28, np.float32))
+        code, _, err = run(capsys, "metrics", "--kind", "adr", "--attacked", "5",
+                           "--benign-map", str(ben))
+        assert code == 2
+        assert "missing required option --boxes" in err
+
+    def test_empty_boxes_file_exits_two(self, tmp_path, capsys):
+        att = tmp_path / "att.pfm"
+        formats.write_pfm(att, np.full((6, 6), 0.36, np.float32))
+        boxes = tmp_path / "empty.txt"
+        boxes.write_text("# no boxes\n")
+        code, _, err = run(capsys, "metrics", "--kind", "aer", "--attacked-map",
+                           str(att), "--target", "0.3", "--boxes", str(boxes))
+        assert code == 2
+        assert f"no boxes in {boxes}" in err
+
 
 class TestDefendCommand:
     def test_sharp_fixture_clean(self, tmp_path, capsys):
@@ -287,3 +325,98 @@ class TestScenarioCommand:
     def test_invalid_config_exits_two(self, capsys):
         code, _, _ = run(capsys, "scenario", "--dt", "0.5")
         assert code == 2
+
+    def test_unknown_lens_with_ratio_from_optics_exits_two(self, capsys):
+        code, _, err = run(capsys, "scenario", "--ratio-from-optics", "--lens",
+                           "banana", "--f", "0.20", "--db", "0.12", "--do1", "6",
+                           "--fc", "0.026")
+        assert code == 2
+        assert "banana" in err
+
+
+class TestConfigResolution:
+    def test_explicit_zero_flags_beat_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sigma = 0.5\nseed = 7\n")
+        configured, plain = tmp_path / "configured.csv", tmp_path / "plain.csv"
+        code, out, _ = run(capsys, "scenario", "--config", str(cfg), "--sigma", "0",
+                           "--seed", "0", "--log", str(configured))
+        assert code == 0
+        _, plain_out, _ = run(capsys, "scenario", "--log", str(plain))
+        assert out.split("\n")[0] == plain_out.split("\n")[0]
+        assert configured.read_bytes() == plain.read_bytes()
+
+    def test_hash_inside_value_is_kept(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        log = tmp_path / "out" / "a#b.csv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# whole-line comment\n   # indented comment\nlog = {log}\n")
+        code, _, _ = run(capsys, "scenario", "--config", str(cfg))
+        assert code == 0
+        assert log.is_file()
+        assert not (tmp_path / "out" / "a").exists()
+
+    def test_unknown_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sigma = 0.1\nwidth = 3\n")
+        code, _, err = run(capsys, "scenario", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key 'width'" in err
+
+
+_PARSER, _COMMANDS = cli.build_parser()
+_OPTIONS = [(name, dest) for name, command in _COMMANDS.items()
+            for dest in command.options]
+_BOOL_WORDS = ["1", "true", "yes", "on", "TRUE", "0", "false", "no", "off", "maybe"]
+
+
+def _values(parse):
+    """(command-line text, config text, resolved value) for one option type."""
+    if parse is int:
+        ints = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6))
+        return ints.map(lambda v: (str(v), str(v), v))
+    if parse is float:
+        floats = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+        return floats.map(lambda v: (repr(v), repr(v), v))
+    if parse is str:
+        # '#' anywhere in a value is data; only whole-line comments exist.
+        # argparse reads "--x=--" as no value, so no value starts with "-".
+        text = st.text(alphabet="ab/._-#=07", max_size=10).filter(
+            lambda v: not v.startswith("-"))
+        return text.map(lambda v: (v, v, v))
+    return st.sampled_from(_BOOL_WORDS).map(
+        lambda w: (None, w, w.lower() in ("1", "true", "yes", "on")))
+
+
+@pytest.mark.parametrize("name,dest", _OPTIONS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_flag_beats_config_beats_default(name, dest, data):
+    """Every registered option: an explicit flag (even 0, 0.0 or "") wins over
+    the config file, the file wins over the registered default, and no other
+    option moves off its default."""
+    command = _COMMANDS[name]
+    parse, default = command.options[dest]
+    flag_text, _, flag_value = data.draw(_values(parse))
+    _, file_text, file_value = data.draw(_values(parse))
+    use_flag = data.draw(st.booleans())
+    use_file = data.draw(st.booleans())
+    key = data.draw(st.sampled_from([dest, dest.replace("_", "-")]))
+    option = "--" + dest.replace("_", "-")
+    argv = [name]
+    if use_flag and flag_text is None:  # a store_true flag
+        argv.append(option)
+        flag_value = True
+    elif use_flag:
+        argv.append(f"{option}={flag_text}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("# settings\n" + (f"{key} = {file_text}\n" if use_file else ""))
+        ns = _PARSER.parse_args(argv + ["--config", str(cfg)])
+        cli._resolve(ns, command)
+    expected = flag_value if use_flag else file_value if use_file else default
+    assert getattr(ns, dest) == expected
+    assert type(getattr(ns, dest)) is type(expected)
+    for other, (_, other_default) in command.options.items():
+        if other != dest:
+            assert getattr(ns, other) == other_default
