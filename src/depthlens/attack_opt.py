@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DepthlensError, EmptyMask
+from .errors import DepthlensError
 from .estimation import Box, masked_mean
 from .imaging import (LensKind, LensRegion, RasterImage, apply_attack_transform,
                       level_to_profile, region_masks)
@@ -73,34 +73,28 @@ class LossConfig:
                 raise ValueError("targeted mode needs a positive y_tar")
 
 
-def _masked_l1(a: np.ndarray, b, mask: np.ndarray) -> float:
-    diff = np.abs(np.asarray(a, dtype=np.float64) - b)
-    if mask.shape != diff.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match map {diff.shape}")
-    selected = diff[mask]
-    selected = selected[np.isfinite(selected)]
-    if selected.size == 0:
-        raise EmptyMask("no valid pixel under the mask")
-    return float(selected.mean())
+def _abs_diff(est_attacked: np.ndarray, other) -> np.ndarray:
+    # Widen first: under NEP 50 a float32 map minus a Python float stays float32.
+    return np.abs(np.asarray(est_attacked, dtype=np.float64) - other)
 
 
 def loss_out(est_attacked: np.ndarray, est_benign: np.ndarray,
              m_out: np.ndarray) -> float:
     """L1 drift of the out-of-lens estimates against the benign map."""
-    return _masked_l1(est_attacked, np.asarray(est_benign, dtype=np.float64), m_out)
+    return masked_mean(_abs_diff(est_attacked, est_benign), m_out)
 
 
 def loss_vehicle_targeted(est_attacked: np.ndarray, m_veh: np.ndarray,
                           y_tar: float) -> float:
     """L1 distance of the vehicle-mask estimates from the target value."""
-    return _masked_l1(est_attacked, float(y_tar), m_veh)
+    return masked_mean(_abs_diff(est_attacked, float(y_tar)), m_veh)
 
 
 def loss_vehicle_untargeted(est_attacked: np.ndarray, est_benign: np.ndarray,
                             m_veh: np.ndarray) -> float:
     """Negated L1 deviation from the benign vehicle estimates (maximize
     deviation by minimizing the negation); always <= 0."""
-    return -_masked_l1(est_attacked, np.asarray(est_benign, dtype=np.float64), m_veh)
+    return -masked_mean(_abs_diff(est_attacked, est_benign), m_veh)
 
 
 def loss_total(l_veh: float, l_out: float, alpha: float) -> float:
@@ -136,8 +130,7 @@ class OptimizationError(DepthlensError):
 
 
 def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
-                   lens_kind: LensKind, calibration: dict | None = None,
-                   levels=LEVELS) -> OptimizationResult:
+                   lens_kind: LensKind, levels=LEVELS) -> OptimizationResult:
     """Exhaustively score the candidate levels and return the argmin.
 
     The loss curve is complete and sorted by level; ``best_level`` is the
@@ -163,8 +156,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     attacked_means = {}
     for level in sorted(levels):
         try:
-            profile = level_to_profile(lens_kind, level, region=cfg.region,
-                                       calibration=calibration)
+            profile = level_to_profile(lens_kind, level, region=cfg.region)
             attacked = apply_attack_transform(benign, profile)
             est_att = np.asarray(
                 estimator.estimate_map(attacked, tag=f"level_{level}"),
@@ -211,8 +203,7 @@ class SweepRow:
 
 
 def alpha_sweep(benign: RasterImage, estimator: Estimator, base_cfg: LossConfig,
-                alphas, lens_kind: LensKind,
-                calibration: dict | None = None) -> list[SweepRow]:
+                alphas, lens_kind: LensKind) -> list[SweepRow]:
     """One full optimization per weighting coefficient.
 
     Failures are confined to their row (marked, not raised) so a sweep with
@@ -228,7 +219,7 @@ def alpha_sweep(benign: RasterImage, estimator: Estimator, base_cfg: LossConfig,
                          y_tar=base_cfg.y_tar)
         try:
             rows.append(SweepRow(alpha, cfg.mode, optimize_level(
-                benign, estimator, cfg, lens_kind, calibration=calibration)))
+                benign, estimator, cfg, lens_kind)))
         except OptimizationError as exc:
             rows.append(SweepRow(alpha, cfg.mode, None, error=str(exc)))
     return rows

@@ -311,8 +311,9 @@ def _add_metrics(sub) -> _Command:
 def _box_mean(ns, map_path) -> float:
     """Mean of the map file's valid pixels under the first --boxes box."""
     box = _first_box(ns)
-    loaded = estimation.load_depth_map(map_path, kind=ns.map_kind)
-    return estimation.masked_mean(loaded, box.to_mask(loaded.width, loaded.height))
+    values = estimation.load_depth_map(map_path, kind=ns.map_kind)
+    height, width = values.shape
+    return estimation.masked_mean(values, box.to_mask(width, height))
 
 
 def cmd_metrics(ns) -> int:
@@ -470,3 +471,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -41,10 +41,6 @@ class ParseError(DepthlensError):
         self.byte_offset = byte_offset
 
 
-class DimensionMismatch(DepthlensError):
-    """Loaded map dimensions disagree with what the caller expected."""
-
-
 class EmptyMask(DepthlensError):
     """A masked reduction was asked for but no valid pixel is selected."""
 

@@ -10,8 +10,10 @@ everything around them:
   distance, so depth = focal_px * height_m / height_px);
 * loaders for externally produced maps (PFM, 16-bit PGM + sidecar scale) and
   for bounding-box text files;
-* masked means, the reduction every metric in this toolkit starts from.
+* masked means, the reduction every metric and loss in this toolkit starts
+  from.
 
+A depth or disparity map is a plain float64 ``np.ndarray`` of shape (h, w).
 Invalid pixels (holes, zero disparity) are marked NaN rather than raised:
 maps from real estimators contain them routinely.
 """
@@ -23,40 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyMask, FiducialNotFound, ParseError)
+from .errors import EmptyMask, FiducialNotFound, ParseError
 from . import formats
 from .imaging import RasterImage
-
-
-@dataclass(frozen=True)
-class _Map:
-    """A 2-d float map; NaN marks invalid pixels."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError(f"map must be 2-d, got shape {self.values.shape}")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
-
-class DepthMap(_Map):
-    """Per-pixel depth in meters; NaN marks invalid pixels."""
-
-
-class DisparityMap(_Map):
-    """Per-pixel disparity (non-negative); NaN marks invalid pixels."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +81,11 @@ class FiducialSpec:
             raise ValueError("detection threshold must be an 8-bit level")
 
 
-def _reciprocal(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """baseline * focal_px / value; non-positive values go invalid (NaN)."""
-    vals = values.astype(np.float64)
+def disparity_to_depth(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """depth = baseline * focal_px / disparity; non-positive values go
+    invalid (NaN). The formula is its own inverse, so ``depth_to_disparity``
+    is this same function."""
+    vals = np.asarray(values, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (k.baseline_m * k.focal_px) / vals
     out[~np.isfinite(out)] = np.nan
@@ -120,22 +93,15 @@ def _reciprocal(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     return out
 
 
-def disparity_to_depth(disparity: DisparityMap, k: CameraIntrinsics) -> DepthMap:
-    """depth = baseline * focal_px / disparity; zero disparity goes invalid."""
-    return DepthMap(_reciprocal(disparity.values, k))
+depth_to_disparity = disparity_to_depth
 
 
-def depth_to_disparity(depth: DepthMap, k: CameraIntrinsics) -> DisparityMap:
-    """Inverse of ``disparity_to_depth`` (same reciprocal formula)."""
-    return DisparityMap(_reciprocal(depth.values, k))
-
-
-def rescale_disparity(disparity: DisparityMap, constant: float) -> DisparityMap:
+def rescale_disparity(values: np.ndarray, constant: float) -> np.ndarray:
     """Divide every pixel by a constant (different estimators emit different
     disparity scales; this normalizes them onto one)."""
     if constant <= 0:
         raise ValueError("rescale constant must be positive")
-    return DisparityMap(disparity.values / constant)
+    return values / constant
 
 
 def _find_blob(gray: np.ndarray, fiducial: FiducialSpec):
@@ -162,14 +128,13 @@ def proxy_estimate_depth(image: RasterImage, fiducial: FiducialSpec,
     return k.focal_px * fiducial.physical_height_m / height_px
 
 
-def load_depth_map(path, kind: str = "depth", expected_dims=None):
-    """Load an externally produced map.
+def load_depth_map(path, kind: str = "depth") -> np.ndarray:
+    """Load an externally produced map as float64 (h, w).
 
     The format is sniffed from the magic bytes: ``Pf`` float PFM or a 16-bit
-    PGM with its sidecar scale file. ``kind`` selects the wrapper type
-    ("depth" or "disparity"); ``expected_dims`` is an optional (width,
-    height) check. Non-positive depth / negative disparity samples are
-    marked invalid.
+    PGM with its sidecar scale file. ``kind`` ("depth" or "disparity")
+    selects which samples are invalid and become NaN: non-positive depths,
+    negative disparities.
     """
     with open(path, "rb") as fh:
         magic = fh.read(2)
@@ -179,27 +144,18 @@ def load_depth_map(path, kind: str = "depth", expected_dims=None):
         values = formats.read_pgm16(path)
     else:
         raise ParseError(f"unrecognized map format (magic {magic!r})", byte_offset=0)
-    values = np.asarray(values, dtype=np.float64)
-    if expected_dims is not None:
-        w, h = expected_dims
-        if values.shape != (h, w):
-            raise DimensionMismatch(
-                f"{path}: got {values.shape[1]}x{values.shape[0]}, expected {w}x{h}"
-            )
+    values = values.astype(np.float64)  # the one copy; holes are marked in it
     if kind == "depth":
-        values = values.copy()
         values[~(values > 0)] = np.nan
-        return DepthMap(values)
-    if kind == "disparity":
-        values = values.copy()
+    elif kind == "disparity":
         values[values < 0] = np.nan
-        return DisparityMap(values)
-    raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
+    else:
+        raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
+    return values
 
 
-def masked_mean(map_or_values, mask: np.ndarray) -> float:
-    """Arithmetic mean over the valid masked pixels."""
-    values = getattr(map_or_values, "values", map_or_values)
+def masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
+    """Arithmetic mean over the valid (finite) masked pixels."""
     values = np.asarray(values, dtype=np.float64)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} does not match map {values.shape}")
@@ -271,6 +227,8 @@ class DirectoryMapEstimator:
 
     def __init__(self, directory, kind: str = "disparity",
                  rescale: float | None = None):
+        if rescale is not None and rescale <= 0:
+            raise ValueError(f"rescale constant must be positive, got {rescale!r}")
         self.directory = directory
         self.kind = kind
         self.rescale = rescale
@@ -281,10 +239,9 @@ class DirectoryMapEstimator:
         for ext in ("pfm", "pgm"):
             candidate = os.path.join(str(self.directory), f"{tag}.{ext}")
             if os.path.exists(candidate):
-                loaded = load_depth_map(candidate, kind=self.kind)
-                values = loaded.values
+                values = load_depth_map(candidate, kind=self.kind)
                 if self.rescale is not None:
-                    values = values / self.rescale
+                    values = rescale_disparity(values, self.rescale)
                 return values
         raise FileNotFoundError(
             f"no {tag}.pfm / {tag}.pgm in {self.directory}"

@@ -108,28 +108,28 @@ def write_pnm(path, data: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def read_pgm16(path, scale_path=None) -> np.ndarray:
+def read_pgm16(path) -> np.ndarray:
     """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w).
 
-    The sidecar defaults to ``<path>.scale`` and holds one float: physical
-    units per raw count.
+    The sidecar ``<path>.scale`` holds one float: physical units per raw
+    count.
     """
     _, _, height, width, raster = _read_raster(path, {b"P5": 2}, "16-bit PGM", 65535)
     raw = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    if scale_path is None:
-        scale_path = str(path) + ".scale"
+    sidecar = str(path) + ".scale"
     try:
-        with open(scale_path, "r", encoding="ascii") as fh:
+        with open(sidecar, "r", encoding="ascii") as fh:
             scale = float(fh.read().strip())
     except FileNotFoundError:
-        raise ParseError(f"missing sidecar scale file {scale_path}") from None
+        raise ParseError(f"missing sidecar scale file {sidecar}") from None
     except ValueError:
-        raise ParseError(f"bad scale value in {scale_path}") from None
+        raise ParseError(f"bad scale value in {sidecar}") from None
     return (raw.astype(np.float32) * np.float32(scale)).astype(np.float32)
 
 
-def write_pgm16(path, values: np.ndarray, scale: float, scale_path=None) -> None:
-    """Write float values as 16-bit PGM counts of ``scale`` units each.
+def write_pgm16(path, values: np.ndarray, scale: float) -> None:
+    """Write float values as 16-bit PGM counts of ``scale`` units each, and
+    ``scale`` to the sidecar ``<path>.scale``.
 
     A count has no NaN or infinity, so non-finite values are rejected: a NaN
     hole written as count 0 would read back as a valid zero sample.
@@ -146,9 +146,7 @@ def write_pgm16(path, values: np.ndarray, scale: float, scale_path=None) -> None
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n65535\n" % (w, h))
         fh.write(arr.tobytes())
-    if scale_path is None:
-        scale_path = str(path) + ".scale"
-    with open(scale_path, "w", encoding="ascii") as fh:
+    with open(str(path) + ".scale", "w", encoding="ascii") as fh:
         fh.write(f"{scale!r}\n")
 
 

@@ -351,13 +351,8 @@ CONVEX_SCALE_SPAN = (1.1, 3.0)
 
 
 def level_to_profile(lens_kind: LensKind, level: int,
-                     region: LensRegion | None = None,
-                     calibration: dict | None = None) -> AttackProfile:
-    """Turn a discrete attack level into a renderable profile.
-
-    ``calibration`` maps level -> {"scale_factor": s, "blur_radius": r} and
-    overrides the defaults verbatim for the levels it lists.
-    """
+                     region: LensRegion | None = None) -> AttackProfile:
+    """Turn a discrete attack level into a renderable profile."""
     if not isinstance(level, numbers.Integral) or not 1 <= level <= 9:
         raise BadLevel(f"level must be an integer in 1..9, got {level!r}")
     level = int(level)
@@ -366,10 +361,6 @@ def level_to_profile(lens_kind: LensKind, level: int,
     span = CONCAVE_SCALE_SPAN if lens_kind is LensKind.CONCAVE else CONVEX_SCALE_SPAN
     scale = span[0] + (span[1] - span[0]) * (level - 1) / 8.0
     blur = BLUR_PX_PER_LEVEL * level
-    if calibration and level in calibration:
-        entry = calibration[level]
-        scale = float(entry.get("scale_factor", scale))
-        blur = int(entry.get("blur_radius", blur))
     placement = (BlurPlacement.OUT_OF_LENS if lens_kind is LensKind.CONCAVE
                  else BlurPlacement.IN_LENS)
     return AttackProfile(lens_kind=lens_kind, level=level, region=region,

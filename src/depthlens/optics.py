@@ -185,9 +185,10 @@ def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
     """Evaluate the full two-lens stack.
 
     Per-stage quantities come from the staged evaluation; ``m_total`` is
-    computed from the single closed-form rational expression for the active
-    scenario, so the ``m_total == m1 * m2`` identity is a genuine
-    cross-check between two floating-point paths rather than a tautology.
+    the closed-form rational expression ``f * f_c / ((d_o1 - f) * (d_o2 -
+    f_c))``, one quotient of two products, so the ``m_total == m1 * m2``
+    identity still compares two floating-point paths (a product of two
+    quotients) rather than a tautology.
     """
     camera = geometry.camera
     d_o1 = geometry.object_distance_m
@@ -213,13 +214,7 @@ def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
         )
     d_i2 = -d_o2 * f_c / den2
     m2 = -f_c / den2
-
-    if scenario in (ScenarioKind.CONCAVE, ScenarioKind.CONVEX_NEAR_OBJECT):
-        m_total = f * f_c / ((d_o1 - f) * (abs(d_i1) + d_b - f_c))
-    elif scenario is ScenarioKind.CONVEX_FAR_LENS:
-        m_total = f * f_c / ((d_o1 - f) * (d_b - abs(d_i1) - f_c))
-    else:
-        m_total = f * f_c / ((d_o1 - f) * (abs(d_i1) - d_b - f_c))
+    m_total = f * f_c / ((d_o1 - f) * den2)
 
     return OpticsResult(
         d_i1_m=d_i1, m1=m1, d_i2_m=d_i2, m2=m2,
@@ -254,19 +249,16 @@ TABLE_LENS_GAPS_M = (0.02, 0.04, 0.08, 0.12)
 TABLE_OBJECT_DISTANCES_M = (6.0, 9.0, 12.0)
 
 
-def expected_depth_grid(concave: bool, camera_focal_length_m: float,
-                        focal_lengths_m=TABLE_FOCAL_LENGTHS_M,
-                        lens_gaps_m=TABLE_LENS_GAPS_M,
-                        object_distances_m=TABLE_OBJECT_DISTANCES_M):
-    """Expected-depth sweep over an (f, d_b, d_o1) grid.
+def expected_depth_grid(concave: bool, camera_focal_length_m: float):
+    """Expected-depth sweep over the ``TABLE_*`` (f, d_b, d_o1) grid.
 
     Yields one ``(f_m, d_b_m, d_o1_m, OpticsResult)`` tuple per cell, f
     reported with its sign.
     """
     sign = -1.0 if concave else 1.0
-    for f in focal_lengths_m:
-        for d_b in lens_gaps_m:
+    for f in TABLE_FOCAL_LENGTHS_M:
+        for d_b in TABLE_LENS_GAPS_M:
             camera = CameraSpec(focal_length_m=camera_focal_length_m, lens_gap_m=d_b)
-            for d_o1 in object_distances_m:
+            for d_o1 in TABLE_OBJECT_DISTANCES_M:
                 geom = AttackGeometry(d_o1, LensSpec(sign * abs(f)), camera)
                 yield sign * abs(f), d_b, d_o1, combined_magnification(geom)

@@ -1,5 +1,8 @@
 """Command-line surface: happy paths, exit codes, self-consistency."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -195,6 +198,24 @@ class TestOptimizeCommand:
         assert len(body) == 2
         assert all(",failed," in line for line in body)
 
+    @pytest.mark.parametrize("rescale", ["0", "-2"])
+    def test_non_positive_rescale_exits_two(self, tmp_path, capsys, rescale):
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
+            formats.write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
+        src = tmp_path / "benign.pgm"
+        RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text("2 2 6 6\n")
+        code, out, err = run(capsys, "optimize", "--input", str(src), "--mode",
+                             "untargeted", "--lens-kind", "concave", "--boxes",
+                             str(boxes), "--estimator", "external", "--maps",
+                             str(maps), "--rescale", rescale)
+        assert code == 2
+        assert out == ""
+        assert "rescale" in err
+
 
 class TestMetricsCommand:
     def test_adr_scalars(self, capsys):
@@ -332,6 +353,16 @@ class TestScenarioCommand:
                            "--fc", "0.026")
         assert code == 2
         assert "banana" in err
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["optics", "--lens", "none", "--do1", "6", "--fc", "0.026", "--db", "0.04"]
+    code, out, _ = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "depthlens.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert out
 
 
 class TestConfigResolution:

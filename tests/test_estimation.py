@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from depthlens.errors import (DimensionMismatch, EmptyMask, FiducialNotFound,
-                              ParseError)
-from depthlens.estimation import (Box, CameraIntrinsics, DepthMap,
-                                  DirectoryMapEstimator, DisparityMap,
+from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
+from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
                                   FiducialSpec, ProxyDepthMapper,
                                   depth_to_disparity, disparity_to_depth,
                                   load_boxes, load_depth_map, masked_mean,
@@ -22,40 +20,38 @@ KITTI_LIKE = CameraIntrinsics(baseline_m=0.54, focal_px=721.0)
 
 class TestDisparityDepth:
     def test_reference_value(self):
-        d = DisparityMap(np.array([[38.934]]))
-        depth = disparity_to_depth(d, KITTI_LIKE)
-        assert depth.values[0, 0] == pytest.approx(10.0, abs=1e-4)
+        depth = disparity_to_depth(np.array([[38.934]]), KITTI_LIKE)
+        assert depth[0, 0] == pytest.approx(10.0, abs=1e-4)
 
     def test_unit_case(self):
-        d = DisparityMap(np.array([[KITTI_LIKE.baseline_m * KITTI_LIKE.focal_px]]))
-        assert disparity_to_depth(d, KITTI_LIKE).values[0, 0] == pytest.approx(1.0)
+        d = np.array([[KITTI_LIKE.baseline_m * KITTI_LIKE.focal_px]])
+        assert disparity_to_depth(d, KITTI_LIKE)[0, 0] == pytest.approx(1.0)
 
     def test_zero_disparity_invalid(self):
-        d = DisparityMap(np.array([[0.0, 2.0]]))
-        depth = disparity_to_depth(d, KITTI_LIKE)
-        assert np.isnan(depth.values[0, 0])
-        assert np.isfinite(depth.values[0, 1])
+        depth = disparity_to_depth(np.array([[0.0, 2.0]]), KITTI_LIKE)
+        assert np.isnan(depth[0, 0])
+        assert np.isfinite(depth[0, 1])
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(3)
-        disp = DisparityMap(rng.uniform(0.5, 60.0, (17, 23)))
+        disp = rng.uniform(0.5, 60.0, (17, 23))
         back = depth_to_disparity(disparity_to_depth(disp, KITTI_LIKE), KITTI_LIKE)
-        assert np.allclose(back.values, disp.values, rtol=1e-6)
+        assert np.allclose(back, disp, rtol=1e-6)
 
 
 class TestRescale:
     def test_constant_division(self):
-        d = rescale_disparity(DisparityMap(np.array([[2.16]])), 5.4)
-        assert d.values[0, 0] == pytest.approx(0.40)
+        d = rescale_disparity(np.array([[2.16]]), 5.4)
+        assert d[0, 0] == pytest.approx(0.40)
 
     def test_identity_and_zeros(self):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(rescale_disparity(DisparityMap(vals), 1.0).values, vals)
-        assert (rescale_disparity(DisparityMap(np.zeros((2, 2))), 2.0).values == 0).all()
+        assert np.array_equal(rescale_disparity(vals, 1.0), vals)
+        assert (rescale_disparity(np.zeros((2, 2)), 2.0) == 0).all()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            rescale_disparity(DisparityMap(np.zeros((2, 2))), 0.0)
+            rescale_disparity(np.zeros((2, 2)), 0.0)
 
 
 class TestProxyEstimate:
@@ -119,16 +115,16 @@ class TestLoaders:
         path = tmp_path / "d.pfm"
         formats.write_pfm(path, np.array([[5.0, 0.0], [-1.0, 2.0]], dtype=np.float32))
         depth = load_depth_map(path, kind="depth")
-        assert isinstance(depth, DepthMap)
-        assert depth.values[0, 0] == 5.0
-        assert np.isnan(depth.values[0, 1]) and np.isnan(depth.values[1, 0])
+        assert depth.dtype == np.float64
+        assert depth[0, 0] == 5.0
+        assert np.isnan(depth[0, 1]) and np.isnan(depth[1, 0])
 
     def test_load_depth_map_pgm16_sidecar(self, tmp_path):
         path = tmp_path / "d.pgm"
         formats.write_pgm16(path, np.array([[12.5, 3.0]]), scale=0.001)
         depth = load_depth_map(path, kind="depth")
-        assert depth.values[0, 0] == pytest.approx(12.5, abs=1e-3)
-        assert depth.values[0, 1] == pytest.approx(3.0, abs=1e-3)
+        assert depth[0, 0] == pytest.approx(12.5, abs=1e-3)
+        assert depth[0, 1] == pytest.approx(3.0, abs=1e-3)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "d.pgm"
@@ -137,49 +133,41 @@ class TestLoaders:
         with pytest.raises(ParseError):
             load_depth_map(path)
 
-    def test_dims_hint(self, tmp_path):
-        path = tmp_path / "d.pfm"
-        formats.write_pfm(path, np.zeros((4, 6), dtype=np.float32) + 1.0)
-        load_depth_map(path, expected_dims=(6, 4))
-        with pytest.raises(DimensionMismatch):
-            load_depth_map(path, expected_dims=(4, 6))
-
     def test_disparity_kind(self, tmp_path):
         path = tmp_path / "disp.pfm"
         formats.write_pfm(path, np.array([[0.0, 4.0]], dtype=np.float32))
         disp = load_depth_map(path, kind="disparity")
-        assert isinstance(disp, DisparityMap)
-        assert disp.values[0, 0] == 0.0  # zero disparity is a valid sample here
+        assert disp[0, 0] == 0.0  # zero disparity is a valid sample here
 
 
 class TestMaskedMean:
     def test_constant(self):
-        m = DepthMap(np.full((8, 8), 7.0))
+        m = np.full((8, 8), 7.0)
         mask = np.zeros((8, 8), bool)
         mask[2, 3] = True
         assert masked_mean(m, mask) == 7.0
 
     def test_first_row(self):
-        m = DepthMap(np.array([[1.0, 3.0], [5.0, 7.0]]))
+        m = np.array([[1.0, 3.0], [5.0, 7.0]])
         mask = np.array([[True, True], [False, False]])
         assert masked_mean(m, mask) == 2.0
 
     def test_only_invalid_pixels(self):
-        m = DepthMap(np.array([[np.nan, 1.0]]))
+        m = np.array([[np.nan, 1.0]])
         with pytest.raises(EmptyMask):
             masked_mean(m, np.array([[True, False]]))
 
     def test_invalid_pixels_ignored(self):
-        m = DepthMap(np.array([[np.nan, 4.0, 8.0]]))
+        m = np.array([[np.nan, 4.0, 8.0]])
         assert masked_mean(m, np.ones((1, 3), bool)) == 6.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(1, 50, (16, 16))
         mask = rng.random((16, 16)) < 0.4
-        base = masked_mean(DepthMap(vals), mask)
+        base = masked_mean(vals, mask)
         perm = rng.permutation(16)
-        assert masked_mean(DepthMap(vals[perm]), mask[perm]) == pytest.approx(base)
+        assert masked_mean(vals[perm], mask[perm]) == pytest.approx(base)
 
 
 class TestBoxes:

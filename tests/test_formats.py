@@ -1,11 +1,14 @@
-"""File formats: header dimension checks, truncation, 16-bit PGM writing."""
+"""File formats: header dimension checks, truncation, 16-bit PGM writing,
+round trips."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from depthlens import formats
 from depthlens.errors import ParseError
+from depthlens.estimation import load_depth_map
 
 
 class TestDimensionChecks:
@@ -77,3 +80,44 @@ def test_every_strict_prefix_raises_parse_error(tmp_path_factory, spec):
         path.write_bytes(whole[:end])
         with pytest.raises(ParseError):
             _READERS[kind](path)
+
+
+_SIDES = st.integers(1, 40)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=hnp.arrays(np.uint8, st.one_of(st.tuples(_SIDES, _SIDES),
+                                           st.tuples(_SIDES, _SIDES, st.just(3)))))
+def test_pnm_round_trip_is_byte_exact(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pnm") / "f.pnm"
+    formats.write_pnm(path, data)
+    back = formats.read_pnm(path)
+    assert back.dtype == np.uint8 and back.shape == data.shape
+    assert back.tobytes() == data.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=hnp.arrays(np.float32, st.tuples(_SIDES, _SIDES),
+                       elements=st.floats(width=32, allow_infinity=False)),
+       kind=st.sampled_from(["depth", "disparity"]))
+def test_pfm_loads_as_float64_with_holes_marked(tmp_path_factory, data, kind):
+    """NaN holes stay NaN; non-positive depths and negative disparities
+    become NaN; every other sample is the float32 value widened."""
+    path = tmp_path_factory.mktemp("pfm") / "m.pfm"
+    formats.write_pfm(path, data)
+    expected = data.astype(np.float64)
+    expected[~(expected > 0) if kind == "depth" else expected < 0] = np.nan
+    loaded = load_depth_map(path, kind=kind)
+    assert loaded.dtype == np.float64
+    np.testing.assert_array_equal(loaded, expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(counts=hnp.arrays(np.int64, st.tuples(_SIDES, _SIDES),
+                         elements=st.integers(0, 65535)),
+       scale=st.floats(1e-4, 1e4))
+def test_pgm16_round_trip_recovers_counts(tmp_path_factory, counts, scale):
+    path = tmp_path_factory.mktemp("pgm16") / "m.pgm"
+    formats.write_pgm16(path, counts * scale, scale=scale)
+    values = formats.read_pgm16(path)
+    assert np.array_equal(np.round(values / scale), counts)

@@ -245,11 +245,6 @@ class TestLevelProfiles:
         assert p.blur_radius == 9
         assert p.blur_placement is BlurPlacement.IN_LENS
 
-    def test_calibration_override_verbatim(self):
-        cal = {5: {"scale_factor": 0.7, "blur_radius": 4}}
-        p = level_to_profile(LensKind.CONCAVE, 5, calibration=cal)
-        assert p.scale_factor == 0.7 and p.blur_radius == 4
-
     def test_blur_strictly_increases_with_level(self):
         radii = [level_to_profile(LensKind.CONVEX, lv).blur_radius
                  for lv in range(1, 10)]
