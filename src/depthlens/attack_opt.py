@@ -10,9 +10,11 @@ where L_veh pulls the vehicle-mask reading toward a target value (targeted)
 or pushes it away from the benign reading (untargeted, negated so smaller is
 better), and L_out penalizes any estimate drift outside the lens outline.
 All reductions are masked L1 means, which keeps alpha meaningful regardless
-of mask sizes. The argmin over levels 1..9 is exact enumeration; ties break
-toward the smallest level (least conspicuous blur, and determinism needs a
-rule).
+of mask sizes. The vehicle terms are reduced on the vehicle box's crop:
+the pixels of its full-frame mask in the same order, so the same bits at
+the cost of a box. The argmin over levels 1..9 is exact enumeration; ties
+break toward the smallest level (least conspicuous blur, and determinism
+needs a rule).
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class LossConfig:
 
 def _abs_diff(est_attacked: np.ndarray, other) -> np.ndarray:
     # Widen first: under NEP 50 a float32 map minus a Python float stays float32.
-    return np.abs(np.asarray(est_attacked, dtype=np.float64) - other)
+    diff = np.asarray(est_attacked, dtype=np.float64) - other
+    return np.abs(diff, out=diff)
 
 
 def loss_out(est_attacked: np.ndarray, est_benign: np.ndarray,
@@ -149,7 +152,9 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
         raise OptimizationError("benign", exc) from exc
 
     map_h, map_w = est_benign.shape
-    m_veh = cfg.vehicle_box.to_mask(map_w, map_h)
+    veh = cfg.vehicle_box.slices()
+    benign_veh = est_benign[veh]
+    m_veh = np.ones(benign_veh.shape, dtype=bool)
     m_out = region_masks(map_w, map_h, cfg.region).out_of_lens
 
     curve = []
@@ -167,14 +172,15 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
                     f"estimator returned {est_att.shape}, benign map is "
                     f"{est_benign.shape}"
                 )
+            att_veh = est_att[veh]
             if cfg.mode is Mode.TARGETED:
-                l_veh = loss_vehicle_targeted(est_att, m_veh, cfg.y_tar)
+                l_veh = loss_vehicle_targeted(att_veh, m_veh, cfg.y_tar)
             else:
-                l_veh = loss_vehicle_untargeted(est_att, est_benign, m_veh)
+                l_veh = loss_vehicle_untargeted(att_veh, benign_veh, m_veh)
             l_out = loss_out(est_att, est_benign, m_out)
             curve.append(LevelScore(level, loss_total(l_veh, l_out, cfg.alpha),
                                     l_veh, l_out))
-            attacked_means[level] = masked_mean(est_att, m_veh)
+            attacked_means[level] = masked_mean(att_veh, m_veh)
         except (DepthlensError, OSError, ValueError) as exc:
             raise OptimizationError(level, exc) from exc
 
@@ -184,7 +190,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
         metric_value = aer(attacked_means[best.level], cfg.y_tar)
     else:
         metric_name = "ADR"
-        metric_value = adr(attacked_means[best.level], masked_mean(est_benign, m_veh))
+        metric_value = adr(attacked_means[best.level], masked_mean(benign_veh, m_veh))
     return OptimizationResult(best_level=best.level, best_loss=best.l_total,
                               loss_curve=tuple(curve), metric_name=metric_name,
                               metric_value=metric_value)

@@ -20,6 +20,7 @@ maps from real estimators contain them routinely.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,10 +56,16 @@ class Box:
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ValueError(f"empty box {self}")
 
+    def slices(self) -> tuple[slice, slice]:
+        """Row and column slices of the box, negative bounds clipped to 0.
+        Indexing a frame with them clips the far bounds; the crop is empty
+        when the box misses the frame."""
+        return (slice(max(self.y_min, 0), max(self.y_max, 0)),
+                slice(max(self.x_min, 0), max(self.x_max, 0)))
+
     def to_mask(self, width: int, height: int) -> np.ndarray:
         mask = np.zeros((height, width), dtype=bool)
-        mask[max(self.y_min, 0):max(self.y_max, 0),
-             max(self.x_min, 0):max(self.x_max, 0)] = True
+        mask[self.slices()] = True
         return mask
 
 
@@ -96,36 +103,40 @@ def disparity_to_depth(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
 depth_to_disparity = disparity_to_depth
 
 
+def _check_rescale(constant: float) -> None:
+    if not (math.isfinite(constant) and constant > 0):
+        raise ValueError(f"rescale constant must be finite and positive, got {constant!r}")
+
+
 def rescale_disparity(values: np.ndarray, constant: float) -> np.ndarray:
     """Divide every pixel by a constant (different estimators emit different
     disparity scales; this normalizes them onto one)."""
-    if constant <= 0:
-        raise ValueError("rescale constant must be positive")
+    _check_rescale(constant)
     return values / constant
 
 
-def _find_blob(gray: np.ndarray, fiducial: FiducialSpec):
-    """Row/column indices of the thresholded fiducial blob in a gray raster."""
-    if fiducial.reference_box is not None:
-        window = fiducial.reference_box.to_mask(gray.shape[1], gray.shape[0])
-        hits = (gray <= fiducial.detection_threshold) & window
-    else:
-        hits = gray <= fiducial.detection_threshold
-    ys, xs = np.nonzero(hits)
-    if ys.size < 4:
+def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
+    """Row and column slices of the bounding extent of the thresholded
+    fiducial blob in a gray raster (within the reference box, if any)."""
+    height, width = gray.shape
+    rows, cols = (fiducial.reference_box or Box(0, 0, width, height)).slices()
+    hits = gray[rows, cols] <= fiducial.detection_threshold
+    count = np.count_nonzero(hits)
+    if count < 4:
         raise FiducialNotFound(
             f"thresholding at {fiducial.detection_threshold} found "
-            f"{ys.size} px (need >= 4)"
+            f"{count} px (need >= 4)"
         )
-    return ys, xs
+    ys = np.flatnonzero(hits.any(axis=1)) + rows.start
+    xs = np.flatnonzero(hits.any(axis=0)) + cols.start
+    return slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1)
 
 
 def proxy_estimate_depth(image: RasterImage, fiducial: FiducialSpec,
                          k: CameraIntrinsics) -> float:
     """Depth from the fiducial's apparent height (bounding extent)."""
-    ys, _ = _find_blob(image.to_gray().data, fiducial)
-    height_px = int(ys.max() - ys.min() + 1)
-    return k.focal_px * fiducial.physical_height_m / height_px
+    rows, _ = _find_blob(image.to_gray().data, fiducial)
+    return k.focal_px * fiducial.physical_height_m / (rows.stop - rows.start)
 
 
 def load_depth_map(path, kind: str = "depth") -> np.ndarray:
@@ -159,8 +170,7 @@ def masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} does not match map {values.shape}")
-    selected = values[mask]
-    selected = selected[np.isfinite(selected)]
+    selected = values[mask & np.isfinite(values)]
     if selected.size == 0:
         raise EmptyMask("no valid pixel under the mask")
     return float(selected.mean())
@@ -209,10 +219,10 @@ class ProxyDepthMapper:
     def estimate_map(self, image: RasterImage, tag: str | None = None) -> np.ndarray:
         gray = image.to_gray().data
         depth = self.near_m + (self.far_m - self.near_m) * gray.astype(np.float64) / 255.0
-        ys, xs = _find_blob(gray, self.fiducial)
-        height_px = int(ys.max() - ys.min() + 1)
+        rows, cols = _find_blob(gray, self.fiducial)
+        height_px = rows.stop - rows.start
         vehicle_depth = self.intrinsics.focal_px * self.fiducial.physical_height_m / height_px
-        depth[ys.min():ys.max() + 1, xs.min():xs.max() + 1] = vehicle_depth
+        depth[rows, cols] = vehicle_depth
         return depth
 
 
@@ -227,8 +237,8 @@ class DirectoryMapEstimator:
 
     def __init__(self, directory, kind: str = "disparity",
                  rescale: float | None = None):
-        if rescale is not None and rescale <= 0:
-            raise ValueError(f"rescale constant must be positive, got {rescale!r}")
+        if rescale is not None:
+            _check_rescale(rescale)
         self.directory = directory
         self.kind = kind
         self.rescale = rescale

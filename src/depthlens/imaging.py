@@ -167,9 +167,9 @@ def _write_masked(box: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None
     """Store ``values`` (one row per box row, channels folded into it, all
     integral) into the pixels of the raster view ``box`` that ``mask``
     selects."""
-    channels = 1 if box.ndim == 2 else box.shape[2]
-    np.copyto(box.reshape(len(box), -1), values, casting="unsafe",
-              where=np.repeat(mask, channels, axis=1))
+    if box.ndim == 3:
+        mask = np.repeat(mask, box.shape[2], axis=1)
+    np.copyto(box.reshape(len(box), -1), values, casting="unsafe", where=mask)
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:

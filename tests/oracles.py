@@ -5,16 +5,23 @@ expressions in ``depthlens.optics``: each stage solves the reciprocal lens
 relation on its own and magnifications come from the per-stage object
 distances, so agreement between the two paths is a real cross-check.
 
-The raster oracles are the straightforward dense kernels the package
-started from; the production kernels must reproduce them bit for bit.
+The raster, loss and blob oracles are the straightforward dense versions
+the package started from; the production code must reproduce them bit for
+bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from depthlens.errors import DegenerateRegion
-from depthlens.imaging import LensRegion, RasterImage, RegionKind
+from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
+                                  OptimizationResult, SweepRow, loss_total)
+from depthlens.errors import DegenerateRegion, DepthlensError, EmptyMask, FiducialNotFound
+from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
+                               apply_attack_transform, level_to_profile, region_masks)
+from depthlens.metrics import adr, aer
 from depthlens.optics import AttackGeometry, ScenarioKind, classify_scenario
 
 
@@ -166,3 +173,107 @@ def tile_loop_lbp_scores(active: np.ndarray, window: int) -> np.ndarray:
             denom = interior[ys, xs].sum()
             scores[ty, tx] = act[ys, xs].sum() / denom if denom else 0.0
     return scores
+
+
+# ----------------------------------------------------------- attack losses ----
+# The full-frame losses: every term gathers its mask over the whole map, and
+# the masked mean compresses twice (mask, then finiteness). The production
+# optimizer reduces the vehicle terms on the box crop and compresses once.
+
+def two_step_masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
+    values = np.asarray(values, dtype=np.float64)
+    if mask.shape != values.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match map {values.shape}")
+    selected = values[mask]
+    selected = selected[np.isfinite(selected)]
+    if selected.size == 0:
+        raise EmptyMask("no valid pixel under the mask")
+    return float(selected.mean())
+
+
+def dense_box_mask(box, width: int, height: int) -> np.ndarray:
+    """Full-frame mask of a box, negative bounds clipped to 0."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[max(box.y_min, 0):max(box.y_max, 0), max(box.x_min, 0):max(box.x_max, 0)] = True
+    return mask
+
+
+def _dense_abs_diff(est_attacked, other) -> np.ndarray:
+    return np.abs(np.asarray(est_attacked, dtype=np.float64) - other)
+
+
+def dense_optimize_level(benign, estimator, cfg, lens_kind,
+                         levels=tuple(range(1, 10))) -> OptimizationResult:
+    """Reference ``optimize_level`` on full-frame masks."""
+    if not levels:
+        raise ValueError("candidate level set must not be empty")
+    try:
+        est_benign = np.asarray(
+            estimator.estimate_map(benign, tag="benign"), dtype=np.float64)
+    except (DepthlensError, OSError) as exc:
+        raise OptimizationError("benign", exc) from exc
+    map_h, map_w = est_benign.shape
+    m_veh = dense_box_mask(cfg.vehicle_box, map_w, map_h)
+    m_out = region_masks(map_w, map_h, cfg.region).out_of_lens
+    curve = []
+    attacked_means = {}
+    for level in sorted(levels):
+        try:
+            profile = level_to_profile(lens_kind, level, region=cfg.region)
+            attacked = apply_attack_transform(benign, profile)
+            est_att = np.asarray(
+                estimator.estimate_map(attacked, tag=f"level_{level}"),
+                dtype=np.float64)
+            if est_att.shape != est_benign.shape:
+                raise ValueError(f"estimator returned {est_att.shape}, benign map "
+                                 f"is {est_benign.shape}")
+            if cfg.mode is Mode.TARGETED:
+                l_veh = two_step_masked_mean(
+                    _dense_abs_diff(est_att, float(cfg.y_tar)), m_veh)
+            else:
+                l_veh = -two_step_masked_mean(
+                    _dense_abs_diff(est_att, est_benign), m_veh)
+            l_out = two_step_masked_mean(_dense_abs_diff(est_att, est_benign), m_out)
+            curve.append(LevelScore(level, loss_total(l_veh, l_out, cfg.alpha),
+                                    l_veh, l_out))
+            attacked_means[level] = two_step_masked_mean(est_att, m_veh)
+        except (DepthlensError, OSError, ValueError) as exc:
+            raise OptimizationError(level, exc) from exc
+    best = min(curve, key=lambda s: (s.l_total, s.level))
+    if cfg.mode is Mode.TARGETED:
+        metric_name = "AER"
+        metric_value = aer(attacked_means[best.level], cfg.y_tar)
+    else:
+        metric_name = "ADR"
+        metric_value = adr(attacked_means[best.level],
+                           two_step_masked_mean(est_benign, m_veh))
+    return OptimizationResult(best_level=best.level, best_loss=best.l_total,
+                              loss_curve=tuple(curve), metric_name=metric_name,
+                              metric_value=metric_value)
+
+
+def dense_alpha_sweep(benign, estimator, base_cfg, alphas, lens_kind) -> list[SweepRow]:
+    """Reference ``alpha_sweep``: one dense optimization per alpha."""
+    rows = []
+    for alpha in alphas:
+        cfg = replace(base_cfg, alpha=alpha)
+        try:
+            rows.append(SweepRow(alpha, cfg.mode,
+                                 dense_optimize_level(benign, estimator, cfg, lens_kind)))
+        except OptimizationError as exc:
+            rows.append(SweepRow(alpha, cfg.mode, None, error=str(exc)))
+    return rows
+
+
+# ------------------------------------------------------------ proxy blob ----
+
+def nonzero_blob_extent(gray: np.ndarray, fiducial) -> tuple[slice, slice]:
+    """Reference blob extent: full-frame window mask and ``np.nonzero``."""
+    hits = gray <= fiducial.detection_threshold
+    if fiducial.reference_box is not None:
+        hits &= dense_box_mask(fiducial.reference_box, gray.shape[1], gray.shape[0])
+    ys, xs = np.nonzero(hits)
+    if ys.size < 4:
+        raise FiducialNotFound(f"thresholding at {fiducial.detection_threshold} "
+                               f"found {ys.size} px (need >= 4)")
+    return slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)

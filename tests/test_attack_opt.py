@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depthlens import attack_opt, formats
 from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_sweep,
@@ -14,6 +15,7 @@ from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
 from helpers import concave_sweep_fixture
+from oracles import dense_alpha_sweep, dense_optimize_level
 
 
 class TestLossPieces:
@@ -186,6 +188,110 @@ class TestOptimizeLevel:
         with pytest.raises(OptimizationError) as err:
             optimize_level(image, est, cfg, LensKind.CONCAVE)
         assert err.value.level == 7
+
+
+class RandomMapEstimator:
+    """Seeded random maps per tag, with NaN holes; one tag may be missing."""
+
+    def __init__(self, rng, shape, dtype, nan_share, low, missing=None):
+        self.maps = {}
+        for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
+            values = rng.uniform(low, 5.0, shape)
+            values[rng.random(shape) < nan_share] = np.nan
+            self.maps[tag] = values.astype(dtype)
+        self.missing = missing
+
+    def estimate_map(self, image, tag=None):
+        if tag == self.missing:
+            raise FileNotFoundError(f"no {tag}.pfm")
+        return self.maps[tag]
+
+
+def _box_span(draw, size, where):
+    """Inclusive-exclusive bounds along one axis of a frame of ``size`` px."""
+    if where == "inside":
+        lo = draw(st.integers(0, size - 1))
+        return lo, draw(st.integers(lo + 1, size))
+    if where == "across":
+        lo = draw(st.integers(-3, size - 1))
+        return lo, draw(st.integers(max(lo, 0) + 1, size + 3))
+    if draw(st.booleans()):  # off: wholly before or after the frame
+        hi = draw(st.integers(-3, 0))
+        return hi - draw(st.integers(1, 4)), hi
+    lo = draw(st.integers(size, size + 3))
+    return lo, lo + draw(st.integers(1, 4))
+
+
+@st.composite
+def loss_cases(draw):
+    """Small random maps (float32/64, NaN holes), either mode, and vehicle
+    boxes inside, across and fully off the frame."""
+    h, w = draw(st.integers(3, 16)), draw(st.integers(3, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    estimator = RandomMapEstimator(
+        rng, (h, w), draw(st.sampled_from([np.float32, np.float64])),
+        nan_share=draw(st.sampled_from([0.0, 0.0, 0.1, 0.3, 1.0])),
+        low=draw(st.sampled_from([0.05, 0.05, 0.05, -1.0])),
+        missing=draw(st.sampled_from([None] * 9 + ["benign", "level_1", "level_6"])))
+    spans = [draw(st.sampled_from(["inside", "across", "off"]))] * 2
+    if spans[0] == "off":  # one axis misses the frame, the other need not
+        spans[draw(st.integers(0, 1))] = draw(st.sampled_from(["inside", "across"]))
+    x0, x1 = _box_span(draw, w, spans[0])
+    y0, y1 = _box_span(draw, h, spans[1])
+    if draw(st.integers(0, 5)) == 0:  # no out-of-lens pixel: L_out fails
+        region = LensRegion.full_frame()
+    else:
+        region = LensRegion.circle(draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)),
+                                   draw(st.integers(1, min(w, h) // 2)))
+    mode = draw(st.sampled_from(Mode))
+    y_tar = draw(st.floats(0.1, 5.0)) if mode is Mode.TARGETED else None
+    cfg = LossConfig(alpha=draw(st.floats(0.0, 1.0)), mode=mode,
+                     vehicle_box=Box(x0, y0, x1, y1), region=region, y_tar=y_tar)
+    return RasterImage(np.full((h, w), 128, np.uint8)), estimator, cfg
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc), getattr(exc, "level", None)
+
+
+def assert_same_result(got, want):
+    for name in ("best_level", "best_loss", "metric_name", "metric_value"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert len(got.loss_curve) == len(want.loss_curve)
+    for g, w in zip(got.loss_curve, want.loss_curve):
+        assert (g.level, g.l_total, g.l_veh, g.l_out) == (w.level, w.l_total, w.l_veh, w.l_out)
+
+
+class TestCroppedLossesMatchDense:
+    @settings(max_examples=300, deadline=None)
+    @given(loss_cases())
+    def test_optimize_level(self, case):
+        image, est, cfg = case
+        got = _outcome(optimize_level, image, est, cfg, LensKind.CONVEX)
+        want = _outcome(dense_optimize_level, image, est, cfg, LensKind.CONVEX)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_result(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(loss_cases(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_alpha_sweep(self, case, alphas):
+        image, est, cfg = case
+        got = _outcome(alpha_sweep, image, est, cfg, alphas, LensKind.CONCAVE)
+        want = _outcome(dense_alpha_sweep, image, est, cfg, alphas, LensKind.CONCAVE)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.alpha, g.mode, g.error) == (w.alpha, w.mode, w.error)
+            assert (g.result is None) == (w.result is None)
+            if w.result is not None:
+                assert_same_result(g.result, w.result)
 
 
 class TestAlphaMonotonicity:

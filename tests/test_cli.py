@@ -198,7 +198,7 @@ class TestOptimizeCommand:
         assert len(body) == 2
         assert all(",failed," in line for line in body)
 
-    @pytest.mark.parametrize("rescale", ["0", "-2"])
+    @pytest.mark.parametrize("rescale", ["0", "-2", "nan", "inf"])
     def test_non_positive_rescale_exits_two(self, tmp_path, capsys, rescale):
         maps = tmp_path / "maps"
         maps.mkdir()

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
 from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
-                                  FiducialSpec, ProxyDepthMapper,
+                                  FiducialSpec, ProxyDepthMapper, _find_blob,
                                   depth_to_disparity, disparity_to_depth,
                                   load_boxes, load_depth_map, masked_mean,
                                   proxy_estimate_depth, rescale_disparity)
@@ -13,6 +14,7 @@ from depthlens import formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
 from helpers import render_fiducial
+from oracles import dense_box_mask, nonzero_blob_extent
 
 
 KITTI_LIKE = CameraIntrinsics(baseline_m=0.54, focal_px=721.0)
@@ -50,8 +52,9 @@ class TestRescale:
         assert (rescale_disparity(np.zeros((2, 2)), 2.0) == 0).all()
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            rescale_disparity(np.zeros((2, 2)), 0.0)
+        for constant in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                rescale_disparity(np.zeros((2, 2)), constant)
 
 
 class TestProxyEstimate:
@@ -81,6 +84,31 @@ class TestProxyEstimate:
         img = RasterImage(np.full((64, 64), 255, np.uint8))
         with pytest.raises(FiducialNotFound):
             proxy_estimate_depth(img, FiducialSpec(1.5), CameraIntrinsics(0.54, 700.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blob_extent_matches_nonzero(self, data):
+        h, w = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        gray = np.full((h, w), 255, np.uint8)  # a few dark pixels on white
+        n = data.draw(st.integers(0, 12))
+        gray[rng.integers(0, h, n), rng.integers(0, w, n)] = rng.integers(0, 255, n)
+        box = None
+        if data.draw(st.booleans()):
+            x0, y0 = data.draw(st.integers(-4, w + 1)), data.draw(st.integers(-4, h + 1))
+            box = Box(x0, y0, x0 + data.draw(st.integers(1, w + 4)),
+                      y0 + data.draw(st.integers(1, h + 4)))
+            assert np.array_equal(box.to_mask(w, h), dense_box_mask(box, w, h))
+        spec = FiducialSpec(1.5, detection_threshold=data.draw(st.integers(0, 254)),
+                            reference_box=box)
+        try:
+            want = nonzero_blob_extent(gray, spec)
+        except FiducialNotFound as exc:
+            with pytest.raises(FiducialNotFound) as got:
+                _find_blob(gray, spec)
+            assert str(got.value) == str(exc)
+            return
+        assert _find_blob(gray, spec) == want
 
     def test_reference_box_limits_search(self):
         img = render_fiducial((256, 256), 60).data.copy()
