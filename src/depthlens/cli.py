@@ -41,12 +41,14 @@ def _config_bool(raw: str) -> bool:
 
 
 class _Command:
-    """One subcommand: its parser plus the option registry, which maps each
-    option to the parser of its config-file value and its one default. The
-    argparse parser leaves every option at None, so ``_resolve`` can tell an
-    explicit flag from an unset one."""
+    """One subcommand: its parser, its handler and the option registry, which
+    maps each option to the parser of its config-file value and its one
+    default. The argparse parser leaves every option at None, so
+    ``_resolve`` can tell an explicit flag from an unset one."""
 
-    def __init__(self, subparsers, name: str, help_text: str):
+    def __init__(self, subparsers, name: str, help_text: str, handler):
+        self.name = name
+        self.handler = handler
         self.parser = subparsers.add_parser(name, help=help_text)
         self.parser.add_argument("--config", default=None,
                                  help="key = value file supplying defaults")
@@ -128,7 +130,8 @@ def _first_box(ns) -> estimation.Box:
 # ---------------------------------------------------------------- optics ----
 
 def _add_optics(sub) -> _Command:
-    cmd = _Command(sub, "optics", "closed-form expected depth for a lens stack")
+    cmd = _Command(sub, "optics", "closed-form expected depth for a lens stack",
+                   cmd_optics)
     cmd.opt("--lens", type=str, help="concave | convex | none (pass-through)")
     cmd.opt("--f", type=float, help="attack lens focal length magnitude, m")
     cmd.opt("--db", type=float, help="attack lens to camera lens gap, m")
@@ -170,7 +173,7 @@ def cmd_optics(ns) -> int:
 # -------------------------------------------------------------- simulate ----
 
 def _add_simulate(sub) -> _Command:
-    cmd = _Command(sub, "simulate", "render an attacked image")
+    cmd = _Command(sub, "simulate", "render an attacked image", cmd_simulate)
     cmd.opt("--input", type=str, help="benign PGM/PPM")
     cmd.opt("--output", type=str, help="attacked image path")
     cmd.opt("--lens-kind", type=str, default="concave", help="concave | convex")
@@ -214,8 +217,8 @@ def cmd_simulate(ns) -> int:
     print(f"wrote {ns.output} scale={_fmt(profile.scale_factor)} "
           f"blur={profile.blur_radius} placement={profile.blur_placement.value}")
     if ns.emit_masks:
-        masks = region_masks(image.width, image.height, region)
-        for suffix, mask in (("in", masks.in_lens), ("out", masks.out_of_lens)):
+        inside = region_masks(image.width, image.height, region)
+        for suffix, mask in (("in", inside), ("out", ~inside)):
             path = f"{ns.emit_masks}_{suffix}.pgm"
             RasterImage((mask * np.uint8(255)).astype(np.uint8)).save(path)
             print(f"wrote {path}")
@@ -225,7 +228,7 @@ def cmd_simulate(ns) -> int:
 # -------------------------------------------------------------- optimize ----
 
 def _add_optimize(sub) -> _Command:
-    cmd = _Command(sub, "optimize", "brute-force level search over alphas")
+    cmd = _Command(sub, "optimize", "brute-force level search over alphas", cmd_optimize)
     cmd.opt("--input", type=str, help="benign PGM/PPM")
     cmd.opt("--mode", type=str, help="targeted | untargeted")
     cmd.opt("--lens-kind", type=str, help="concave | convex")
@@ -244,8 +247,6 @@ def _add_optimize(sub) -> _Command:
     cmd.opt("--y-tar", type=float, help="target value for targeted mode")
     cmd.opt("--fiducial-height", type=float, help="proxy fiducial height, m")
     cmd.opt("--focal-px", type=float, help="proxy focal length, px")
-    cmd.opt("--baseline", type=float, default=0.54,
-            help="stereo baseline, m (default 0.54)")
     cmd.opt("--detect-threshold", type=int,
             default=estimation.FiducialSpec.detection_threshold,
             help="proxy blob threshold (default 96)")
@@ -267,9 +268,7 @@ def cmd_optimize(ns) -> int:
         fiducial = estimation.FiducialSpec(
             physical_height_m=ns.fiducial_height,
             detection_threshold=ns.detect_threshold, reference_box=box)
-        intrinsics = estimation.CameraIntrinsics(baseline_m=ns.baseline,
-                                                 focal_px=ns.focal_px)
-        estimator = estimation.ProxyDepthMapper(fiducial, intrinsics)
+        estimator = estimation.ProxyDepthMapper(fiducial, ns.focal_px)
     elif ns.estimator == "external":
         _require(ns, "maps")
         estimator = estimation.DirectoryMapEstimator(
@@ -296,7 +295,7 @@ def cmd_optimize(ns) -> int:
 # ---------------------------------------------------------------- metrics ----
 
 def _add_metrics(sub) -> _Command:
-    cmd = _Command(sub, "metrics", "attack distortion / error rates")
+    cmd = _Command(sub, "metrics", "attack distortion / error rates", cmd_metrics)
     cmd.opt("--kind", type=str, help="adr | aer")
     cmd.opt("--attacked", type=float, help="attacked reading (scalar mode)")
     cmd.opt("--benign", type=float, help="benign reading (adr)")
@@ -343,7 +342,7 @@ def cmd_metrics(ns) -> int:
 # ----------------------------------------------------------------- defend ----
 
 def _add_defend(sub) -> _Command:
-    cmd = _Command(sub, "defend", "blur detection verdicts")
+    cmd = _Command(sub, "defend", "blur detection verdicts", cmd_defend)
     cmd.opt("--input", type=str, help="image to score")
     cmd.opt("--method", type=str, help="varlap | lbp")
     cmd.opt("--threshold", type=float, help="verdict threshold (method default)")
@@ -358,14 +357,14 @@ def _add_defend(sub) -> _Command:
 def cmd_defend(ns) -> int:
     _require(ns, "input", "method")
     image = RasterImage.load(ns.input)
+    # Without --threshold each method applies its own default.
+    threshold = {} if ns.threshold is None else {"threshold": ns.threshold}
     if ns.method == "varlap":
-        threshold = ns.threshold if ns.threshold is not None else defense.DEFAULT_VARLAP_THRESHOLD
-        verdict = defense.varlap_verdict(image, threshold)
+        verdict = defense.varlap_verdict(image, **threshold)
     elif ns.method == "lbp":
-        threshold = ns.threshold if ns.threshold is not None else defense.DEFAULT_LBP_SCORE_THRESHOLD
         sharpness = defense.lbp_sharpness_map(image, window=ns.window,
                                               lbp_threshold=ns.delta)
-        verdict = defense.segment_blur(sharpness, threshold)
+        verdict = defense.segment_blur(sharpness, **threshold)
     else:
         raise ValueError(f"unsupported method {ns.method!r} (varlap or lbp)")
     print(verdict.report_line())
@@ -380,7 +379,7 @@ def cmd_defend(ns) -> int:
 # --------------------------------------------------------------- scenario ----
 
 def _add_scenario(sub) -> _Command:
-    cmd = _Command(sub, "scenario", "closed-loop braking run")
+    cmd = _Command(sub, "scenario", "closed-loop braking run", cmd_scenario)
     defaults = scenario.ScenarioConfig  # class attributes hold field defaults
     cmd.opt("--gap0", type=float, default=40.0, help="initial gap, m (default 40)")
     cmd.opt("--speed", type=float, default=10.0, help="ego speed, m/s (default 10)")
@@ -429,38 +428,23 @@ def cmd_scenario(ns) -> int:
 
 # ------------------------------------------------------------------- main ----
 
-_HANDLERS = {
-    "optics": cmd_optics,
-    "simulate": cmd_simulate,
-    "optimize": cmd_optimize,
-    "metrics": cmd_metrics,
-    "defend": cmd_defend,
-    "scenario": cmd_scenario,
-}
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     parser = argparse.ArgumentParser(
         prog="depthlens",
         description="optical-lens tampering toolkit for monocular depth pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "optics": _add_optics(sub),
-        "simulate": _add_simulate(sub),
-        "optimize": _add_optimize(sub),
-        "metrics": _add_metrics(sub),
-        "defend": _add_defend(sub),
-        "scenario": _add_scenario(sub),
-    }
-    return parser, commands
+    commands = [add(sub) for add in (_add_optics, _add_simulate, _add_optimize,
+                                     _add_metrics, _add_defend, _add_scenario)]
+    return parser, {cmd.name: cmd for cmd in commands}
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
     ns = parser.parse_args(argv)
+    command = commands[ns.command]
     try:
-        _resolve(ns, commands[ns.command])
-        return _HANDLERS[ns.command](ns)
+        _resolve(ns, command)
+        return command.handler(ns)
     except SingularConfiguration as exc:
         print(f"error: singular configuration: {exc}", file=sys.stderr)
         return 1

@@ -130,8 +130,6 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
         raise ValueError(f"window must be >= 8 px, got {window}")
     gray = image.to_gray().data
     h, w = gray.shape
-    if h <= window and w <= window and (h < 3 or w < 3):
-        raise TooSmall(f"image {w}x{h} too small to score")
     if h < 3 or w < 3:
         raise TooSmall(f"need at least 3x3 for LBP codes, got {w}x{h}")
 

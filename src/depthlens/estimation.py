@@ -90,17 +90,14 @@ class FiducialSpec:
 
 def disparity_to_depth(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     """depth = baseline * focal_px / disparity; non-positive values go
-    invalid (NaN). The formula is its own inverse, so ``depth_to_disparity``
-    is this same function."""
+    invalid (NaN). The formula is its own inverse: applied to a depth map it
+    gives the disparity map."""
     vals = np.asarray(values, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (k.baseline_m * k.focal_px) / vals
     out[~np.isfinite(out)] = np.nan
     out[vals <= 0] = np.nan
     return out
-
-
-depth_to_disparity = disparity_to_depth
 
 
 def _check_rescale(constant: float) -> None:
@@ -133,10 +130,10 @@ def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
 
 
 def proxy_estimate_depth(image: RasterImage, fiducial: FiducialSpec,
-                         k: CameraIntrinsics) -> float:
+                         focal_px: float) -> float:
     """Depth from the fiducial's apparent height (bounding extent)."""
     rows, _ = _find_blob(image.to_gray().data, fiducial)
-    return k.focal_px * fiducial.physical_height_m / (rows.stop - rows.start)
+    return focal_px * fiducial.physical_height_m / (rows.stop - rows.start)
 
 
 def load_depth_map(path, kind: str = "depth") -> np.ndarray:
@@ -207,12 +204,14 @@ class ProxyDepthMapper:
     out-of-lens consistency loss is meant to police.
     """
 
-    def __init__(self, fiducial: FiducialSpec, intrinsics: CameraIntrinsics,
+    def __init__(self, fiducial: FiducialSpec, focal_px: float,
                  near_m: float = 4.0, far_m: float = 40.0):
+        if not (math.isfinite(focal_px) and focal_px > 0):
+            raise ValueError("focal length must be finite and positive")
         if near_m <= 0 or far_m <= near_m:
             raise ValueError("need 0 < near_m < far_m")
         self.fiducial = fiducial
-        self.intrinsics = intrinsics
+        self.focal_px = focal_px
         self.near_m = near_m
         self.far_m = far_m
 
@@ -221,7 +220,7 @@ class ProxyDepthMapper:
         depth = self.near_m + (self.far_m - self.near_m) * gray.astype(np.float64) / 255.0
         rows, cols = _find_blob(gray, self.fiducial)
         height_px = rows.stop - rows.start
-        vehicle_depth = self.intrinsics.focal_px * self.fiducial.physical_height_m / height_px
+        vehicle_depth = self.focal_px * self.fiducial.physical_height_m / height_px
         depth[rows, cols] = vehicle_depth
         return depth
 

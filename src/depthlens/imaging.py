@@ -116,14 +116,6 @@ class LensRegion:
         return cls(RegionKind.CIRCLE, center_x, center_y, radius)
 
 
-@dataclass(frozen=True)
-class RegionMasks:
-    """Boolean partition of the frame into in-lens and out-of-lens pixels."""
-
-    in_lens: np.ndarray
-    out_of_lens: np.ndarray
-
-
 def _lens_box(width: int, height: int, region: LensRegion):
     """Bounding box of the in-lens pixels and the in-lens mask over it.
 
@@ -147,14 +139,15 @@ def _lens_box(width: int, height: int, region: LensRegion):
     return rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
 
 
-def region_masks(width: int, height: int, region: LensRegion) -> RegionMasks:
-    """Pixel (x, y) is in-lens iff its center lies within the region."""
+def region_masks(width: int, height: int, region: LensRegion) -> np.ndarray:
+    """The (height, width) in-lens mask: pixel (x, y) is in-lens iff its
+    center lies within the region. ``~mask`` is the out-of-lens side."""
     if width < 1 or height < 1:
         raise ValueError("mask dimensions must be positive")
     rows, cols, box = _lens_box(width, height, region)
     inside = np.zeros((height, width), dtype=bool)
     inside[rows, cols] = box
-    return RegionMasks(in_lens=inside, out_of_lens=~inside)
+    return inside
 
 
 def _region_center(image: RasterImage, region: LensRegion) -> tuple[float, float]:
@@ -321,12 +314,12 @@ class BlurPlacement(Enum):
 class AttackProfile:
     """One renderable attack: region, rescale factor, and defocus placement.
 
-    Defaults follow the physical behavior: a concave lens shrinks the
-    in-lens view and throws the out-of-lens area out of focus; a convex lens
-    enlarges and defocuses inside its own outline. Both are overridable.
+    ``level_to_profile`` follows the physical behavior: a concave lens
+    shrinks the in-lens view and throws the out-of-lens area out of focus; a
+    convex lens enlarges and defocuses inside its own outline. Both are
+    overridable.
     """
 
-    lens_kind: LensKind
     level: int
     region: LensRegion
     scale_factor: float
@@ -363,16 +356,14 @@ def level_to_profile(lens_kind: LensKind, level: int,
     blur = BLUR_PX_PER_LEVEL * level
     placement = (BlurPlacement.OUT_OF_LENS if lens_kind is LensKind.CONCAVE
                  else BlurPlacement.IN_LENS)
-    return AttackProfile(lens_kind=lens_kind, level=level, region=region,
-                         scale_factor=scale, blur_radius=blur,
-                         blur_placement=placement)
+    return AttackProfile(level=level, region=region, scale_factor=scale,
+                         blur_radius=blur, blur_placement=placement)
 
 
 def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> RasterImage:
     """Render the attack: rescale the in-lens content, then defocus the side
     selected by the profile's blur placement."""
     scaled = scale_region(image, profile.region, profile.scale_factor)
-    masks = region_masks(image.width, image.height, profile.region)
-    blur_mask = (masks.in_lens if profile.blur_placement is BlurPlacement.IN_LENS
-                 else masks.out_of_lens)
+    inside = region_masks(image.width, image.height, profile.region)
+    blur_mask = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
     return box_blur(scaled, blur_mask, profile.blur_radius)

@@ -10,11 +10,11 @@ implements throughout:
 * magnification is positive for an upright image.
 
 The two-lens stack is evaluated in stages: the attack lens images the object,
-then the camera lens images that intermediate image. The object distance fed
-to the camera stage depends on where the intermediate image falls relative to
-the lens gap ``d_b``, which is what splits the convex attack into three
-scenarios. Perceived depth scales by ``|m_ori / m_total|``: halve the formed
-size and the object reads as twice as far.
+then the camera lens images that intermediate image, which it sees at
+``|d_i1 + d_b|``. Where the intermediate image falls relative to the lens
+gap ``d_b`` splits the convex attack into three scenarios. Perceived depth
+scales by ``|m_ori / m_total|``: halve the formed size and the object reads
+as twice as far.
 
 All distances are meters. Pure functions over frozen value types; safe to
 call concurrently.
@@ -22,6 +22,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,8 +55,8 @@ class LensSpec:
     focal_length_m: float
 
     def __post_init__(self):
-        if self.focal_length_m == 0:
-            raise ValueError("lens focal length must be nonzero")
+        if not math.isfinite(self.focal_length_m) or self.focal_length_m == 0:
+            raise ValueError("lens focal length must be finite and nonzero")
 
     @property
     def is_concave(self) -> bool:
@@ -70,10 +71,10 @@ class CameraSpec:
     lens_gap_m: float
 
     def __post_init__(self):
-        if self.focal_length_m <= 0:
-            raise ValueError("camera focal length must be positive")
-        if self.lens_gap_m <= 0:
-            raise ValueError("lens gap must be positive")
+        if not (math.isfinite(self.focal_length_m) and self.focal_length_m > 0):
+            raise ValueError("camera focal length must be finite and positive")
+        if not (math.isfinite(self.lens_gap_m) and self.lens_gap_m > 0):
+            raise ValueError("lens gap must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class AttackGeometry:
     camera: CameraSpec
 
     def __post_init__(self):
-        if self.object_distance_m <= 0:
-            raise ValueError("object distance must be positive")
+        if not (math.isfinite(self.object_distance_m) and self.object_distance_m > 0):
+            raise ValueError("object distance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -111,39 +112,39 @@ class OpticsResult:
     scenario: ScenarioKind | None
 
 
-def thin_lens_image_distance(focal_length_m: float, object_distance_m: float) -> float:
-    """Image distance for a single thin lens, virtual-positive convention.
+_FOCAL_POINT = "object at the focal point (d_o = f = {f} m) forms no image"
 
-    Raises SingularConfiguration when the object sits exactly at the focal
-    point of a converging lens (rays exit parallel, no image forms).
+
+def _stage(focal_length_m: float, object_distance_m: float,
+           message: str = _FOCAL_POINT) -> tuple[float, float]:
+    """One thin lens: ``(image distance, magnification)``.
+
+    The one zero-denominator check of the module: an object exactly at the
+    focal point sends the rays out parallel, so no image forms and
+    SingularConfiguration(message, with ``{f}`` filled in) is raised.
     """
     denom = object_distance_m - focal_length_m
     if denom == 0:
-        raise SingularConfiguration(
-            f"object at the focal point (d_o = f = {focal_length_m} m) forms no image"
-        )
-    return -object_distance_m * focal_length_m / denom
+        raise SingularConfiguration(message.format(f=focal_length_m))
+    return -object_distance_m * focal_length_m / denom, -focal_length_m / denom
+
+
+def thin_lens_image_distance(focal_length_m: float, object_distance_m: float) -> float:
+    """Image distance for a single thin lens, virtual-positive convention;
+    SingularConfiguration at the focal point."""
+    return _stage(focal_length_m, object_distance_m)[0]
 
 
 def magnification(focal_length_m: float, object_distance_m: float) -> float:
     """Single-lens magnification; positive = upright image."""
-    denom = object_distance_m - focal_length_m
-    if denom == 0:
-        raise SingularConfiguration(
-            f"object at the focal point (d_o = f = {focal_length_m} m) forms no image"
-        )
-    return -focal_length_m / denom
+    return _stage(focal_length_m, object_distance_m)[1]
 
 
 def baseline_magnification(camera: CameraSpec, object_distance_m: float) -> float:
     """Magnification of the camera alone (no attack lens), a negative number
     for any object beyond the camera's focal length."""
-    denom = object_distance_m + camera.lens_gap_m - camera.focal_length_m
-    if denom == 0:
-        raise SingularConfiguration(
-            "object distance plus lens gap equals the camera focal length"
-        )
-    return -camera.focal_length_m / denom
+    return _stage(camera.focal_length_m, object_distance_m + camera.lens_gap_m,
+                  "object distance plus lens gap equals the camera focal length")[1]
 
 
 def classify_scenario(geometry: AttackGeometry) -> ScenarioKind:
@@ -157,28 +158,19 @@ def classify_scenario(geometry: AttackGeometry) -> ScenarioKind:
     """
     if geometry.lens is None:
         raise ValueError("pass-through geometry has no attack scenario")
+    return _scenario(geometry, thin_lens_image_distance(
+        geometry.lens.focal_length_m, geometry.object_distance_m))
+
+
+def _scenario(geometry: AttackGeometry, d_i1: float) -> ScenarioKind:
     f = geometry.lens.focal_length_m
     if f < 0:
         return ScenarioKind.CONCAVE
-    d_o1 = geometry.object_distance_m
-    if d_o1 == f:
-        raise SingularConfiguration(
-            f"object at the focal point (d_o1 = f = {f} m) forms no image"
-        )
-    if d_o1 < f:
+    if geometry.object_distance_m < f:
         return ScenarioKind.CONVEX_NEAR_OBJECT
-    image_dist = abs(thin_lens_image_distance(f, d_o1))
-    if geometry.camera.lens_gap_m >= image_dist:
+    if geometry.camera.lens_gap_m >= abs(d_i1):
         return ScenarioKind.CONVEX_FAR_LENS
     return ScenarioKind.CONVEX_NEAR_LENS
-
-
-def _camera_object_distance(scenario: ScenarioKind, image_dist: float, gap: float) -> float:
-    if scenario in (ScenarioKind.CONCAVE, ScenarioKind.CONVEX_NEAR_OBJECT):
-        return image_dist + gap
-    if scenario is ScenarioKind.CONVEX_FAR_LENS:
-        return gap - image_dist
-    return image_dist - gap
 
 
 def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
@@ -188,7 +180,8 @@ def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
     the closed-form rational expression ``f * f_c / ((d_o1 - f) * (d_o2 -
     f_c))``, one quotient of two products, so the ``m_total == m1 * m2``
     identity still compares two floating-point paths (a product of two
-    quotients) rather than a tautology.
+    quotients) rather than a tautology. An ``m_total`` that underflows to
+    zero, or whose denominator does, is singular.
     """
     camera = geometry.camera
     d_o1 = geometry.object_distance_m
@@ -201,25 +194,24 @@ def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
             m_total=m_ori, m_ori=m_ori, depth_ratio=1.0, scenario=None,
         )
 
-    scenario = classify_scenario(geometry)
     f = geometry.lens.focal_length_m
-    d_i1 = thin_lens_image_distance(f, d_o1)
-    m1 = magnification(f, d_o1)
-
-    d_o2 = _camera_object_distance(scenario, abs(d_i1), d_b)
-    den2 = d_o2 - f_c
-    if den2 == 0:
+    d_i1, m1 = _stage(f, d_o1)
+    scenario = _scenario(geometry, d_i1)
+    # In every scenario the intermediate image lies d_i1 + d_b in front of
+    # the camera lens (behind it when negative).
+    d_o2 = abs(d_i1 + d_b)
+    d_i2, m2 = _stage(f_c, d_o2, "intermediate image sits exactly one camera "
+                                 "focal length from the camera")
+    try:
+        m_total = f * f_c / ((d_o1 - f) * (d_o2 - f_c))
+        depth_ratio = abs(m_ori / m_total)
+    except ZeroDivisionError:
         raise SingularConfiguration(
-            "intermediate image sits exactly one camera focal length from the camera"
-        )
-    d_i2 = -d_o2 * f_c / den2
-    m2 = -f_c / den2
-    m_total = f * f_c / ((d_o1 - f) * den2)
+            "the combined magnification leaves the float range") from None
 
     return OpticsResult(
         d_i1_m=d_i1, m1=m1, d_i2_m=d_i2, m2=m2,
-        m_total=m_total, m_ori=m_ori,
-        depth_ratio=abs(m_ori / m_total), scenario=scenario,
+        m_total=m_total, m_ori=m_ori, depth_ratio=depth_ratio, scenario=scenario,
     )
 
 

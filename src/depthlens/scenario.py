@@ -19,6 +19,7 @@ reproducible from the recorded seed.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,10 +49,10 @@ class ScenarioConfig:
             "max_sim_time_s": self.max_sim_time_s,
         }
         for name, value in positives.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.noise_sigma_m < 0:
-            raise ValueError("noise sigma must be non-negative")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.noise_sigma_m) and self.noise_sigma_m >= 0):
+            raise ValueError("noise sigma must be finite and non-negative")
         if self.dt_s > 0.05:
             raise ValueError(f"dt must be <= 0.05 s, got {self.dt_s}")
 
@@ -133,11 +134,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]:
     while t < cfg.max_sim_time_s:
         noise = float(rng.normal(0.0, cfg.noise_sigma_m)) if rng is not None else 0.0
         seen = perceive(gap, cfg.depth_ratio, noise)
-        accel = controller(seen, speed, cfg)
-        if braking and speed > 0:
-            accel = -cfg.max_decel_mps2  # latch holds until stopped
-        elif accel < 0:
-            braking = True
+        # The latch holds until the run ends: speed > 0 on every tick.
+        braking = braking or controller(seen, speed, cfg) < 0
+        accel = -cfg.max_decel_mps2 if braking else 0.0
         ticks.append(TickLog(t, gap, seen, speed, accel, braking))
         speed, gap = step(speed, gap, accel, cfg.dt_s)
         t += cfg.dt_s

@@ -63,7 +63,7 @@ def concave_sweep_fixture(seed: int):
     blocks = rng.integers(40, 256, (17, 17))
     img = np.kron(blocks, np.ones((12, 12), dtype=np.int64))[:h, :w].astype(np.uint8)
     region = LensRegion.circle(96, 96, 60)
-    sel = region_masks(w, h, region).in_lens
+    sel = region_masks(w, h, region)
     img[sel] = 215
     img[76:116, 82:110] = 10  # 40 px tall fiducial
     image = RasterImage(img)
@@ -71,9 +71,7 @@ def concave_sweep_fixture(seed: int):
     box = estimation.Box(70, 64, 122, 128)
     fiducial = estimation.FiducialSpec(1.5, detection_threshold=96,
                                        reference_box=box)
-    estimator = estimation.ProxyDepthMapper(
-        fiducial, estimation.CameraIntrinsics(0.54, 700.0),
-        near_m=4.0, far_m=90.0)
+    estimator = estimation.ProxyDepthMapper(fiducial, 700.0, near_m=4.0, far_m=90.0)
     benign_vehicle_depth = 700.0 * 1.5 / 40.0
     y_tar = benign_vehicle_depth / 0.68
     return image, box, region, estimator, y_tar

@@ -5,9 +5,9 @@ expressions in ``depthlens.optics``: each stage solves the reciprocal lens
 relation on its own and magnifications come from the per-stage object
 distances, so agreement between the two paths is a real cross-check.
 
-The raster, loss and blob oracles are the straightforward dense versions
-the package started from; the production code must reproduce them bit for
-bit.
+The staged optics, raster, loss, blob and braking oracles are the
+straightforward versions the package started from; the production code must
+reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import numpy as np
 
 from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
                                   OptimizationResult, SweepRow, loss_total)
-from depthlens.errors import DegenerateRegion, DepthlensError, EmptyMask, FiducialNotFound
+from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
+                              FiducialNotFound, SingularConfiguration)
 from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
                                apply_attack_transform, level_to_profile, region_masks)
 from depthlens.metrics import adr, aer
-from depthlens.optics import AttackGeometry, ScenarioKind, classify_scenario
+from depthlens.optics import AttackGeometry, OpticsResult, ScenarioKind, classify_scenario
+from depthlens.scenario import Outcome, ScenarioConfig, TickLog
 
 
 def _stage(focal: float, object_distance: float):
@@ -59,6 +61,64 @@ def raytrace_expected_depth(geometry: AttackGeometry) -> float:
 
     _, m_ori = _stage(f_c, d_o1 + d_b)
     return abs(m_ori / m_total) * d_o1
+
+
+# The staged evaluation with a zero check per thin-lens quantity: the
+# scenario is classified first (with its own focal-point check), the attack
+# lens stage is evaluated for the classifier, the image distance and the
+# magnification separately, and the camera stage's object distance comes
+# from a three-way branch on the scenario.
+
+def _checked(denom: float, message: str) -> float:
+    if denom == 0:
+        raise SingularConfiguration(message)
+    return denom
+
+
+def staged_classify_scenario(geometry: AttackGeometry) -> ScenarioKind:
+    f = geometry.lens.focal_length_m
+    if f < 0:
+        return ScenarioKind.CONCAVE
+    d_o1 = geometry.object_distance_m
+    if d_o1 == f:
+        raise SingularConfiguration(f"object at the focal point (d_o1 = f = {f} m)")
+    if d_o1 < f:
+        return ScenarioKind.CONVEX_NEAR_OBJECT
+    image_dist = abs(-d_o1 * f / _checked(d_o1 - f, "focal point"))
+    if geometry.camera.lens_gap_m >= image_dist:
+        return ScenarioKind.CONVEX_FAR_LENS
+    return ScenarioKind.CONVEX_NEAR_LENS
+
+
+def _camera_object_distance(scenario: ScenarioKind, image_dist: float, gap: float) -> float:
+    if scenario in (ScenarioKind.CONCAVE, ScenarioKind.CONVEX_NEAR_OBJECT):
+        return image_dist + gap
+    if scenario is ScenarioKind.CONVEX_FAR_LENS:
+        return gap - image_dist
+    return image_dist - gap
+
+
+def staged_combined_magnification(geometry: AttackGeometry) -> OpticsResult:
+    """Reference ``combined_magnification``. A zero ``m_total`` (or its
+    denominator underflowing) escapes as ZeroDivisionError."""
+    camera = geometry.camera
+    d_o1 = geometry.object_distance_m
+    f_c, d_b = camera.focal_length_m, camera.lens_gap_m
+    m_ori = -f_c / _checked(d_o1 + d_b - f_c, "baseline")
+    if geometry.lens is None:
+        return OpticsResult(d_i1_m=0.0, m1=1.0, d_i2_m=0.0, m2=m_ori, m_total=m_ori,
+                            m_ori=m_ori, depth_ratio=1.0, scenario=None)
+    scenario = staged_classify_scenario(geometry)
+    f = geometry.lens.focal_length_m
+    d_i1 = -d_o1 * f / _checked(d_o1 - f, "focal point")
+    m1 = -f / _checked(d_o1 - f, "focal point")
+    d_o2 = _camera_object_distance(scenario, abs(d_i1), d_b)
+    den2 = _checked(d_o2 - f_c, "camera focal point")
+    d_i2 = -d_o2 * f_c / den2
+    m2 = -f_c / den2
+    m_total = f * f_c / ((d_o1 - f) * den2)
+    return OpticsResult(d_i1_m=d_i1, m1=m1, d_i2_m=d_i2, m2=m2, m_total=m_total,
+                        m_ori=m_ori, depth_ratio=abs(m_ori / m_total), scenario=scenario)
 
 
 # ---------------------------------------------------------------- imaging ----
@@ -214,7 +274,7 @@ def dense_optimize_level(benign, estimator, cfg, lens_kind,
         raise OptimizationError("benign", exc) from exc
     map_h, map_w = est_benign.shape
     m_veh = dense_box_mask(cfg.vehicle_box, map_w, map_h)
-    m_out = region_masks(map_w, map_h, cfg.region).out_of_lens
+    m_out = ~region_masks(map_w, map_h, cfg.region)
     curve = []
     attacked_means = {}
     for level in sorted(levels):
@@ -277,3 +337,36 @@ def nonzero_blob_extent(gray: np.ndarray, fiducial) -> tuple[slice, slice]:
         raise FiducialNotFound(f"thresholding at {fiducial.detection_threshold} "
                                f"found {ys.size} px (need >= 4)")
     return slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)
+
+
+# --------------------------------------------------------------- scenario ----
+# The tick loop as first written: perceive, control and integrate inlined,
+# the controller consulted on every tick and the latch applied over it.
+
+def reference_run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]:
+    """Reference ``run_scenario``."""
+    rng = np.random.default_rng(cfg.seed) if cfg.noise_sigma_m > 0 else None
+    speed = cfg.ego_speed_mps
+    gap = cfg.initial_gap_m
+    braking = False
+    t = 0.0
+    ticks = []
+    while t < cfg.max_sim_time_s:
+        noise = float(rng.normal(0.0, cfg.noise_sigma_m)) if rng is not None else 0.0
+        seen = max(0.0, gap * cfg.depth_ratio + noise)
+        accel = 0.0
+        if speed > 0 and seen <= speed ** 2 / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m:
+            accel = -cfg.max_decel_mps2
+        if braking and speed > 0:
+            accel = -cfg.max_decel_mps2
+        elif accel < 0:
+            braking = True
+        ticks.append(TickLog(t, gap, seen, speed, accel, braking))
+        speed = max(0.0, speed + accel * cfg.dt_s)
+        gap = gap - speed * cfg.dt_s
+        t += cfg.dt_s
+        if gap <= 0:
+            return Outcome.collision(speed), ticks
+        if speed == 0:
+            return Outcome.stopped(gap), ticks
+    return Outcome.timeout(), ticks

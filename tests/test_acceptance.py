@@ -15,8 +15,7 @@ from depthlens import defense, formats, metrics
 from depthlens.attack_opt import (LossConfig, Mode, SWEEP_CSV_HEADER, alpha_sweep,
                                   optimize_level, sweep_to_csv)
 from depthlens.errors import SingularConfiguration
-from depthlens.estimation import (Box, CameraIntrinsics, FiducialSpec,
-                                  proxy_estimate_depth)
+from depthlens.estimation import Box, FiducialSpec, proxy_estimate_depth
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, box_blur,
                                level_to_profile)
@@ -138,7 +137,6 @@ def _random_feasible_geometry(rng):
 def test_criterion_3_optics_imaging_proxy_consistency():
     with criterion(3, "proxy recovers expected depth within 3%; scale law within 2%"):
         focal_px, height_m = 1000.0, 1.8
-        intrinsics = CameraIntrinsics(baseline_m=0.54, focal_px=focal_px)
         fiducial = FiducialSpec(physical_height_m=height_m, detection_threshold=96)
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -147,24 +145,22 @@ def test_criterion_3_optics_imaging_proxy_consistency():
             image = render_fiducial((1000, 900), apparent)
             scale = abs(result.m_total / result.m_ori)  # = 1 / depth_ratio
             profile = AttackProfile(
-                lens_kind=LensKind.CONCAVE if geom.lens.is_concave else LensKind.CONVEX,
                 level=1, region=LensRegion.full_frame(), scale_factor=scale,
                 blur_radius=0,
                 blur_placement=BlurPlacement.OUT_OF_LENS if geom.lens.is_concave
                 else BlurPlacement.IN_LENS)
             attacked = apply_attack_transform(image, profile)
-            estimate = proxy_estimate_depth(attacked, fiducial, intrinsics)
+            estimate = proxy_estimate_depth(attacked, fiducial, focal_px)
             target = expected_depth(geom)
             assert abs(estimate - target) / target <= 0.03, \
                 (geom, estimate, target)
 
         benign = render_fiducial((900, 900), 200)
-        base = proxy_estimate_depth(benign, fiducial, intrinsics)
+        base = proxy_estimate_depth(benign, fiducial, focal_px)
         for s in np.linspace(0.5, 2.0, 16):
             scaled = apply_attack_transform(benign, AttackProfile(
-                LensKind.CONCAVE, 1, LensRegion.full_frame(), float(s), 0,
-                BlurPlacement.OUT_OF_LENS))
-            got = proxy_estimate_depth(scaled, fiducial, intrinsics)
+                1, LensRegion.full_frame(), float(s), 0, BlurPlacement.OUT_OF_LENS))
+            got = proxy_estimate_depth(scaled, fiducial, focal_px)
             assert abs(got / base - 1.0 / s) <= 0.02 / s, (s, got / base, 1.0 / s)
 
 

@@ -10,8 +10,8 @@ from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_swe
                                   loss_vehicle_untargeted, optimize_level,
                                   sweep_to_csv, SWEEP_CSV_HEADER)
 from depthlens.errors import EmptyMask
-from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
-                                  FiducialSpec, ProxyDepthMapper)
+from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
+                                  ProxyDepthMapper)
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
 from helpers import concave_sweep_fixture
@@ -80,7 +80,7 @@ class FakeEstimator:
     def __init__(self, per_tag: dict, region: LensRegion, shape=(64, 64)):
         self.per_tag = per_tag
         self.shape = shape
-        self.inside = region_masks(shape[1], shape[0], region).in_lens
+        self.inside = region_masks(shape[1], shape[0], region)
 
     def estimate_map(self, image, tag=None):
         inside_value, outside_value = self.per_tag[tag]

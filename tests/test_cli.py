@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import cli, formats
+from depthlens import cli, defense, formats
 from depthlens.cli import main
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform)
@@ -61,6 +61,25 @@ class TestOpticsCommand:
         code, _, _ = run(capsys, "optics", "--lens", "concave", "--f", "0.20",
                          "--db", "-1", "--do1", "6", "--fc", "0.026")
         assert code == 2
+
+    @pytest.mark.parametrize("lens,flag", [
+        (lens, flag) for lens in ("concave", "convex", "none")
+        for flag in ("--f", "--db", "--do1", "--fc")
+        if (lens, flag) != ("none", "--f")])  # pass-through reads no --f
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_two(self, capsys, lens, flag, value):
+        argv = {"--f": "0.2", "--db": "0.04", "--do1": "6", "--fc": "0.026"}
+        argv[flag] = value
+        code, out, err = run(capsys, "optics", "--lens", lens,
+                             *(token for pair in argv.items() for token in pair))
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
+
+    def test_underflowing_magnification_exits_one(self, capsys):
+        code, out, err = run(capsys, "optics", "--lens", "convex", "--f", "1e-300",
+                             "--db", "0.04", "--do1", "1e300", "--fc", "0.026")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: singular configuration: ")
 
     def test_table_matches_per_cell_invocations(self, capsys):
         code, out, _ = run(capsys, "optics", "--table", "concave", "--fc", "0.026")
@@ -135,8 +154,8 @@ class TestSimulateCommand:
                            "32", "--radius", "16")
         assert code == 0
         assert parse_kv(out)["placement"] == "in_lens"
-        profile = AttackProfile(LensKind.CONCAVE, 1, LensRegion.circle(32, 32, 16),
-                                1.2, 3, BlurPlacement.IN_LENS)
+        profile = AttackProfile(1, LensRegion.circle(32, 32, 16), 1.2, 3,
+                                BlurPlacement.IN_LENS)
         expected = apply_attack_transform(RasterImage.load(src), profile)
         assert np.array_equal(RasterImage.load(dst).data, expected.data)
 
@@ -197,6 +216,30 @@ class TestOptimizeCommand:
         body = out.strip().split("\n")[1:]
         assert len(body) == 2
         assert all(",failed," in line for line in body)
+
+    @pytest.mark.parametrize("focal_px", ["0", "-700", "nan", "inf"])
+    def test_bad_focal_px_exits_two(self, tmp_path, capsys, focal_px):
+        image, box, _, _, _ = concave_sweep_fixture(seed=42)
+        src = tmp_path / "benign.pgm"
+        image.save(src)
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}\n")
+        code, out, err = run(capsys, "optimize", "--input", str(src), "--mode",
+                             "untargeted", "--lens-kind", "concave", "--boxes",
+                             str(boxes), "--fiducial-height", "1.5",
+                             "--focal-px", focal_px)
+        assert (code, out) == (2, "")
+        assert "focal length must be finite and positive" in err
+
+    def test_baseline_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--baseline", "0.54"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("baseline = 0.54\n")
+        code, _, err = run(capsys, "optimize", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key 'baseline'" in err
 
     @pytest.mark.parametrize("rescale", ["0", "-2", "nan", "inf"])
     def test_non_positive_rescale_exits_two(self, tmp_path, capsys, rescale):
@@ -301,6 +344,22 @@ class TestDefendCommand:
         written = RasterImage.load(out_mask).data
         assert (written[:, :64] > 0).mean() > 0.9
 
+    @pytest.mark.parametrize("method,default", [
+        ("varlap", defense.DEFAULT_VARLAP_THRESHOLD),
+        ("lbp", defense.DEFAULT_LBP_SCORE_THRESHOLD)])
+    def test_threshold_defaults_to_the_method_default(self, tmp_path, capsys,
+                                                       method, default):
+        src = tmp_path / "img.pgm"
+        noise_image((64, 64), seed=1).save(src)
+        code, out, _ = run(capsys, "defend", "--input", str(src), "--method", method)
+        assert code == 0
+        assert float(parse_kv(out)["threshold"]) == default
+        code, out, _ = run(capsys, "defend", "--input", str(src), "--method", method,
+                           "--threshold", "0")
+        assert code == 0
+        assert parse_kv(out)["threshold"] == "0"
+        assert parse_kv(out)["verdict"] == "clean"
+
     def test_unsupported_method_exits_two(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         noise_image((64, 64), seed=1).save(src)
@@ -346,6 +405,15 @@ class TestScenarioCommand:
     def test_invalid_config_exits_two(self, capsys):
         code, _, _ = run(capsys, "scenario", "--dt", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--gap0", "nan"], ["--speed", "nan"], ["--max-time", "inf"],
+        ["--dt", "nan"], ["--sigma", "inf"], ["--ratio", "nan"],
+        ["--max-decel", "inf"], ["--margin", "nan"]])
+    def test_non_finite_input_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "scenario", *argv)
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
 
     def test_unknown_lens_with_ratio_from_optics_exits_two(self, capsys):
         code, _, err = run(capsys, "scenario", "--ratio-from-optics", "--lens",

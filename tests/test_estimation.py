@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
 from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
                                   FiducialSpec, ProxyDepthMapper, _find_blob,
-                                  depth_to_disparity, disparity_to_depth,
+                                  disparity_to_depth,
                                   load_boxes, load_depth_map, masked_mean,
                                   proxy_estimate_depth, rescale_disparity)
 from depthlens import formats
@@ -37,7 +37,7 @@ class TestDisparityDepth:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(3)
         disp = rng.uniform(0.5, 60.0, (17, 23))
-        back = depth_to_disparity(disparity_to_depth(disp, KITTI_LIKE), KITTI_LIKE)
+        back = disparity_to_depth(disparity_to_depth(disp, KITTI_LIKE), KITTI_LIKE)
         assert np.allclose(back, disp, rtol=1e-6)
 
 
@@ -61,29 +61,29 @@ class TestProxyEstimate:
     def test_pinhole_reading(self):
         img = render_fiducial((256, 256), 70)
         spec = FiducialSpec(physical_height_m=1.5)
-        depth = proxy_estimate_depth(img, spec, CameraIntrinsics(0.54, 700.0))
+        depth = proxy_estimate_depth(img, spec, 700.0)
         assert depth == pytest.approx(15.0, rel=0.01)
 
     def test_shrink_raises_reading(self):
         img = render_fiducial((512, 512), 100)
         spec = FiducialSpec(physical_height_m=1.5)
-        k = CameraIntrinsics(0.54, 700.0)
-        benign = proxy_estimate_depth(img, spec, k)
+        focal_px = 700.0
+        benign = proxy_estimate_depth(img, spec, focal_px)
         shrunk = scale_region(img, LensRegion.full_frame(), 0.8)
-        attacked = proxy_estimate_depth(shrunk, spec, k)
+        attacked = proxy_estimate_depth(shrunk, spec, focal_px)
         assert attacked / benign == pytest.approx(1.0 / 0.8, rel=0.02)
 
     def test_double_size_halves_depth(self):
-        k = CameraIntrinsics(0.54, 700.0)
+        focal_px = 700.0
         spec = FiducialSpec(physical_height_m=1.5)
-        small = proxy_estimate_depth(render_fiducial((512, 512), 80), spec, k)
-        large = proxy_estimate_depth(render_fiducial((512, 512), 160), spec, k)
+        small = proxy_estimate_depth(render_fiducial((512, 512), 80), spec, focal_px)
+        large = proxy_estimate_depth(render_fiducial((512, 512), 160), spec, focal_px)
         assert large == pytest.approx(small / 2.0, rel=0.02)
 
     def test_not_found(self):
         img = RasterImage(np.full((64, 64), 255, np.uint8))
         with pytest.raises(FiducialNotFound):
-            proxy_estimate_depth(img, FiducialSpec(1.5), CameraIntrinsics(0.54, 700.0))
+            proxy_estimate_depth(img, FiducialSpec(1.5), 700.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -114,8 +114,7 @@ class TestProxyEstimate:
         img = render_fiducial((256, 256), 60).data.copy()
         img[:10, :10] = 0  # decoy blob outside the reference box
         spec = FiducialSpec(1.5, reference_box=Box(64, 64, 192, 192))
-        depth = proxy_estimate_depth(RasterImage(img), spec,
-                                     CameraIntrinsics(0.54, 700.0))
+        depth = proxy_estimate_depth(RasterImage(img), spec, 700.0)
         assert depth == pytest.approx(700.0 * 1.5 / 60.0, rel=0.05)
 
 
@@ -225,7 +224,7 @@ class TestMapEstimators:
     def test_proxy_mapper_fills_vehicle_box(self):
         img = render_fiducial((256, 256), 80)
         spec = FiducialSpec(1.5)
-        mapper = ProxyDepthMapper(spec, CameraIntrinsics(0.54, 700.0))
+        mapper = ProxyDepthMapper(spec, 700.0)
         est = mapper.estimate_map(img)
         assert est.shape == (256, 256)
         vehicle = 700.0 * 1.5 / 80.0

@@ -67,18 +67,18 @@ def disk_image(size=200, radius=30, background=220, fill=10):
 
 class TestRegionMasks:
     def test_full_frame_all_in(self):
-        masks = region_masks(10, 10, LensRegion.full_frame())
-        assert masks.in_lens.all()
-        assert not masks.out_of_lens.any()
+        mask = region_masks(10, 10, LensRegion.full_frame())
+        assert mask.all()
+        assert not (~mask).any()
 
     def test_radius_one_touches_five_pixels(self):
-        masks = region_masks(11, 11, LensRegion.circle(5, 5, 1))
-        assert masks.in_lens.sum() == 5
-        assert masks.in_lens[5, 5] and masks.in_lens[4, 5] and masks.in_lens[5, 4]
+        mask = region_masks(11, 11, LensRegion.circle(5, 5, 1))
+        assert mask.sum() == 5
+        assert mask[5, 5] and mask[4, 5] and mask[5, 4]
 
     def test_offframe_circle_empty(self):
-        masks = region_masks(11, 11, LensRegion.circle(100, 100, 3))
-        assert not masks.in_lens.any()
+        mask = region_masks(11, 11, LensRegion.circle(100, 100, 3))
+        assert not mask.any()
 
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -89,9 +89,10 @@ class TestRegionMasks:
         for _ in range(25):
             region = LensRegion.circle(rng.uniform(-20, 80), rng.uniform(-20, 80),
                                        rng.uniform(1, 50))
-            masks = region_masks(64, 48, region)
-            assert not (masks.in_lens & masks.out_of_lens).any()
-            assert (masks.in_lens | masks.out_of_lens).all()
+            mask = region_masks(64, 48, region)
+            assert mask.dtype == bool and mask.shape == (48, 64)
+            assert not (mask & ~mask).any()
+            assert (mask | ~mask).all()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -100,8 +101,9 @@ class TestRegionMasks:
         h = data.draw(st.integers(1, MAX_SIDE))
         region = data.draw(regions(w, h))
         got = region_masks(w, h, region)
-        assert np.array_equal(got.in_lens, dense_in_lens(w, h, region))
-        assert np.array_equal(got.out_of_lens, ~got.in_lens)
+        assert got.dtype == bool
+        assert np.array_equal(got, dense_in_lens(w, h, region))
+        assert np.array_equal(~got, ~dense_in_lens(w, h, region))
 
 
 class TestScaleRegion:
@@ -150,7 +152,7 @@ class TestScaleRegion:
         img = textured_image(seed=5)
         region = LensRegion.circle(100, 100, 40)
         out = scale_region(img, region, 1.7)
-        sel = region_masks(img.width, img.height, region).in_lens
+        sel = region_masks(img.width, img.height, region)
         assert np.array_equal(out.data[~sel], img.data[~sel])
 
     def test_degenerate_region(self):
@@ -262,15 +264,13 @@ class TestLevelProfiles:
 
     def test_profile_invariant_checks(self):
         with pytest.raises(BadLevel):
-            AttackProfile(LensKind.CONCAVE, 0, LensRegion.full_frame(), 0.9, 1,
-                          BlurPlacement.OUT_OF_LENS)
+            AttackProfile(0, LensRegion.full_frame(), 0.9, 1, BlurPlacement.OUT_OF_LENS)
 
 
 class TestApplyAttackTransform:
     def test_identity_profile(self):
         img = textured_image(seed=6)
-        p = AttackProfile(LensKind.CONCAVE, 1, LensRegion.full_frame(), 1.0, 0,
-                          BlurPlacement.OUT_OF_LENS)
+        p = AttackProfile(1, LensRegion.full_frame(), 1.0, 0, BlurPlacement.OUT_OF_LENS)
         out = apply_attack_transform(img, p)
         assert np.array_equal(out.data, img.data)
 
@@ -280,12 +280,11 @@ class TestApplyAttackTransform:
         rng = np.random.default_rng(8)
         base = rng.integers(140, 231, (256, 256)).astype(np.uint8)
         region = LensRegion.circle(128, 128, 100)
-        sel = region_masks(256, 256, region).in_lens
+        sel = region_masks(256, 256, region)
         disk = disk_image(size=256, radius=40)
         base[sel] = disk.data[sel]
         composed = RasterImage(base)
-        p = AttackProfile(LensKind.CONCAVE, 3, region, 0.8, 2,
-                          BlurPlacement.OUT_OF_LENS)
+        p = AttackProfile(3, region, 0.8, 2, BlurPlacement.OUT_OF_LENS)
         out = apply_attack_transform(composed, p)
         h, _ = blob_extent(out, threshold=64)
         assert abs(h - 0.8 * blob_extent(composed, threshold=64)[0]) <= 2
@@ -297,7 +296,7 @@ class TestApplyAttackTransform:
     def test_convex_enlarges_and_blurs_inside(self):
         img = disk_image(size=300, radius=30)
         region = LensRegion.circle(150, 150, 120)
-        p = AttackProfile(LensKind.CONVEX, 5, region, 2.0, 3, BlurPlacement.IN_LENS)
+        p = AttackProfile(5, region, 2.0, 3, BlurPlacement.IN_LENS)
         out = apply_attack_transform(img, p)
         h, _ = blob_extent(out, threshold=110)
         assert abs((h - 1) / 2 - 60) <= 2

@@ -1,7 +1,10 @@
 """Closed-form optics: spec examples, invariants, and the ray-trace oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from depthlens.errors import SingularConfiguration
 from depthlens.optics import (AttackGeometry, CameraSpec, LensSpec, OpticsResult,
@@ -10,7 +13,7 @@ from depthlens.optics import (AttackGeometry, CameraSpec, LensSpec, OpticsResult
                               expected_depth, expected_depth_grid, magnification,
                               pinhole_apparent_size, thin_lens_image_distance)
 
-from oracles import raytrace_expected_depth
+from oracles import raytrace_expected_depth, staged_combined_magnification
 
 
 def geom(f, db, do1, fc=0.026):
@@ -129,6 +132,92 @@ class TestCombinedMagnification:
             assert r.m_total == pytest.approx(r.m1 * r.m2, rel=1e-12)
             assert r.depth_ratio > 0
             checked += 1
+
+
+    def test_underflowing_total_is_singular(self):
+        # m_total = 1e-300 * 0.026 / (1e300 * 0.014) underflows to 0
+        with pytest.raises(SingularConfiguration, match="float range"):
+            combined_magnification(geom(1e-300, 0.04, 1e300))
+
+    def test_underflowing_denominator_is_singular(self):
+        # (d_o1 - f) * (d_o2 - f_c) = 1e-200 * -1e-200 underflows to 0
+        with pytest.raises(SingularConfiguration, match="float range"):
+            combined_magnification(geom(1e-200, 1e-200, 2e-200, fc=2e-200))
+
+
+_LENGTHS = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _stacks(draw):
+    """A lensed geometry aimed at one of the four scenarios, with one of
+    its boundaries (object at the focal point, gap equal to the image
+    distance, object plus gap at the camera focal length, intermediate
+    image one camera focal length away) often hit exactly or to one ulp."""
+    scenario = draw(st.sampled_from(list(ScenarioKind)))
+    f = draw(_LENGTHS)
+    if scenario is ScenarioKind.CONCAVE:
+        f, d_o1 = -f, draw(_LENGTHS)
+    elif scenario is ScenarioKind.CONVEX_NEAR_OBJECT:
+        d_o1 = f * draw(st.floats(1e-3, 1.0, exclude_max=True))
+    else:
+        d_o1 = f * draw(st.floats(1.0, 1e3, exclude_min=True))
+
+    def image_distance():
+        return -d_o1 * f / (d_o1 - f) if d_o1 != f else 1.0
+
+    if scenario is ScenarioKind.CONVEX_FAR_LENS:
+        d_b = abs(image_distance()) * draw(st.floats(1.0, 10.0))
+    elif scenario is ScenarioKind.CONVEX_NEAR_LENS:
+        d_b = abs(image_distance()) * draw(st.floats(1e-3, 1.0, exclude_max=True))
+    else:
+        d_b = draw(_LENGTHS)
+    f_c = draw(_LENGTHS)
+
+    boundary = draw(st.sampled_from(["none", "focal", "gap", "baseline", "camera"]))
+    toward = draw(st.sampled_from([None, 0.0, math.inf]))
+
+    def near(x):
+        return x if toward is None else math.nextafter(x, toward)
+
+    if boundary == "focal":
+        d_o1 = near(abs(f))
+    elif boundary == "gap":
+        d_b = near(abs(image_distance()))
+    elif boundary == "baseline":
+        f_c = near(d_o1 + d_b)
+    elif boundary == "camera":
+        f_c = near(abs(image_distance() + d_b))
+    assume(min(d_o1, d_b, f_c) > 0)
+    event(f"{scenario.value}, boundary {boundary}")
+    return geom(f, d_b, d_o1, fc=f_c)
+
+
+def _outcome(evaluate, geometry):
+    try:
+        return evaluate(geometry)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_stacks())
+@example(geom(1e-300, 0.04, 1e300))
+@example(geom(1e-200, 1e-200, 2e-200, fc=2e-200))
+@example(geom(None, 0.04, 6.0))
+@example(geom(None, 0.013, 0.013))
+def test_combined_magnification_matches_staged_reference(geometry):
+    """One shared attack-lens stage and ``|d_i1 + d_b|`` give the staged
+    reference's result field by field, or the same exception type; the one
+    intended difference is that a zero ``m_total`` (or denominator) raises
+    SingularConfiguration instead of ZeroDivisionError."""
+    want = _outcome(staged_combined_magnification, geometry)
+    if want is ZeroDivisionError:
+        want = SingularConfiguration
+    got = _outcome(combined_magnification, geometry)
+    if isinstance(want, type):
+        event(f"raises {want.__name__}")
+    assert got == want
 
 
 class TestExpectedDepth:

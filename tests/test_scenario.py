@@ -1,10 +1,15 @@
 """Closed-loop braking: controller pieces and the outcome dichotomy."""
 
+import math
+
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from depthlens.scenario import (Outcome, OutcomeKind, ScenarioConfig, controller,
                                 outcome_summary, perceive, run_scenario, step,
                                 ticks_to_csv)
+
+from oracles import reference_run_scenario
 
 
 def config(**overrides):
@@ -120,6 +125,28 @@ class TestRunScenario:
         assert outcome.kind is OutcomeKind.TIMEOUT
         assert len(ticks) == 100
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        """Equal outcome and equal ticks, field by field with ``==``, as the
+        tick loop that consults the controller on every tick."""
+        dt = data.draw(st.floats(1e-3, 0.05))
+        noisy = data.draw(st.booleans())
+        cfg = ScenarioConfig(
+            initial_gap_m=data.draw(st.floats(0.05, 200.0)),
+            ego_speed_mps=data.draw(st.floats(0.05, 40.0)),
+            max_decel_mps2=data.draw(st.floats(0.5, 12.0)),
+            safety_margin_m=data.draw(st.floats(0.01, 10.0)),
+            depth_ratio=data.draw(st.floats(0.2, 3.0)),
+            dt_s=dt,
+            noise_sigma_m=data.draw(st.floats(0.01, 2.0)) if noisy else 0.0,
+            max_sim_time_s=dt * data.draw(st.integers(1, 4999)),  # <= 5k ticks
+            seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+        outcome, ticks = run_scenario(cfg)
+        event(outcome.kind.value + (" noisy" if noisy else ""))
+        assert len(ticks) <= 5000
+        assert (outcome, ticks) == reference_run_scenario(cfg)
+
     def test_perceived_gap_logged_consistently(self):
         cfg = config(depth_ratio=1.5)
         _, ticks = run_scenario(cfg)
@@ -162,3 +189,16 @@ class TestConfigValidation:
     def test_noise_sigma_nonnegative(self):
         with pytest.raises(ValueError):
             config(noise_sigma_m=-0.1)
+
+    @pytest.mark.parametrize("field", ["initial_gap_m", "ego_speed_mps", "max_decel_mps2",
+                                       "safety_margin_m", "depth_ratio", "dt_s",
+                                       "noise_sigma_m", "max_sim_time_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            config(**{field: value})
+
+    def test_unbounded_horizon_rejected(self):
+        # with an infinite horizon this run would never end
+        with pytest.raises(ValueError, match="finite"):
+            config(max_sim_time_s=math.inf, initial_gap_m=1e9, ego_speed_mps=1e-9)
