@@ -26,7 +26,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DepthlensError
+from .errors import DepthlensError, check_positive
 from .estimation import Box, masked_mean
 from .imaging import (LensKind, LensRegion, RasterImage, apply_attack_transform,
                       level_to_profile, region_masks)
@@ -71,8 +71,9 @@ class LossConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.mode is Mode.TARGETED:
-            if self.y_tar is None or self.y_tar <= 0:
-                raise ValueError("targeted mode needs a positive y_tar")
+            if self.y_tar is None:
+                raise ValueError("targeted mode needs a y_tar")
+            check_positive(target_value=self.y_tar)
 
 
 def _abs_diff(est_attacked: np.ndarray, other) -> np.ndarray:

@@ -14,7 +14,7 @@ Conventions shared by all commands:
 * human-readable numbers print with 6 significant digits, CSV output keeps
   full float precision;
 * exit codes: 0 success, 1 domain error (singular / infeasible geometry),
-  2 usage or I/O error.
+  2 usage or I/O error; a NaN or infinite number is a usage error.
 """
 
 from __future__ import annotations
@@ -144,12 +144,11 @@ def _add_optics(sub) -> _Command:
 
 def cmd_optics(ns) -> int:
     if ns.table:
-        if ns.table not in ("concave", "convex"):
-            raise ValueError(f"--table takes concave or convex, got {ns.table!r}")
+        concave = _lens_kind(ns.table) is LensKind.CONCAVE
         _require(ns, "fc")
+        cells = list(optics.expected_depth_grid(concave, ns.fc))  # before any output
         print("lens,f_m,d_b_m,d_o1_m,m_total,m_ori,depth_ratio,expected_depth_m")
-        for f, d_b, d_o1, result in optics.expected_depth_grid(
-                concave=(ns.table == "concave"), camera_focal_length_m=ns.fc):
+        for f, d_b, d_o1, result in cells:
             depth = result.depth_ratio * d_o1
             print(f"{ns.table},{f!r},{d_b!r},{d_o1!r},{result.m_total!r},"
                   f"{result.m_ori!r},{result.depth_ratio!r},{depth!r}")

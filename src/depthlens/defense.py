@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooSmall
+from .errors import TooSmall, check_finite
 from .imaging import RasterImage
 
 DEFAULT_VARLAP_THRESHOLD = 100.0
@@ -81,6 +81,7 @@ def variance_of_laplacian(image: RasterImage) -> float:
 def varlap_verdict(image: RasterImage,
                    threshold: float = DEFAULT_VARLAP_THRESHOLD) -> BlurVerdict:
     """Whole-image check: blurred iff the variance falls below threshold."""
+    check_finite(threshold=threshold)
     score = variance_of_laplacian(image)
     return BlurVerdict(blurred=score < threshold, score=score, threshold=threshold)
 
@@ -128,6 +129,8 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
     """
     if window < 8:
         raise ValueError(f"window must be >= 8 px, got {window}")
+    if lbp_threshold < 0:
+        raise ValueError(f"lbp delta must be non-negative, got {lbp_threshold}")
     gray = image.to_gray().data
     h, w = gray.shape
     if h < 3 or w < 3:
@@ -154,6 +157,7 @@ def segment_blur(sharpness: SharpnessMap,
 
     The pixel-resolution mask replicates each tile verdict over its square.
     """
+    check_finite(threshold=threshold)
     below = sharpness.scores < threshold
     h, w = sharpness.image_shape
     mask = np.repeat(np.repeat(below, sharpness.window, axis=0),

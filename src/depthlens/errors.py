@@ -1,10 +1,29 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one range rule for
+numbers from outside (NaN passes a hand-written ``value <= 0``, not these).
 
 Callers (the optimizer, the CLI) branch on these, so every failure mode that
 is part of a module contract has a dedicated class instead of a bare
 ValueError. ``SingularConfiguration`` is the one "domain" error the CLI maps
 to exit code 1; everything else is treated as a usage / input problem.
 """
+
+import math
+
+
+def check_finite(**values: float) -> None:
+    """Reject the first value that is NaN or infinite, naming it in words:
+    ``lens_gap=nan`` reads "lens gap must be finite, got nan"."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name.replace('_', ' ')} must be finite, got {value}")
+
+
+def check_positive(**values: float) -> None:
+    """Reject the first value that is not finite and greater than zero."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"{name.replace('_', ' ')} must be finite and positive, got {value}")
 
 
 class DepthlensError(Exception):

@@ -20,13 +20,12 @@ maps from real estimators contain them routinely.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask, FiducialNotFound, ParseError
+from .errors import EmptyMask, FiducialNotFound, ParseError, check_positive
 from . import formats
 from .imaging import RasterImage
 
@@ -39,8 +38,7 @@ class CameraIntrinsics:
     focal_px: float
 
     def __post_init__(self):
-        if self.baseline_m <= 0 or self.focal_px <= 0:
-            raise ValueError("baseline and focal length must be positive")
+        check_positive(baseline=self.baseline_m, focal_length=self.focal_px)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ class FiducialSpec:
     reference_box: Box | None = None
 
     def __post_init__(self):
-        if self.physical_height_m <= 0:
-            raise ValueError("fiducial height must be positive")
+        check_positive(fiducial_height=self.physical_height_m)
         if not 0 <= self.detection_threshold <= 255:
             raise ValueError("detection threshold must be an 8-bit level")
 
@@ -100,15 +97,10 @@ def disparity_to_depth(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     return out
 
 
-def _check_rescale(constant: float) -> None:
-    if not (math.isfinite(constant) and constant > 0):
-        raise ValueError(f"rescale constant must be finite and positive, got {constant!r}")
-
-
 def rescale_disparity(values: np.ndarray, constant: float) -> np.ndarray:
     """Divide every pixel by a constant (different estimators emit different
     disparity scales; this normalizes them onto one)."""
-    _check_rescale(constant)
+    check_positive(rescale_constant=constant)
     return values / constant
 
 
@@ -206,8 +198,7 @@ class ProxyDepthMapper:
 
     def __init__(self, fiducial: FiducialSpec, focal_px: float,
                  near_m: float = 4.0, far_m: float = 40.0):
-        if not (math.isfinite(focal_px) and focal_px > 0):
-            raise ValueError("focal length must be finite and positive")
+        check_positive(focal_length=focal_px)
         if near_m <= 0 or far_m <= near_m:
             raise ValueError("need 0 < near_m < far_m")
         self.fiducial = fiducial
@@ -237,7 +228,7 @@ class DirectoryMapEstimator:
     def __init__(self, directory, kind: str = "disparity",
                  rescale: float | None = None):
         if rescale is not None:
-            _check_rescale(rescale)
+            check_positive(rescale_constant=rescale)
         self.directory = directory
         self.kind = kind
         self.rescale = rescale

@@ -14,29 +14,21 @@ whitespace and ``#`` comments in PNM headers.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, check_positive
+
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos:pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ParseError("truncated header", byte_offset=pos)
-    start = pos
-    while pos < n and not buf[pos:pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+    """Next whitespace-delimited header token, skipping ``#`` line comments."""
+    match = _TOKEN.match(buf, pos)
+    if not match[1]:
+        raise ParseError("truncated header", byte_offset=match.start(1))
+    return match[1], match.end()
 
 
 def _read_number(buf: bytes, pos: int, what: str, parse=int):
@@ -52,9 +44,9 @@ def _read_raster(path, px_bytes: dict[bytes, int], what: str, maxval: int | None
     raster behind it.
 
     ``px_bytes`` maps each accepted magic to its bytes per pixel. The third
-    token must equal ``maxval``; without one it is the PFM scale, a nonzero
-    float. Returns the magic, the third token's value, the height, the width
-    and a memoryview of the raster bytes.
+    token must equal ``maxval``; without one it is the PFM scale, a finite
+    nonzero float. Returns the magic, the third token's value, the height,
+    the width and a memoryview of the raster bytes.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -65,8 +57,8 @@ def _read_raster(path, px_bytes: dict[bytes, int], what: str, maxval: int | None
     height, pos = _read_number(buf, pos, "height")
     if maxval is None:
         third, pos = _read_number(buf, pos, "scale", float)
-        if third == 0:
-            raise ParseError("scale must be nonzero", byte_offset=pos)
+        if not 0 < abs(third) < float("inf"):  # NaN fails too
+            raise ParseError("scale must be finite and nonzero", byte_offset=pos)
     else:
         third, pos = _read_number(buf, pos, "maxval")
         if third != maxval:
@@ -111,7 +103,7 @@ def write_pnm(path, data: np.ndarray) -> None:
 def read_pgm16(path) -> np.ndarray:
     """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w).
 
-    The sidecar ``<path>.scale`` holds one float: physical units per raw
+    The sidecar ``<path>.scale`` holds one positive float: physical units per raw
     count.
     """
     _, _, height, width, raster = _read_raster(path, {b"P5": 2}, "16-bit PGM", 65535)
@@ -120,6 +112,7 @@ def read_pgm16(path) -> np.ndarray:
     try:
         with open(sidecar, "r", encoding="ascii") as fh:
             scale = float(fh.read().strip())
+        check_positive(scale=scale)
     except FileNotFoundError:
         raise ParseError(f"missing sidecar scale file {sidecar}") from None
     except ValueError:
@@ -134,8 +127,7 @@ def write_pgm16(path, values: np.ndarray, scale: float) -> None:
     A count has no NaN or infinity, so non-finite values are rejected: a NaN
     hole written as count 0 would read back as a valid zero sample.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    check_positive(scale=scale)
     counts = np.round(np.asarray(values, dtype=np.float64) / scale)
     if not np.isfinite(counts).all():
         raise ValueError("values must be finite (16-bit counts have no NaN or inf)")

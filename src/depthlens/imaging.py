@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadLevel, DegenerateRegion
+from .errors import BadLevel, DegenerateRegion, check_finite, check_positive
 from . import formats
 
 
@@ -111,6 +111,7 @@ class LensRegion:
 
     @classmethod
     def circle(cls, center_x: float, center_y: float, radius: float) -> "LensRegion":
+        check_finite(center_x=center_x, center_y=center_y, radius=radius)
         if radius < 1:
             raise ValueError(f"circle radius must be >= 1 px, got {radius}")
         return cls(RegionKind.CIRCLE, center_x, center_y, radius)
@@ -192,8 +193,7 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     pulls from a widened one, edge-replicating wherever sources leave the
     frame. Pixels outside the region are untouched; scale == 1 is identity.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    check_positive(scale=scale)
     rows, cols, inside = _lens_box(image.width, image.height, region)
     if not inside.any():
         raise DegenerateRegion("lens region does not intersect the frame")
@@ -329,8 +329,7 @@ class AttackProfile:
     def __post_init__(self):
         if not 1 <= self.level <= 9:
             raise BadLevel(f"level must be in 1..9, got {self.level}")
-        if self.scale_factor <= 0:
-            raise ValueError("scale factor must be positive")
+        check_positive(scale_factor=self.scale_factor)
         if self.blur_radius < 0:
             raise ValueError("blur radius must be non-negative")
 

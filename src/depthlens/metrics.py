@@ -9,11 +9,12 @@ more precise attack). Callers reduce maps to scalars first, typically with
 
 from __future__ import annotations
 
-from .errors import NonPositiveDenominator
+from .errors import NonPositiveDenominator, check_finite
 
 
 def adr(attacked: float, benign: float) -> float:
     """Attack distortion rate: |attacked - benign| / benign."""
+    check_finite(attacked_value=attacked, benign_value=benign)
     if benign <= 0:
         raise NonPositiveDenominator(f"benign value must be positive, got {benign}")
     return abs(attacked - benign) / benign
@@ -21,6 +22,7 @@ def adr(attacked: float, benign: float) -> float:
 
 def aer(attacked: float, target: float) -> float:
     """Attack error rate: |attacked - target| / target."""
+    check_finite(attacked_value=attacked, target_value=target)
     if target <= 0:
         raise NonPositiveDenominator(f"target value must be positive, got {target}")
     return abs(attacked - target) / target

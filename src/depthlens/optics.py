@@ -22,11 +22,10 @@ call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SingularConfiguration
+from .errors import SingularConfiguration, check_finite, check_positive
 
 
 class ScenarioKind(Enum):
@@ -55,12 +54,9 @@ class LensSpec:
     focal_length_m: float
 
     def __post_init__(self):
-        if not math.isfinite(self.focal_length_m) or self.focal_length_m == 0:
-            raise ValueError("lens focal length must be finite and nonzero")
-
-    @property
-    def is_concave(self) -> bool:
-        return self.focal_length_m < 0
+        check_finite(lens_focal_length=self.focal_length_m)
+        if self.focal_length_m == 0:
+            raise ValueError("lens focal length must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -71,10 +67,7 @@ class CameraSpec:
     lens_gap_m: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.focal_length_m) and self.focal_length_m > 0):
-            raise ValueError("camera focal length must be finite and positive")
-        if not (math.isfinite(self.lens_gap_m) and self.lens_gap_m > 0):
-            raise ValueError("lens gap must be finite and positive")
+        check_positive(camera_focal_length=self.focal_length_m, lens_gap=self.lens_gap_m)
 
 
 @dataclass(frozen=True)
@@ -90,8 +83,7 @@ class AttackGeometry:
     camera: CameraSpec
 
     def __post_init__(self):
-        if not (math.isfinite(self.object_distance_m) and self.object_distance_m > 0):
-            raise ValueError("object distance must be finite and positive")
+        check_positive(object_distance=self.object_distance_m)
 
 
 @dataclass(frozen=True)
@@ -229,8 +221,8 @@ def expected_depth(geometry: AttackGeometry) -> float:
 def pinhole_apparent_size(object_height_m: float, distance_m: float,
                           sensor_gap_m: float) -> float:
     """Projected size on a pinhole camera's sensor plane: h * b / d."""
-    if object_height_m <= 0 or distance_m <= 0 or sensor_gap_m <= 0:
-        raise ValueError("pinhole projection needs positive height, distance, gap")
+    check_positive(object_height=object_height_m, distance=distance_m,
+                   sensor_gap=sensor_gap_m)
     return object_height_m * sensor_gap_m / distance_m
 
 

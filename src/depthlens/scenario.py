@@ -19,11 +19,13 @@ reproducible from the recorded seed.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import check_finite, check_positive
 
 
 @dataclass(frozen=True)
@@ -39,26 +41,18 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        positives = {
-            "initial_gap_m": self.initial_gap_m,
-            "ego_speed_mps": self.ego_speed_mps,
-            "max_decel_mps2": self.max_decel_mps2,
-            "safety_margin_m": self.safety_margin_m,
-            "depth_ratio": self.depth_ratio,
-            "dt_s": self.dt_s,
-            "max_sim_time_s": self.max_sim_time_s,
-        }
-        for name, value in positives.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.noise_sigma_m) and self.noise_sigma_m >= 0):
-            raise ValueError("noise sigma must be finite and non-negative")
+        check_positive(initial_gap=self.initial_gap_m, ego_speed=self.ego_speed_mps,
+                       max_decel=self.max_decel_mps2, safety_margin=self.safety_margin_m,
+                       depth_ratio=self.depth_ratio, dt=self.dt_s,
+                       max_sim_time=self.max_sim_time_s)
+        check_finite(noise_sigma=self.noise_sigma_m)
+        if self.noise_sigma_m < 0:
+            raise ValueError(f"noise sigma must be non-negative, got {self.noise_sigma_m}")
         if self.dt_s > 0.05:
             raise ValueError(f"dt must be <= 0.05 s, got {self.dt_s}")
 
 
-@dataclass(frozen=True)
-class TickLog:
+class TickLog(NamedTuple):
     time_s: float
     true_gap_m: float
     perceived_gap_m: float
@@ -154,10 +148,7 @@ def ticks_to_csv(ticks: list[TickLog], cfg: ScenarioConfig) -> str:
     if cfg.noise_sigma_m > 0:
         out.write(f"# seed={cfg.seed} sigma={cfg.noise_sigma_m!r}\n")
     out.write("t,true_gap,perceived_gap,speed,accel,braking\n")
-    for tick in ticks:
-        out.write(f"{tick.time_s!r},{tick.true_gap_m!r},{tick.perceived_gap_m!r},"
-                  f"{tick.speed_mps!r},{tick.accel_cmd_mps2!r},"
-                  f"{int(tick.braking)}\n")
+    out.writelines("%r,%r,%r,%r,%r,%d\n" % tick for tick in ticks)
     return out.getvalue()
 
 

@@ -23,7 +23,7 @@ from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
 from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
                                apply_attack_transform, level_to_profile, region_masks)
 from depthlens.metrics import adr, aer
-from depthlens.optics import AttackGeometry, OpticsResult, ScenarioKind, classify_scenario
+from depthlens.optics import AttackGeometry, OpticsResult, ScenarioKind
 from depthlens.scenario import Outcome, ScenarioConfig, TickLog
 
 
@@ -47,7 +47,7 @@ def raytrace_expected_depth(geometry: AttackGeometry) -> float:
     f_c = geometry.camera.focal_length_m
     d_b = geometry.camera.lens_gap_m
     d_o1 = geometry.object_distance_m
-    scenario = classify_scenario(geometry)
+    scenario = staged_classify_scenario(geometry)
 
     image_1, m1 = _stage(f, d_o1)
     if scenario in (ScenarioKind.CONCAVE, ScenarioKind.CONVEX_NEAR_OBJECT):

@@ -147,7 +147,7 @@ def test_criterion_3_optics_imaging_proxy_consistency():
             profile = AttackProfile(
                 level=1, region=LensRegion.full_frame(), scale_factor=scale,
                 blur_radius=0,
-                blur_placement=BlurPlacement.OUT_OF_LENS if geom.lens.is_concave
+                blur_placement=BlurPlacement.OUT_OF_LENS if geom.lens.focal_length_m < 0
                 else BlurPlacement.IN_LENS)
             attacked = apply_attack_transform(image, profile)
             estimate = proxy_estimate_depth(attacked, fiducial, focal_px)

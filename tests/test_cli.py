@@ -360,6 +360,14 @@ class TestDefendCommand:
         assert parse_kv(out)["threshold"] == "0"
         assert parse_kv(out)["verdict"] == "clean"
 
+    def test_negative_lbp_delta_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "img.pgm"
+        noise_image((64, 64), seed=1).save(src)
+        code, out, err = run(capsys, "defend", "--input", str(src), "--method",
+                             "lbp", "--delta", "-5")
+        assert (code, out) == (2, "")
+        assert "delta" in err
+
     def test_unsupported_method_exits_two(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         noise_image((64, 64), seed=1).save(src)
@@ -519,3 +527,85 @@ def test_flag_beats_config_beats_default(name, dest, data):
     for other, (_, other_default) in command.options.items():
         if other != dest:
             assert getattr(ns, other) == other_default
+
+
+# Invocations that read float options: each reads every float flag it names,
+# and together they name every registered float option.
+_FLOAT_READERS = [
+    ["optics", "--lens", "convex", "--f", "0.2", "--db", "0.04", "--do1", "6",
+     "--fc", "0.026"],
+    ["optics", "--table", "concave", "--fc", "0.026"],
+    ["simulate", "--input", "{img}", "--output", "{out}", "--level", "2",
+     "--scale", "1.2", "--region", "circle", "--cx", "8", "--cy", "8",
+     "--radius", "5"],
+    ["optimize", "--input", "{img}", "--mode", "targeted", "--lens-kind",
+     "concave", "--boxes", "{boxes}", "--region", "circle", "--cx", "8",
+     "--cy", "8", "--radius", "5", "--y-tar", "0.43", "--fiducial-height",
+     "1.5", "--focal-px", "700", "--alphas", "0.1"],
+    ["optimize", "--input", "{img}", "--mode", "untargeted", "--lens-kind",
+     "convex", "--boxes", "{boxes}", "--estimator", "external", "--maps",
+     "{maps}", "--rescale", "2", "--alphas", "0.1"],
+    ["metrics", "--kind", "adr", "--attacked", "0.36", "--benign", "0.28"],
+    ["metrics", "--kind", "aer", "--attacked", "0.36", "--target", "0.43"],
+    ["defend", "--input", "{img}", "--method", "varlap", "--threshold", "100"],
+    ["defend", "--input", "{img}", "--method", "lbp", "--threshold", "0.15"],
+    ["scenario", "--gap0", "40", "--speed", "10", "--max-decel", "6",
+     "--margin", "2", "--dt", "0.01", "--max-time", "60", "--sigma", "0.1",
+     "--ratio", "1.2"],
+    ["scenario", "--ratio-from-optics", "--lens", "concave", "--f", "0.2",
+     "--db", "0.04", "--do1", "6", "--fc", "0.026"],
+]
+
+
+def _float_flags(name):
+    return {"--" + dest.replace("_", "-")
+            for dest, (parse, _) in _COMMANDS[name].options.items() if parse is float}
+
+
+_FLOAT_CASES = [(argv, i) for argv in _FLOAT_READERS
+                for i, token in enumerate(argv) if token in _float_flags(argv[0])]
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """Input files of the float-reading invocations: an image with a dark
+    fiducial, its box, and a directory of maps for the external estimator."""
+    tmp = tmp_path_factory.mktemp("readers")
+    data = np.full((16, 16), 200, np.uint8)
+    data[6:10, 6:10] = 0
+    RasterImage(data).save(tmp / "in.pgm")
+    (tmp / "boxes.txt").write_text("4 4 12 12\n")
+    maps = tmp / "maps"
+    maps.mkdir()
+    for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
+        formats.write_pfm(maps / f"{tag}.pfm", np.full((16, 16), 1.0, np.float32))
+    return {"img": str(tmp / "in.pgm"), "out": str(tmp / "out.pgm"),
+            "boxes": str(tmp / "boxes.txt"), "maps": str(maps)}
+
+
+def test_every_float_option_has_a_reading_invocation():
+    registered = {(name, dest) for name, command in _COMMANDS.items()
+                  for dest, (parse, _) in command.options.items() if parse is float}
+    covered = {(argv[0], argv[i][2:].replace("-", "_")) for argv, i in _FLOAT_CASES}
+    assert covered == registered
+
+
+@pytest.mark.parametrize("argv", _FLOAT_READERS, ids=lambda argv: argv[0])
+def test_float_reading_invocations_run(capsys, reader_files, argv):
+    code, _, err = run(capsys, *(token.format(**reader_files) for token in argv))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv,index", _FLOAT_CASES,
+                         ids=[f"{argv[0]}{argv[i]}" for argv, i in _FLOAT_CASES])
+def test_non_finite_float_option_exits_two(capsys, reader_files, argv, index, value):
+    """Every float option of every subcommand: NaN or an infinity is a usage
+    error that names the rule, never a result, a traceback or a different
+    complaint."""
+    argv = [token.format(**reader_files) for token in argv]
+    argv[index:index + 2] = [f"{argv[index]}={value}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "must be finite" in err
+    assert "Traceback" not in err

@@ -33,7 +33,35 @@ class TestDimensionChecks:
             formats.read_pgm16(path)
 
 
+class TestReadPfm:
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"0", b"-0.0"])
+    def test_scale_must_be_finite_and_nonzero(self, tmp_path, scale):
+        """The sign of the scale picks the byte order, so a scale with no
+        usable sign is a malformed header, not a big-endian one."""
+        path = tmp_path / "m.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + bytes(8))
+        with pytest.raises(ParseError, match="scale must be finite and nonzero"):
+            formats.read_pfm(path)
+
+
+class TestReadPgm16:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0", "-0.001"])
+    def test_sidecar_scale_must_be_finite_and_positive(self, tmp_path, text):
+        path = tmp_path / "d.pgm"
+        formats.write_pgm16(path, np.array([[1.0, 2.0]]), scale=0.001)
+        (tmp_path / "d.pgm.scale").write_text(text + "\n")
+        with pytest.raises(ParseError, match="bad scale value"):
+            formats.read_pgm16(path)
+
+
 class TestWritePgm16:
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf, -np.inf])
+    def test_scale_must_be_finite_and_positive(self, tmp_path, scale):
+        path = tmp_path / "d.pgm"
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            formats.write_pgm16(path, np.array([[1.0, 2.0]]), scale=scale)
+        assert not path.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, tmp_path, bad):
         path = tmp_path / "d.pgm"
@@ -94,6 +122,28 @@ def test_pnm_round_trip_is_byte_exact(tmp_path_factory, data):
     back = formats.read_pnm(path)
     assert back.dtype == np.uint8 and back.shape == data.shape
     assert back.tobytes() == data.tobytes()
+
+
+# One or more whitespace bytes, then any mix of whitespace and ``#`` comments
+# running to a CR or LF.
+_COMMENT = st.tuples(st.binary(max_size=8), st.sampled_from([b"\n", b"\r"])).map(
+    lambda t: b"#" + t[0].replace(b"\r", b"").replace(b"\n", b"") + t[1])
+_GAP = st.tuples(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    st.lists(st.one_of(st.sampled_from([b" ", b"\t", b"\r\n", b"\x0b", b"\x0c"]),
+                       _COMMENT), max_size=4)).map(lambda t: t[0] + b"".join(t[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaps=st.lists(_GAP, min_size=3, max_size=3),
+       data=hnp.arrays(np.uint8, st.tuples(_SIDES, _SIDES)))
+def test_pnm_header_tolerates_whitespace_runs_and_comments(tmp_path_factory, gaps,
+                                                           data):
+    height, width = data.shape
+    path = tmp_path_factory.mktemp("header") / "f.pgm"
+    path.write_bytes(b"P5" + gaps[0] + b"%d" % width + gaps[1] + b"%d" % height
+                     + gaps[2] + b"255\n" + data.tobytes())
+    assert formats.read_pnm(path).tobytes() == data.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

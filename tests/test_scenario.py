@@ -162,6 +162,14 @@ class TestIO:
         lines = text.strip().split("\n")
         assert lines[0] == "t,true_gap,perceived_gap,speed,accel,braking"
         assert len(lines) == len(ticks) + 1
+        # Floats round-trip at full precision; the latch is written 0 or 1.
+        for line, tick in zip(lines[1:], ticks):
+            *floats, braking = line.split(",")
+            assert [float(x) for x in floats] == [
+                tick.time_s, tick.true_gap_m, tick.perceived_gap_m, tick.speed_mps,
+                tick.accel_cmd_mps2]
+            assert braking == str(int(tick.braking))
+        assert {line[-1] for line in lines[1:]} == {"0", "1"}
 
     def test_csv_records_seed_for_noisy_runs(self):
         cfg = config(noise_sigma_m=0.2, seed=77)
