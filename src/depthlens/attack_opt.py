@@ -20,7 +20,7 @@ needs a rule).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Protocol
 
@@ -223,9 +223,7 @@ def alpha_sweep(benign: RasterImage, estimator: Estimator, base_cfg: LossConfig,
         raise ValueError("alpha list must not be empty")
     rows = []
     for alpha in alphas:
-        cfg = LossConfig(alpha=alpha, mode=base_cfg.mode,
-                         vehicle_box=base_cfg.vehicle_box, region=base_cfg.region,
-                         y_tar=base_cfg.y_tar)
+        cfg = replace(base_cfg, alpha=alpha)
         try:
             rows.append(SweepRow(alpha, cfg.mode, optimize_level(
                 benign, estimator, cfg, lens_kind)))

@@ -10,7 +10,9 @@ Conventions shared by all commands:
 * units are meters / seconds / pixels throughout;
 * every option can also come from a ``key = value`` config file via
   ``--config``; an option resolves flag > config file > registered default,
-  and a line is a comment only when its first non-blank character is ``#``;
+  a line is a comment only when its first non-blank character is ``#``, a
+  switch reads 1/true/yes/on or 0/false/no/off in any case, and a value that
+  does not parse is a usage error naming its key;
 * human-readable numbers print with 6 significant digits, CSV output keeps
   full float precision;
 * exit codes: 0 success, 1 domain error (singular / infeasible geometry),
@@ -36,8 +38,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _config_bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes", "on")
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected one of {', '.join(_BOOL_WORDS)}, got {raw!r}")
+    return _BOOL_WORDS[raw.lower()]
 
 
 class _Command:
@@ -86,7 +94,10 @@ def _resolve(ns: argparse.Namespace, command: _Command) -> None:
             raise ValueError(f"unknown config key {key!r}")
     for dest, (parse, default) in command.options.items():
         if getattr(ns, dest) is None:  # an explicit flag wins, even 0 or 0.0
-            setattr(ns, dest, parse(entries[dest]) if dest in entries else default)
+            try:
+                setattr(ns, dest, parse(entries[dest]) if dest in entries else default)
+            except ValueError as exc:
+                raise ValueError(f"config key {dest!r}: {exc}") from None
 
 
 def _require(ns, *names):

@@ -103,8 +103,9 @@ def write_pnm(path, data: np.ndarray) -> None:
 def read_pgm16(path) -> np.ndarray:
     """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w).
 
-    The sidecar ``<path>.scale`` holds one positive float: physical units per raw
-    count.
+    The sidecar ``<path>.scale`` holds one float, finite and positive in
+    float32: physical units per raw count. A scaled count that overflows
+    float32 is an error, not an infinity.
     """
     _, _, height, width, raster = _read_raster(path, {b"P5": 2}, "16-bit PGM", 65535)
     raw = np.frombuffer(raster, dtype=">u2").reshape(height, width)
@@ -113,11 +114,18 @@ def read_pgm16(path) -> np.ndarray:
         with open(sidecar, "r", encoding="ascii") as fh:
             scale = float(fh.read().strip())
         check_positive(scale=scale)
+        if not scale <= float(np.finfo(np.float32).max) or np.float32(scale) == 0:
+            raise ValueError  # inf or 0.0 once narrowed to float32
     except FileNotFoundError:
         raise ParseError(f"missing sidecar scale file {sidecar}") from None
     except ValueError:
         raise ParseError(f"bad scale value in {sidecar}") from None
-    return (raw.astype(np.float32) * np.float32(scale)).astype(np.float32)
+    scale32 = np.float32(scale)
+    with np.errstate(over="ignore"):  # reported below as a ParseError
+        peak = raw.max() * scale32
+    if not np.isfinite(peak):
+        raise ParseError(f"largest count at scale {scale!r} in {sidecar} overflows float32")
+    return raw.astype(np.float32) * scale32
 
 
 def write_pgm16(path, values: np.ndarray, scale: float) -> None:

@@ -1,19 +1,21 @@
 """Closed-loop braking sandbox: how a corrupted depth reading plays out.
 
-One ego vehicle approaches a stationary leader in 1-D. Each tick it
-perceives the gap through the attack (true gap times the optics depth
-ratio, plus optional noise), decides whether to brake, and integrates its
-kinematics. A depth ratio above one makes the obstacle look farther than it
-is, so braking starts late and the run ends in a collision; a ratio below
-one triggers a premature stop. Ratio one is the benign baseline.
+One ego vehicle approaches a stationary leader in 1-D. ``run_scenario`` is
+one loop, and each tick applies three rules in order:
 
-The controller is a deliberately simple threshold brake: slam maximum
-deceleration once the perceived gap falls inside the stopping distance plus
-a safety margin, and stay latched (no limit-cycle chatter at the threshold
-under noise). Integration is semi-implicit: velocity updates first, the gap
-then advances with the new velocity. The collision check runs after the gap
-update each tick. Runs with zero noise are bit-reproducible; noisy runs are
-reproducible from the recorded seed.
+* perceive: the true gap times the optics depth ratio, plus optional noise,
+  floored at zero;
+* brake: slam maximum deceleration once the perceived gap is at or inside
+  the stopping distance plus a safety margin, and stay latched (no
+  limit-cycle chatter at the threshold under noise);
+* integrate, semi-implicitly: speed first, clamped at zero, then the gap
+  with the new speed.
+
+The collision check runs after the gap update each tick. A depth ratio above
+one makes the obstacle look farther than it is, so braking starts late and
+the run ends in a collision; a ratio below one triggers a premature stop.
+Ratio one is the benign baseline. Runs with zero noise are bit-reproducible;
+noisy runs are reproducible from the recorded seed.
 """
 
 from __future__ import annotations
@@ -86,38 +88,12 @@ class Outcome:
         return cls(OutcomeKind.TIMEOUT)
 
 
-def perceive(true_gap_m: float, depth_ratio: float, noise_sample_m: float = 0.0) -> float:
-    """Corrupted gap reading: true gap scaled by the depth ratio plus noise,
-    floored at zero."""
-    if true_gap_m <= 0:
-        raise ValueError("true gap must be positive")
-    return max(0.0, true_gap_m * depth_ratio + noise_sample_m)
-
-
-def controller(perceived_gap_m: float, speed_mps: float,
-               cfg: ScenarioConfig) -> float:
-    """Threshold brake: full deceleration once the perceived gap is inside
-    stopping distance plus margin; zero command when already stopped."""
-    if speed_mps <= 0:
-        return 0.0
-    stopping_distance = speed_mps ** 2 / (2.0 * cfg.max_decel_mps2)
-    if perceived_gap_m <= stopping_distance + cfg.safety_margin_m:
-        return -cfg.max_decel_mps2
-    return 0.0
-
-
-def step(speed_mps: float, gap_m: float, accel_mps2: float,
-         dt_s: float) -> tuple[float, float]:
-    """Semi-implicit tick: speed first (clamped at 0), gap with the new speed."""
-    if dt_s <= 0:
-        raise ValueError("dt must be positive")
-    new_speed = max(0.0, speed_mps + accel_mps2 * dt_s)
-    new_gap = gap_m - new_speed * dt_s
-    return new_speed, new_gap
-
-
 def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]:
-    """Tick perceive -> control -> integrate until collision, stop or timeout."""
+    """Tick perceive -> brake -> integrate until collision, stop or timeout.
+
+    Gap, speed and dt are positive on every tick: ``ScenarioConfig`` makes
+    them so at the start, and the run ends once the gap or speed reaches 0.
+    """
     rng = np.random.default_rng(cfg.seed) if cfg.noise_sigma_m > 0 else None
     speed = cfg.ego_speed_mps
     gap = cfg.initial_gap_m
@@ -127,12 +103,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]:
 
     while t < cfg.max_sim_time_s:
         noise = float(rng.normal(0.0, cfg.noise_sigma_m)) if rng is not None else 0.0
-        seen = perceive(gap, cfg.depth_ratio, noise)
-        # The latch holds until the run ends: speed > 0 on every tick.
-        braking = braking or controller(seen, speed, cfg) < 0
+        seen = max(0.0, gap * cfg.depth_ratio + noise)
+        braking = braking or (
+            seen <= speed ** 2 / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m)
         accel = -cfg.max_decel_mps2 if braking else 0.0
         ticks.append(TickLog(t, gap, seen, speed, accel, braking))
-        speed, gap = step(speed, gap, accel, cfg.dt_s)
+        speed = max(0.0, speed + accel * cfg.dt_s)
+        gap -= speed * cfg.dt_s
         t += cfg.dt_s
         if gap <= 0:
             return Outcome.collision(speed), ticks

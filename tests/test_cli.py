@@ -470,11 +470,29 @@ class TestConfigResolution:
         assert code == 2
         assert "unknown config key 'width'" in err
 
+    @pytest.mark.parametrize("word", ["maybe", "ture", "", "2", "y", "truee"])
+    def test_bool_word_outside_the_list_exits_two(self, tmp_path, capsys, word):
+        # A misspelt "true" must not quietly run with the flag off.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"ratio = 1.5\nratio_from_optics = {word}\n")
+        code, out, err = run(capsys, "scenario", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "config key 'ratio_from_optics'" in err
+        assert "Traceback" not in err
+
+    def test_bad_config_number_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sigma = abc\n")
+        code, out, err = run(capsys, "scenario", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config key 'sigma': ")
+        assert "'abc'" in err
+
 
 _PARSER, _COMMANDS = cli.build_parser()
 _OPTIONS = [(name, dest) for name, command in _COMMANDS.items()
             for dest in command.options]
-_BOOL_WORDS = ["1", "true", "yes", "on", "TRUE", "0", "false", "no", "off", "maybe"]
+_BOOL_WORDS = ["1", "true", "yes", "on", "TRUE", "0", "false", "no", "off"]
 
 
 def _values(parse):

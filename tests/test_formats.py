@@ -53,6 +53,33 @@ class TestReadPgm16:
         with pytest.raises(ParseError, match="bad scale value"):
             formats.read_pgm16(path)
 
+    @pytest.mark.parametrize("text", ["1e300", "3.5e38", "1e-50", "1e-46"])
+    def test_sidecar_scale_must_be_finite_and_positive_in_float32(self, tmp_path, text):
+        # Finite and positive as a float64, but inf or 0.0 once narrowed.
+        path = tmp_path / "d.pgm"
+        formats.write_pgm16(path, np.array([[0.0, 2.0]]), scale=1.0)
+        (tmp_path / "d.pgm.scale").write_text(text + "\n")
+        with pytest.raises(ParseError, match="bad scale value"):
+            formats.read_pgm16(path)
+
+    def test_scaled_count_must_fit_float32(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        formats.write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
+        (tmp_path / "d.pgm.scale").write_text("1e35\n")
+        with pytest.raises(ParseError, match="overflows float32"):
+            formats.read_pgm16(path)
+
+    def test_largest_count_at_the_largest_scale_that_fits(self, tmp_path):
+        # The largest float32 scale at which 65535 counts stay finite.
+        f32max = np.finfo(np.float32).max
+        scale = float(np.nextafter(f32max / np.float32(65535), np.float32(0)))
+        path = tmp_path / "d.pgm"
+        formats.write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
+        (tmp_path / "d.pgm.scale").write_text(f"{scale!r}\n")
+        got = formats.read_pgm16(path)
+        assert got.dtype == np.float32
+        assert got[0, 0] == 0.0 and np.isfinite(got[0, 1])
+
 
 class TestWritePgm16:
     @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf, -np.inf])

@@ -1,13 +1,12 @@
-"""Closed-loop braking: controller pieces and the outcome dichotomy."""
+"""Closed-loop braking: the tick rules and the outcome dichotomy."""
 
 import math
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from depthlens.scenario import (Outcome, OutcomeKind, ScenarioConfig, controller,
-                                outcome_summary, perceive, run_scenario, step,
-                                ticks_to_csv)
+from depthlens.scenario import (Outcome, OutcomeKind, ScenarioConfig,
+                                outcome_summary, run_scenario, ticks_to_csv)
 
 from oracles import reference_run_scenario
 
@@ -17,55 +16,6 @@ def config(**overrides):
                 safety_margin_m=2.0, depth_ratio=1.0, dt_s=0.01)
     base.update(overrides)
     return ScenarioConfig(**base)
-
-
-class TestPerceive:
-    def test_scaling(self):
-        assert perceive(10.0, 1.5) == 15.0
-        assert perceive(10.0, 1.0) == 10.0
-        assert perceive(10.0, 0.68) == pytest.approx(6.8)
-
-    def test_noise_floor(self):
-        assert perceive(1.0, 1.0, noise_sample_m=-5.0) == 0.0
-
-    def test_positive_gap_required(self):
-        with pytest.raises(ValueError):
-            perceive(0.0, 1.0)
-
-
-class TestController:
-    def test_above_threshold_coasts(self):
-        cfg = config()
-        assert controller(20.0, 10.0, cfg) == 0.0  # threshold 10.33
-
-    def test_below_threshold_brakes(self):
-        cfg = config()
-        assert controller(10.0, 10.0, cfg) == -6.0
-
-    def test_stopped_never_commands(self):
-        cfg = config()
-        assert controller(0.5, 0.0, cfg) == 0.0
-
-
-class TestStep:
-    def test_coasting(self):
-        speed, gap = step(10.0, 30.0, 0.0, 0.1)
-        assert speed == 10.0
-        assert gap == pytest.approx(29.0)
-
-    def test_speed_clamped_at_zero(self):
-        speed, gap = step(0.3, 5.0, -6.0, 0.1)
-        assert speed == 0.0
-        assert gap == 5.0
-
-    def test_braking_tick(self):
-        speed, gap = step(10.0, 30.0, -6.0, 0.01)
-        assert speed == pytest.approx(9.94)
-        assert 30.0 - gap == pytest.approx(0.1, abs=0.01)
-
-    def test_dt_positive(self):
-        with pytest.raises(ValueError):
-            step(1.0, 1.0, 0.0, 0.0)
 
 
 class TestRunScenario:
@@ -145,6 +95,31 @@ class TestRunScenario:
         outcome, ticks = run_scenario(cfg)
         event(outcome.kind.value + (" noisy" if noisy else ""))
         assert len(ticks) <= 5000
+        assert (outcome, ticks) == reference_run_scenario(cfg)
+
+    def test_perceived_gap_floored_at_zero(self):
+        cfg = config(initial_gap_m=1.0, noise_sigma_m=2.0, seed=3)
+        outcome, ticks = run_scenario(cfg)
+        assert min(tick.perceived_gap_m for tick in ticks) == 0.0
+        assert (outcome, ticks) == reference_run_scenario(cfg)
+
+    def test_threshold_is_inclusive(self):
+        # Stopping distance 10 m plus margin 2 m equals the 12 m gap exactly.
+        cfg = config(initial_gap_m=12.0, ego_speed_mps=10.0, max_decel_mps2=5.0,
+                     safety_margin_m=2.0)
+        outcome, ticks = run_scenario(cfg)
+        assert ticks[0].perceived_gap_m == 12.0
+        assert ticks[0].braking is True
+        assert ticks[0].accel_cmd_mps2 == -5.0
+        assert (outcome, ticks) == reference_run_scenario(cfg)
+
+    def test_speed_clamped_at_zero(self):
+        # One braking tick takes 0.6 m/s off 0.3 m/s: the car stops where it is.
+        cfg = config(initial_gap_m=1.0, ego_speed_mps=0.3, max_decel_mps2=12.0,
+                     dt_s=0.05)
+        outcome, ticks = run_scenario(cfg)
+        assert outcome == Outcome.stopped(1.0)
+        assert len(ticks) == 1
         assert (outcome, ticks) == reference_run_scenario(cfg)
 
     def test_perceived_gap_logged_consistently(self):
