@@ -1,7 +1,7 @@
 """Closed-loop braking sandbox: how a corrupted depth reading plays out.
 
-One ego vehicle approaches a stationary leader in 1-D. ``run_scenario`` is
-one loop, and each tick applies three rules in order:
+One ego vehicle approaches a stationary leader in 1-D. Each tick applies
+three rules in order:
 
 * perceive: the true gap times the optics depth ratio, plus optional noise,
   floored at zero;
@@ -16,14 +16,22 @@ one makes the obstacle look farther than it is, so braking starts late and
 the run ends in a collision; a ratio below one triggers a premature stop.
 Ratio one is the benign baseline. Runs with zero noise are bit-reproducible;
 noisy runs are reproducible from the recorded seed.
+
+Because the brake latches, a run has exactly two phases: a cruise at
+constant speed up to the onset tick, then braking at full deceleration until
+the car stops or hits. ``run_scenario`` computes each phase as arrays, in
+blocks of ``_BLOCK`` ticks: time, speed and gap are ``np.add.accumulate`` /
+``np.subtract.accumulate`` chains, which add left to right and so equal the
+scalar ``t += dt`` and ``gap -= speed * dt`` chains bit for bit, and the
+noise is drawn a block at a time, which yields the same stream as one draw
+per tick. The tick log is one structured array (``TICK_DTYPE``), and
+``ticks_to_csv`` formats it column by column in blocks of the same size.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +58,20 @@ class ScenarioConfig:
         check_finite(noise_sigma=self.noise_sigma_m)
         if self.noise_sigma_m < 0:
             raise ValueError(f"noise sigma must be non-negative, got {self.noise_sigma_m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.dt_s > 0.05:
             raise ValueError(f"dt must be <= 0.05 s, got {self.dt_s}")
 
 
-class TickLog(NamedTuple):
-    time_s: float
-    true_gap_m: float
-    perceived_gap_m: float
-    speed_mps: float
-    accel_cmd_mps2: float
-    braking: bool
+# One row per tick; ``ticks.tolist()`` gives plain tuples in this order.
+TICK_DTYPE = np.dtype([("time_s", np.float64), ("true_gap_m", np.float64),
+                       ("perceived_gap_m", np.float64), ("speed_mps", np.float64),
+                       ("accel_cmd_mps2", np.float64), ("braking", np.bool_)])
+
+# Ticks per array block and rows per CSV block: memory is bounded by this
+# and by the log, not by the horizon.
+_BLOCK = 4096
 
 
 class OutcomeKind(Enum):
@@ -88,45 +99,89 @@ class Outcome:
         return cls(OutcomeKind.TIMEOUT)
 
 
-def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]:
-    """Tick perceive -> brake -> integrate until collision, stop or timeout.
+def _chain(op, first: float, step, n: int) -> np.ndarray:
+    """``first`` and the ``n`` values of ``x = op(x, step)`` after it, one
+    element of ``step`` (or the scalar) per application, in order."""
+    out = np.empty(n + 1)
+    out[0] = first
+    out[1:] = step
+    return op.accumulate(out, out=out)
 
-    Gap, speed and dt are positive on every tick: ``ScenarioConfig`` makes
-    them so at the start, and the run ends once the gap or speed reaches 0.
+
+def _first(hits: np.ndarray) -> int:
+    """Index of the first True, or ``len(hits)`` if there is none."""
+    i = int(hits.argmax())
+    return i if hits[i] else len(hits)
+
+
+def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
+    """Run perceive -> brake -> integrate until collision, stop or timeout;
+    return the outcome and the tick log (a ``TICK_DTYPE`` array).
+
+    Each pass covers the rest of the current noise block in one phase and
+    ends at the first event, in the tick loop's order: the time check before
+    a tick, braking onset on it, collision and stop after it. Gap, speed
+    and dt are positive on every tick run, so ``gap * ratio`` is never -0.0
+    and neither is its sum with the noise: the floor sees no signed zero.
     """
     rng = np.random.default_rng(cfg.seed) if cfg.noise_sigma_m > 0 else None
+    dt = cfg.dt_s
+    threshold = cfg.ego_speed_mps ** 2 / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m
     speed = cfg.ego_speed_mps
     gap = cfg.initial_gap_m
     braking = False
     t = 0.0
-    ticks: list[TickLog] = []
-
-    while t < cfg.max_sim_time_s:
-        noise = float(rng.normal(0.0, cfg.noise_sigma_m)) if rng is not None else 0.0
-        seen = max(0.0, gap * cfg.depth_ratio + noise)
-        braking = braking or (
-            seen <= speed ** 2 / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m)
+    log = []
+    done = _BLOCK  # ticks of the current noise block already run
+    while True:
+        if done == _BLOCK:
+            noise = (rng.normal(0.0, cfg.noise_sigma_m, size=_BLOCK)
+                     if rng is not None else None)
+            done = 0
+        m = _BLOCK - done
         accel = -cfg.max_decel_mps2 if braking else 0.0
-        ticks.append(TickLog(t, gap, seen, speed, accel, braking))
-        speed = max(0.0, speed + accel * cfg.dt_s)
-        gap -= speed * cfg.dt_s
-        t += cfg.dt_s
-        if gap <= 0:
-            return Outcome.collision(speed), ticks
-        if speed == 0:
-            return Outcome.stopped(gap), ticks
-    return Outcome.timeout(), ticks
+        speeds = np.maximum(_chain(np.add, speed, accel * dt, m), 0.0)
+        gaps = _chain(np.subtract, gap, speeds[1:] * dt, m)
+        times = _chain(np.add, t, dt, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in float math
+            seen = gaps[:-1] * cfg.depth_ratio
+            if noise is not None:
+                seen += noise[done:]
+        np.fmax(seen, 0.0, out=seen)  # NaN floors to 0.0, as in max(0.0, nan)
+
+        late = _first(times[:-1] >= cfg.max_sim_time_s)
+        onset = m if braking else _first(seen <= threshold)
+        end = _first((gaps[1:] <= 0) | (speeds[1:] == 0)) + 1
+        n = min(late, onset, end)
+        rows = np.empty(n, TICK_DTYPE)
+        for name, column in zip(TICK_DTYPE.names, (times, gaps, seen, speeds)):
+            rows[name] = column[:n]
+        rows["accel_cmd_mps2"], rows["braking"] = accel, braking
+        log.append(rows)
+        if n == end:
+            ticks = np.concatenate(log)
+            if gaps[n] <= 0:
+                return Outcome.collision(float(speeds[n])), ticks
+            return Outcome.stopped(float(gaps[n])), ticks
+        if n == late < m:
+            return Outcome.timeout(), np.concatenate(log)
+        braking = braking or n < m  # onset on tick n
+        t, gap, speed = times[n], gaps[n], speeds[n]
+        done += n
 
 
-def ticks_to_csv(ticks: list[TickLog], cfg: ScenarioConfig) -> str:
+def ticks_to_csv(ticks: np.ndarray, cfg: ScenarioConfig) -> str:
     """Tick log CSV (full precision); noisy runs record their seed in a
     leading comment so they can be replayed."""
-    out = io.StringIO()
+    parts = ["t,true_gap,perceived_gap,speed,accel,braking\n"]
     if cfg.noise_sigma_m > 0:
-        out.write(f"# seed={cfg.seed} sigma={cfg.noise_sigma_m!r}\n")
-    out.write("t,true_gap,perceived_gap,speed,accel,braking\n")
-    out.writelines("%r,%r,%r,%r,%r,%d\n" % tick for tick in ticks)
-    return out.getvalue()
+        parts.insert(0, f"# seed={cfg.seed} sigma={cfg.noise_sigma_m!r}\n")
+    for lo in range(0, len(ticks), _BLOCK):
+        rows = ticks[lo:lo + _BLOCK]
+        columns = [map(repr, rows[name].tolist()) for name in TICK_DTYPE.names[:-1]]
+        columns.append(np.where(rows["braking"], "1\n", "0\n").tolist())
+        parts.append("".join(map(",".join, zip(*columns))))
+    return "".join(parts)
 
 
 def outcome_summary(outcome: Outcome) -> str:

@@ -13,6 +13,7 @@ reproduce them bit for bit.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
                                apply_attack_transform, level_to_profile, region_masks)
 from depthlens.metrics import adr, aer
 from depthlens.optics import AttackGeometry, OpticsResult, ScenarioKind
-from depthlens.scenario import Outcome, ScenarioConfig, TickLog
+from depthlens.scenario import Outcome, ScenarioConfig
 
 
 def _stage(focal: float, object_distance: float):
@@ -341,7 +342,17 @@ def nonzero_blob_extent(gray: np.ndarray, fiducial) -> tuple[slice, slice]:
 
 # --------------------------------------------------------------- scenario ----
 # The tick loop as first written: perceive, control and integrate inlined,
-# the controller consulted on every tick and the latch applied over it.
+# the controller consulted on every tick and the latch applied over it, one
+# tuple per tick, and the CSV formatted row by row.
+
+class TickLog(NamedTuple):
+    time_s: float
+    true_gap_m: float
+    perceived_gap_m: float
+    speed_mps: float
+    accel_cmd_mps2: float
+    braking: bool
+
 
 def reference_run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]:
     """Reference ``run_scenario``."""
@@ -370,3 +381,10 @@ def reference_run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]
         if speed == 0:
             return Outcome.stopped(gap), ticks
     return Outcome.timeout(), ticks
+
+
+def reference_ticks_to_csv(ticks: list[TickLog], cfg: ScenarioConfig) -> str:
+    """Reference ``ticks_to_csv``: one ``%r`` row per tick."""
+    head = f"# seed={cfg.seed} sigma={cfg.noise_sigma_m!r}\n" if cfg.noise_sigma_m > 0 else ""
+    return (head + "t,true_gap,perceived_gap,speed,accel,braking\n"
+            + "".join("%r,%r,%r,%r,%r,%d\n" % tick for tick in ticks))

@@ -423,6 +423,11 @@ class TestScenarioCommand:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    def test_negative_seed_exits_two_naming_it(self, capsys):
+        code, out, err = run(capsys, "scenario", "--sigma", "0.5", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed must be non-negative, got -1" in err
+
     def test_unknown_lens_with_ratio_from_optics_exits_two(self, capsys):
         code, _, err = run(capsys, "scenario", "--ratio-from-optics", "--lens",
                            "banana", "--f", "0.20", "--db", "0.12", "--do1", "6",

@@ -1,14 +1,19 @@
 """Closed-loop braking: the tick rules and the outcome dichotomy."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from depthlens.scenario import (Outcome, OutcomeKind, ScenarioConfig,
+from depthlens import scenario
+from depthlens.scenario import (TICK_DTYPE, Outcome, OutcomeKind, ScenarioConfig,
                                 outcome_summary, run_scenario, ticks_to_csv)
 
-from oracles import reference_run_scenario
+from oracles import reference_run_scenario, reference_ticks_to_csv
+
+BLOCK = scenario._BLOCK
 
 
 def config(**overrides):
@@ -23,8 +28,9 @@ class TestRunScenario:
         outcome, ticks = run_scenario(config(depth_ratio=1.0))
         assert outcome.kind is OutcomeKind.STOPPED
         assert outcome.final_gap_m == pytest.approx(2.0, abs=0.15)
-        assert ticks[0].braking is False
-        assert ticks[-1].braking is True
+        braking = ticks["braking"].tolist()
+        assert braking[0] is False
+        assert braking[-1] is True
 
     def test_inflated_depth_collides(self):
         outcome, _ = run_scenario(config(depth_ratio=1.5))
@@ -58,15 +64,15 @@ class TestRunScenario:
         a_out, a_ticks = run_scenario(config())
         b_out, b_ticks = run_scenario(config())
         assert a_out == b_out
-        assert a_ticks == b_ticks
+        assert a_ticks.tolist() == b_ticks.tolist()
 
     def test_noise_reproducible_from_seed(self):
         cfg = config(noise_sigma_m=0.3, seed=1234)
         a_out, a_ticks = run_scenario(cfg)
         b_out, b_ticks = run_scenario(cfg)
-        assert a_out == b_out and a_ticks == b_ticks
+        assert a_out == b_out and a_ticks.tolist() == b_ticks.tolist()
         other = run_scenario(config(noise_sigma_m=0.3, seed=1235))[1]
-        assert other != a_ticks
+        assert other.tolist() != a_ticks.tolist()
 
     def test_timeout_when_never_braking(self):
         # huge gap, tiny horizon: the run ends before anything happens
@@ -95,23 +101,27 @@ class TestRunScenario:
         outcome, ticks = run_scenario(cfg)
         event(outcome.kind.value + (" noisy" if noisy else ""))
         assert len(ticks) <= 5000
-        assert (outcome, ticks) == reference_run_scenario(cfg)
+        assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
 
     def test_perceived_gap_floored_at_zero(self):
         cfg = config(initial_gap_m=1.0, noise_sigma_m=2.0, seed=3)
         outcome, ticks = run_scenario(cfg)
-        assert min(tick.perceived_gap_m for tick in ticks) == 0.0
-        assert (outcome, ticks) == reference_run_scenario(cfg)
+        assert min(ticks["perceived_gap_m"].tolist()) == 0.0
+        ref_outcome, ref_ticks = reference_run_scenario(cfg)
+        assert (outcome, ticks.tolist()) == (ref_outcome, ref_ticks)
+        # == takes -0.0 for 0.0; the CSV bytes tell them apart
+        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
 
     def test_threshold_is_inclusive(self):
         # Stopping distance 10 m plus margin 2 m equals the 12 m gap exactly.
         cfg = config(initial_gap_m=12.0, ego_speed_mps=10.0, max_decel_mps2=5.0,
                      safety_margin_m=2.0)
         outcome, ticks = run_scenario(cfg)
-        assert ticks[0].perceived_gap_m == 12.0
-        assert ticks[0].braking is True
-        assert ticks[0].accel_cmd_mps2 == -5.0
-        assert (outcome, ticks) == reference_run_scenario(cfg)
+        first = dict(zip(TICK_DTYPE.names, ticks.tolist()[0]))
+        assert first["perceived_gap_m"] == 12.0
+        assert first["braking"] is True
+        assert first["accel_cmd_mps2"] == -5.0
+        assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
 
     def test_speed_clamped_at_zero(self):
         # One braking tick takes 0.6 m/s off 0.3 m/s: the car stops where it is.
@@ -120,13 +130,114 @@ class TestRunScenario:
         outcome, ticks = run_scenario(cfg)
         assert outcome == Outcome.stopped(1.0)
         assert len(ticks) == 1
-        assert (outcome, ticks) == reference_run_scenario(cfg)
+        assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
+
+    def test_gap_reaching_exactly_zero_is_a_collision(self):
+        # 8 m/s for 1/32 s is exactly 0.25 m: the gap reads 0.5, 0.25, then 0.0.
+        cfg = config(initial_gap_m=0.5, ego_speed_mps=8.0, max_decel_mps2=1000.0,
+                     safety_margin_m=0.01, depth_ratio=3.0, dt_s=0.03125)
+        outcome, ticks = run_scenario(cfg)
+        assert outcome == Outcome.collision(8.0)
+        assert len(ticks) == 2
+        assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
 
     def test_perceived_gap_logged_consistently(self):
         cfg = config(depth_ratio=1.5)
         _, ticks = run_scenario(cfg)
-        for tick in ticks[:50]:
-            assert tick.perceived_gap_m == pytest.approx(tick.true_gap_m * 1.5)
+        for seen, true in zip(ticks["perceived_gap_m"][:50].tolist(),
+                              ticks["true_gap_m"][:50].tolist()):
+            assert seen == pytest.approx(true * 1.5)
+
+
+class TestColumnarRun:
+    """The two phases computed as arrays in blocks of ``BLOCK`` ticks give the
+    tick loop's outcome, ticks and CSV bytes, wherever an event falls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_csv_matches_reference_bytes(self, data):
+        dt = data.draw(st.floats(1e-3, 0.05))
+        noisy = data.draw(st.booleans())
+        speed = data.draw(st.floats(0.05, 40.0))
+        decel = data.draw(st.floats(0.5, 12.0))
+        margin = data.draw(st.floats(0.01, 10.0))
+        ratio = data.draw(st.floats(0.2, 3.0))
+        # The gap that puts the onset near this tick, often at a block end.
+        onset = max(0, data.draw(st.sampled_from([0, 1, 2])) * BLOCK + data.draw(
+            st.one_of(st.integers(-2, 2), st.integers(0, BLOCK))))
+        cfg = ScenarioConfig(
+            initial_gap_m=(speed ** 2 / (2 * decel) + margin) / ratio + speed * dt * onset,
+            ego_speed_mps=speed,
+            max_decel_mps2=decel,
+            safety_margin_m=margin,
+            depth_ratio=ratio,
+            dt_s=dt,
+            noise_sigma_m=data.draw(st.floats(0.01, 2.0)) if noisy else 0.0,
+            max_sim_time_s=dt * data.draw(st.one_of(st.integers(1, 4 * BLOCK),
+                                                    st.just(4 * BLOCK))),
+            seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+        outcome, ticks = run_scenario(cfg)
+        ref_outcome, ref_ticks = reference_run_scenario(cfg)
+        event(outcome.kind.value + (" noisy" if noisy else ""))
+        event(f"{len(ticks) // BLOCK} full blocks")
+        assert outcome == ref_outcome
+        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+
+    @pytest.mark.parametrize("onset", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 1e-3])
+    @pytest.mark.parametrize("ratio, kind", [(1.0, OutcomeKind.STOPPED),
+                                             (3.0, OutcomeKind.COLLISION)])
+    def test_onset_around_a_block_end(self, onset, noise_sigma_m, ratio, kind):
+        # 0.1 m per tick; the perceived gap crosses the 12 m threshold 0.05 m
+        # (50 sigma) past the tick before the onset.
+        cfg = config(initial_gap_m=12.0 / ratio + 0.1 * (onset - 1) + 0.05,
+                     ego_speed_mps=10.0, max_decel_mps2=5.0, depth_ratio=ratio,
+                     noise_sigma_m=noise_sigma_m, max_sim_time_s=100.0)
+        outcome, ticks = run_scenario(cfg)
+        ref_outcome, ref_ticks = reference_run_scenario(cfg)
+        assert outcome.kind is kind
+        assert int(ticks["braking"].argmax()) == onset
+        assert (outcome, ticks.tolist()) == (ref_outcome, ref_ticks)
+        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+
+    @pytest.mark.parametrize("n_ticks", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 0.5])
+    def test_timeout_around_a_block_end(self, n_ticks, noise_sigma_m):
+        cfg = config(initial_gap_m=1e4, dt_s=0.01, noise_sigma_m=noise_sigma_m,
+                     max_sim_time_s=0.01 * (n_ticks - 0.5))
+        outcome, ticks = run_scenario(cfg)
+        ref_outcome, ref_ticks = reference_run_scenario(cfg)
+        assert outcome.kind is OutcomeKind.TIMEOUT
+        assert len(ticks) == n_ticks
+        assert (outcome, ticks.tolist()) == (ref_outcome, ref_ticks)
+        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+
+    def test_memory_bounded_by_block_not_horizon(self):
+        # The horizon allows 1e9 ticks and the gap 1e11 cruise ticks, but the
+        # margin puts the onset on tick 0 and the car stops on it.
+        cfg = config(initial_gap_m=1e6, ego_speed_mps=1e-3, safety_margin_m=1e7,
+                     max_sim_time_s=1e7)
+        tracemalloc.start()
+        try:
+            outcome, ticks = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert len(ticks) == 1
+        assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2 ** 31 - 1])
+    @pytest.mark.parametrize("a, b", [(1, 1), (0, 5), (1, BLOCK - 1), (BLOCK, BLOCK),
+                                      (100, 3 * BLOCK + 7)])
+    def test_block_draws_equal_scalar_draws(self, seed, a, b):
+        # run_scenario draws noise a block at a time; the tick loop drew one
+        # value per tick. Both must read the same stream, bit for bit.
+        rng = np.random.default_rng(seed)
+        blocks = np.concatenate([rng.normal(0.0, 0.5, size=a), rng.normal(0.0, 0.5, size=b)])
+        rng = np.random.default_rng(seed)
+        scalars = np.array([float(rng.normal(0.0, 0.5)) for _ in range(a + b)])
+        assert blocks.view(np.uint64).tolist() == scalars.view(np.uint64).tolist()
 
 
 class TestIO:
@@ -138,12 +249,10 @@ class TestIO:
         assert lines[0] == "t,true_gap,perceived_gap,speed,accel,braking"
         assert len(lines) == len(ticks) + 1
         # Floats round-trip at full precision; the latch is written 0 or 1.
-        for line, tick in zip(lines[1:], ticks):
+        for line, tick in zip(lines[1:], ticks.tolist()):
             *floats, braking = line.split(",")
-            assert [float(x) for x in floats] == [
-                tick.time_s, tick.true_gap_m, tick.perceived_gap_m, tick.speed_mps,
-                tick.accel_cmd_mps2]
-            assert braking == str(int(tick.braking))
+            assert [float(x) for x in floats] == list(tick[:5])
+            assert braking == str(int(tick[5]))
         assert {line[-1] for line in lines[1:]} == {"0", "1"}
 
     def test_csv_records_seed_for_noisy_runs(self):
@@ -180,6 +289,11 @@ class TestConfigValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             config(**{field: value})
+
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 0.5])
+    def test_negative_seed_named(self, noise_sigma_m):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            config(noise_sigma_m=noise_sigma_m, seed=-1)
 
     def test_unbounded_horizon_rejected(self):
         # with an infinite horizon this run would never end
