@@ -22,6 +22,7 @@ Conventions shared by all commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -230,7 +231,7 @@ def cmd_simulate(ns) -> int:
         inside = region_masks(image.width, image.height, region)
         for suffix, mask in (("in", inside), ("out", ~inside)):
             path = f"{ns.emit_masks}_{suffix}.pgm"
-            RasterImage((mask * np.uint8(255)).astype(np.uint8)).save(path)
+            RasterImage(mask * np.uint8(255)).save(path)
             print(f"wrote {path}")
     return 0
 
@@ -320,9 +321,8 @@ def _add_metrics(sub) -> _Command:
 def _box_mean(ns, map_path) -> float:
     """Mean of the map file's valid pixels under the first --boxes box."""
     box = _first_box(ns)
-    values = estimation.load_depth_map(map_path, kind=ns.map_kind)
-    height, width = values.shape
-    return estimation.masked_mean(values, box.to_mask(width, height))
+    crop = estimation.load_depth_map(map_path, kind=ns.map_kind)[box.slices()]
+    return estimation.masked_mean(crop, np.ones(crop.shape, dtype=bool))
 
 
 def cmd_metrics(ns) -> int:
@@ -381,7 +381,7 @@ def cmd_defend(ns) -> int:
     if ns.mask_out:
         if verdict.blur_mask is None:
             raise ValueError("--mask-out needs the lbp method")
-        RasterImage((verdict.blur_mask * np.uint8(255)).astype(np.uint8)).save(ns.mask_out)
+        RasterImage(verdict.blur_mask * np.uint8(255)).save(ns.mask_out)
         print(f"wrote {ns.mask_out}")
     return 0
 
@@ -438,6 +438,7 @@ def cmd_scenario(ns) -> int:
 
 # ------------------------------------------------------------------- main ----
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     parser = argparse.ArgumentParser(
         prog="depthlens",

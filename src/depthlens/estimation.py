@@ -61,11 +61,6 @@ class Box:
         return (slice(max(self.y_min, 0), max(self.y_max, 0)),
                 slice(max(self.x_min, 0), max(self.x_max, 0)))
 
-    def to_mask(self, width: int, height: int) -> np.ndarray:
-        mask = np.zeros((height, width), dtype=bool)
-        mask[self.slices()] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class FiducialSpec:
@@ -181,7 +176,10 @@ def load_boxes(path) -> list[Box]:
                 x0, y0, x1, y1 = (int(p) for p in parts)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad integer in {line!r}") from None
-            boxes.append(Box(x0, y0, x1, y1))
+            try:
+                boxes.append(Box(x0, y0, x1, y1))
+            except ValueError as exc:  # an empty box
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
     return boxes
 
 

@@ -77,11 +77,11 @@ def _read_raster(path, px_bytes: dict[bytes, int], what: str, maxval: int | None
 
 
 def read_pnm(path) -> np.ndarray:
-    """Load a binary PGM/PPM. Returns uint8 (h, w) or (h, w, 3)."""
+    """Load binary PGM/PPM as a read-only uint8 (h, w) or (h, w, 3) view."""
     magic, _, height, width, raster = _read_raster(
         path, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
     shape = (height, width) if magic == b"P5" else (height, width, 3)
-    return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape)
 
 
 def write_pnm(path, data: np.ndarray) -> None:
@@ -125,7 +125,7 @@ def read_pgm16(path) -> np.ndarray:
         peak = raw.max() * scale32
     if not np.isfinite(peak):
         raise ParseError(f"largest count at scale {scale!r} in {sidecar} overflows float32")
-    return raw.astype(np.float32) * scale32
+    return np.multiply(raw, scale32, dtype=np.float32)
 
 
 def write_pgm16(path, values: np.ndarray, scale: float) -> None:
@@ -156,7 +156,7 @@ def read_pfm(path) -> np.ndarray:
         path, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raster, dtype=dtype).reshape(height, width)
-    return data[::-1].astype(np.float32)  # stored bottom-up
+    return data[::-1].astype(np.float32, copy=False)  # stored bottom-up
 
 
 def write_pfm(path, values: np.ndarray) -> None:

@@ -40,7 +40,9 @@ from . import formats
 
 @dataclass(frozen=True)
 class RasterImage:
-    """8-bit raster, gray (h, w) or RGB (h, w, 3), row-major."""
+    """8-bit raster, gray (h, w) or RGB (h, w, 3), row-major. ``data`` is a
+    read-only view of the array it was built from, so a function may return
+    its input raster instead of a copy."""
 
     data: np.ndarray
 
@@ -48,14 +50,13 @@ class RasterImage:
         arr = self.data
         if arr.dtype != np.uint8:
             raise ValueError(f"raster must be uint8, got {arr.dtype}")
-        if arr.ndim == 2:
-            pass
-        elif arr.ndim == 3 and arr.shape[2] == 3:
-            pass
-        else:
+        if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (3,)):
             raise ValueError(f"raster must be (h, w) or (h, w, 3), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("raster needs at least one pixel")
+        view = arr.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
 
     @property
     def height(self) -> int:
@@ -69,13 +70,10 @@ class RasterImage:
     def channels(self) -> int:
         return 1 if self.data.ndim == 2 else 3
 
-    def copy(self) -> "RasterImage":
-        return RasterImage(self.data.copy())
-
     def to_gray(self) -> "RasterImage":
         """Luma conversion (0.299, 0.587, 0.114), rounded half-up."""
         if self.channels == 1:
-            return self.copy()
+            return self
         rgb = self.data.astype(np.float64)
         luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
         return RasterImage(np.floor(luma + 0.5).astype(np.uint8))
@@ -191,14 +189,14 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     source at offset v / scale, so enlarging pulls from a shrunken footprint
     (content pushed past a circle boundary is simply clipped) and shrinking
     pulls from a widened one, edge-replicating wherever sources leave the
-    frame. Pixels outside the region are untouched; scale == 1 is identity.
+    frame. Pixels outside the region are untouched; scale 1 returns the input.
     """
     check_positive(scale=scale)
     rows, cols, inside = _lens_box(image.width, image.height, region)
     if not inside.any():
         raise DegenerateRegion("lens region does not intersect the frame")
     if scale == 1.0:
-        return image.copy()
+        return image
     cx, cy = _region_center(image, region)
     x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
     y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
@@ -265,8 +263,8 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
 
     The window is clipped at frame edges and averaged over the in-frame
     samples, so borders do not darken. Unmasked pixels pass through
-    untouched; radius 0 is identity. Rounding is half-up in exact integer
-    arithmetic.
+    untouched; radius 0 or an empty mask returns the input. Rounding is
+    half-up in exact integer arithmetic.
     """
     if mask.shape != (image.height, image.width):
         raise ValueError(
@@ -277,7 +275,7 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
         raise ValueError("blur radius must be non-negative")
     ys = np.flatnonzero(mask.any(axis=1))
     if radius == 0 or ys.size == 0:
-        return image.copy()
+        return image
     xs = np.flatnonzero(mask.any(axis=0))
     h, w = mask.shape
     y0, y1 = int(ys[0]), int(ys[-1]) + 1

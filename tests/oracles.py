@@ -167,7 +167,7 @@ def dense_scale_region(image: RasterImage, region: LensRegion,
     if not sel.any():
         raise DegenerateRegion("lens region does not intersect the frame")
     if scale == 1.0:
-        return image.copy()
+        return RasterImage(image.data.copy())
     if region.kind is RegionKind.CIRCLE:
         cx, cy = float(region.center_x), float(region.center_y)
     else:
@@ -186,7 +186,7 @@ def dense_scale_region(image: RasterImage, region: LensRegion,
 def dense_box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
     """Reference ``box_blur``: full-frame summed-area table, four gathers."""
     if radius == 0 or not mask.any():
-        return image.copy()
+        return RasterImage(image.data.copy())
     data = image.data if image.data.ndim == 3 else image.data[:, :, None]
     h, w = data.shape[:2]
     integral = np.zeros((h + 1, w + 1, data.shape[2]), dtype=np.int64)

@@ -1,5 +1,6 @@
 """Command-line surface: happy paths, exit codes, self-consistency."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -12,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from depthlens import cli, defense, formats
 from depthlens.cli import main
+from depthlens.errors import EmptyMask
+from depthlens.estimation import Box, load_depth_map
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform)
 
 from helpers import noise_image, textured_image, concave_sweep_fixture
+from oracles import dense_box_mask, two_step_masked_mean
 
 
 def run(capsys, *argv):
@@ -286,6 +290,32 @@ class TestMetricsCommand:
         assert code == 0
         assert float(out.split("=")[1]) == pytest.approx(0.2857, abs=1e-3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_map_mode_mean_is_the_full_frame_masked_mean(self, tmp_path_factory, data):
+        """The box crop holds the masked pixels in the same order, so the
+        mean is equal, and a box off the frame is an empty mask."""
+        h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        values = rng.normal(0.3, 0.2, (h, w)).astype(np.float32)
+        values[rng.random((h, w)) < data.draw(st.floats(0, 1))] = np.nan
+        x0, y0 = data.draw(st.integers(-15, 15)), data.draw(st.integers(-15, 15))
+        box = Box(x0, y0, x0 + data.draw(st.integers(1, 15)),
+                  y0 + data.draw(st.integers(1, 15)))
+        tmp = tmp_path_factory.mktemp("metrics")
+        formats.write_pfm(tmp / "m.pfm", values)
+        (tmp / "boxes.txt").write_text(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}\n")
+        ns = argparse.Namespace(boxes=str(tmp / "boxes.txt"),
+                                map_kind=data.draw(st.sampled_from(["depth", "disparity"])))
+        full = load_depth_map(tmp / "m.pfm", kind=ns.map_kind)
+        try:
+            want = two_step_masked_mean(full, dense_box_mask(box, w, h))
+        except EmptyMask:
+            with pytest.raises(EmptyMask):
+                cli._box_mean(ns, tmp / "m.pfm")
+            return
+        assert cli._box_mean(ns, tmp / "m.pfm") == want
+
     def test_bad_kind_exits_two(self, capsys):
         code, _, _ = run(capsys, "metrics", "--kind", "mse", "--attacked", "1",
                          "--benign", "1")
@@ -434,6 +464,13 @@ class TestScenarioCommand:
                            "--fc", "0.026")
         assert code == 2
         assert "banana" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, "scenario")
+    assert run(capsys, "scenario", "--gap0", "30", "--ratio", "0.5") != first
+    assert run(capsys, "scenario") == first
 
 
 def test_module_entry_point_matches_main(capsys):

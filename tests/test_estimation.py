@@ -1,5 +1,7 @@
 """Depth plumbing: conversions, the proxy estimator, loaders, masked means."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,7 +100,10 @@ class TestProxyEstimate:
             x0, y0 = data.draw(st.integers(-4, w + 1)), data.draw(st.integers(-4, h + 1))
             box = Box(x0, y0, x0 + data.draw(st.integers(1, w + 4)),
                       y0 + data.draw(st.integers(1, h + 4)))
-            assert np.array_equal(box.to_mask(w, h), dense_box_mask(box, w, h))
+            # the crop holds the pixels of the clipped box, in row-major order
+            grid = np.arange(h * w).reshape(h, w)
+            assert np.array_equal(grid[box.slices()].ravel(),
+                                  grid[dense_box_mask(box, w, h)])
         spec = FiducialSpec(1.5, detection_threshold=data.draw(st.integers(0, 254)),
                             reference_box=box)
         try:
@@ -205,7 +210,8 @@ class TestBoxes:
         assert boxes == [Box(10, 20, 30, 40), Box(5, 5, 6, 6)]
 
     def test_mask_inclusive_exclusive(self):
-        mask = Box(1, 1, 3, 2).to_mask(4, 4)
+        mask = np.zeros((4, 4), bool)
+        mask[Box(1, 1, 3, 2).slices()] = True
         assert mask.sum() == 2
         assert mask[1, 1] and mask[1, 2] and not mask[1, 3] and not mask[2, 1]
 
@@ -213,6 +219,24 @@ class TestBoxes:
         path = tmp_path / "boxes.txt"
         path.write_text("1 2 3\n")
         with pytest.raises(ParseError):
+            load_boxes(path)
+
+    def test_empty_box_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "boxes.txt"
+        path.write_text("0 0 4 4\n10 10 5 5\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: empty box"):
+            load_boxes(path)
+
+    # small coordinates make ties (an empty side of zero width) common
+    _COORD = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(_COORD, _COORD, _COORD, _COORD).filter(
+        lambda b: b[0] >= b[2] or b[1] >= b[3]))
+    def test_empty_box_lines_raise_parse_error_only(self, tmp_path_factory, box):
+        path = tmp_path_factory.mktemp("boxes") / "boxes.txt"
+        path.write_text("%d %d %d %d\n" % box)
+        with pytest.raises(ParseError, match=r":1: empty box"):
             load_boxes(path)
 
     def test_empty_box_rejected(self):

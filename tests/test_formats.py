@@ -43,6 +43,18 @@ class TestReadPfm:
         with pytest.raises(ParseError, match="scale must be finite and nonzero"):
             formats.read_pfm(path)
 
+    @pytest.mark.parametrize("scale, order", [(b"-1.0", "<f4"), (b"1.0", ">f4")])
+    def test_either_byte_order_reads_as_native_float32(self, tmp_path, scale, order):
+        """The writer emits little-endian only; a big-endian map must still
+        come back converted to native float32, bit for bit."""
+        values = np.array([[1.5, -2.25, np.nan], [3e38, -0.0, 1e-45]], np.float32)
+        path = tmp_path / "m.pfm"
+        path.write_bytes(b"Pf\n3 2\n" + scale + b"\n"
+                         + values[::-1].astype(order).tobytes())
+        got = formats.read_pfm(path)
+        assert got.dtype == np.dtype(np.float32)
+        assert got.tobytes() == values.tobytes()
+
 
 class TestReadPgm16:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0", "-0.001"])
@@ -198,3 +210,5 @@ def test_pgm16_round_trip_recovers_counts(tmp_path_factory, counts, scale):
     formats.write_pgm16(path, counts * scale, scale=scale)
     values = formats.read_pgm16(path)
     assert np.array_equal(np.round(values / scale), counts)
+    # counts widened to float32, then scaled in float32
+    assert values.tobytes() == (counts.astype(np.float32) * np.float32(scale)).tobytes()

@@ -344,3 +344,83 @@ class TestPnmRoundTrip:
         path.write_bytes(b"P3\n2 2\n255\n")
         with pytest.raises(ParseError):
             RasterImage.load(path)
+
+
+def _assert_read_only(img):
+    assert not img.data.flags.writeable
+    with pytest.raises(ValueError):
+        img.data[0, 0] = 0
+
+
+class TestReadOnlyRasters:
+    """Nothing writes into a raster, so a function may return its input."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (1, 1, 3), (3, 4, 3)])
+    def test_built_directly(self, shape):
+        arr = np.zeros(shape, np.uint8)
+        img = RasterImage(arr)
+        _assert_read_only(img)
+        assert arr.flags.writeable  # the caller's array keeps its flags
+        arr[0, 0] = 7
+        assert np.array_equal(img.data, arr)  # a view, not a copy
+
+    @pytest.mark.parametrize("shape", [(), (4,), (0, 4), (4, 0), (4, 0, 3),
+                                       (4, 4, 1), (4, 4, 4), (4, 4, 3, 1)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            RasterImage(np.zeros(shape, np.uint8))
+
+    def test_non_uint8_rejected(self):
+        with pytest.raises(ValueError):
+            RasterImage(np.zeros((4, 4), np.int16))
+
+    @pytest.mark.parametrize("name, shape", [("g.pgm", (5, 7)), ("c.ppm", (5, 7, 3))])
+    def test_loaded(self, tmp_path, name, shape):
+        RasterImage(np.ones(shape, np.uint8)).save(tmp_path / name)
+        _assert_read_only(RasterImage.load(tmp_path / name))
+
+    @pytest.mark.parametrize("render", [
+        lambda img: img.to_gray(),
+        lambda img: scale_region(img, LensRegion.full_frame(), 0.5),
+        lambda img: box_blur(img, np.ones((9, 8), bool), 1),
+        lambda img: apply_attack_transform(img, level_to_profile(LensKind.CONVEX, 3)),
+    ], ids=["to_gray", "scale_region", "box_blur", "apply_attack_transform"])
+    def test_returned_by_a_kernel(self, render):
+        rgb = RasterImage(np.random.default_rng(3).integers(0, 256, (9, 8, 3), np.uint8))
+        out = render(rgb)
+        assert out is not rgb
+        _assert_read_only(out)
+
+    def test_identity_paths_return_their_input(self):
+        gray = textured_image(seed=3)
+        region = LensRegion.circle(100, 100, 40)
+        assert gray.to_gray() is gray
+        assert scale_region(gray, region, 1.0) is gray
+        assert box_blur(gray, np.ones((256, 256), bool), 0) is gray
+        assert box_blur(gray, np.zeros((256, 256), bool), 4) is gray
+        identity = AttackProfile(1, region, 1.0, 0, BlurPlacement.IN_LENS)
+        assert apply_attack_transform(gray, identity) is gray
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kernels_never_change_their_input(self, data):
+        img = data.draw(rasters())
+        arr = np.array(img.data)  # writable, so only the kernels could guard it
+        before = arr.tobytes()
+        img = RasterImage(arr)
+        region = data.draw(regions(img.width, img.height))
+        mask = data.draw(masks(img.width, img.height))
+        scale = data.draw(st.one_of(st.just(1.0), st.floats(0.2, 4.0)))
+        radius = data.draw(st.integers(0, 6))
+        placement = data.draw(st.sampled_from(BlurPlacement))
+        renders = [lambda: img.to_gray(),
+                   lambda: scale_region(img, region, scale),
+                   lambda: box_blur(img, mask, radius),
+                   lambda: apply_attack_transform(
+                       img, AttackProfile(1, region, scale, radius, placement))]
+        for render in renders:
+            try:
+                render()
+            except DegenerateRegion:
+                pass
+            assert arr.tobytes() == before
