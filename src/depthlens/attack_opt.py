@@ -101,13 +101,6 @@ def loss_vehicle_untargeted(est_attacked: np.ndarray, est_benign: np.ndarray,
     return -masked_mean(_abs_diff(est_attacked, est_benign), m_veh)
 
 
-def loss_total(l_veh: float, l_out: float, alpha: float) -> float:
-    """Weighted sum (1 - alpha) * l_veh + alpha * l_out."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return (1.0 - alpha) * l_veh + alpha * l_out
-
-
 @dataclass(frozen=True)
 class LevelScore:
     level: int
@@ -181,8 +174,8 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
             else:
                 l_veh = loss_vehicle_untargeted(att_veh, benign_veh, m_veh)
             l_out = loss_out(est_att, est_benign, m_out)
-            curve.append(LevelScore(level, loss_total(l_veh, l_out, cfg.alpha),
-                                    l_veh, l_out))
+            l_total = (1.0 - cfg.alpha) * l_veh + cfg.alpha * l_out
+            curve.append(LevelScore(level, l_total, l_veh, l_out))
             attacked_means[level] = masked_mean(att_veh, m_veh)
         except (DepthlensError, OSError, ValueError) as exc:
             raise OptimizationError(level, exc) from exc

@@ -3,13 +3,14 @@
 Neural monocular estimators stay out of this package; what lives here is
 everything around them:
 
-* conversion between disparity and metric depth (``baseline * focal_px /
-  value``) plus constant rescaling for estimators that emit another scale;
-* a geometric proxy estimator that reads depth off a calibrated fiducial of
-  known physical height (apparent size is inversely proportional to
-  distance, so depth = focal_px * height_m / height_px);
-* loaders for externally produced maps (PFM, 16-bit PGM + sidecar scale) and
-  for bounding-box text files;
+* a geometric proxy estimator, ``ProxyDepthMapper``, that reads depth off
+  a calibrated fiducial of known physical height (apparent size is
+  inversely proportional to distance, so depth = focal_px * height_m /
+  height_px); it is the one place that formula is computed;
+* a file-backed estimator, ``DirectoryMapEstimator``, over externally
+  produced maps, which divides disparity maps by a constant on request;
+* loaders for those maps (PFM, 16-bit PGM + sidecar scale) and for
+  bounding-box text files;
 * masked means, the reduction every metric and loss in this toolkit starts
   from.
 
@@ -28,17 +29,6 @@ import numpy as np
 from .errors import EmptyMask, FiducialNotFound, ParseError, check_positive
 from . import formats
 from .imaging import RasterImage
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """Stereo baseline (m) and focal length (px) used for the conversion."""
-
-    baseline_m: float
-    focal_px: float
-
-    def __post_init__(self):
-        check_positive(baseline=self.baseline_m, focal_length=self.focal_px)
 
 
 @dataclass(frozen=True)
@@ -80,25 +70,6 @@ class FiducialSpec:
             raise ValueError("detection threshold must be an 8-bit level")
 
 
-def disparity_to_depth(values: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """depth = baseline * focal_px / disparity; non-positive values go
-    invalid (NaN). The formula is its own inverse: applied to a depth map it
-    gives the disparity map."""
-    vals = np.asarray(values, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (k.baseline_m * k.focal_px) / vals
-    out[~np.isfinite(out)] = np.nan
-    out[vals <= 0] = np.nan
-    return out
-
-
-def rescale_disparity(values: np.ndarray, constant: float) -> np.ndarray:
-    """Divide every pixel by a constant (different estimators emit different
-    disparity scales; this normalizes them onto one)."""
-    check_positive(rescale_constant=constant)
-    return values / constant
-
-
 def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
     """Row and column slices of the bounding extent of the thresholded
     fiducial blob in a gray raster (within the reference box, if any)."""
@@ -114,13 +85,6 @@ def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
     ys = np.flatnonzero(hits.any(axis=1)) + rows.start
     xs = np.flatnonzero(hits.any(axis=0)) + cols.start
     return slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1)
-
-
-def proxy_estimate_depth(image: RasterImage, fiducial: FiducialSpec,
-                         focal_px: float) -> float:
-    """Depth from the fiducial's apparent height (bounding extent)."""
-    rows, _ = _find_blob(image.to_gray().data, fiducial)
-    return focal_px * fiducial.physical_height_m / (rows.stop - rows.start)
 
 
 def load_depth_map(path, kind: str = "depth") -> np.ndarray:
@@ -196,9 +160,9 @@ class ProxyDepthMapper:
 
     def __init__(self, fiducial: FiducialSpec, focal_px: float,
                  near_m: float = 4.0, far_m: float = 40.0):
-        check_positive(focal_length=focal_px)
-        if near_m <= 0 or far_m <= near_m:
-            raise ValueError("need 0 < near_m < far_m")
+        check_positive(focal_length=focal_px, near_depth=near_m, far_depth=far_m)
+        if far_m <= near_m:
+            raise ValueError(f"far depth {far_m} must exceed near depth {near_m}")
         self.fiducial = fiducial
         self.focal_px = focal_px
         self.near_m = near_m
@@ -239,7 +203,7 @@ class DirectoryMapEstimator:
             if os.path.exists(candidate):
                 values = load_depth_map(candidate, kind=self.kind)
                 if self.rescale is not None:
-                    values = rescale_disparity(values, self.rescale)
+                    values = values / self.rescale
                 return values
         raise FileNotFoundError(
             f"no {tag}.pfm / {tag}.pgm in {self.directory}"

@@ -38,11 +38,12 @@ from .errors import BadLevel, DegenerateRegion, check_finite, check_positive
 from . import formats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RasterImage:
     """8-bit raster, gray (h, w) or RGB (h, w, 3), row-major. ``data`` is a
     read-only view of the array it was built from, so a function may return
-    its input raster instead of a copy."""
+    its input raster instead of a copy. Rasters compare and hash by
+    identity; compare ``data`` to compare pixels."""
 
     data: np.ndarray
 

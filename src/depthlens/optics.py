@@ -16,6 +16,10 @@ gap ``d_b`` splits the convex attack into three scenarios. Perceived depth
 scales by ``|m_ori / m_total|``: halve the formed size and the object reads
 as twice as far.
 
+``combined_magnification`` is the one evaluation: the scenario, the
+per-stage values and the depth ratio all come from its ``OpticsResult``,
+and the perceived depth is ``depth_ratio * d_o1``.
+
 All distances are meters. Pure functions over frozen value types; safe to
 call concurrently.
 """
@@ -121,64 +125,28 @@ def _stage(focal_length_m: float, object_distance_m: float,
     return -object_distance_m * focal_length_m / denom, -focal_length_m / denom
 
 
-def thin_lens_image_distance(focal_length_m: float, object_distance_m: float) -> float:
-    """Image distance for a single thin lens, virtual-positive convention;
-    SingularConfiguration at the focal point."""
-    return _stage(focal_length_m, object_distance_m)[0]
-
-
-def magnification(focal_length_m: float, object_distance_m: float) -> float:
-    """Single-lens magnification; positive = upright image."""
-    return _stage(focal_length_m, object_distance_m)[1]
-
-
-def baseline_magnification(camera: CameraSpec, object_distance_m: float) -> float:
-    """Magnification of the camera alone (no attack lens), a negative number
-    for any object beyond the camera's focal length."""
-    return _stage(camera.focal_length_m, object_distance_m + camera.lens_gap_m,
-                  "object distance plus lens gap equals the camera focal length")[1]
-
-
-def classify_scenario(geometry: AttackGeometry) -> ScenarioKind:
-    """Dispatch a lensed geometry to its combination-lens case.
-
-    Concave lenses always image the same way. For convex lenses the split is
-    on where the attack-lens image lands: in front of the object (object
-    inside the focal length), behind the camera plane (gap >= image
-    distance), or between lens and camera. The boundary gap == image
-    distance resolves to the far-lens case.
-    """
-    if geometry.lens is None:
-        raise ValueError("pass-through geometry has no attack scenario")
-    return _scenario(geometry, thin_lens_image_distance(
-        geometry.lens.focal_length_m, geometry.object_distance_m))
-
-
-def _scenario(geometry: AttackGeometry, d_i1: float) -> ScenarioKind:
-    f = geometry.lens.focal_length_m
-    if f < 0:
-        return ScenarioKind.CONCAVE
-    if geometry.object_distance_m < f:
-        return ScenarioKind.CONVEX_NEAR_OBJECT
-    if geometry.camera.lens_gap_m >= abs(d_i1):
-        return ScenarioKind.CONVEX_FAR_LENS
-    return ScenarioKind.CONVEX_NEAR_LENS
-
-
 def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
     """Evaluate the full two-lens stack.
 
-    Per-stage quantities come from the staged evaluation; ``m_total`` is
-    the closed-form rational expression ``f * f_c / ((d_o1 - f) * (d_o2 -
-    f_c))``, one quotient of two products, so the ``m_total == m1 * m2``
-    identity still compares two floating-point paths (a product of two
-    quotients) rather than a tautology. An ``m_total`` that underflows to
-    zero, or whose denominator does, is singular.
+    Concave lenses always image the same way. For convex lenses the
+    scenario splits on where the attack-lens image lands: in front of the
+    object (object inside the focal length), behind the camera plane (gap
+    >= image distance), or between lens and camera. The boundary gap ==
+    image distance resolves to the far-lens case.
+
+    ``m_ori`` is the camera alone, a negative number for any object beyond
+    the camera's focal length. ``m_total`` is the closed-form rational
+    expression ``f * f_c / ((d_o1 - f) * (d_o2 - f_c))``, one quotient of
+    two products, so the ``m_total == m1 * m2`` identity still compares two
+    floating-point paths (a product of two quotients) rather than a
+    tautology. An ``m_total`` that underflows to zero, or whose denominator
+    does, is singular.
     """
     camera = geometry.camera
     d_o1 = geometry.object_distance_m
     f_c, d_b = camera.focal_length_m, camera.lens_gap_m
-    m_ori = baseline_magnification(camera, d_o1)
+    _, m_ori = _stage(f_c, d_o1 + d_b,
+                      "object distance plus lens gap equals the camera focal length")
 
     if geometry.lens is None:
         return OpticsResult(
@@ -188,7 +156,14 @@ def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
 
     f = geometry.lens.focal_length_m
     d_i1, m1 = _stage(f, d_o1)
-    scenario = _scenario(geometry, d_i1)
+    if f < 0:
+        scenario = ScenarioKind.CONCAVE
+    elif d_o1 < f:
+        scenario = ScenarioKind.CONVEX_NEAR_OBJECT
+    elif d_b >= abs(d_i1):
+        scenario = ScenarioKind.CONVEX_FAR_LENS
+    else:
+        scenario = ScenarioKind.CONVEX_NEAR_LENS
     # In every scenario the intermediate image lies d_i1 + d_b in front of
     # the camera lens (behind it when negative).
     d_o2 = abs(d_i1 + d_b)
@@ -205,25 +180,6 @@ def combined_magnification(geometry: AttackGeometry) -> OpticsResult:
         d_i1_m=d_i1, m1=m1, d_i2_m=d_i2, m2=m2,
         m_total=m_total, m_ori=m_ori, depth_ratio=depth_ratio, scenario=scenario,
     )
-
-
-def expected_depth(geometry: AttackGeometry) -> float:
-    """Perceived object distance under the attack, in meters.
-
-    The size-to-depth inversion scales the true object distance by
-    ``|m_ori / m_total|``; pass-through mode returns the distance unchanged.
-    """
-    if geometry.lens is None:
-        return geometry.object_distance_m
-    return combined_magnification(geometry).depth_ratio * geometry.object_distance_m
-
-
-def pinhole_apparent_size(object_height_m: float, distance_m: float,
-                          sensor_gap_m: float) -> float:
-    """Projected size on a pinhole camera's sensor plane: h * b / d."""
-    check_positive(object_height=object_height_m, distance=distance_m,
-                   sensor_gap=sensor_gap_m)
-    return object_height_m * sensor_gap_m / distance_m
 
 
 # Grid used by the CLI table report: the lens strengths, gaps and object

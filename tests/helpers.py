@@ -38,6 +38,15 @@ def render_fiducial(frame_shape, fiducial_height_px: float,
     return RasterImage(img)
 
 
+def fiducial_reading(mapper: estimation.ProxyDepthMapper, image: RasterImage) -> float:
+    """The depth ``mapper.estimate_map`` gives the frame's centre pixel. For
+    a fiducial centred in the frame (``render_fiducial``) that pixel is dark,
+    so it lies in the detected box and reads the pinhole depth."""
+    cy, cx = image.height // 2, image.width // 2
+    assert image.to_gray().data[cy, cx] <= mapper.fiducial.detection_threshold
+    return float(mapper.estimate_map(image)[cy, cx])
+
+
 def blob_extent(image: RasterImage, threshold: int = 128):
     """(height, width) of the dark-thresholded blob's bounding box."""
     gray = image.to_gray().data

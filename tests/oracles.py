@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
-                                  OptimizationResult, SweepRow, loss_total)
+                                  OptimizationResult, SweepRow)
 from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
                               FiducialNotFound, SingularConfiguration)
 from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
@@ -295,8 +295,8 @@ def dense_optimize_level(benign, estimator, cfg, lens_kind,
                 l_veh = -two_step_masked_mean(
                     _dense_abs_diff(est_att, est_benign), m_veh)
             l_out = two_step_masked_mean(_dense_abs_diff(est_att, est_benign), m_out)
-            curve.append(LevelScore(level, loss_total(l_veh, l_out, cfg.alpha),
-                                    l_veh, l_out))
+            l_total = (1.0 - cfg.alpha) * l_veh + cfg.alpha * l_out
+            curve.append(LevelScore(level, l_total, l_veh, l_out))
             attacked_means[level] = two_step_masked_mean(est_att, m_veh)
         except (DepthlensError, OSError, ValueError) as exc:
             raise OptimizationError(level, exc) from exc

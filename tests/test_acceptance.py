@@ -15,16 +15,16 @@ from depthlens import defense, formats, metrics
 from depthlens.attack_opt import (LossConfig, Mode, SWEEP_CSV_HEADER, alpha_sweep,
                                   optimize_level, sweep_to_csv)
 from depthlens.errors import SingularConfiguration
-from depthlens.estimation import Box, FiducialSpec, proxy_estimate_depth
+from depthlens.estimation import Box, FiducialSpec, ProxyDepthMapper
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, box_blur,
                                level_to_profile)
 from depthlens.optics import (AttackGeometry, CameraSpec, LensSpec, ScenarioKind,
-                              classify_scenario, combined_magnification,
-                              expected_depth)
+                              combined_magnification)
 from depthlens.scenario import OutcomeKind, ScenarioConfig, run_scenario
 
-from helpers import concave_sweep_fixture, noise_image, render_fiducial, textured_image
+from helpers import (concave_sweep_fixture, fiducial_reading, noise_image,
+                     render_fiducial, textured_image)
 from oracles import raytrace_expected_depth
 from test_attack_opt import FakeEstimator, fake_setup
 
@@ -67,10 +67,11 @@ def test_criterion_1_expected_depth_tables():
             for (f_mag, d_b), cells in table.items():
                 camera = CameraSpec(focal_length_m=0.026, lens_gap_m=d_b)
                 for d_o1, printed in zip((6.0, 9.0, 12.0), cells):
-                    geom = AttackGeometry(d_o1, LensSpec(sign * f_mag), camera)
+                    result = combined_magnification(
+                        AttackGeometry(d_o1, LensSpec(sign * f_mag), camera))
                     if sign > 0:
-                        assert classify_scenario(geom) is ScenarioKind.CONVEX_NEAR_LENS
-                    depth = expected_depth(geom)
+                        assert result.scenario is ScenarioKind.CONVEX_NEAR_LENS
+                    depth = result.depth_ratio * d_o1
                     assert abs(depth - printed) <= 0.01, \
                         f"f={sign * f_mag} d_b={d_b} d_o1={d_o1}: {depth} vs {printed}"
                     spot.add(printed)
@@ -138,6 +139,7 @@ def test_criterion_3_optics_imaging_proxy_consistency():
     with criterion(3, "proxy recovers expected depth within 3%; scale law within 2%"):
         focal_px, height_m = 1000.0, 1.8
         fiducial = FiducialSpec(physical_height_m=height_m, detection_threshold=96)
+        mapper = ProxyDepthMapper(fiducial, focal_px)
         rng = np.random.default_rng(31)
         for _ in range(20):
             geom, result = _random_feasible_geometry(rng)
@@ -150,17 +152,17 @@ def test_criterion_3_optics_imaging_proxy_consistency():
                 blur_placement=BlurPlacement.OUT_OF_LENS if geom.lens.focal_length_m < 0
                 else BlurPlacement.IN_LENS)
             attacked = apply_attack_transform(image, profile)
-            estimate = proxy_estimate_depth(attacked, fiducial, focal_px)
-            target = expected_depth(geom)
+            estimate = fiducial_reading(mapper, attacked)
+            target = result.depth_ratio * geom.object_distance_m
             assert abs(estimate - target) / target <= 0.03, \
                 (geom, estimate, target)
 
         benign = render_fiducial((900, 900), 200)
-        base = proxy_estimate_depth(benign, fiducial, focal_px)
+        base = fiducial_reading(mapper, benign)
         for s in np.linspace(0.5, 2.0, 16):
             scaled = apply_attack_transform(benign, AttackProfile(
                 1, LensRegion.full_frame(), float(s), 0, BlurPlacement.OUT_OF_LENS))
-            got = proxy_estimate_depth(scaled, fiducial, focal_px)
+            got = fiducial_reading(mapper, scaled)
             assert abs(got / base - 1.0 / s) <= 0.02 / s, (s, got / base, 1.0 / s)
 
 
@@ -304,7 +306,7 @@ def test_criterion_7_cross_oracle():
                 LensSpec(sign * rng.uniform(0.05, 0.8)),
                 CameraSpec(rng.uniform(0.01, 0.06), rng.uniform(0.01, 0.5)))
             try:
-                ours = expected_depth(geom)
+                ours = combined_magnification(geom).depth_ratio * geom.object_distance_m
                 oracle = raytrace_expected_depth(geom)
             except SingularConfiguration:
                 continue

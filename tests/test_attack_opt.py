@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from depthlens import attack_opt, formats
 from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_sweep,
-                                  loss_out, loss_total, loss_vehicle_targeted,
+                                  loss_out, loss_vehicle_targeted,
                                   loss_vehicle_untargeted, optimize_level,
                                   sweep_to_csv, SWEEP_CSV_HEADER)
 from depthlens.errors import EmptyMask
@@ -65,9 +65,21 @@ class TestLossPieces:
             assert loss_vehicle_untargeted(a, b, np.ones((5, 5), bool)) <= 0.0
 
     def test_total_weighting(self):
-        assert loss_total(2.0, 4.0, 0.0) == 2.0
-        assert loss_total(2.0, 4.0, 1.0) == 4.0
-        assert loss_total(2.0, 4.0, 0.25) == pytest.approx(2.5)
+        # l_veh = |3 - 1| = 2 in the vehicle box, l_out = |5 - 1| = 4 outside
+        # the lens, so the level's total is (1 - alpha) * 2 + alpha * 4
+        image, box, region, est = fake_setup({1: (3.0, 5.0)})
+
+        def total(alpha):
+            cfg = LossConfig(alpha=alpha, mode=Mode.TARGETED, vehicle_box=box,
+                             region=region, y_tar=1.0)
+            (score,) = optimize_level(image, est, cfg, LensKind.CONCAVE,
+                                      levels=(1,)).loss_curve
+            assert (score.l_veh, score.l_out) == (2.0, 4.0)
+            return score.l_total
+
+        assert total(0.0) == 2.0
+        assert total(1.0) == 4.0
+        assert total(0.25) == pytest.approx(2.5)
 
     def test_empty_mask(self):
         with pytest.raises(EmptyMask):
@@ -337,7 +349,7 @@ class TestAlphaSweep:
         result = rows[0].result
         for score in result.loss_curve:
             assert score.l_total == pytest.approx(
-                loss_total(score.l_veh, score.l_out, 0.5))
+                (1.0 - 0.5) * score.l_veh + 0.5 * score.l_out)
 
     def test_duplicate_alphas_identical_rows(self):
         image, box, region, est, y_tar = concave_sweep_fixture(seed=43)

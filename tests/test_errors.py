@@ -10,13 +10,12 @@ from hypothesis import given, strategies as st
 from depthlens.attack_opt import LossConfig, Mode
 from depthlens.defense import lbp_sharpness_map, segment_blur, varlap_verdict
 from depthlens.errors import check_finite, check_positive
-from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
-                                  FiducialSpec, ProxyDepthMapper)
+from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
+                                  ProxyDepthMapper)
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensRegion, RasterImage,
                                scale_region)
 from depthlens.metrics import adr, aer
-from depthlens.optics import (AttackGeometry, CameraSpec, LensSpec,
-                              pinhole_apparent_size)
+from depthlens.optics import AttackGeometry, CameraSpec, LensSpec
 
 from helpers import noise_image
 
@@ -60,20 +59,17 @@ _IMAGE = RasterImage(np.zeros((8, 8), np.uint8))
 _FIDUCIAL = FiducialSpec(physical_height_m=1.5)
 
 # Every library site that takes a number from outside, called with one of
-# those numbers replaced by ``bad`` (``rescale_disparity`` has its own test).
+# those numbers replaced by ``bad``.
 _SITES = {
     "LensSpec": lambda bad: LensSpec(bad),
     "CameraSpec.focal_length_m": lambda bad: CameraSpec(bad, 0.04),
     "CameraSpec.lens_gap_m": lambda bad: CameraSpec(0.026, bad),
     "AttackGeometry": lambda bad: AttackGeometry(bad, None, CameraSpec(0.026, 0.04)),
-    "pinhole.height": lambda bad: pinhole_apparent_size(bad, 15.0, 0.026),
-    "pinhole.distance": lambda bad: pinhole_apparent_size(1.5, bad, 0.026),
-    "pinhole.gap": lambda bad: pinhole_apparent_size(1.5, 15.0, bad),
-    "CameraIntrinsics.baseline_m": lambda bad: CameraIntrinsics(bad, 721.5),
-    "CameraIntrinsics.focal_px": lambda bad: CameraIntrinsics(0.54, bad),
     "FiducialSpec": lambda bad: FiducialSpec(physical_height_m=bad),
     "DirectoryMapEstimator": lambda bad: DirectoryMapEstimator(".", rescale=bad),
     "ProxyDepthMapper": lambda bad: ProxyDepthMapper(_FIDUCIAL, bad),
+    "ProxyDepthMapper.near_m": lambda bad: ProxyDepthMapper(_FIDUCIAL, 700.0, near_m=bad),
+    "ProxyDepthMapper.far_m": lambda bad: ProxyDepthMapper(_FIDUCIAL, 700.0, far_m=bad),
     "LensRegion.circle.center_x": lambda bad: LensRegion.circle(bad, 4, 3),
     "LensRegion.circle.center_y": lambda bad: LensRegion.circle(4, bad, 3),
     "LensRegion.circle.radius": lambda bad: LensRegion.circle(4, 4, bad),

@@ -1,4 +1,4 @@
-"""Depth plumbing: conversions, the proxy estimator, loaders, masked means."""
+"""Depth plumbing: the proxy estimator, rescaling, loaders, masked means."""
 
 import re
 
@@ -7,85 +7,67 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
-from depthlens.estimation import (Box, CameraIntrinsics, DirectoryMapEstimator,
-                                  FiducialSpec, ProxyDepthMapper, _find_blob,
-                                  disparity_to_depth,
-                                  load_boxes, load_depth_map, masked_mean,
-                                  proxy_estimate_depth, rescale_disparity)
+from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
+                                  ProxyDepthMapper, _find_blob, load_boxes,
+                                  load_depth_map, masked_mean)
 from depthlens import formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
-from helpers import render_fiducial
+from helpers import fiducial_reading, render_fiducial
 from oracles import dense_box_mask, nonzero_blob_extent
 
 
-KITTI_LIKE = CameraIntrinsics(baseline_m=0.54, focal_px=721.0)
-
-
-class TestDisparityDepth:
-    def test_reference_value(self):
-        depth = disparity_to_depth(np.array([[38.934]]), KITTI_LIKE)
-        assert depth[0, 0] == pytest.approx(10.0, abs=1e-4)
-
-    def test_unit_case(self):
-        d = np.array([[KITTI_LIKE.baseline_m * KITTI_LIKE.focal_px]])
-        assert disparity_to_depth(d, KITTI_LIKE)[0, 0] == pytest.approx(1.0)
-
-    def test_zero_disparity_invalid(self):
-        depth = disparity_to_depth(np.array([[0.0, 2.0]]), KITTI_LIKE)
-        assert np.isnan(depth[0, 0])
-        assert np.isfinite(depth[0, 1])
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(3)
-        disp = rng.uniform(0.5, 60.0, (17, 23))
-        back = disparity_to_depth(disparity_to_depth(disp, KITTI_LIKE), KITTI_LIKE)
-        assert np.allclose(back, disp, rtol=1e-6)
+def _rescaled(tmp_path, values, constant):
+    """``values`` as a disparity PFM, read back through
+    ``DirectoryMapEstimator(rescale=constant)``."""
+    formats.write_pfm(tmp_path / "benign.pfm", np.asarray(values, np.float32))
+    estimator = DirectoryMapEstimator(tmp_path, rescale=constant)
+    return estimator.estimate_map(RasterImage(np.zeros((1, 1), np.uint8)), tag="benign")
 
 
 class TestRescale:
-    def test_constant_division(self):
-        d = rescale_disparity(np.array([[2.16]]), 5.4)
+    def test_constant_division(self, tmp_path):
+        d = _rescaled(tmp_path, [[2.16]], 5.4)
         assert d[0, 0] == pytest.approx(0.40)
+        assert d[0, 0] == np.float64(np.float32(2.16)) / 5.4
 
-    def test_identity_and_zeros(self):
+    def test_identity_and_zeros(self, tmp_path):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(rescale_disparity(vals, 1.0), vals)
-        assert (rescale_disparity(np.zeros((2, 2)), 2.0) == 0).all()
+        assert np.array_equal(_rescaled(tmp_path, vals, 1.0), vals)
+        assert (_rescaled(tmp_path, np.zeros((2, 2)), 2.0) == 0).all()
 
     def test_rejects_nonpositive(self):
         for constant in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
-                rescale_disparity(np.zeros((2, 2)), constant)
+                DirectoryMapEstimator(".", rescale=constant)
 
 
 class TestProxyEstimate:
+    """The pinhole depth ``ProxyDepthMapper`` fills the fiducial's box with."""
+
     def test_pinhole_reading(self):
         img = render_fiducial((256, 256), 70)
-        spec = FiducialSpec(physical_height_m=1.5)
-        depth = proxy_estimate_depth(img, spec, 700.0)
-        assert depth == pytest.approx(15.0, rel=0.01)
+        mapper = ProxyDepthMapper(FiducialSpec(physical_height_m=1.5), 700.0)
+        assert fiducial_reading(mapper, img) == pytest.approx(15.0, rel=0.01)
 
     def test_shrink_raises_reading(self):
         img = render_fiducial((512, 512), 100)
-        spec = FiducialSpec(physical_height_m=1.5)
-        focal_px = 700.0
-        benign = proxy_estimate_depth(img, spec, focal_px)
+        mapper = ProxyDepthMapper(FiducialSpec(physical_height_m=1.5), 700.0)
+        benign = fiducial_reading(mapper, img)
         shrunk = scale_region(img, LensRegion.full_frame(), 0.8)
-        attacked = proxy_estimate_depth(shrunk, spec, focal_px)
+        attacked = fiducial_reading(mapper, shrunk)
         assert attacked / benign == pytest.approx(1.0 / 0.8, rel=0.02)
 
     def test_double_size_halves_depth(self):
-        focal_px = 700.0
-        spec = FiducialSpec(physical_height_m=1.5)
-        small = proxy_estimate_depth(render_fiducial((512, 512), 80), spec, focal_px)
-        large = proxy_estimate_depth(render_fiducial((512, 512), 160), spec, focal_px)
+        mapper = ProxyDepthMapper(FiducialSpec(physical_height_m=1.5), 700.0)
+        small = fiducial_reading(mapper, render_fiducial((512, 512), 80))
+        large = fiducial_reading(mapper, render_fiducial((512, 512), 160))
         assert large == pytest.approx(small / 2.0, rel=0.02)
 
     def test_not_found(self):
         img = RasterImage(np.full((64, 64), 255, np.uint8))
         with pytest.raises(FiducialNotFound):
-            proxy_estimate_depth(img, FiducialSpec(1.5), 700.0)
+            ProxyDepthMapper(FiducialSpec(1.5), 700.0).estimate_map(img)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -119,7 +101,7 @@ class TestProxyEstimate:
         img = render_fiducial((256, 256), 60).data.copy()
         img[:10, :10] = 0  # decoy blob outside the reference box
         spec = FiducialSpec(1.5, reference_box=Box(64, 64, 192, 192))
-        depth = proxy_estimate_depth(RasterImage(img), spec, 700.0)
+        depth = fiducial_reading(ProxyDepthMapper(spec, 700.0), RasterImage(img))
         assert depth == pytest.approx(700.0 * 1.5 / 60.0, rel=0.05)
 
 
@@ -255,6 +237,30 @@ class TestMapEstimators:
         assert est[128, 128] == pytest.approx(vehicle, rel=0.05)
         # background follows the brightness ramp
         assert est[4, 4] == pytest.approx(4.0 + 36.0 * 220 / 255.0, rel=1e-6)
+
+    @pytest.mark.parametrize("height_px", [7, 40, 121])
+    def test_fiducial_box_holds_the_pinhole_depth(self, height_px):
+        img = render_fiducial((160, 160), height_px)
+        est = ProxyDepthMapper(FiducialSpec(1.5), 700.0).estimate_map(img)
+        dark = img.data <= 96  # the fiducial fills its whole bounding box
+        assert (est[dark] == 700.0 * 1.5 / height_px).all()
+        assert (est[~dark] == 4.0 + 36.0 * img.data[~dark] / 255.0).all()
+
+    # the pinhole inputs and the ramp bounds; non-finite values are rows of
+    # test_errors' bad-number table
+    @pytest.mark.parametrize("height_m, focal_px, near_m, far_m, message", [
+        (0.0, 700.0, 4.0, 40.0, "fiducial height must be finite and positive"),
+        (1.5, 0.0, 4.0, 40.0, "focal length must be finite and positive"),
+        (1.5, 700.0, 0.0, 40.0, "near depth must be finite and positive"),
+        (1.5, 700.0, -1.0, 40.0, "near depth must be finite and positive"),
+        (1.5, 700.0, 4.0, 4.0, "far depth 4.0 must exceed near depth 4.0"),
+        (1.5, 700.0, 40.0, 4.0, "far depth 4.0 must exceed near depth 40.0"),
+    ], ids=["height-zero", "focal-zero", "near-zero", "near-negative",
+            "far-equals-near", "far-below-near"])
+    def test_proxy_mapper_rejects_bad_numbers(self, height_m, focal_px, near_m,
+                                              far_m, message):
+        with pytest.raises(ValueError, match=message):
+            ProxyDepthMapper(FiducialSpec(height_m), focal_px, near_m=near_m, far_m=far_m)
 
     def test_directory_estimator_by_tag(self, tmp_path):
         formats.write_pfm(tmp_path / "benign.pfm", np.full((4, 4), 2.0, np.float32))

@@ -424,3 +424,22 @@ class TestReadOnlyRasters:
             except DegenerateRegion:
                 pass
             assert arr.tobytes() == before
+
+
+class TestRasterIdentity:
+    """A raster compares and hashes by identity: no code compares pixels
+    through ``==``, and an array field has no truth value to compare by."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 3, 3)])
+    def test_equal_only_to_itself(self, shape):
+        a = RasterImage(np.zeros(shape, np.uint8))
+        b = RasterImage(np.zeros(shape, np.uint8))
+        assert a == a
+        assert not (a == b)
+        assert a != b
+
+    def test_hashable(self):
+        a = RasterImage(np.zeros((2, 2), np.uint8))
+        b = RasterImage(np.zeros((2, 2), np.uint8))
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2

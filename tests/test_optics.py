@@ -8,10 +8,8 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from depthlens.errors import SingularConfiguration
 from depthlens.optics import (AttackGeometry, CameraSpec, LensSpec, OpticsResult,
-                              ScenarioKind, baseline_magnification,
-                              classify_scenario, combined_magnification,
-                              expected_depth, expected_depth_grid, magnification,
-                              pinhole_apparent_size, thin_lens_image_distance)
+                              ScenarioKind, combined_magnification,
+                              expected_depth_grid)
 
 from oracles import raytrace_expected_depth, staged_combined_magnification
 
@@ -21,79 +19,87 @@ def geom(f, db, do1, fc=0.026):
     return AttackGeometry(do1, lens, CameraSpec(focal_length_m=fc, lens_gap_m=db))
 
 
+def optics(f, db, do1, fc=0.026) -> OpticsResult:
+    return combined_magnification(geom(f, db, do1, fc=fc))
+
+
 class TestSingleLens:
+    """The attack-lens stage, read off the two-lens evaluation."""
+
     def test_image_distance_concave(self):
-        assert thin_lens_image_distance(-0.20, 6.0) == pytest.approx(0.193548, abs=1e-6)
+        assert optics(-0.20, 0.04, 6.0).d_i1_m == pytest.approx(0.193548, abs=1e-6)
 
     def test_image_distance_convex(self):
-        assert thin_lens_image_distance(0.20, 6.0) == pytest.approx(-0.206897, abs=1e-6)
+        assert optics(0.20, 0.04, 6.0).d_i1_m == pytest.approx(-0.206897, abs=1e-6)
 
     def test_image_distance_object_at_twice_focal(self):
-        assert thin_lens_image_distance(0.20, 0.40) == pytest.approx(-0.40)
+        assert optics(0.20, 0.04, 0.40).d_i1_m == pytest.approx(-0.40)
 
     def test_image_distance_singular(self):
-        with pytest.raises(SingularConfiguration):
-            thin_lens_image_distance(0.20, 0.20)
+        with pytest.raises(SingularConfiguration,
+                           match=r"^object at the focal point \(d_o = f = 0.2 m\) "
+                                 r"forms no image$"):
+            optics(0.20, 0.04, 0.20)
 
     def test_magnification_concave_upright(self):
-        assert magnification(-0.20, 6.0) == pytest.approx(0.032258, abs=1e-6)
+        assert optics(-0.20, 0.04, 6.0).m1 == pytest.approx(0.032258, abs=1e-6)
 
     def test_magnification_convex_inverted(self):
-        assert magnification(0.20, 6.0) == pytest.approx(-0.034483, abs=1e-6)
+        assert optics(0.20, 0.04, 6.0).m1 == pytest.approx(-0.034483, abs=1e-6)
 
     def test_magnification_unit_inverted_at_twice_focal(self):
-        assert magnification(0.20, 0.40) == pytest.approx(-1.0)
+        assert optics(0.20, 0.04, 0.40).m1 == pytest.approx(-1.0)
 
 
 class TestBaselineMagnification:
+    """``m_ori``, the camera alone, is the same with or without a lens."""
+
     def test_values(self):
-        cam = CameraSpec(0.026, 0.04)
-        assert baseline_magnification(cam, 6.0) == pytest.approx(-0.0043233, abs=1e-7)
-        cam = CameraSpec(0.026, 0.12)
-        assert baseline_magnification(cam, 9.0) == pytest.approx(-0.0028590, abs=1e-7)
+        for f in (None, -0.20, 0.20):
+            assert optics(f, 0.04, 6.0).m_ori == pytest.approx(-0.0043233, abs=1e-7)
+            assert optics(f, 0.12, 9.0).m_ori == pytest.approx(-0.0028590, abs=1e-7)
 
     def test_unit_case(self):
         # object distance + gap at twice the camera focal length
-        cam = CameraSpec(0.026, 0.026)
-        assert baseline_magnification(cam, 0.026) == pytest.approx(-1.0)
+        assert optics(None, 0.026, 0.026).m_ori == pytest.approx(-1.0)
 
     def test_singular(self):
-        cam = CameraSpec(0.026, 0.013)
-        with pytest.raises(SingularConfiguration):
-            baseline_magnification(cam, 0.013)
+        for f in (None, -0.20):
+            with pytest.raises(SingularConfiguration,
+                               match="^object distance plus lens gap equals the "
+                                     "camera focal length$"):
+                optics(f, 0.013, 0.013)
 
 
 class TestScenarioDispatch:
     def test_concave(self):
-        kind = classify_scenario(geom(-0.30, 0.12, 9.0))
+        kind = optics(-0.30, 0.12, 9.0).scenario
         assert kind is ScenarioKind.CONCAVE
         assert kind.feasible_in_ad
 
     def test_convex_near_lens(self):
-        kind = classify_scenario(geom(0.20, 0.04, 6.0))  # |d_i1| = 0.2069 > d_b
+        kind = optics(0.20, 0.04, 6.0).scenario  # |d_i1| = 0.2069 > d_b
         assert kind is ScenarioKind.CONVEX_NEAR_LENS
         assert kind.feasible_in_ad
 
     def test_convex_near_object(self):
-        kind = classify_scenario(geom(0.20, 0.04, 0.10))
+        kind = optics(0.20, 0.04, 0.10).scenario
         assert kind is ScenarioKind.CONVEX_NEAR_OBJECT
         assert not kind.feasible_in_ad
 
     def test_convex_far_lens(self):
-        kind = classify_scenario(geom(0.20, 0.30, 6.0))
+        kind = optics(0.20, 0.30, 6.0).scenario
         assert kind is ScenarioKind.CONVEX_FAR_LENS
         assert not kind.feasible_in_ad
 
     def test_boundary_gap_equals_image_distance(self):
-        g = geom(0.20, 0.30, 6.0)
-        image_dist = abs(thin_lens_image_distance(0.20, 6.0))
-        boundary = geom(0.20, image_dist, 6.0)
-        assert classify_scenario(boundary) is ScenarioKind.CONVEX_FAR_LENS
-        assert classify_scenario(g) is ScenarioKind.CONVEX_FAR_LENS
+        image_dist = abs(optics(0.20, 0.30, 6.0).d_i1_m)
+        assert optics(0.20, image_dist, 6.0).scenario is ScenarioKind.CONVEX_FAR_LENS
+        assert optics(0.20, 0.30, 6.0).scenario is ScenarioKind.CONVEX_FAR_LENS
 
     def test_singular_at_focal_point(self):
-        with pytest.raises(SingularConfiguration):
-            classify_scenario(geom(0.20, 0.04, 0.20))
+        with pytest.raises(SingularConfiguration, match="focal point"):
+            optics(0.20, 0.04, 0.20)
 
     def test_dispatch_total_over_random_geometries(self):
         rng = np.random.default_rng(7)
@@ -102,7 +108,16 @@ class TestScenarioDispatch:
             g = geom(f, rng.uniform(0.01, 0.5), rng.uniform(0.3, 20.0))
             if g.lens.focal_length_m == g.object_distance_m:
                 continue
-            assert classify_scenario(g) in list(ScenarioKind)
+            assert combined_magnification(g).scenario in list(ScenarioKind)
+
+    def test_camera_stage_singular(self):
+        # f = -0.2 at 6 m images to d_i1 = 6/31 m; a gap of f_c - d_i1 puts
+        # that image exactly one camera focal length from the camera
+        d_i1 = optics(-0.20, 0.04, 6.0).d_i1_m
+        with pytest.raises(SingularConfiguration,
+                           match="^intermediate image sits exactly one camera "
+                                 "focal length from the camera$"):
+            optics(-0.20, 0.5 - d_i1, 6.0, fc=0.5)
 
 
 class TestCombinedMagnification:
@@ -227,11 +242,11 @@ class TestExpectedDepth:
         (-0.30, 0.12, 9.0, 11.79),
     ])
     def test_reference_cells(self, f, db, do1, expected):
-        assert expected_depth(geom(f, db, do1)) == pytest.approx(expected, abs=0.01)
+        assert optics(f, db, do1).depth_ratio * do1 == pytest.approx(expected, abs=0.01)
 
     def test_pass_through_identity(self):
-        assert expected_depth(geom(None, 0.04, 6.0)) == 6.0
-        r = combined_magnification(geom(None, 0.04, 6.0))
+        r = optics(None, 0.04, 6.0)
+        assert r.depth_ratio * 6.0 == 6.0
         assert r.depth_ratio == 1.0
         assert r.scenario is None
 
@@ -272,23 +287,12 @@ class TestRaytraceOracle:
                      rng.uniform(0.01, 0.5), rng.uniform(0.5, 30.0),
                      fc=rng.uniform(0.01, 0.06))
             try:
-                ours = expected_depth(g)
+                ours = combined_magnification(g).depth_ratio * g.object_distance_m
                 oracle = raytrace_expected_depth(g)
             except SingularConfiguration:
                 continue
             assert ours == pytest.approx(oracle, rel=1e-9)
             checked += 1
-
-
-class TestPinhole:
-    def test_values(self):
-        assert pinhole_apparent_size(1.5, 15.0, 0.026) == pytest.approx(0.0026)
-        assert pinhole_apparent_size(1.5, 30.0, 0.026) == pytest.approx(0.0013)
-        assert pinhole_apparent_size(1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            pinhole_apparent_size(0.0, 1.0, 1.0)
 
 
 class TestValidation:
