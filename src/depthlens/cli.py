@@ -293,6 +293,9 @@ def cmd_optimize(ns) -> int:
     cfg = attack_opt.LossConfig(alpha=alphas[0], mode=mode, vehicle_box=box,
                                 region=region, y_tar=y_tar)
     rows = attack_opt.alpha_sweep(image, estimator, cfg, alphas, kind)
+    for row in rows:
+        if row.failed:
+            print(f"error: alpha {row.alpha!r}: {row.error}", file=sys.stderr)
     csv_text = attack_opt.sweep_to_csv(rows)
     if ns.output:
         with open(ns.output, "w", encoding="ascii") as fh:

@@ -16,14 +16,24 @@ reproduces both effects on 8-bit rasters:
 Both kernels touch only a bounding box: ``scale_region`` the box of the
 lens region, ``box_blur`` the box of its mask grown by the radius and
 clipped to the frame. Both are separable. Source x of a resampled pixel
-depends only on its column and source y only on its row, so the bilinear
-taps are gathered as whole rows, then columns. The blur takes running sums
-along each axis (a summed-area table, Crow 1984); each clipped window is
-the difference of two slices of an edge-padded cumulative sum, held in
-int32 whenever the frame is small enough for that to be exact, else int64.
+depends only on its column and source y only on its row. The blur takes
+running sums along each axis (a summed-area table, Crow 1984); each clipped
+window is the difference of two slices of an edge-padded cumulative sum,
+held in int32 whenever the frame is small enough for that to be exact, else
+int64.
+
+The per-pixel arithmetic runs in row strips of at most ``_STRIP_VALUES``
+output values (about 512 KB of float64), so temporaries stay cache-sized
+instead of frame-sized. ``scale_region`` interpolates the sorted union of
+the source rows a strip reads along x once each, then blends each output
+row's top and bottom row along y; a strip never interpolates more than two
+rows per output row. ``box_blur`` forms counts, the half-up division and
+the masked write per strip, and ``RasterImage.to_gray`` sums three
+per-channel tables of ``weight * value``.
 
 Everything is deterministic and pure; identical inputs give bit-identical
-outputs.
+outputs: every pixel goes through the same float and integer operations,
+in the same order, as in the dense reference kernels.
 """
 
 from __future__ import annotations
@@ -36,6 +46,19 @@ import numpy as np
 
 from .errors import BadLevel, DegenerateRegion, check_finite, check_positive
 from . import formats
+
+# Values (pixels times channels) per row strip of the raster kernels.
+_STRIP_VALUES = 2 ** 16
+# Luma weight times every 8-bit value, one table per RGB channel.
+_LUMA_TABLES = tuple(w * np.arange(256, dtype=np.float64) for w in (0.299, 0.587, 0.114))
+
+
+def _strips(rows: int, row_values: int):
+    """Split ``rows`` rows of ``row_values`` values each into strips of at
+    most ``_STRIP_VALUES`` values (at least one row); yields slices."""
+    step = max(1, _STRIP_VALUES // row_values)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +98,16 @@ class RasterImage:
         """Luma conversion (0.299, 0.587, 0.114), rounded half-up."""
         if self.channels == 1:
             return self
-        rgb = self.data.astype(np.float64)
-        luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
-        return RasterImage(np.floor(luma + 0.5).astype(np.uint8))
+        red, green, blue = _LUMA_TABLES
+        out = np.empty((self.height, self.width), dtype=np.uint8)
+        for strip in _strips(self.height, self.width):
+            rgb = self.data[strip]
+            luma = red.take(rgb[..., 0])
+            luma += green.take(rgb[..., 1])
+            luma += blue.take(rgb[..., 2])
+            luma += 0.5
+            out[strip] = np.floor(luma, out=luma)
+        return RasterImage(out)
 
     @classmethod
     def load(cls, path) -> "RasterImage":
@@ -201,24 +231,24 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     cx, cy = _region_center(image, region)
     x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
     y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
-    # Rows first, then columns; RGB channels are folded into the row so
-    # every weight broadcasts along a contiguous axis.
+    # RGB channels are folded into the row so every weight broadcasts along
+    # a contiguous axis.
     fx = np.repeat(fx, image.channels)
-    fy = fy[:, None]
     data = image.data
-
-    def taps(src_rows):
-        gathered = data[src_rows]
-        return (gathered[:, x0].reshape(len(src_rows), -1).astype(np.float64),
-                gathered[:, x1].reshape(len(src_rows), -1).astype(np.float64))
-
-    top = _lerp(*taps(y0), fx)
-    bot = _lerp(*taps(y1), fx)
-    sampled = _lerp(top, bot, fy)
-    sampled += 0.5
-    np.floor(sampled, out=sampled)
     out = data.copy()
-    _write_masked(out[rows, cols], sampled, inside)
+    box = out[rows, cols]
+    for strip in _strips(len(y0), len(fx)):
+        n = strip.stop - strip.start
+        # Each source row the strip reads is interpolated along x once.
+        src, pick = np.unique(np.concatenate((y0[strip], y1[strip])),
+                              return_inverse=True)
+        gathered = data[src]
+        along_x = _lerp(gathered[:, x0].reshape(len(src), -1).astype(np.float64),
+                        gathered[:, x1].reshape(len(src), -1).astype(np.float64), fx)
+        sampled = _lerp(along_x[pick[:n]], along_x[pick[n:]], fy[strip, None])
+        sampled += 0.5
+        np.floor(sampled, out=sampled)
+        _write_masked(box[strip], sampled, inside[strip])
     return RasterImage(out)
 
 
@@ -283,19 +313,28 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
     x0, x1 = int(xs[0]), int(xs[-1]) + 1
     # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
     dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
+    # The output is allocated before the box-sized window sums, so the raster
+    # that outlives this call does not sit above their freed memory in the
+    # heap; the other order raises the attack workloads' peak RSS.
+    out = image.data.copy()
     sy0, sx0 = max(y0 - radius, 0), max(x0 - radius, 0)
     src = image.data[sy0:min(y1 + radius, h), sx0:min(x1 + radius, w)]
     sums = _window_sums(src, 1, x0 - sx0, x1 - sx0, radius, dtype)
     # Fold RGB channels into the row: each (column, channel) is a column.
     sums = _window_sums(sums.reshape(len(sums), -1), 0, y0 - sy0, y1 - sy0,
                         radius, dtype)
-    channels = image.channels
-    count = np.multiply.outer(
-        _window_counts(y0, y1, h, radius).astype(dtype),
-        np.repeat(_window_counts(x0, x1, w, radius), channels).astype(dtype))
-    mean = (2 * sums + count) // (2 * count)  # round half-up
-    out = image.data.copy()
-    _write_masked(out[y0:y1, x0:x1], mean, mask[y0:y1, x0:x1])
+    count_y = _window_counts(y0, y1, h, radius).astype(dtype)
+    count_x = np.repeat(_window_counts(x0, x1, w, radius), image.channels).astype(dtype)
+    box, mask = out[y0:y1, x0:x1], mask[y0:y1, x0:x1]
+    for strip in _strips(len(sums), sums.shape[1]):
+        count = np.multiply.outer(count_y[strip], count_x)
+        mean = sums[strip]
+        # (2 * sum + count) // (2 * count): round half-up, in place
+        mean *= 2
+        mean += count
+        count *= 2
+        mean //= count
+        _write_masked(box[strip], mean, mask[strip])
     return RasterImage(out)
 
 

@@ -127,6 +127,14 @@ def staged_combined_magnification(geometry: AttackGeometry) -> OpticsResult:
 # gathers and a full-frame int64 summed-area table. The production versions
 # work on bounding boxes with separable sums and must match these bit for bit.
 
+def widened_to_gray(rgb: np.ndarray) -> np.ndarray:
+    """Reference ``RasterImage.to_gray``: the (h, w, 3) frame widened to
+    float64, weighted and summed, then rounded half-up."""
+    wide = rgb.astype(np.float64)
+    luma = 0.299 * wide[..., 0] + 0.587 * wide[..., 1] + 0.114 * wide[..., 2]
+    return np.floor(luma + 0.5).astype(np.uint8)
+
+
 def dense_in_lens(width: int, height: int, region: LensRegion) -> np.ndarray:
     """In-lens predicate evaluated on every pixel of the frame."""
     if region.kind is RegionKind.FULL_FRAME:

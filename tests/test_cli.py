@@ -221,6 +221,47 @@ class TestOptimizeCommand:
         assert len(body) == 2
         assert all(",failed," in line for line in body)
 
+    def test_failed_row_reasons_reach_stderr(self, tmp_path, capsys):
+        # the default full-frame region leaves no out-of-lens pixel, so
+        # every alpha fails at level 1
+        image, box, _, _, _ = concave_sweep_fixture(seed=42)
+        src = tmp_path / "benign.pgm"
+        image.save(src)
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}\n")
+        code, out, err = run(capsys, "optimize", "--input", str(src), "--mode",
+                             "untargeted", "--lens-kind", "concave", "--boxes",
+                             str(boxes), "--fiducial-height", "1.5",
+                             "--focal-px", "700", "--alphas", "0.1,0.5")
+        assert code == 0
+        assert out == ("alpha,mode,best_level,best_loss,metric_name,metric_value\n"
+                       "0.1,untargeted,,,failed,nan\n"
+                       "0.5,untargeted,,,failed,nan\n")
+        assert err == ("error: alpha 0.1: level 1: no valid pixel under the mask\n"
+                       "error: alpha 0.5: level 1: no valid pixel under the mask\n")
+
+    def test_failed_row_reasons_reach_stderr_beside_output_file(self, tmp_path,
+                                                               capsys):
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        for tag in ["benign"] + [f"level_{lv}" for lv in (1, 2, 3, 4, 5, 6, 8, 9)]:
+            formats.write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
+        src = tmp_path / "benign.pgm"
+        RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text("2 2 6 6\n")
+        out_csv = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "optimize", "--input", str(src), "--mode",
+                             "untargeted", "--lens-kind", "concave", "--boxes",
+                             str(boxes), "--region", "circle", "--cx", "4",
+                             "--cy", "4", "--radius", "3", "--estimator",
+                             "external", "--maps", str(maps), "--alphas", "0.25",
+                             "--output", str(out_csv))
+        assert (code, out) == (0, f"wrote {out_csv}\n")
+        assert out_csv.read_text().endswith("0.25,untargeted,,,failed,nan\n")
+        assert err.startswith("error: alpha 0.25: level 7: ")
+        assert "level_7" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("focal_px", ["0", "-700", "nan", "inf"])
     def test_bad_focal_px_exits_two(self, tmp_path, capsys, focal_px):
         image, box, _, _, _ = concave_sweep_fixture(seed=42)
@@ -602,9 +643,13 @@ _FLOAT_READERS = [
      "concave", "--boxes", "{boxes}", "--region", "circle", "--cx", "8",
      "--cy", "8", "--radius", "5", "--y-tar", "0.43", "--fiducial-height",
      "1.5", "--focal-px", "700", "--alphas", "0.1"],
+    # a circle region, so some pixel lies outside the lens and the row does
+    # not fail; its flags are written --flag=value because the invocation
+    # above already covers them
     ["optimize", "--input", "{img}", "--mode", "untargeted", "--lens-kind",
-     "convex", "--boxes", "{boxes}", "--estimator", "external", "--maps",
-     "{maps}", "--rescale", "2", "--alphas", "0.1"],
+     "convex", "--boxes", "{boxes}", "--region", "circle", "--cx=8", "--cy=8",
+     "--radius=5", "--estimator", "external", "--maps", "{maps}", "--rescale",
+     "2", "--alphas", "0.1"],
     ["metrics", "--kind", "adr", "--attacked", "0.36", "--benign", "0.28"],
     ["metrics", "--kind", "aer", "--attacked", "0.36", "--target", "0.43"],
     ["defend", "--input", "{img}", "--method", "varlap", "--threshold", "100"],

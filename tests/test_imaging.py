@@ -1,5 +1,8 @@
 """Raster attack synthesis: masks, scaling, blur, profiles, PNM round trips."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +11,24 @@ from depthlens.errors import BadLevel, DegenerateRegion, ParseError
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, box_blur,
                                level_to_profile, region_masks, scale_region)
-from depthlens import defense
+from depthlens import defense, imaging
 
 from helpers import blob_extent, noise_image, textured_image
-from oracles import dense_box_blur, dense_in_lens, dense_scale_region
+from oracles import dense_box_blur, dense_in_lens, dense_scale_region, widened_to_gray
 
 MAX_SIDE = 70
+# Strip sizes of the raster kernels tried besides the default, which holds
+# any MAX_SIDE raster whole: one value, so every row is a strip of its own,
+# and a small odd count, so strips hold several rows and the last is short.
+STRIPS = [1, 97]
+
+
+@contextlib.contextmanager
+def strip_values(values):
+    """Run the raster kernels with ``values`` values per row strip."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "_STRIP_VALUES", values)
+        yield
 
 
 @st.composite
@@ -33,10 +48,17 @@ def _coord(lo, hi):
 
 @st.composite
 def regions(draw, width, height):
-    """Full frame, or a circle inside, straddling or wholly off the frame."""
-    if draw(st.integers(0, 4)) == 0:
+    """Full frame, or a circle inside, straddling or wholly off the frame,
+    or one centred on the top or bottom edge, so its box rows are clamped
+    at the frame edge."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
         return LensRegion.full_frame()
     reach = 2 * max(width, height)
+    if kind == 1:
+        return LensRegion.circle(draw(_coord(0, width - 1)),
+                                 draw(st.sampled_from([0.0, height - 1.0])),
+                                 draw(_coord(1, reach)))
     return LensRegion.circle(draw(_coord(-reach, width + reach)),
                              draw(_coord(-reach, height + reach)),
                              draw(_coord(1, reach)))
@@ -55,6 +77,27 @@ def masks(draw, width, height):
     if kind == "pixel":
         mask[draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))] = True
     return mask
+
+
+def scales():
+    """1, any factor in [0.2, 4], or one far below 0.5 or above 2."""
+    return st.one_of(st.just(1.0), st.floats(0.2, 4.0),
+                     st.sampled_from([0.01, 0.3, 2.5, 3.0]))
+
+
+def assert_scale_matches_dense_oracle(img, region, scale):
+    try:
+        expected = dense_scale_region(img, region, scale)
+    except DegenerateRegion:
+        with pytest.raises(DegenerateRegion):
+            scale_region(img, region, scale)
+        return
+    assert np.array_equal(scale_region(img, region, scale).data, expected.data)
+
+
+@pytest.fixture(scope="module")
+def full_hd_rgb():
+    return noise_image((1080, 1920, 3), seed=8)
 
 
 def disk_image(size=200, radius=30, background=220, fill=10):
@@ -112,14 +155,58 @@ class TestScaleRegion:
     def test_matches_dense_oracle(self, data):
         img = data.draw(rasters())
         region = data.draw(regions(img.width, img.height))
-        scale = data.draw(st.one_of(st.just(1.0), st.floats(0.2, 4.0)))
+        assert_scale_matches_dense_oracle(img, region, data.draw(scales()))
+
+    @pytest.mark.parametrize("strip", STRIPS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle_across_strips(self, strip, data):
+        img = data.draw(rasters())
+        region = data.draw(regions(img.width, img.height))
+        with strip_values(strip):
+            assert_scale_matches_dense_oracle(img, region, data.draw(scales()))
+
+    @pytest.mark.parametrize("strip", [imaging._STRIP_VALUES] + STRIPS)
+    @pytest.mark.parametrize("scale", [0.01, 0.3, 2.5, 3.0])
+    def test_edge_circles_across_strips(self, strip, scale):
+        for shape in [(37, 29), (37, 29, 3)]:
+            img = noise_image(shape, seed=11)
+            for cx, cy, radius in [(0, 0, 20), (28, 36, 25), (14, -4.5, 18),
+                                   (14, 40, 30), (14, 18, 60)]:
+                with strip_values(strip):
+                    assert_scale_matches_dense_oracle(
+                        img, LensRegion.circle(cx, cy, radius), scale)
+
+    @pytest.mark.parametrize("scale,total", [(0.01, 18), (0.55, 66), (3.0, 40)])
+    def test_a_strip_interpolates_at_most_two_rows_per_output_row(
+            self, monkeypatch, scale, total):
+        # 60 output rows in strips of 5: interpolating two source rows per
+        # output row afresh would take 120 rows along x
+        lerp = imaging._lerp
+        calls = []
+
+        def counting(a, b, t):
+            calls.append((len(a), t.ndim))
+            return lerp(a, b, t)
+
+        monkeypatch.setattr(imaging, "_lerp", counting)
+        monkeypatch.setattr(imaging, "_STRIP_VALUES", 5 * 64)
+        scale_region(noise_image((60, 64), seed=4), LensRegion.full_frame(), scale)
+        along_x, along_y = calls[0::2], calls[1::2]
+        assert [ndim for _, ndim in along_x] == [1] * 12
+        assert along_y == [(5, 2)] * 12
+        assert all(rows <= 2 * 5 for rows, _ in along_x)
+        assert sum(rows for rows, _ in along_x) == total
+
+    @pytest.mark.parametrize("scale", [0.01, 0.55, 3.0])
+    def test_full_frame_rgb_peak_memory(self, full_hd_rgb, scale):
+        tracemalloc.start()
         try:
-            expected = dense_scale_region(img, region, scale)
-        except DegenerateRegion:
-            with pytest.raises(DegenerateRegion):
-                scale_region(img, region, scale)
-            return
-        assert np.array_equal(scale_region(img, region, scale).data, expected.data)
+            scale_region(full_hd_rgb, LensRegion.full_frame(), scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * full_hd_rgb.data.nbytes
 
     def test_blend_order_is_part_of_the_bytes(self):
         # a sample here lies within rounding error of a .5 tie, so blending
@@ -180,6 +267,17 @@ class TestBoxBlur:
         expected = dense_box_blur(img, mask, radius)
         assert np.array_equal(box_blur(img, mask, radius).data, expected.data)
 
+    @pytest.mark.parametrize("strip", STRIPS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle_across_strips(self, strip, data):
+        img = data.draw(rasters())
+        mask = data.draw(masks(img.width, img.height))
+        radius = data.draw(st.integers(0, 15))
+        with strip_values(strip):
+            got = box_blur(img, mask, radius)
+        assert np.array_equal(got.data, dense_box_blur(img, mask, radius).data)
+
     @pytest.mark.parametrize("radius", [9, 1100])
     def test_wide_accumulator_exact(self, radius):
         # 2*255*h*w exceeds int32 here; at radius 1100 the central windows
@@ -232,6 +330,28 @@ class TestBoxBlur:
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError):
             box_blur(textured_image(), np.ones((4, 4), bool), 1)
+
+
+class TestToGray:
+    def test_matches_widened_oracle_on_every_triple(self):
+        # one 256x256 slice per red value: green down the rows, blue across
+        rgb = np.empty((256, 256, 3), np.uint8)
+        rgb[..., 1] = np.arange(256, dtype=np.uint8)[:, None]
+        rgb[..., 2] = np.arange(256, dtype=np.uint8)[None, :]
+        for red in range(256):
+            rgb[..., 0] = red
+            got = RasterImage(rgb).to_gray().data
+            assert np.array_equal(got, widened_to_gray(rgb)), f"red {red}"
+
+    @pytest.mark.parametrize("strip", STRIPS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_widened_oracle_across_strips(self, strip, data):
+        img = data.draw(rasters())
+        with strip_values(strip):
+            got = img.to_gray()
+        expected = widened_to_gray(img.data) if img.channels == 3 else img.data
+        assert np.array_equal(got.data, expected)
 
 
 class TestLevelProfiles:
