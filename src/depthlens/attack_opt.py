@@ -8,7 +8,8 @@ image, reads the estimator's map, and scores it with a two-term loss
 
 where L_veh pulls the vehicle-mask reading toward a target value (targeted)
 or pushes it away from the benign reading (untargeted, negated so smaller is
-better), and L_out penalizes any estimate drift outside the lens outline.
+better), and L_out penalizes any estimate drift outside the lens outline
+(0 for a full-frame lens, which leaves no pixel outside it).
 All reductions are masked L1 means, which keeps alpha meaningful regardless
 of mask sizes. The vehicle terms are reduced on the vehicle box's crop:
 the pixels of its full-frame mask in the same order, so the same bits at
@@ -152,6 +153,8 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     # Not ``~``: NumPy would invert the temporary in place, and that
     # allocation order raises the peak RSS of the attack workloads.
     m_out = np.logical_not(region_masks(map_w, map_h, cfg.region))
+    # Nothing lies outside a full-frame lens, so nothing can drift there.
+    has_out = bool(m_out.any())
 
     curve = []
     attacked_means = {}
@@ -173,7 +176,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
                 l_veh = loss_vehicle_targeted(att_veh, m_veh, cfg.y_tar)
             else:
                 l_veh = loss_vehicle_untargeted(att_veh, benign_veh, m_veh)
-            l_out = loss_out(est_att, est_benign, m_out)
+            l_out = loss_out(est_att, est_benign, m_out) if has_out else 0.0
             l_total = (1.0 - cfg.alpha) * l_veh + cfg.alpha * l_out
             curve.append(LevelScore(level, l_total, l_veh, l_out))
             attacked_means[level] = masked_mean(att_veh, m_veh)

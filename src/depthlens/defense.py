@@ -17,6 +17,11 @@ counts as "sharp-active" when its code falls in the high-activity bins:
 uniform patterns with 6..8 set bits, or any non-uniform pattern. Thresholds
 are calibration constants fixed against the test fixture corpus, not
 physical claims.
+
+The codes are built in uint8 row strips (``imaging._strips``), without
+widening the frame: ``|neighbor - center|`` is ``max - min``, each ring bit
+is ORed into the code after an in-place shift, and one 256-entry boolean
+table marks the high-activity codes.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooSmall, check_finite
-from .imaging import RasterImage
+from .imaging import RasterImage, _strips
 
 DEFAULT_VARLAP_THRESHOLD = 100.0
 DEFAULT_LBP_SCORE_THRESHOLD = 0.15
@@ -102,6 +107,8 @@ def _build_label_lut() -> np.ndarray:
 
 
 _LBP_LABELS = _build_label_lut()
+# Whether each 8-bit ring code is high-activity (label 6..9).
+_LBP_HIGH = _LBP_LABELS >= 6
 
 # Ring order is circular: N, NE, E, SE, S, SW, W, NW.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -109,14 +116,25 @@ _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 def _lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
     """Boolean (h-2, w-2): interior pixels whose code is high-activity."""
-    g = gray.astype(np.int16)
-    h, w = g.shape
-    center = g[1:-1, 1:-1]
-    code = np.zeros(center.shape, dtype=np.uint8)
-    for bit, (dy, dx) in enumerate(_RING):
-        neighbor = g[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
-        code |= (np.abs(neighbor - center) > delta).astype(np.uint8) << bit
-    return _LBP_LABELS[code] >= 6
+    h, w = gray.shape
+    active = np.empty((h - 2, w - 2), dtype=bool)
+    for strip in _strips(h - 2, w):
+        g = gray[strip.start:strip.stop + 2]
+        center = g[1:-1, 1:-1]
+        code = np.zeros(center.shape, dtype=np.uint8)
+        diff, low = np.empty_like(code), np.empty_like(code)
+        bit = np.empty(code.shape, dtype=bool)
+        # Highest ring bit first: shifting the code left before each OR
+        # leaves ring neighbor p at bit p.
+        for dy, dx in reversed(_RING):
+            neighbor = g[1 + dy:len(g) - 1 + dy, 1 + dx:w - 1 + dx]
+            # |neighbor - center| without widening: max - min
+            np.maximum(neighbor, center, out=diff)
+            diff -= np.minimum(neighbor, center, out=low)
+            code <<= 1
+            code |= np.greater(diff, delta, out=bit).view(np.uint8)
+        _LBP_HIGH.take(code, out=active[strip])
+    return active
 
 
 def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,

@@ -27,9 +27,13 @@ output values (about 512 KB of float64), so temporaries stay cache-sized
 instead of frame-sized. ``scale_region`` interpolates the sorted union of
 the source rows a strip reads along x once each, then blends each output
 row's top and bottom row along y; a strip never interpolates more than two
-rows per output row. ``box_blur`` forms counts, the half-up division and
-the masked write per strip, and ``RasterImage.to_gray`` sums three
-per-channel tables of ``weight * value``.
+rows per output row; it gathers the source columns with ``take``, which
+returns contiguous blocks. ``box_blur`` forms counts, the half-up division
+and the masked write per strip, and ``RasterImage.to_gray`` sums three
+per-channel tables of ``weight * value``. Both kernels store through one
+masked writer: a strip whose mask is all set (every strip of a full-frame
+lens) is stored directly; any other is merged in uint8 by a bitwise
+select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -188,11 +192,21 @@ def _region_center(image: RasterImage, region: LensRegion) -> tuple[float, float
 
 def _write_masked(box: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
     """Store ``values`` (one row per box row, channels folded into it, all
-    integral) into the pixels of the raster view ``box`` that ``mask``
-    selects."""
+    integral in 0..255) into the pixels of the raster view ``box`` that
+    ``mask`` selects."""
+    # A view: the channels of a box row are contiguous.
+    flat = box.reshape(len(box), -1)
+    if mask.all():
+        np.copyto(flat, values, casting="unsafe")
+        return
+    # Bitwise select: box ^ ((new ^ box) & 0xFF) is new, box ^ 0 is box.
+    select = -mask.view(np.uint8)
     if box.ndim == 3:
-        mask = np.repeat(mask, box.shape[2], axis=1)
-    np.copyto(box.reshape(len(box), -1), values, casting="unsafe", where=mask)
+        select = np.repeat(select, box.shape[2], axis=1)
+    new = values.astype(np.uint8)
+    new ^= flat
+    new &= select
+    flat ^= new
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -242,9 +256,11 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
         # Each source row the strip reads is interpolated along x once.
         src, pick = np.unique(np.concatenate((y0[strip], y1[strip])),
                               return_inverse=True)
+        # take, unlike a fancy index on axis 1, returns contiguous blocks, so
+        # folding the channels into the row is a view, not a strided copy.
         gathered = data[src]
-        along_x = _lerp(gathered[:, x0].reshape(len(src), -1).astype(np.float64),
-                        gathered[:, x1].reshape(len(src), -1).astype(np.float64), fx)
+        along_x = _lerp(gathered.take(x0, axis=1).reshape(len(src), -1).astype(np.float64),
+                        gathered.take(x1, axis=1).reshape(len(src), -1).astype(np.float64), fx)
         sampled = _lerp(along_x[pick[:n]], along_x[pick[n:]], fy[strip, None])
         sampled += 0.5
         np.floor(sampled, out=sampled)

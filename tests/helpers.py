@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
 
-from depthlens import estimation
+import numpy as np
+import pytest
+
+from depthlens import estimation, imaging
 from depthlens.imaging import LensRegion, RasterImage, region_masks
+
+# Strip sizes of the raster kernels tried besides the default, which holds
+# any 70-px raster whole: one value, so every row is a strip of its own,
+# and a small odd count, so strips hold several rows and the last is short.
+STRIPS = [1, 97]
+
+
+@contextlib.contextmanager
+def strip_values(values):
+    """Run the raster kernels with ``values`` values per row strip."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "_STRIP_VALUES", values)
+        yield
 
 
 def noise_image(shape=(128, 128), seed=0) -> RasterImage:

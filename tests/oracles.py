@@ -19,6 +19,7 @@ import numpy as np
 
 from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
                                   OptimizationResult, SweepRow)
+from depthlens.defense import _LBP_LABELS, _RING
 from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
                               FiducialNotFound, SingularConfiguration)
 from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
@@ -221,6 +222,19 @@ def dense_box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterI
 
 # ---------------------------------------------------------------- defense ----
 
+def reference_lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
+    """Reference ``_lbp_active``: the frame widened to int16, one frame-sized
+    ``|neighbor - center| > delta`` per ring bit, and a label gather."""
+    g = gray.astype(np.int16)
+    h, w = g.shape
+    center = g[1:-1, 1:-1]
+    code = np.zeros(center.shape, dtype=np.uint8)
+    for bit, (dy, dx) in enumerate(_RING):
+        neighbor = g[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
+        code |= (np.abs(neighbor - center) > delta).astype(np.uint8) << bit
+    return _LBP_LABELS[code] >= 6
+
+
 def tile_loop_lbp_scores(active: np.ndarray, window: int) -> np.ndarray:
     """Reference per-tile scores: one Python iteration per tile.
 
@@ -302,7 +316,8 @@ def dense_optimize_level(benign, estimator, cfg, lens_kind,
             else:
                 l_veh = -two_step_masked_mean(
                     _dense_abs_diff(est_att, est_benign), m_veh)
-            l_out = two_step_masked_mean(_dense_abs_diff(est_att, est_benign), m_out)
+            l_out = (two_step_masked_mean(_dense_abs_diff(est_att, est_benign), m_out)
+                     if m_out.any() else 0.0)
             l_total = (1.0 - cfg.alpha) * l_veh + cfg.alpha * l_out
             curve.append(LevelScore(level, l_total, l_veh, l_out))
             attacked_means[level] = two_step_masked_mean(est_att, m_veh)

@@ -187,6 +187,29 @@ class TestOptimizeLevel:
         assert result.metric_name == "ADR"
         assert result.metric_value == pytest.approx(0.9)  # level 9: |1.9-1|/1
 
+    def test_full_frame_lens_has_zero_out_of_lens_loss(self):
+        # nothing lies outside a full-frame lens, so nothing can drift there
+        region = LensRegion.full_frame()
+        per_tag = {"benign": (1.0, 1.0)}
+        per_tag.update({f"level_{lv}": (1.0 + 0.1 * lv, 1.0) for lv in range(1, 10)})
+        est = FakeEstimator(per_tag, region)
+        cfg = LossConfig(alpha=0.4, mode=Mode.TARGETED, vehicle_box=Box(24, 24, 40, 40),
+                         region=region, y_tar=1.33)
+        result = optimize_level(RasterImage(np.full((64, 64), 128, np.uint8)),
+                                est, cfg, LensKind.CONCAVE)
+        assert [s.l_out for s in result.loss_curve] == [0.0] * 9
+        assert all(s.l_total == 0.6 * s.l_veh for s in result.loss_curve)
+        assert result.best_level == 3
+
+    def test_out_of_lens_pixels_without_a_finite_estimate_fail(self):
+        image, box, region, est = fake_setup({1: (0.5, np.nan)})
+        cfg = LossConfig(alpha=0.3, mode=Mode.TARGETED, vehicle_box=box,
+                         region=region, y_tar=0.43)
+        with pytest.raises(OptimizationError) as err:
+            optimize_level(image, est, cfg, LensKind.CONCAVE, levels=(1,))
+        assert err.value.level == 1
+        assert isinstance(err.value.__cause__, EmptyMask)
+
     def test_estimator_failure_tagged_with_level(self, tmp_path):
         formats.write_pfm(tmp_path / "benign.pfm", np.full((8, 8), 1.0, np.float32))
         for lv in (1, 2, 3, 4, 5, 6, 8, 9):
@@ -250,7 +273,7 @@ def loss_cases(draw):
         spans[draw(st.integers(0, 1))] = draw(st.sampled_from(["inside", "across"]))
     x0, x1 = _box_span(draw, w, spans[0])
     y0, y1 = _box_span(draw, h, spans[1])
-    if draw(st.integers(0, 5)) == 0:  # no out-of-lens pixel: L_out fails
+    if draw(st.integers(0, 5)) == 0:  # no out-of-lens pixel: L_out is 0
         region = LensRegion.full_frame()
     else:
         region = LensRegion.circle(draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)),
@@ -344,7 +367,7 @@ class TestAlphaSweep:
         levels = {lv: (1.0 + 0.1 * lv, 1.0 + 0.02 * lv) for lv in range(1, 10)}
         image, box, region, est = fake_setup(levels)
         cfg = LossConfig(alpha=0.5, mode=Mode.TARGETED, vehicle_box=box,
-                         region=region, y_tar=1.35)
+                         region=region, y_tar=1.33)
         rows = alpha_sweep(image, est, cfg, [0.5], LensKind.CONCAVE)
         result = rows[0].result
         for score in result.loss_curve:

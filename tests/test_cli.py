@@ -16,7 +16,7 @@ from depthlens.cli import main
 from depthlens.errors import EmptyMask
 from depthlens.estimation import Box, load_depth_map
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
-                               RasterImage, apply_attack_transform)
+                               RasterImage, apply_attack_transform, region_masks)
 
 from helpers import noise_image, textured_image, concave_sweep_fixture
 from oracles import dense_box_mask, two_step_masked_mean
@@ -221,9 +221,8 @@ class TestOptimizeCommand:
         assert len(body) == 2
         assert all(",failed," in line for line in body)
 
-    def test_failed_row_reasons_reach_stderr(self, tmp_path, capsys):
-        # the default full-frame region leaves no out-of-lens pixel, so
-        # every alpha fails at level 1
+    def test_default_full_frame_region_scores_every_alpha(self, tmp_path, capsys):
+        # a full-frame lens leaves no out-of-lens pixel, so L_out is 0
         image, box, _, _, _ = concave_sweep_fixture(seed=42)
         src = tmp_path / "benign.pgm"
         image.save(src)
@@ -233,6 +232,30 @@ class TestOptimizeCommand:
                              "untargeted", "--lens-kind", "concave", "--boxes",
                              str(boxes), "--fiducial-height", "1.5",
                              "--focal-px", "700", "--alphas", "0.1,0.5")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[:2] for row in rows] == [["0.1", "untargeted"], ["0.5", "untargeted"]]
+        assert all(1 <= int(row[2]) <= 9 and row[4] == "ADR" for row in rows)
+
+    def test_failed_row_reasons_reach_stderr(self, tmp_path, capsys):
+        # every attacked map is NaN outside the lens circle, so L_out has no
+        # valid pixel and every alpha fails at level 1
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        formats.write_pfm(maps / "benign.pfm", np.full((8, 8), 1.0, np.float32))
+        attacked = np.full((8, 8), np.nan, np.float32)
+        attacked[region_masks(8, 8, LensRegion.circle(4, 4, 3))] = 1.3
+        for lv in range(1, 10):
+            formats.write_pfm(maps / f"level_{lv}.pfm", attacked)
+        src = tmp_path / "benign.pgm"
+        RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text("2 2 6 6\n")
+        code, out, err = run(capsys, "optimize", "--input", str(src), "--mode",
+                             "untargeted", "--lens-kind", "concave", "--boxes",
+                             str(boxes), "--region", "circle", "--cx", "4",
+                             "--cy", "4", "--radius", "3", "--estimator",
+                             "external", "--maps", str(maps), "--alphas", "0.1,0.5")
         assert code == 0
         assert out == ("alpha,mode,best_level,best_loss,metric_name,metric_value\n"
                        "0.1,untargeted,,,failed,nan\n"

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from depthlens.defense import (DEFAULT_LBP_SCORE_THRESHOLD, DEFAULT_VARLAP_THRESHOLD,
                                _lbp_active, laplacian, lbp_sharpness_map, segment_blur,
                                variance_of_laplacian, varlap_verdict)
+from depthlens import imaging
 from depthlens.errors import TooSmall
 from depthlens.imaging import (BlurPlacement, LensKind, LensRegion, RasterImage,
                                apply_attack_transform, box_blur, level_to_profile,
                                region_masks, AttackProfile)
 
-from helpers import noise_image, textured_image
-from oracles import tile_loop_lbp_scores
+from helpers import STRIPS, noise_image, strip_values, textured_image
+from oracles import reference_lbp_active, tile_loop_lbp_scores
 
 
 def impulse_image():
@@ -117,6 +118,25 @@ class TestLbpSharpness:
         scores = lbp_sharpness_map(RasterImage(gray), window, delta).scores
         expected = tile_loop_lbp_scores(_lbp_active(gray, delta), window)
         assert np.array_equal(scores, expected)
+
+    @pytest.mark.parametrize("strip", [imaging._STRIP_VALUES] + STRIPS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_active_matches_reference(self, strip, data):
+        """Bit for bit against the int16 reference, on frames of any contrast
+        (a narrow value range puts neighbor differences next to delta) and
+        with the frame split into row strips."""
+        h, w = data.draw(st.integers(3, 70)), data.draw(st.integers(3, 70))
+        lo = data.draw(st.integers(0, 255))
+        hi = data.draw(st.integers(lo, 255))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        gray = rng.integers(lo, hi + 1, (h, w), dtype=np.uint8)
+        delta = data.draw(st.one_of(st.integers(0, 300),
+                                    st.sampled_from([0, 254, 255, 256])))
+        with strip_values(strip):
+            got = _lbp_active(gray, delta)
+        assert got.dtype == bool and got.shape == (h - 2, w - 2)
+        assert np.array_equal(got, reference_lbp_active(gray, delta))
 
     def test_window_floor(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Raster attack synthesis: masks, scaling, blur, profiles, PNM round trips."""
 
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -13,22 +12,10 @@ from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegio
                                level_to_profile, region_masks, scale_region)
 from depthlens import defense, imaging
 
-from helpers import blob_extent, noise_image, textured_image
+from helpers import STRIPS, blob_extent, noise_image, strip_values, textured_image
 from oracles import dense_box_blur, dense_in_lens, dense_scale_region, widened_to_gray
 
 MAX_SIDE = 70
-# Strip sizes of the raster kernels tried besides the default, which holds
-# any MAX_SIDE raster whole: one value, so every row is a strip of its own,
-# and a small odd count, so strips hold several rows and the last is short.
-STRIPS = [1, 97]
-
-
-@contextlib.contextmanager
-def strip_values(values):
-    """Run the raster kernels with ``values`` values per row strip."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(imaging, "_STRIP_VALUES", values)
-        yield
 
 
 @st.composite
@@ -330,6 +317,66 @@ class TestBoxBlur:
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError):
             box_blur(textured_image(), np.ones((4, 4), bool), 1)
+
+
+class TestMaskedWrite:
+    """Both kernels store through one masked writer, which sees strips whose
+    mask is all set, partly set or empty."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rgb_is_three_gray_channels(self, data):
+        h, w = data.draw(st.integers(1, MAX_SIDE)), data.draw(st.integers(1, MAX_SIDE))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rgb = RasterImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+        region, scale = data.draw(regions(w, h)), data.draw(scales())
+        mask, radius = data.draw(masks(w, h)), data.draw(st.integers(0, 15))
+        grays = [RasterImage(np.ascontiguousarray(rgb.data[..., c])) for c in range(3)]
+        with strip_values(data.draw(st.sampled_from([imaging._STRIP_VALUES] + STRIPS))):
+            blurred = box_blur(rgb, mask, radius).data
+            for c, gray in enumerate(grays):
+                assert np.array_equal(blurred[..., c], box_blur(gray, mask, radius).data)
+            try:
+                scaled = scale_region(rgb, region, scale).data
+            except DegenerateRegion:
+                for gray in grays:
+                    with pytest.raises(DegenerateRegion):
+                        scale_region(gray, region, scale)
+                return
+            for c, gray in enumerate(grays):
+                assert np.array_equal(scaled[..., c], scale_region(gray, region, scale).data)
+
+    @pytest.mark.parametrize("strip", [imaging._STRIP_VALUES] + STRIPS + [350])
+    @pytest.mark.parametrize("shape", [(37, 29), (37, 29, 3)])
+    def test_all_set_partial_and_empty_strips(self, monkeypatch, strip, shape):
+        # the circle centred left of the frame has box rows with no in-lens
+        # pixel; the two-band blur mask leaves whole strips between the bands
+        write = imaging._write_masked
+        kinds = set()
+
+        def recording(box, values, mask):
+            kinds.add("all" if mask.all() else "partial" if mask.any() else "empty")
+            write(box, values, mask)
+
+        monkeypatch.setattr(imaging, "_write_masked", recording)
+        img = noise_image(shape, seed=13)
+        h, w = shape[:2]
+        bands = np.zeros((h, w), bool)
+        bands[:3, 4:20] = bands[-2:] = True
+        blur_masks = [bands]
+        with strip_values(strip):
+            for region in [LensRegion.full_frame(), LensRegion.circle(-4.5, 14, 12),
+                           LensRegion.circle(14, 0, 20), LensRegion.circle(28, 36, 25)]:
+                for scale in (0.3, 1.7):
+                    assert_scale_matches_dense_oracle(img, region, scale)
+                inside = dense_in_lens(w, h, region)
+                blur_masks += [inside, ~inside]
+            for mask in blur_masks:
+                for radius in (1, 4):
+                    assert np.array_equal(box_blur(img, mask, radius).data,
+                                          dense_box_blur(img, mask, radius).data)
+        assert kinds == ({"all", "partial"} if strip == imaging._STRIP_VALUES
+                         else {"all", "partial", "empty"})
 
 
 class TestToGray:
