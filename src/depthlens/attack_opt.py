@@ -11,11 +11,13 @@ or pushes it away from the benign reading (untargeted, negated so smaller is
 better), and L_out penalizes any estimate drift outside the lens outline
 (0 for a full-frame lens, which leaves no pixel outside it).
 All reductions are masked L1 means, which keeps alpha meaningful regardless
-of mask sizes. The vehicle terms are reduced on the vehicle box's crop:
-the pixels of its full-frame mask in the same order, so the same bits at
-the cost of a box. The argmin over levels 1..9 is exact enumeration; ties
-break toward the smallest level (least conspicuous blur, and determinism
-needs a rule).
+of mask sizes. Each loss is one ``estimation.masked_mean`` with the benign
+map or the target as reference, so ``|a - b|`` is formed strip by strip,
+never as a frame-sized map. The vehicle terms are reduced on the vehicle
+box's crop: the pixels of its full-frame mask in the same order, so the
+same bits at the cost of a box. The argmin over levels 1..9 is exact
+enumeration; ties break toward the smallest level (least conspicuous blur,
+and determinism needs a rule).
 """
 
 from __future__ import annotations
@@ -77,29 +79,23 @@ class LossConfig:
             check_positive(target_value=self.y_tar)
 
 
-def _abs_diff(est_attacked: np.ndarray, other) -> np.ndarray:
-    # Widen first: under NEP 50 a float32 map minus a Python float stays float32.
-    diff = np.asarray(est_attacked, dtype=np.float64) - other
-    return np.abs(diff, out=diff)
-
-
 def loss_out(est_attacked: np.ndarray, est_benign: np.ndarray,
              m_out: np.ndarray) -> float:
     """L1 drift of the out-of-lens estimates against the benign map."""
-    return masked_mean(_abs_diff(est_attacked, est_benign), m_out)
+    return masked_mean(est_attacked, m_out, reference=est_benign)
 
 
 def loss_vehicle_targeted(est_attacked: np.ndarray, m_veh: np.ndarray,
                           y_tar: float) -> float:
     """L1 distance of the vehicle-mask estimates from the target value."""
-    return masked_mean(_abs_diff(est_attacked, float(y_tar)), m_veh)
+    return masked_mean(est_attacked, m_veh, reference=float(y_tar))
 
 
 def loss_vehicle_untargeted(est_attacked: np.ndarray, est_benign: np.ndarray,
                             m_veh: np.ndarray) -> float:
     """Negated L1 deviation from the benign vehicle estimates (maximize
     deviation by minimizing the negation); always <= 0."""
-    return -masked_mean(_abs_diff(est_attacked, est_benign), m_veh)
+    return -masked_mean(est_attacked, m_veh, reference=est_benign)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ are calibration constants fixed against the test fixture corpus, not
 physical claims.
 
 The codes are built in uint8 row strips (``imaging._strips``), without
-widening the frame: ``|neighbor - center|`` is ``max - min``, each ring bit
-is ORed into the code after an in-place shift, and one 256-entry boolean
-table marks the high-activity codes.
+widening the frame: ``|neighbor - center|`` is ``max - min``, each neighbor
+pair is compared once (the E, SE, S and SW comparisons give all eight ring
+bits as shifted views), each ring bit is ORed into the code after an
+in-place shift, and one 256-entry boolean table marks the high-activity
+codes.
 """
 
 from __future__ import annotations
@@ -110,29 +112,38 @@ _LBP_LABELS = _build_label_lut()
 # Whether each 8-bit ring code is high-activity (label 6..9).
 _LBP_HIGH = _LBP_LABELS >= 6
 
-# Ring order is circular: N, NE, E, SE, S, SW, W, NW.
-_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-
 
 def _lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
-    """Boolean (h-2, w-2): interior pixels whose code is high-activity."""
+    """Boolean (h-2, w-2): interior pixels whose code is high-activity.
+
+    Ring order is circular, N, NE, E, SE, S, SW, W, NW: ring neighbor p
+    sets bit p of the code.
+    """
     h, w = gray.shape
     active = np.empty((h - 2, w - 2), dtype=bool)
+
+    def differs(a, b):
+        # |a - b| > delta without widening: max - min
+        diff = np.maximum(a, b)
+        diff -= np.minimum(a, b)
+        return np.greater(diff, delta).view(np.uint8)
+
     for strip in _strips(h - 2, w):
         g = gray[strip.start:strip.stop + 2]
-        center = g[1:-1, 1:-1]
-        code = np.zeros(center.shape, dtype=np.uint8)
-        diff, low = np.empty_like(code), np.empty_like(code)
-        bit = np.empty(code.shape, dtype=bool)
-        # Highest ring bit first: shifting the code left before each OR
-        # leaves ring neighbor p at bit p.
-        for dy, dx in reversed(_RING):
-            neighbor = g[1 + dy:len(g) - 1 + dy, 1 + dx:w - 1 + dx]
-            # |neighbor - center| without widening: max - min
-            np.maximum(neighbor, center, out=diff)
-            diff -= np.minimum(neighbor, center, out=low)
+        # Each neighbor pair is compared once. The pairs of the E, SE, S and
+        # SW directions of one pixel are the W, NW, N and NE pairs of
+        # another, so all eight ring bits are views of four comparisons.
+        east = differs(g[1:-1, 1:], g[1:-1, :-1])
+        south = differs(g[1:, 1:-1], g[:-1, 1:-1])
+        southeast = differs(g[1:, 1:], g[:-1, :-1])
+        southwest = differs(g[1:, :-1], g[:-1, 1:])
+        # Highest ring bit first (NW .. N): shifting the code left before
+        # each OR leaves ring neighbor p at bit p.
+        code = southeast[:-1, :-1].copy()
+        for bit in (east[:, :-1], southwest[1:, :-1], south[1:], southeast[1:, 1:],
+                    east[:, 1:], southwest[:-1, 1:], south[:-1]):
             code <<= 1
-            code |= np.greater(diff, delta, out=bit).view(np.uint8)
+            code |= bit
         _LBP_HIGH.take(code, out=active[strip])
     return active
 

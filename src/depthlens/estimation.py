@@ -12,7 +12,9 @@ everything around them:
 * loaders for those maps (PFM, 16-bit PGM + sidecar scale) and for
   bounding-box text files;
 * masked means, the reduction every metric and loss in this toolkit starts
-  from.
+  from; given a reference map or number they average
+  ``|map - reference|`` in row strips, without a frame-sized difference
+  map.
 
 A depth or disparity map is a plain float64 ``np.ndarray`` of shape (h, w).
 Invalid pixels (holes, zero disparity) are marked NaN rather than raised:
@@ -21,6 +23,7 @@ maps from real estimators contain them routinely.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyMask, FiducialNotFound, ParseError, check_positive
 from . import formats
-from .imaging import RasterImage
+from .imaging import RasterImage, _strips
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,38 @@ def load_depth_map(path, kind: str = "depth") -> np.ndarray:
     return values
 
 
-def masked_mean(values: np.ndarray, mask: np.ndarray) -> float:
-    """Arithmetic mean over the valid (finite) masked pixels."""
-    values = np.asarray(values, dtype=np.float64)
+def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
+    """Arithmetic mean over the valid (finite) masked pixels of ``values``,
+    or of ``|values - reference|`` when a reference map or number is given.
+
+    Rows are read in strips: each is widened to float64 before the
+    difference (under NEP 50 a float32 map minus a Python float stays
+    float32), and its finite masked values are appended in row-major order
+    to one array of ``count_nonzero(mask)`` values. The mean thus sums the
+    values a frame-wide selection would, in the same order.
+    """
+    values = np.asarray(values)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} does not match map {values.shape}")
-    selected = values[mask & np.isfinite(values)]
-    if selected.size == 0:
+    if np.ndim(reference) and np.shape(reference) != values.shape:
+        raise ValueError(
+            f"reference shape {np.shape(reference)} does not match map {values.shape}"
+        )
+    selected = np.empty(np.count_nonzero(mask), dtype=np.float64)
+    filled = 0
+    for strip in _strips(len(values), math.prod(values.shape[1:])):
+        part = np.asarray(values[strip], dtype=np.float64)
+        if reference is not None:
+            part = part - (reference[strip] if np.ndim(reference) else reference)
+            np.abs(part, out=part)
+        keep = np.isfinite(part)
+        keep &= mask[strip]
+        part = part[keep]
+        selected[filled:filled + len(part)] = part
+        filled += len(part)
+    if filled == 0:
         raise EmptyMask("no valid pixel under the mask")
-    return float(selected.mean())
+    return float(selected[:filled].mean())
 
 
 def load_boxes(path) -> list[Box]:

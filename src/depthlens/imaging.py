@@ -16,11 +16,14 @@ reproduces both effects on 8-bit rasters:
 Both kernels touch only a bounding box: ``scale_region`` the box of the
 lens region, ``box_blur`` the box of its mask grown by the radius and
 clipped to the frame. Both are separable. Source x of a resampled pixel
-depends only on its column and source y only on its row. The blur takes
-running sums along each axis (a summed-area table, Crow 1984); each clipped
-window is the difference of two slices of an edge-padded cumulative sum,
-held in int32 whenever the frame is small enough for that to be exact, else
-int64.
+depends only on its column and source y only on its row. The blur streams
+the box's rows. The source rows a strip needs enter a zero-padded band
+once each; windows of doubling length sum each row's clipped windows
+(exactly, since the padding is zero), in uint16 while ``255 * (2r + 1)``
+fits. A running prefix over those row sums (a summed-area table, Crow
+1984) lives in a ring of strip rows + 2r + 1 rows, so each output row's
+window is the difference of two ring rows; the prefix is int32 whenever
+the frame is small enough for that to be exact, else int64.
 
 The per-pixel arithmetic runs in row strips of at most ``_STRIP_VALUES``
 output values (about 512 KB of float64), so temporaries stay cache-sized
@@ -28,12 +31,13 @@ instead of frame-sized. ``scale_region`` interpolates the sorted union of
 the source rows a strip reads along x once each, then blends each output
 row's top and bottom row along y; a strip never interpolates more than two
 rows per output row; it gathers the source columns with ``take``, which
-returns contiguous blocks. ``box_blur`` forms counts, the half-up division
-and the masked write per strip, and ``RasterImage.to_gray`` sums three
-per-channel tables of ``weight * value``. Both kernels store through one
-masked writer: a strip whose mask is all set (every strip of a full-frame
-lens) is stored directly; any other is merged in uint8 by a bitwise
-select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
+returns contiguous blocks. ``box_blur`` forms its window sums, counts,
+the half-up division (by one scalar for the windows wholly inside the
+frame) and the masked write per strip, and ``RasterImage.to_gray`` sums
+three per-channel tables of ``weight * value``. Both kernels store through
+one masked writer: a strip whose mask is all set (every strip of a
+full-frame lens) is stored directly; any other is merged in uint8 by a
+bitwise select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -60,7 +64,7 @@ _LUMA_TABLES = tuple(w * np.arange(256, dtype=np.float64) for w in (0.299, 0.587
 def _strips(rows: int, row_values: int):
     """Split ``rows`` rows of ``row_values`` values each into strips of at
     most ``_STRIP_VALUES`` values (at least one row); yields slices."""
-    step = max(1, _STRIP_VALUES // row_values)
+    step = max(1, _STRIP_VALUES // max(row_values, 1))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
 
@@ -268,35 +272,27 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     return RasterImage(out)
 
 
-def _window_sums(a: np.ndarray, axis: int, start: int, stop: int, radius: int,
-                 dtype) -> np.ndarray:
-    """Sums of ``a`` over ``[i - radius, i + radius]`` along ``axis`` (0 or
-    1), clipped to ``a``, for ``i`` in ``[start, stop)``.
-
-    The cumulative sum is stored edge-padded by ``radius`` on both sides, so
-    every clipped window is the difference of two contiguous slices.
-    """
-    n = a.shape[axis]
-    shape = list(a.shape)
-    shape[axis] = n + 2 * radius + 1
-    padded = np.empty(shape, dtype=dtype)
-
-    def at(lo, hi):
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(lo, hi)
-        return tuple(index)
-
-    padded[at(0, radius + 1)] = 0
-    if axis == 0:
-        # np.cumsum walks axis 0 one strided column at a time; adding whole
-        # rows is several times faster.
-        for i in range(n):
-            np.add(padded[radius + i], a[i], out=padded[radius + 1 + i])
-    else:
-        np.cumsum(a, axis=axis, dtype=dtype, out=padded[at(radius + 1, radius + 1 + n)])
-    padded[at(radius + 1 + n, None)] = padded[at(radius + n, radius + 1 + n)]
-    return (padded[at(start + 2 * radius + 1, stop + 2 * radius + 1)]
-            - padded[at(start, stop)])
+def _row_window_sums(band: np.ndarray, length: int, channels: int,
+                     values: int) -> np.ndarray:
+    """Sums of ``length`` consecutive pixels along each row of ``band``
+    (channels folded into the row), for the first ``values`` values of the
+    row. Windows of doubling length are built by one add each, and the sum
+    takes one of them per set bit of ``length``."""
+    total = None
+    offset, size = 0, 1
+    windows = band
+    while True:
+        if length & size:
+            part = windows[:, offset * channels:offset * channels + values]
+            if total is None:
+                total = part.copy()
+            else:
+                total += part
+            offset += size
+        if 2 * size > length:
+            return total
+        windows = windows[:, :-size * channels] + windows[:, size * channels:]
+        size *= 2
 
 
 def _window_counts(start: int, stop: int, size: int, radius: int) -> np.ndarray:
@@ -305,14 +301,23 @@ def _window_counts(start: int, stop: int, size: int, radius: int) -> np.ndarray:
     return np.minimum(i + radius + 1, size) - np.maximum(i - radius, 0)
 
 
+def _unclipped(counts: np.ndarray, length: int) -> slice:
+    """The positions whose window lies wholly inside the frame: one run, as
+    the counts rise, hold at ``length`` and fall."""
+    inside = np.flatnonzero(counts == length)
+    return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+
+
 def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
     """Mean filter over a (2r+1)^2 window, applied to masked pixels only.
 
     The window is clipped at frame edges and averaged over the in-frame
     samples, so borders do not darken. Unmasked pixels pass through
     untouched; radius 0 or an empty mask returns the input. Rounding is
-    half-up in exact integer arithmetic.
+    half-up in exact integer arithmetic. The mask must be boolean.
     """
+    if mask.dtype != np.bool_:
+        raise ValueError(f"blur mask must be bool, got {mask.dtype}")
     if mask.shape != (image.height, image.width):
         raise ValueError(
             f"mask shape {mask.shape} does not match image "
@@ -325,31 +330,57 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
         return image
     xs = np.flatnonzero(mask.any(axis=0))
     h, w = mask.shape
+    channels = image.channels
     y0, y1 = int(ys[0]), int(ys[-1]) + 1
     x0, x1 = int(xs[0]), int(xs[-1]) + 1
     # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
     dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
-    # The output is allocated before the box-sized window sums, so the raster
-    # that outlives this call does not sit above their freed memory in the
-    # heap; the other order raises the attack workloads' peak RSS.
     out = image.data.copy()
-    sy0, sx0 = max(y0 - radius, 0), max(x0 - radius, 0)
-    src = image.data[sy0:min(y1 + radius, h), sx0:min(x1 + radius, w)]
-    sums = _window_sums(src, 1, x0 - sx0, x1 - sx0, radius, dtype)
-    # Fold RGB channels into the row: each (column, channel) is a column.
-    sums = _window_sums(sums.reshape(len(sums), -1), 0, y0 - sy0, y1 - sy0,
-                        radius, dtype)
-    count_y = _window_counts(y0, y1, h, radius).astype(dtype)
-    count_x = np.repeat(_window_counts(x0, x1, w, radius), image.channels).astype(dtype)
+    length = 2 * radius + 1
+    values = (x1 - x0) * channels
+    strips = list(_strips(y1 - y0, values))
+    step = strips[0].stop
+    # Source rows enter a zero-padded band: its column j is frame column
+    # x0 - radius + j, so the zeros make every clipped window a full one.
+    sy0 = max(y0 - radius, 0)
+    sx0, sx1 = max(x0 - radius, 0), min(x1 + radius, w)
+    band = np.zeros((step, (x1 - x0 + 2 * radius) * channels),
+                    np.uint16 if 255 * length < 2 ** 16 else dtype)
+    inner = slice((sx0 - x0 + radius) * channels, (sx1 - x0 + radius) * channels)
+    # Running prefix over the source rows: slot k % len(ring) holds the sum
+    # of the row window sums of rows sy0 .. sy0 + k - 1. A strip reads at
+    # most step + 2r + 1 consecutive slots.
+    ring = np.empty((step + length, values), dtype)
+    ring[0] = 0
+    done = 0
+    count_x = np.repeat(_window_counts(x0, x1, w, radius), channels).astype(dtype)
+    cols = _unclipped(count_x, length)
     box, mask = out[y0:y1, x0:x1], mask[y0:y1, x0:x1]
-    for strip in _strips(len(sums), sums.shape[1]):
-        count = np.multiply.outer(count_y[strip], count_x)
-        mean = sums[strip]
-        # (2 * sum + count) // (2 * count): round half-up, in place
+    for strip in strips:
+        top, bottom = y0 + strip.start, y0 + strip.stop
+        for start in range(sy0 + done, min(bottom + radius, h), step):
+            stop = min(start + step, bottom + radius, h)
+            chunk = band[:stop - start]
+            chunk[:, inner] = image.data[start:stop, sx0:sx1].reshape(stop - start, -1)
+            for row in _row_window_sums(chunk, length, channels, values):
+                np.add(ring[done % len(ring)], row, out=ring[(done + 1) % len(ring)])
+                done += 1
+        i = np.arange(top, bottom)
+        mean = ring[(np.minimum(i + radius + 1, h) - sy0) % len(ring)]
+        mean -= ring[(np.maximum(i - radius, 0) - sy0) % len(ring)]
+        count_y = _window_counts(top, bottom, h, radius).astype(dtype)
+        count = np.multiply.outer(count_y, count_x)
+        # (2 * sum + count) // (2 * count): round half-up, in place. Windows
+        # wholly inside the frame share one count, and NumPy divides by a
+        # scalar several times faster than elementwise.
         mean *= 2
         mean += count
         count *= 2
-        mean //= count
+        rows = _unclipped(count_y, length)
+        for clipped in (np.s_[:rows.start], np.s_[rows.stop:],
+                        np.s_[rows, :cols.start], np.s_[rows, cols.stop:]):
+            mean[clipped] //= count[clipped]
+        mean[rows, cols] //= 2 * length * length
         _write_masked(box[strip], mean, mask[strip])
     return RasterImage(out)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
                                   OptimizationResult, SweepRow)
-from depthlens.defense import _LBP_LABELS, _RING
+from depthlens.defense import _LBP_LABELS
 from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
                               FiducialNotFound, SingularConfiguration)
 from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
@@ -221,6 +221,10 @@ def dense_box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterI
 
 
 # ---------------------------------------------------------------- defense ----
+
+# The LBP ring, circular from N: neighbor p sets bit p of the code.
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
 
 def reference_lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
     """Reference ``_lbp_active``: the frame widened to int16, one frame-sized

@@ -1,10 +1,12 @@
 """Loss functions and the brute-force level search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import attack_opt, formats
+from depthlens import attack_opt, formats, imaging
 from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_sweep,
                                   loss_out, loss_vehicle_targeted,
                                   loss_vehicle_untargeted, optimize_level,
@@ -14,8 +16,9 @@ from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper)
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
-from helpers import concave_sweep_fixture
-from oracles import dense_alpha_sweep, dense_optimize_level
+from helpers import STRIPS, concave_sweep_fixture, strip_values
+from oracles import (_dense_abs_diff, dense_alpha_sweep, dense_optimize_level,
+                     two_step_masked_mean)
 
 
 class TestLossPieces:
@@ -84,6 +87,67 @@ class TestLossPieces:
     def test_empty_mask(self):
         with pytest.raises(EmptyMask):
             loss_out(np.ones((3, 3)), np.ones((3, 3)), np.zeros((3, 3), bool))
+
+
+@st.composite
+def drift_cases(draw):
+    """Two maps and a mask. Maps are float32 or float64, up to near their
+    dtype's largest value (so an unwidened difference would overflow), with
+    NaN and +-inf anywhere. Masks are random, empty, full, or set on a few
+    row bands only, so some strips select nothing."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def a_map():
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        scale = draw(st.sampled_from([1.0, float(np.finfo(dtype).max) / 2]))
+        values = rng.uniform(-scale, scale, (h, w))
+        special = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        values[special] = rng.choice([np.nan, np.inf, -np.inf], special.sum())
+        return values.astype(dtype)
+
+    kind = draw(st.sampled_from(["random", "empty", "full", "bands"]))
+    if kind == "random":
+        mask = rng.random((h, w)) < draw(st.floats(0, 1))
+    elif kind == "bands":
+        mask = (rng.random((h, 1)) < 0.2) & (rng.random((1, w)) < 0.7)
+    else:
+        mask = np.full((h, w), kind == "full")
+    return a_map(), a_map(), mask
+
+
+class TestLossOut:
+    """``loss_out`` forms ``|a - b|`` per row strip; it must give the bits of
+    the dense two-step mean."""
+
+    @pytest.mark.parametrize("strip", [None] + STRIPS)
+    @settings(max_examples=200, deadline=None)
+    @given(case=drift_cases())
+    def test_equals_dense_two_step_mean(self, strip, case):
+        a, b, mask = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _outcome(two_step_masked_mean, _dense_abs_diff(a, b), mask)
+            with strip_values(strip or imaging._STRIP_VALUES):
+                got = _outcome(loss_out, a, b, mask)
+        assert got == want
+
+    @pytest.mark.parametrize("b_shape, mask_shape",
+                             [((4, 3), (3, 4)), ((3, 1), (3, 4)), ((3, 4), (4, 3))])
+    def test_shape_mismatch_rejected(self, b_shape, mask_shape):
+        with pytest.raises(ValueError, match="does not match"):
+            loss_out(np.ones((3, 4)), np.ones(b_shape), np.ones(mask_shape, bool))
+
+    def test_peak_memory_is_the_selection(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(4.0, 40.0, (2, 1080, 1920))
+        m_out = ~region_masks(1920, 1080, LensRegion.circle(960, 540, 300))
+        tracemalloc.start()
+        try:
+            loss_out(a, b, m_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * np.count_nonzero(m_out) + 4 * 2 ** 20
 
 
 class FakeEstimator:

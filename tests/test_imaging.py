@@ -318,6 +318,42 @@ class TestBoxBlur:
         with pytest.raises(ValueError):
             box_blur(textured_image(), np.ones((4, 4), bool), 1)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_non_bool_mask_rejected(self, dtype):
+        # a uint8 mask holding 2 once passed and corrupted masked pixels (the
+        # bitwise select kept bit 0 of the input); int and float masks crashed
+        # in the masked writer
+        mask = 2 * dense_in_lens(16, 16, LensRegion.circle(8, 8, 5)).astype(dtype)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            box_blur(noise_image((16, 16), seed=3), mask, 1)
+
+    @pytest.mark.parametrize("radius", [127, 128, 129])
+    def test_row_sums_at_the_uint16_limit(self, radius):
+        # row windows sum in uint16 while 255 * (2r + 1) < 2**16, that is up
+        # to r = 128; near-white rows wider than the window reach that bound
+        rng = np.random.default_rng(radius)
+        img = RasterImage(rng.integers(254, 256, (5, 2 * radius + 40), dtype=np.uint8))
+        mask = np.ones(img.data.shape, bool)
+        assert np.array_equal(box_blur(img, mask, radius).data,
+                              dense_box_blur(img, mask, radius).data)
+
+    @pytest.mark.parametrize("lens", [None, LensRegion.circle(960, 540, 300)])
+    def test_peak_memory_is_strip_sized(self, full_hd_rgb, lens):
+        # RGB full frame, and a gray frame blurred outside a lens; the output
+        # copy is the only frame-sized allocation
+        if lens is None:
+            img, mask = full_hd_rgb, np.ones((1080, 1920), bool)
+        else:
+            img = noise_image((1080, 1920), seed=9)
+            mask = ~region_masks(1920, 1080, lens)
+        tracemalloc.start()
+        try:
+            box_blur(img, mask, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= img.data.nbytes + 4 * 2 ** 20
+
 
 class TestMaskedWrite:
     """Both kernels store through one masked writer, which sees strips whose
