@@ -10,9 +10,12 @@ Conventions shared by all commands:
 * units are meters / seconds / pixels throughout;
 * every option can also come from a ``key = value`` config file via
   ``--config``; an option resolves flag > config file > registered default,
-  a line is a comment only when its first non-blank character is ``#``, a
-  switch reads 1/true/yes/on or 0/false/no/off in any case, and a value that
-  does not parse is a usage error naming its key;
+  a line is a comment only when its first non-blank character is ``#``, and
+  a key set twice is a usage error naming both lines;
+* flag text and config text go through the option's one registered parser
+  and fail alike (``option --x: ...``, ``config key 'x': ...``); a word
+  option arrives as its enum member or word, and its message lists the
+  words it accepts; a switch reads 1/true/yes/on or 0/false/no/off in any case;
 * human-readable numbers print with 6 significant digits, CSV output keeps
   full float precision;
 * exit codes: 0 success, 1 domain error (singular / infeasible geometry),
@@ -39,41 +42,61 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
+class _Words:
+    """Parser of a word option: an Enum's values map to its members, bare
+    words to themselves; any other word is a ValueError listing them."""
+
+    def __init__(self, words, any_case: bool = False):
+        if isinstance(words, type):
+            words = {member.value: member for member in words}
+        self.words = words if isinstance(words, dict) else {w: w for w in words}
+        self.any_case = any_case
+
+    def __call__(self, text: str):
+        try:
+            return self.words[text.lower() if self.any_case else text]
+        except KeyError:
+            raise ValueError(f"unsupported word {text!r}; accepted: "
+                             f"{', '.join(self.words)}") from None
 
 
-def _config_bool(raw: str) -> bool:
-    if raw.lower() not in _BOOL_WORDS:
-        raise ValueError(f"expected one of {', '.join(_BOOL_WORDS)}, got {raw!r}")
-    return _BOOL_WORDS[raw.lower()]
+_LENS_KIND = _Words(LensKind)
+_SWITCH = _Words({**dict.fromkeys(("1", "true", "yes", "on"), True),
+                  **dict.fromkeys(("0", "false", "no", "off"), False)}, any_case=True)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    """Parser of a comma-separated list of numbers."""
+    return tuple(float(item) for item in text.split(","))
 
 
 class _Command:
     """One subcommand: its parser, its handler and the option registry, which
-    maps each option to the parser of its config-file value and its one
-    default. The argparse parser leaves every option at None, so
-    ``_resolve`` can tell an explicit flag from an unset one."""
+    maps each option to the parser of its text and its one default. The
+    argparse parser keeps every option as text and leaves an unset one at
+    None, so ``_resolve`` can tell an explicit flag from an unset one."""
 
     def __init__(self, subparsers, name: str, help_text: str, handler):
         self.name = name
         self.handler = handler
         self.parser = subparsers.add_parser(name, help=help_text)
-        self.parser.add_argument("--config", default=None,
-                                 help="key = value file supplying defaults")
+        self.parser.add_argument("--config", help="key = value file supplying defaults")
         self.options: dict[str, tuple[object, object]] = {}
 
-    def opt(self, flag: str, default=None, **kwargs):
-        action = self.parser.add_argument(flag, **kwargs)
-        self.options[action.dest] = (kwargs.get("type", str), default)
+    def opt(self, flag: str, parse=str, default=None, help="", **kwargs):
+        """Register an option; its help text gains the words it accepts and
+        its default from the registry, so neither is written twice."""
+        if isinstance(parse, _Words) and parse is not _SWITCH:
+            help = " | ".join(parse.words) + (f"; {help}" if help else "")
+        if default is not None:
+            help += f" (default {getattr(default, 'value', default)})"
+        action = self.parser.add_argument(flag, help=help, **kwargs)
+        self.options[action.dest] = (parse, default)
 
-    def flag(self, flag: str, **kwargs):
-        action = self.parser.add_argument(flag, action="store_true", default=None, **kwargs)
-        self.options[action.dest] = (_config_bool, False)
 
-
-def _load_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _load_config_file(path: str, known) -> dict[str, tuple[int, str]]:
+    """Each key's line number and value text; every key must be ``known``."""
+    entries: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -82,23 +105,29 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
-            entries[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}, "
+                                 f"first set on line {entries[key][0]}")
+            entries[key] = lineno, value.strip()
     return entries
 
 
 def _resolve(ns: argparse.Namespace, command: _Command) -> None:
-    """Fill every option the command line left unset: the config file's
-    entry if it has one, else the registered default."""
-    entries = _load_config_file(ns.config) if ns.config else {}
-    for key in entries:
-        if key not in command.options:
-            raise ValueError(f"unknown config key {key!r}")
+    """Turn every option into its value: the flag's text if one was given
+    (even "0" or ""), else the config file's entry, each read by the
+    option's registered parser; else the registered default."""
+    entries = _load_config_file(ns.config, command.options) if ns.config else {}
     for dest, (parse, default) in command.options.items():
-        if getattr(ns, dest) is None:  # an explicit flag wins, even 0 or 0.0
-            try:
-                setattr(ns, dest, parse(entries[dest]) if dest in entries else default)
-            except ValueError as exc:
-                raise ValueError(f"config key {dest!r}: {exc}") from None
+        text, source = getattr(ns, dest), f"option --{dest.replace('_', '-')}"
+        if text is None and dest in entries:
+            text, source = entries[dest][1], f"config key {dest!r}"
+        try:
+            setattr(ns, dest, default if text is None else parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 def _require(ns, *names):
@@ -107,27 +136,30 @@ def _require(ns, *names):
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _add_region_options(cmd: _Command) -> None:
+    cmd.opt("--region", _Words(("full", "circle")), "full")
+    cmd.opt("--cx", float, help="circle center x, px")
+    cmd.opt("--cy", float, help="circle center y, px")
+    cmd.opt("--radius", float, help="circle radius, px")
+
+
 def _parse_region(ns) -> LensRegion:
     if ns.region == "full":
         return LensRegion.full_frame()
-    if ns.region == "circle":
-        _require(ns, "cx", "cy", "radius")
-        return LensRegion.circle(ns.cx, ns.cy, ns.radius)
-    raise ValueError(f"region must be 'full' or 'circle', got {ns.region!r}")
+    _require(ns, "cx", "cy", "radius")
+    return LensRegion.circle(ns.cx, ns.cy, ns.radius)
 
 
-def _lens_kind(name: str) -> LensKind:
-    try:
-        return LensKind(name)
-    except ValueError:
-        raise ValueError(f"lens kind must be concave or convex, got {name!r}") from None
-
-
-def _lens_spec(ns) -> optics.LensSpec:
-    """The attack lens named by --lens, its --f magnitude signed by kind."""
-    _require(ns, "f")
-    concave = _lens_kind(ns.lens) is LensKind.CONCAVE
-    return optics.LensSpec(-abs(ns.f) if concave else abs(ns.f))
+def _magnification(ns) -> optics.OpticsResult:
+    """The lens stack of --do1, --db and --fc behind the attack lens named by
+    --lens (none: no lens), its --f magnitude signed by kind."""
+    _require(ns, "lens", "do1", "fc", "db")
+    camera = optics.CameraSpec(focal_length_m=ns.fc, lens_gap_m=ns.db)
+    lens = None
+    if ns.lens != "none":
+        _require(ns, "f")
+        lens = optics.LensSpec(-abs(ns.f) if ns.lens is LensKind.CONCAVE else abs(ns.f))
+    return optics.combined_magnification(optics.AttackGeometry(ns.do1, lens, camera))
 
 
 def _first_box(ns) -> estimation.Box:
@@ -144,33 +176,28 @@ def _first_box(ns) -> estimation.Box:
 def _add_optics(sub) -> _Command:
     cmd = _Command(sub, "optics", "closed-form expected depth for a lens stack",
                    cmd_optics)
-    cmd.opt("--lens", type=str, help="concave | convex | none (pass-through)")
-    cmd.opt("--f", type=float, help="attack lens focal length magnitude, m")
-    cmd.opt("--db", type=float, help="attack lens to camera lens gap, m")
-    cmd.opt("--do1", type=float, help="object to attack lens distance, m")
-    cmd.opt("--fc", type=float, help="camera focal length, m")
-    cmd.opt("--table", type=str,
-            help="emit the full (f, d_b, d_o1) sweep CSV for concave|convex")
+    cmd.opt("--lens", _Words({**_LENS_KIND.words, "none": "none"}), help="none: no lens")
+    cmd.opt("--f", float, help="attack lens focal length magnitude, m")
+    cmd.opt("--db", float, help="attack lens to camera lens gap, m")
+    cmd.opt("--do1", float, help="object to attack lens distance, m")
+    cmd.opt("--fc", float, help="camera focal length, m")
+    cmd.opt("--table", _LENS_KIND, help="emit the full (f, d_b, d_o1) sweep CSV")
     return cmd
 
 
 def cmd_optics(ns) -> int:
-    if ns.table:
-        concave = _lens_kind(ns.table) is LensKind.CONCAVE
+    if ns.table is not None:
         _require(ns, "fc")
-        cells = list(optics.expected_depth_grid(concave, ns.fc))  # before any output
+        # every cell before any output
+        cells = list(optics.expected_depth_grid(ns.table is LensKind.CONCAVE, ns.fc))
         print("lens,f_m,d_b_m,d_o1_m,m_total,m_ori,depth_ratio,expected_depth_m")
         for f, d_b, d_o1, result in cells:
             depth = result.depth_ratio * d_o1
-            print(f"{ns.table},{f!r},{d_b!r},{d_o1!r},{result.m_total!r},"
+            print(f"{ns.table.value},{f!r},{d_b!r},{d_o1!r},{result.m_total!r},"
                   f"{result.m_ori!r},{result.depth_ratio!r},{depth!r}")
         return 0
 
-    _require(ns, "lens", "do1", "fc", "db")
-    camera = optics.CameraSpec(focal_length_m=ns.fc, lens_gap_m=ns.db)
-    lens = None if ns.lens == "none" else _lens_spec(ns)
-    geom = optics.AttackGeometry(ns.do1, lens, camera)
-    result = optics.combined_magnification(geom)
+    result = _magnification(ns)
     scenario_name = result.scenario.value if result.scenario else "pass_through"
     feasible = result.scenario.feasible_in_ad if result.scenario else True
     print(f"scenario={scenario_name} feasible={str(feasible).lower()}")
@@ -185,18 +212,15 @@ def cmd_optics(ns) -> int:
 
 def _add_simulate(sub) -> _Command:
     cmd = _Command(sub, "simulate", "render an attacked image", cmd_simulate)
-    cmd.opt("--input", type=str, help="benign PGM/PPM")
-    cmd.opt("--output", type=str, help="attacked image path")
-    cmd.opt("--lens-kind", type=str, default="concave", help="concave | convex")
-    cmd.opt("--level", type=int, help="discrete attack level 1..9")
-    cmd.opt("--scale", type=float, help="override rescale factor")
-    cmd.opt("--blur", type=int, help="override blur radius, px")
-    cmd.opt("--placement", type=str, help="override: in_lens | out_of_lens")
-    cmd.opt("--region", type=str, default="full", help="full (default) | circle")
-    cmd.opt("--cx", type=float, help="circle center x, px")
-    cmd.opt("--cy", type=float, help="circle center y, px")
-    cmd.opt("--radius", type=float, help="circle radius, px")
-    cmd.opt("--emit-masks", type=str,
+    cmd.opt("--input", help="benign PGM/PPM")
+    cmd.opt("--output", help="attacked image path")
+    cmd.opt("--lens-kind", _LENS_KIND, LensKind.CONCAVE)
+    cmd.opt("--level", int, help="discrete attack level 1..9")
+    cmd.opt("--scale", float, help="override rescale factor")
+    cmd.opt("--blur", int, help="override blur radius, px")
+    cmd.opt("--placement", _Words(BlurPlacement), help="override")
+    _add_region_options(cmd)
+    cmd.opt("--emit-masks",
             help="prefix for <prefix>_in.pgm / <prefix>_out.pgm mask dumps")
     return cmd
 
@@ -206,15 +230,13 @@ def _build_profile(ns, region: LensRegion) -> AttackProfile:
     with --scale, --blur and --placement applied on top."""
     if ns.level is None and ns.scale is None and ns.blur is None:
         raise ValueError("give --level or an explicit --scale/--blur profile")
-    kind = _lens_kind(ns.lens_kind)
     if ns.level is None:
-        profile = replace(level_to_profile(kind, 1, region=region),
+        profile = replace(level_to_profile(ns.lens_kind, 1, region=region),
                           scale_factor=1.0, blur_radius=0)
     else:
-        profile = level_to_profile(kind, ns.level, region=region)
-    placement = None if ns.placement is None else BlurPlacement(ns.placement)
+        profile = level_to_profile(ns.lens_kind, ns.level, region=region)
     overrides = {"scale_factor": ns.scale, "blur_radius": ns.blur,
-                 "blur_placement": placement}
+                 "blur_placement": ns.placement}
     return replace(profile, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -240,39 +262,30 @@ def cmd_simulate(ns) -> int:
 
 def _add_optimize(sub) -> _Command:
     cmd = _Command(sub, "optimize", "brute-force level search over alphas", cmd_optimize)
-    cmd.opt("--input", type=str, help="benign PGM/PPM")
-    cmd.opt("--mode", type=str, help="targeted | untargeted")
-    cmd.opt("--lens-kind", type=str, help="concave | convex")
-    cmd.opt("--alphas", type=str, default="0.1,0.2,0.3,0.4",
-            help="comma list, default 0.1,0.2,0.3,0.4")
-    cmd.opt("--boxes", type=str, help="vehicle bounding-box file (first box used)")
-    cmd.opt("--region", type=str, default="full", help="full (default) | circle")
-    cmd.opt("--cx", type=float, help="circle center x, px")
-    cmd.opt("--cy", type=float, help="circle center y, px")
-    cmd.opt("--radius", type=float, help="circle radius, px")
-    cmd.opt("--estimator", type=str, default="proxy", help="proxy (default) | external")
-    cmd.opt("--maps", type=str, help="map directory for the external estimator")
-    cmd.opt("--map-kind", type=str, default="disparity",
-            help="disparity (default) | depth")
-    cmd.opt("--rescale", type=float, help="divide external disparities by this")
-    cmd.opt("--y-tar", type=float, help="target value for targeted mode")
-    cmd.opt("--fiducial-height", type=float, help="proxy fiducial height, m")
-    cmd.opt("--focal-px", type=float, help="proxy focal length, px")
-    cmd.opt("--detect-threshold", type=int,
-            default=estimation.FiducialSpec.detection_threshold,
-            help="proxy blob threshold (default 96)")
-    cmd.opt("--output", type=str, help="CSV path (default stdout)")
+    cmd.opt("--input", help="benign PGM/PPM")
+    cmd.opt("--mode", _Words(attack_opt.Mode))
+    cmd.opt("--lens-kind", _LENS_KIND)
+    cmd.opt("--alphas", _floats, (0.1, 0.2, 0.3, 0.4), help="comma list")
+    cmd.opt("--boxes", help="vehicle bounding-box file (first box used)")
+    _add_region_options(cmd)
+    cmd.opt("--estimator", _Words(("proxy", "external")), "proxy")
+    cmd.opt("--maps", help="map directory for the external estimator")
+    cmd.opt("--map-kind", _Words(("disparity", "depth")), "disparity")
+    cmd.opt("--rescale", float, help="divide external disparities by this")
+    cmd.opt("--y-tar", float, help="target value for targeted mode")
+    cmd.opt("--fiducial-height", float, help="proxy fiducial height, m")
+    cmd.opt("--focal-px", float, help="proxy focal length, px")
+    cmd.opt("--detect-threshold", int, estimation.FiducialSpec.detection_threshold,
+            help="proxy blob threshold")
+    cmd.opt("--output", help="CSV path (default stdout)")
     return cmd
 
 
 def cmd_optimize(ns) -> int:
     _require(ns, "input", "mode", "lens_kind")
     image = RasterImage.load(ns.input)
-    mode = attack_opt.Mode(ns.mode)
-    kind = _lens_kind(ns.lens_kind)
     region = _parse_region(ns)
     box = _first_box(ns)
-    alphas = [float(a) for a in ns.alphas.split(",")]
 
     if ns.estimator == "proxy":
         _require(ns, "fiducial_height", "focal_px")
@@ -280,19 +293,17 @@ def cmd_optimize(ns) -> int:
             physical_height_m=ns.fiducial_height,
             detection_threshold=ns.detect_threshold, reference_box=box)
         estimator = estimation.ProxyDepthMapper(fiducial, ns.focal_px)
-    elif ns.estimator == "external":
+    else:
         _require(ns, "maps")
         estimator = estimation.DirectoryMapEstimator(
             ns.maps, kind=ns.map_kind, rescale=ns.rescale)
-    else:
-        raise ValueError(f"estimator must be proxy or external, got {ns.estimator!r}")
 
     y_tar = ns.y_tar
-    if y_tar is None and mode is attack_opt.Mode.TARGETED:
-        y_tar = attack_opt.DEFAULT_Y_TAR[kind]
-    cfg = attack_opt.LossConfig(alpha=alphas[0], mode=mode, vehicle_box=box,
+    if y_tar is None and ns.mode is attack_opt.Mode.TARGETED:
+        y_tar = attack_opt.DEFAULT_Y_TAR[ns.lens_kind]
+    cfg = attack_opt.LossConfig(alpha=ns.alphas[0], mode=ns.mode, vehicle_box=box,
                                 region=region, y_tar=y_tar)
-    rows = attack_opt.alpha_sweep(image, estimator, cfg, alphas, kind)
+    rows = attack_opt.alpha_sweep(image, estimator, cfg, ns.alphas, ns.lens_kind)
     for row in rows:
         if row.failed:
             print(f"error: alpha {row.alpha!r}: {row.error}", file=sys.stderr)
@@ -310,14 +321,14 @@ def cmd_optimize(ns) -> int:
 
 def _add_metrics(sub) -> _Command:
     cmd = _Command(sub, "metrics", "attack distortion / error rates", cmd_metrics)
-    cmd.opt("--kind", type=str, help="adr | aer")
-    cmd.opt("--attacked", type=float, help="attacked reading (scalar mode)")
-    cmd.opt("--benign", type=float, help="benign reading (adr)")
-    cmd.opt("--target", type=float, help="target value (aer)")
-    cmd.opt("--attacked-map", type=str, help="attacked map file (map mode)")
-    cmd.opt("--benign-map", type=str, help="benign map file (adr map mode)")
-    cmd.opt("--map-kind", type=str, default="depth", help="depth (default) | disparity")
-    cmd.opt("--boxes", type=str, help="mask box file (first box used)")
+    cmd.opt("--kind", _Words(("adr", "aer")))
+    cmd.opt("--attacked", float, help="attacked reading (scalar mode)")
+    cmd.opt("--benign", float, help="benign reading (adr)")
+    cmd.opt("--target", float, help="target value (aer)")
+    cmd.opt("--attacked-map", help="attacked map file (map mode)")
+    cmd.opt("--benign-map", help="benign map file (adr map mode)")
+    cmd.opt("--map-kind", _Words(("depth", "disparity")), "depth")
+    cmd.opt("--boxes", help="mask box file (first box used)")
     return cmd
 
 
@@ -330,9 +341,6 @@ def _box_mean(ns, map_path) -> float:
 
 def cmd_metrics(ns) -> int:
     _require(ns, "kind")
-    if ns.kind not in ("adr", "aer"):
-        raise ValueError(f"kind must be adr or aer, got {ns.kind!r}")
-
     if ns.attacked_map:
         attacked = _box_mean(ns, ns.attacked_map)
     else:
@@ -356,34 +364,30 @@ def cmd_metrics(ns) -> int:
 
 def _add_defend(sub) -> _Command:
     cmd = _Command(sub, "defend", "blur detection verdicts", cmd_defend)
-    cmd.opt("--input", type=str, help="image to score")
-    cmd.opt("--method", type=str, help="varlap | lbp")
-    cmd.opt("--threshold", type=float, help="verdict threshold (method default)")
-    cmd.opt("--window", type=int, default=defense.DEFAULT_TILE_PX,
-            help="lbp tile size, px (default 32)")
-    cmd.opt("--delta", type=int, default=defense.DEFAULT_LBP_DELTA,
-            help="lbp neighbor delta (default 20)")
-    cmd.opt("--mask-out", type=str, help="write the blur mask PGM here (lbp)")
+    cmd.opt("--input", help="image to score")
+    cmd.opt("--method", _Words(("varlap", "lbp")))
+    cmd.opt("--threshold", float, help="verdict threshold (method default)")
+    cmd.opt("--window", int, defense.DEFAULT_TILE_PX, help="lbp tile size, px")
+    cmd.opt("--delta", int, defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
+    cmd.opt("--mask-out", help="write the blur mask PGM here (lbp)")
     return cmd
 
 
 def cmd_defend(ns) -> int:
     _require(ns, "input", "method")
+    if ns.mask_out and ns.method != "lbp":
+        raise ValueError("--mask-out needs the lbp method")
     image = RasterImage.load(ns.input)
     # Without --threshold each method applies its own default.
     threshold = {} if ns.threshold is None else {"threshold": ns.threshold}
     if ns.method == "varlap":
         verdict = defense.varlap_verdict(image, **threshold)
-    elif ns.method == "lbp":
+    else:
         sharpness = defense.lbp_sharpness_map(image, window=ns.window,
                                               lbp_threshold=ns.delta)
         verdict = defense.segment_blur(sharpness, **threshold)
-    else:
-        raise ValueError(f"unsupported method {ns.method!r} (varlap or lbp)")
     print(verdict.report_line())
     if ns.mask_out:
-        if verdict.blur_mask is None:
-            raise ValueError("--mask-out needs the lbp method")
         RasterImage(verdict.blur_mask * np.uint8(255)).save(ns.mask_out)
         print(f"wrote {ns.mask_out}")
     return 0
@@ -394,37 +398,30 @@ def cmd_defend(ns) -> int:
 def _add_scenario(sub) -> _Command:
     cmd = _Command(sub, "scenario", "closed-loop braking run", cmd_scenario)
     defaults = scenario.ScenarioConfig  # class attributes hold field defaults
-    cmd.opt("--gap0", type=float, default=40.0, help="initial gap, m (default 40)")
-    cmd.opt("--speed", type=float, default=10.0, help="ego speed, m/s (default 10)")
-    cmd.opt("--max-decel", type=float, default=6.0,
-            help="braking deceleration, m/s^2 (default 6)")
-    cmd.opt("--margin", type=float, default=2.0, help="safety margin, m (default 2)")
-    cmd.opt("--dt", type=float, default=defaults.dt_s, help="tick, s (default 0.01)")
-    cmd.opt("--max-time", type=float, default=defaults.max_sim_time_s,
-            help="simulation cap, s (default 60)")
-    cmd.opt("--sigma", type=float, default=defaults.noise_sigma_m,
-            help="perception noise sigma, m (default 0)")
-    cmd.opt("--seed", type=int, default=defaults.seed, help="noise seed (default 0)")
-    cmd.opt("--ratio", type=float, default=defaults.depth_ratio,
-            help="perceived/true depth ratio")
-    cmd.flag("--ratio-from-optics", help="derive the ratio from lens geometry")
-    cmd.opt("--lens", type=str, help="concave | convex (with --ratio-from-optics)")
-    cmd.opt("--f", type=float, help="attack lens focal length magnitude, m")
-    cmd.opt("--db", type=float, help="lens gap, m")
-    cmd.opt("--do1", type=float, help="object distance, m")
-    cmd.opt("--fc", type=float, help="camera focal length, m")
-    cmd.opt("--log", type=str, help="write the tick CSV here")
+    cmd.opt("--gap0", float, 40.0, help="initial gap, m")
+    cmd.opt("--speed", float, 10.0, help="ego speed, m/s")
+    cmd.opt("--max-decel", float, 6.0, help="braking deceleration, m/s^2")
+    cmd.opt("--margin", float, 2.0, help="safety margin, m")
+    cmd.opt("--dt", float, defaults.dt_s, help="tick, s")
+    cmd.opt("--max-time", float, defaults.max_sim_time_s, help="simulation cap, s")
+    cmd.opt("--sigma", float, defaults.noise_sigma_m, help="perception noise sigma, m")
+    cmd.opt("--seed", int, defaults.seed, help="noise seed")
+    cmd.opt("--ratio", float, defaults.depth_ratio, help="perceived/true depth ratio")
+    cmd.opt("--ratio-from-optics", _SWITCH, False, action="store_const", const="1",
+            help="derive the ratio from lens geometry")
+    cmd.opt("--lens", _LENS_KIND, help="with --ratio-from-optics")
+    cmd.opt("--f", float, help="attack lens focal length magnitude, m")
+    cmd.opt("--db", float, help="lens gap, m")
+    cmd.opt("--do1", float, help="object distance, m")
+    cmd.opt("--fc", float, help="camera focal length, m")
+    cmd.opt("--log", help="write the tick CSV here")
     return cmd
 
 
 def cmd_scenario(ns) -> int:
     ratio = ns.ratio
     if ns.ratio_from_optics:
-        _require(ns, "lens", "f", "db", "do1", "fc")
-        geom = optics.AttackGeometry(
-            ns.do1, _lens_spec(ns),
-            optics.CameraSpec(focal_length_m=ns.fc, lens_gap_m=ns.db))
-        ratio = optics.combined_magnification(geom).depth_ratio
+        ratio = _magnification(ns).depth_ratio
         print(f"ratio={_fmt(ratio)}")
     cfg = scenario.ScenarioConfig(
         initial_gap_m=ns.gap0, ego_speed_mps=ns.speed, max_decel_mps2=ns.max_decel,

@@ -138,7 +138,8 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     for strip in _strips(len(values), math.prod(values.shape[1:])):
         part = np.asarray(values[strip], dtype=np.float64)
         if reference is not None:
-            part = part - (reference[strip] if np.ndim(reference) else reference)
+            with np.errstate(invalid="ignore"):  # inf - inf: a NaN dropped below
+                part = part - (reference[strip] if np.ndim(reference) else reference)
             np.abs(part, out=part)
         keep = np.isfinite(part)
         keep &= mask[strip]

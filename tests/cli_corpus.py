@@ -1,0 +1,285 @@
+"""CLI byte-identity corpus: invocations of all six subcommands, valid and
+invalid, each pinned in ``cli_corpus.json`` to its exit code and the SHA-256
+of its stdout, its stderr and every file it writes.
+
+    python tests/cli_corpus.py --record    # rewrite cli_corpus.json
+
+``tests/test_cli_corpus.py`` runs every entry against the file. The inputs
+are 160x120 rasters, maps and text files generated here from fixed seeds;
+no binary fixture is committed. Every invocation runs in one directory that
+holds them, with relative paths, so messages naming a file are the same on
+any machine. A re-record changes what the CLI is pinned to: each entry it
+changes needs its reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from depthlens import formats
+from depthlens.cli import main
+from depthlens.imaging import RasterImage
+
+CORPUS_JSON = Path(__file__).with_name("cli_corpus.json")
+W, H = 160, 120
+
+_OPTICS = ["--f", "0.2", "--db", "0.04", "--do1", "6", "--fc", "0.026"]
+_SIM = ["simulate", "--input", "gray.pgm"]
+_OPT = ["optimize", "--input", "gray.pgm", "--boxes", "boxes.txt"]
+_PROXY = ["--fiducial-height", "1.5", "--focal-px", "700"]
+_CIRCLE = ["--region", "circle", "--cx", "80", "--cy", "60", "--radius", "45"]
+_OPTICS_LENS = ["--lens", "concave", *_OPTICS]
+
+# name -> (argv, files the invocation may write)
+CASES: dict[str, tuple[list[str], list[str]]] = {
+    # optics: the four scenarios, pass-through, both tables, the error exits
+    "optics_concave": (["optics", "--lens", "concave", *_OPTICS], []),
+    "optics_convex_near_lens": (["optics", "--lens", "convex", *_OPTICS], []),
+    "optics_convex_far_lens": (["optics", "--lens", "convex", "--f", "0.2", "--db", "0.3",
+                                "--do1", "6", "--fc", "0.026"], []),
+    "optics_convex_near_object": (["optics", "--lens", "convex", "--f", "0.5", "--db",
+                                   "0.04", "--do1", "0.3", "--fc", "0.026"], []),
+    "optics_pass_through": (["optics", "--lens", "none", "--db", "0.04", "--do1", "6",
+                             "--fc", "0.026"], []),
+    "optics_table_concave": (["optics", "--table", "concave", "--fc", "0.026"], []),
+    "optics_table_convex": (["optics", "--table", "convex", "--fc", "0.026"], []),
+    "optics_singular": (["optics", "--lens", "convex", "--f", "0.2", "--db", "0.04",
+                         "--do1", "0.2", "--fc", "0.026"], []),
+    "optics_nan_f": (["optics", "--lens", "concave", "--f", "nan", "--db", "0.04",
+                      "--do1", "6", "--fc", "0.026"], []),
+    "optics_bad_lens": (["optics", "--lens", "banana", *_OPTICS], []),
+    "optics_bad_table": (["optics", "--table", "banana", "--fc", "0.026"], []),
+    "optics_table_unused_bad_lens": (["optics", "--table", "convex", "--fc", "0.026",
+                                      "--lens", "banana"], []),
+    "optics_bad_float_flag": (["optics", "--lens", "concave", "--f", "abc", "--db",
+                               "0.04", "--do1", "6", "--fc", "0.026"], []),
+    # simulate: gray and RGB, masks, overrides, config, the error exits
+    "simulate_gray_circle_masks": ([*_SIM, "--output", "sim_a.pgm", "--lens-kind",
+                                    "convex", "--level", "5", *_CIRCLE,
+                                    "--emit-masks", "sim_masks"],
+                                   ["sim_a.pgm", "sim_masks_in.pgm",
+                                    "sim_masks_out.pgm"]),
+    "simulate_rgb_full": (["simulate", "--input", "rgb.ppm", "--output", "sim_b.ppm",
+                           "--level", "3"], ["sim_b.ppm"]),
+    "simulate_overrides": ([*_SIM, "--output", "sim_c.pgm", "--scale", "1.2", "--blur",
+                            "2", "--placement", "out_of_lens", *_CIRCLE], ["sim_c.pgm"]),
+    "simulate_config": ([*_SIM, "--output", "sim_d.pgm", "--config", "sim.cfg"],
+                        ["sim_d.pgm"]),
+    "simulate_no_profile": ([*_SIM, "--output", "sim_e.pgm"], ["sim_e.pgm"]),
+    "simulate_missing_input": (["simulate", "--input", "missing.pgm", "--output",
+                                "sim_f.pgm", "--level", "2"], ["sim_f.pgm"]),
+    "simulate_bad_level_flag": ([*_SIM, "--output", "sim_g.pgm", "--level", "abc"],
+                                ["sim_g.pgm"]),
+    "simulate_bad_level_config": ([*_SIM, "--output", "sim_h.pgm", "--config",
+                                   "bad_level.cfg"], ["sim_h.pgm"]),
+    "simulate_bad_placement": ([*_SIM, "--output", "sim_i.pgm", "--level", "2",
+                                "--placement", "sideways"], ["sim_i.pgm"]),
+    "simulate_bad_region": ([*_SIM, "--output", "sim_j.pgm", "--level", "2",
+                             "--region", "square"], ["sim_j.pgm"]),
+    "simulate_bad_lens_kind": ([*_SIM, "--output", "sim_k.pgm", "--level", "2",
+                                "--lens-kind", "prism"], ["sim_k.pgm"]),
+    # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
+    # and off the frame, both modes, the error exits
+    "optimize_proxy_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind", "concave",
+                                 *_CIRCLE, *_PROXY, "--output", "opt_a.csv"],
+                                ["opt_a.csv"]),
+    "optimize_proxy_untargeted_full": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                        "convex", *_PROXY, "--alphas", "0.1,0.5"], []),
+    "optimize_pfm_le_disparity": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                   "concave", *_CIRCLE, "--estimator", "external",
+                                   "--maps", "maps_le"], []),
+    "optimize_pfm_be_depth_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind",
+                                        "convex", *_CIRCLE, "--estimator", "external",
+                                        "--maps", "maps_be", "--map-kind", "depth",
+                                        "--y-tar", "9.5"], []),
+    "optimize_pgm16_rescaled": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                 "concave", *_CIRCLE, "--estimator", "external",
+                                 "--maps", "maps_pgm", "--rescale", "2",
+                                 "--alphas", "0.2,0.3"], []),
+    # +inf depths at the same pixels of every map: inf - inf is no warning
+    "optimize_pfm_matching_inf": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                   "concave", *_CIRCLE, "--estimator", "external",
+                                   "--maps", "maps_inf", "--map-kind", "depth",
+                                   "--alphas", "0.1"], []),
+    "optimize_boxes_across": (["optimize", "--input", "gray.pgm", "--boxes",
+                               "boxes_across.txt", "--mode", "untargeted",
+                               "--lens-kind", "concave", *_CIRCLE, "--estimator",
+                               "external", "--maps", "maps_le", "--alphas", "0.1"], []),
+    "optimize_boxes_off": (["optimize", "--input", "gray.pgm", "--boxes",
+                            "boxes_off.txt", "--mode", "untargeted", "--lens-kind",
+                            "concave", *_CIRCLE, "--estimator", "external", "--maps",
+                            "maps_le", "--alphas", "0.1"], []),
+    "optimize_empty_boxes": (["optimize", "--input", "gray.pgm", "--boxes",
+                              "boxes_empty.txt", "--mode", "untargeted",
+                              "--lens-kind", "concave", *_PROXY], []),
+    "optimize_bad_mode": ([*_OPT, "--mode", "sideways", "--lens-kind", "concave",
+                           *_PROXY], []),
+    "optimize_bad_estimator": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                "concave", "--estimator", "oracle"], []),
+    "optimize_bad_map_kind": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
+                               "--estimator", "external", "--maps", "maps_le",
+                               "--map-kind", "dpeth", "--alphas", "0.1"], []),
+    "optimize_bad_alphas": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
+                             *_PROXY, "--alphas", "0.1,abc"], []),
+    # metrics: scalar and map modes, the error exits
+    "metrics_adr_scalars": (["metrics", "--kind", "adr", "--attacked", "0.36",
+                             "--benign", "0.28"], []),
+    "metrics_aer_scalars": (["metrics", "--kind", "aer", "--attacked", "11.57",
+                             "--target", "11.79"], []),
+    "metrics_adr_maps": (["metrics", "--kind", "adr", "--attacked-map",
+                          "maps_le/level_5.pfm", "--benign-map", "maps_le/benign.pfm",
+                          "--boxes", "boxes.txt"], []),
+    "metrics_aer_map_disparity": (["metrics", "--kind", "aer", "--attacked-map",
+                                   "maps_pgm/level_2.pgm", "--map-kind", "disparity",
+                                   "--target", "0.5", "--boxes", "boxes.txt"], []),
+    "metrics_bad_kind": (["metrics", "--kind", "mse", "--attacked", "1", "--benign",
+                          "2"], []),
+    "metrics_unused_bad_map_kind": (["metrics", "--kind", "adr", "--attacked", "1",
+                                     "--benign", "2", "--map-kind", "dpeth"], []),
+    "metrics_missing_benign": (["metrics", "--kind", "adr", "--attacked", "1"], []),
+    # defend: both methods, the mask, the error exits
+    "defend_varlap_gray": (["defend", "--input", "gray.pgm", "--method", "varlap"], []),
+    "defend_lbp_rgb_mask": (["defend", "--input", "rgb.ppm", "--method", "lbp",
+                             "--window", "16", "--delta", "10", "--threshold", "0.2",
+                             "--mask-out", "def_a.pgm"], ["def_a.pgm"]),
+    "defend_bad_method": (["defend", "--input", "gray.pgm", "--method", "hifst"], []),
+    "defend_bad_method_config": (["defend", "--input", "gray.pgm", "--config",
+                                  "bad_method.cfg"], []),
+    "defend_varlap_mask_out": (["defend", "--input", "gray.pgm", "--method", "varlap",
+                                "--mask-out", "def_b.pgm"], ["def_b.pgm"]),
+    # scenario: noise-free and noisy with tick logs, optics ratio, configs,
+    # the error exits
+    "scenario_defaults": (["scenario"], []),
+    "scenario_ratio_log": (["scenario", "--ratio", "1.5", "--log", "sc_a.csv"],
+                           ["sc_a.csv"]),
+    "scenario_noisy_log": (["scenario", "--sigma", "0.5", "--seed", "3", "--log",
+                            "sc_b.csv"], ["sc_b.csv"]),
+    "scenario_ratio_from_optics": (["scenario", "--ratio-from-optics", *_OPTICS_LENS],
+                                   []),
+    "scenario_config": (["scenario", "--config", "scenario.cfg"], []),
+    "scenario_unused_bad_lens": (["scenario", "--lens", "banana"], []),
+    "scenario_bad_switch_config": (["scenario", "--config", "bad_switch.cfg"], []),
+    "scenario_bad_number_config": (["scenario", "--config", "bad_number.cfg"], []),
+    "scenario_unknown_key": (["scenario", "--config", "unknown_key.cfg"], []),
+    "scenario_duplicate_key": (["scenario", "--config", "duplicate_key.cfg"], []),
+    "scenario_bad_seed_flag": (["scenario", "--seed", "1.5"], []),
+    "scenario_unknown_option": (["scenario", "--baseline", "3"], []),
+}
+
+_CONFIGS = {
+    "sim.cfg": "# simulate settings\nlens-kind = convex\nlevel = 4\nregion = circle\n"
+               "cx = 70\ncy = 50\nradius = 30\nplacement = in_lens\n",
+    "bad_level.cfg": "level = abc\n",
+    "bad_method.cfg": "method = hifst\n",
+    "scenario.cfg": "sigma = 0.25\nseed = 11\nratio_from_optics = TRUE\nlens = convex\n"
+                    "f = 0.2\ndb = 0.04\ndo1 = 6\nfc = 0.026\n",
+    "bad_switch.cfg": "ratio = 1.5\nratio_from_optics = maybe\n",
+    "bad_number.cfg": "sigma = abc\n",
+    "unknown_key.cfg": "sigma = 0.1\nwidth = 3\n",
+    "duplicate_key.cfg": "sigma = 0.5\nsigma = 0\n",
+}
+
+
+def _write_pfm_big_endian(path: Path, values: np.ndarray) -> None:
+    h, w = values.shape
+    path.write_bytes(b"Pf\n%d %d\n1.0\n" % (w, h)
+                     + np.ascontiguousarray(values[::-1], dtype=">f4").tobytes())
+
+
+def make_fixtures(directory: Path) -> None:
+    """Write every input the corpus reads into ``directory``."""
+    rng = np.random.default_rng(20240811)
+    blocks = rng.integers(110, 256, (H // 8, W // 8))
+    gray = np.kron(blocks, np.ones((8, 8), dtype=np.int64)).astype(np.uint8)
+    gray[45:75, 70:90] = 10  # the fiducial the proxy estimator detects
+    RasterImage(gray).save(directory / "gray.pgm")
+    rgb = rng.integers(0, 256, (H, W, 3)).astype(np.uint8)
+    RasterImage(rgb).save(directory / "rgb.ppm")
+
+    (directory / "boxes.txt").write_text("# vehicle\n64 40 96 80\n")
+    (directory / "boxes_across.txt").write_text("140 100 200 160\n")
+    (directory / "boxes_off.txt").write_text("200 150 240 180\n")
+    (directory / "boxes_empty.txt").write_text("# no boxes\n")
+    for name, text in _CONFIGS.items():
+        (directory / name).write_text(text)
+
+    ys, xs = np.mgrid[0:H, 0:W]
+    base = 0.2 + 0.6 * (ys / H) + 0.05 * rng.random((H, W))
+    lens = (xs - 80) ** 2 + (ys - 60) ** 2 <= 45 ** 2
+    for sub in ("maps_le", "maps_be", "maps_pgm", "maps_inf"):
+        (directory / sub).mkdir()
+    for level in range(10):
+        tag = "benign" if level == 0 else f"level_{level}"
+        values = base * np.where(lens, 1.0 - 0.04 * level, 1.0 + 0.01 * level)
+        values += 0.01 * rng.random((H, W))
+        holed = values.copy()
+        holed[rng.random((H, W)) < 0.02] = np.nan
+        formats.write_pfm(directory / "maps_le" / f"{tag}.pfm", holed.astype(np.float32))
+        _write_pfm_big_endian(directory / "maps_be" / f"{tag}.pfm", 10.0 * values)
+        formats.write_pgm16(directory / "maps_pgm" / f"{tag}.pgm", values, 1e-4)
+        values[50:54, 70:74] = np.inf
+        formats.write_pfm(directory / "maps_inf" / f"{tag}.pfm", 10.0 * values)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: list[str], outputs: list[str]) -> dict:
+    """Run one invocation in the current directory: its exit code, returned
+    or raised as ``SystemExit``, and the digests of what it wrote. A warning
+    is an error, so a run that warns fails instead of being pinned."""
+    for name in outputs:
+        Path(name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage text to COLUMNS
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    files = {name: _sha(Path(name).read_bytes()) if Path(name).exists() else None
+             for name in outputs}
+    return {"argv": argv, "exit": code, "stdout": _sha(out.getvalue().encode()),
+            "stderr": _sha(err.getvalue().encode()), "files": files}
+
+
+@contextlib.contextmanager
+def in_directory(path: Path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def record(path: Path = CORPUS_JSON) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        make_fixtures(Path(tmp))
+        with in_directory(Path(tmp)):
+            entries = {name: run_case(argv, outputs)
+                       for name, (argv, outputs) in CASES.items()}
+    lines = [f" {json.dumps(name)}: {json.dumps(entry)}"
+             for name, entry in entries.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")  # one entry a line
+    print(f"recorded {len(entries)} invocations in {path}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/cli_corpus.py --record")
+    record()

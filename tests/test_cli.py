@@ -1,6 +1,8 @@
 """Command-line surface: happy paths, exit codes, self-consistency."""
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import cli, defense, formats
+from depthlens import attack_opt, cli, defense, formats
 from depthlens.cli import main
 from depthlens.errors import EmptyMask
 from depthlens.estimation import Box, load_depth_map
@@ -470,6 +472,17 @@ class TestDefendCommand:
         assert code == 2
         assert "unsupported" in err
 
+    @pytest.mark.parametrize("source", ["missing.pgm", "img.pgm"])
+    def test_mask_out_with_varlap_exits_two_before_any_output(self, tmp_path, capsys,
+                                                               source):
+        # rejected before the image is loaded: a missing input does not mask it
+        noise_image((64, 64), seed=1).save(tmp_path / "img.pgm")
+        mask = tmp_path / "m.pgm"
+        code, out, err = run(capsys, "defend", "--input", str(tmp_path / source),
+                             "--method", "varlap", "--mask-out", str(mask))
+        assert (code, out, err) == (2, "", "error: --mask-out needs the lbp method\n")
+        assert not mask.exists()
+
     def test_tiny_image_exits_two(self, tmp_path, capsys):
         src = tmp_path / "tiny.pgm"
         RasterImage(np.zeros((2, 2), np.uint8)).save(src)
@@ -576,6 +589,18 @@ class TestConfigResolution:
         assert code == 2
         assert "unknown config key 'width'" in err
 
+    @pytest.mark.parametrize("first,second", [("sigma", "sigma"),
+                                              ("max-time", "max_time")])
+    def test_duplicate_key_exits_two_naming_both_lines(self, tmp_path, capsys,
+                                                       first, second):
+        # the last of two entries used to win silently
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{first} = 0.5\n# noise off\n{second} = 0\n")
+        code, out, err = run(capsys, "scenario", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        key = first.replace("-", "_")
+        assert err == f"error: {cfg}:3: duplicate key {key!r}, first set on line 1\n"
+
     @pytest.mark.parametrize("word", ["maybe", "ture", "", "2", "y", "truee"])
     def test_bool_word_outside_the_list_exits_two(self, tmp_path, capsys, word):
         # A misspelt "true" must not quietly run with the flag off.
@@ -598,25 +623,32 @@ class TestConfigResolution:
 _PARSER, _COMMANDS = cli.build_parser()
 _OPTIONS = [(name, dest) for name, command in _COMMANDS.items()
             for dest in command.options]
-_BOOL_WORDS = ["1", "true", "yes", "on", "TRUE", "0", "false", "no", "off"]
 
 
 def _values(parse):
-    """(command-line text, config text, resolved value) for one option type."""
+    """(command-line text, config text, resolved value) for one option's
+    parser; a switch takes no command-line text."""
+    floats = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
     if parse is int:
         ints = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6))
         return ints.map(lambda v: (str(v), str(v), v))
     if parse is float:
-        floats = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
         return floats.map(lambda v: (repr(v), repr(v), v))
+    if parse is cli._floats:
+        lists = st.lists(floats, min_size=1, max_size=4)
+        return lists.map(lambda v: (",".join(map(repr, v)),) * 2 + (tuple(v),))
     if parse is str:
         # '#' anywhere in a value is data; only whole-line comments exist.
         # argparse reads "--x=--" as no value, so no value starts with "-".
         text = st.text(alphabet="ab/._-#=07", max_size=10).filter(
             lambda v: not v.startswith("-"))
         return text.map(lambda v: (v, v, v))
-    return st.sampled_from(_BOOL_WORDS).map(
-        lambda w: (None, w, w.lower() in ("1", "true", "yes", "on")))
+    assert isinstance(parse, cli._Words)
+    words = st.sampled_from(list(parse.words))
+    if parse.any_case:
+        words = words.flatmap(lambda w: st.sampled_from([w, w.upper(), w.title()]))
+    flag_text = (lambda w: None) if parse is cli._SWITCH else (lambda w: w)
+    return words.map(lambda w: (flag_text(w), w, parse(w)))
 
 
 @pytest.mark.parametrize("name,dest", _OPTIONS)
@@ -635,7 +667,7 @@ def test_flag_beats_config_beats_default(name, dest, data):
     key = data.draw(st.sampled_from([dest, dest.replace("_", "-")]))
     option = "--" + dest.replace("_", "-")
     argv = [name]
-    if use_flag and flag_text is None:  # a store_true flag
+    if use_flag and flag_text is None:  # a switch
         argv.append(option)
         flag_value = True
     elif use_flag:
@@ -651,6 +683,93 @@ def test_flag_beats_config_beats_default(name, dest, data):
     for other, (_, other_default) in command.options.items():
         if other != dest:
             assert getattr(ns, other) == other_default
+
+
+_WORD_OPTIONS = [(name, dest) for name, command in _COMMANDS.items()
+                 for dest, (parse, _) in command.options.items()
+                 if isinstance(parse, cli._Words)]
+# (subcommand, option, how its text arrives); a switch takes no flag text
+_WORD_CASES = [(name, dest, via) for name, dest in _WORD_OPTIONS
+               for via in ("flag", "config")
+               if (via, _COMMANDS[name].options[dest][0]) != ("flag", cli._SWITCH)]
+
+
+_LENS_WORDS = ["concave", "convex"]
+_SWITCH_WORDS = ["1", "true", "yes", "on", "0", "false", "no", "off"]
+
+
+def test_every_word_option_is_registered_with_its_words():
+    assert {(name, dest): list(_COMMANDS[name].options[dest][0].words)
+            for name, dest in _WORD_OPTIONS} == {
+        ("optics", "lens"): _LENS_WORDS + ["none"], ("optics", "table"): _LENS_WORDS,
+        ("simulate", "lens_kind"): _LENS_WORDS,
+        ("simulate", "placement"): ["in_lens", "out_of_lens"],
+        ("simulate", "region"): ["full", "circle"],
+        ("optimize", "mode"): ["targeted", "untargeted"],
+        ("optimize", "lens_kind"): _LENS_WORDS,
+        ("optimize", "region"): ["full", "circle"],
+        ("optimize", "estimator"): ["proxy", "external"],
+        ("optimize", "map_kind"): ["disparity", "depth"],
+        ("metrics", "kind"): ["adr", "aer"],
+        ("metrics", "map_kind"): ["depth", "disparity"],
+        ("defend", "method"): ["varlap", "lbp"], ("scenario", "lens"): _LENS_WORDS,
+        ("scenario", "ratio_from_optics"): _SWITCH_WORDS}
+
+
+def _word_argv(name, dest, via, word, tmp):
+    if via == "flag":
+        return [name, f"--{dest.replace('_', '-')}={word}"]
+    cfg = Path(tmp) / "run.cfg"
+    cfg.write_text(f"{dest} = {word}\n")
+    return [name, "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("name,dest,via", _WORD_CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_unlisted_word_exits_two_listing_the_accepted_words(name, dest, via, data):
+    """A word outside the option's list is a usage error from main(), never
+    argparse's SystemExit, with one stderr line naming the option or key,
+    the word and every accepted word, whether or not the run reads it."""
+    parse = _COMMANDS[name].options[dest][0]
+    listed = list(parse.words)
+    word = data.draw(st.one_of(
+        st.text(alphabet="abcnoeuvx_019.", max_size=8),
+        st.sampled_from(listed).map(lambda w: w + "x"),
+        st.sampled_from(listed).map(str.upper)).filter(
+            lambda w: (w.lower() if parse.any_case else w) not in parse.words))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(_word_argv(name, dest, via, word, tmp))
+    source = (f"option --{dest.replace('_', '-')}" if via == "flag"
+              else f"config key {dest!r}")
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (f"error: {source}: unsupported word {word!r}; "
+                              f"accepted: {', '.join(listed)}\n")
+
+
+def _word_value(dest, word):
+    """What a word should resolve to: a switch's word its bool, the enum
+    member where an enum exists, else the word itself."""
+    if dest == "ratio_from_optics":
+        return word.lower() in _SWITCH_WORDS[:4]
+    enum = {"lens": LensKind, "lens_kind": LensKind, "table": LensKind,
+            "placement": BlurPlacement, "mode": attack_opt.Mode}.get(dest)
+    return word if enum is None or word == "none" else enum(word)
+
+
+@pytest.mark.parametrize("name,dest,via", _WORD_CASES)
+def test_every_accepted_word_resolves_to_its_value(tmp_path, name, dest, via):
+    command = _COMMANDS[name]
+    parse = command.options[dest][0]
+    for word in parse.words:
+        for text in [word, word.upper(), word.title()] if parse.any_case else [word]:
+            ns = _PARSER.parse_args(_word_argv(name, dest, via, text, tmp_path))
+            cli._resolve(ns, command)
+            want = _word_value(dest, text)
+            assert getattr(ns, dest) == want
+            assert type(getattr(ns, dest)) is type(want)
 
 
 # Invocations that read float options: each reads every float flag it names,

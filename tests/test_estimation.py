@@ -175,6 +175,14 @@ class TestMaskedMean:
         m = np.array([[np.nan, 4.0, 8.0]])
         assert masked_mean(m, np.ones((1, 3), bool)) == 6.0
 
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_matching_infinities_are_dropped_without_a_warning(self, inf):
+        # inf - inf is NaN, an invalid pixel like any other; the suite turns
+        # NumPy's "invalid value" warning into an error
+        values = np.array([[inf, 1.0], [2.0, 3.0]])
+        reference = np.array([[inf, 1.5], [2.0, 3.0]])
+        assert masked_mean(values, np.ones((2, 2), bool), reference) == 0.5 / 3
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(1, 50, (16, 16))
