@@ -19,13 +19,16 @@ Conventions shared by all commands:
 * human-readable numbers print with 6 significant digits, CSV output keeps
   full float precision;
 * exit codes: 0 success, 1 domain error (singular / infeasible geometry),
-  2 usage or I/O error; a NaN or infinite number is a usage error.
+  2 usage or I/O error; a NaN or infinite number is a usage error, caught
+  by the option's parser whether or not the run reads it, and argparse's
+  own usage errors (an unknown flag) exit 2 with one ``error:`` line too.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 
@@ -65,9 +68,27 @@ _SWITCH = _Words({**dict.fromkeys(("1", "true", "yes", "on"), True),
                   **dict.fromkeys(("0", "false", "no", "off"), False)}, any_case=True)
 
 
+def _finite(text: str) -> float:
+    """Parser of a number option. NaN and infinities are rejected here, so a
+    value that the run never reads is checked too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     """Parser of a comma-separated list of numbers."""
-    return tuple(float(item) for item in text.split(","))
+    return tuple(_finite(item) for item in text.split(","))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (an unknown flag, a flag without
+    its value) raise ValueError, so that ``main`` reports them as it reports
+    every other usage error: one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 class _Command:
@@ -138,9 +159,9 @@ def _require(ns, *names):
 
 def _add_region_options(cmd: _Command) -> None:
     cmd.opt("--region", _Words(("full", "circle")), "full")
-    cmd.opt("--cx", float, help="circle center x, px")
-    cmd.opt("--cy", float, help="circle center y, px")
-    cmd.opt("--radius", float, help="circle radius, px")
+    cmd.opt("--cx", _finite, help="circle center x, px")
+    cmd.opt("--cy", _finite, help="circle center y, px")
+    cmd.opt("--radius", _finite, help="circle radius, px")
 
 
 def _parse_region(ns) -> LensRegion:
@@ -177,10 +198,10 @@ def _add_optics(sub) -> _Command:
     cmd = _Command(sub, "optics", "closed-form expected depth for a lens stack",
                    cmd_optics)
     cmd.opt("--lens", _Words({**_LENS_KIND.words, "none": "none"}), help="none: no lens")
-    cmd.opt("--f", float, help="attack lens focal length magnitude, m")
-    cmd.opt("--db", float, help="attack lens to camera lens gap, m")
-    cmd.opt("--do1", float, help="object to attack lens distance, m")
-    cmd.opt("--fc", float, help="camera focal length, m")
+    cmd.opt("--f", _finite, help="attack lens focal length magnitude, m")
+    cmd.opt("--db", _finite, help="attack lens to camera lens gap, m")
+    cmd.opt("--do1", _finite, help="object to attack lens distance, m")
+    cmd.opt("--fc", _finite, help="camera focal length, m")
     cmd.opt("--table", _LENS_KIND, help="emit the full (f, d_b, d_o1) sweep CSV")
     return cmd
 
@@ -216,7 +237,7 @@ def _add_simulate(sub) -> _Command:
     cmd.opt("--output", help="attacked image path")
     cmd.opt("--lens-kind", _LENS_KIND, LensKind.CONCAVE)
     cmd.opt("--level", int, help="discrete attack level 1..9")
-    cmd.opt("--scale", float, help="override rescale factor")
+    cmd.opt("--scale", _finite, help="override rescale factor")
     cmd.opt("--blur", int, help="override blur radius, px")
     cmd.opt("--placement", _Words(BlurPlacement), help="override")
     _add_region_options(cmd)
@@ -271,10 +292,10 @@ def _add_optimize(sub) -> _Command:
     cmd.opt("--estimator", _Words(("proxy", "external")), "proxy")
     cmd.opt("--maps", help="map directory for the external estimator")
     cmd.opt("--map-kind", _Words(("disparity", "depth")), "disparity")
-    cmd.opt("--rescale", float, help="divide external disparities by this")
-    cmd.opt("--y-tar", float, help="target value for targeted mode")
-    cmd.opt("--fiducial-height", float, help="proxy fiducial height, m")
-    cmd.opt("--focal-px", float, help="proxy focal length, px")
+    cmd.opt("--rescale", _finite, help="divide external disparities by this")
+    cmd.opt("--y-tar", _finite, help="target value for targeted mode")
+    cmd.opt("--fiducial-height", _finite, help="proxy fiducial height, m")
+    cmd.opt("--focal-px", _finite, help="proxy focal length, px")
     cmd.opt("--detect-threshold", int, estimation.FiducialSpec.detection_threshold,
             help="proxy blob threshold")
     cmd.opt("--output", help="CSV path (default stdout)")
@@ -322,9 +343,9 @@ def cmd_optimize(ns) -> int:
 def _add_metrics(sub) -> _Command:
     cmd = _Command(sub, "metrics", "attack distortion / error rates", cmd_metrics)
     cmd.opt("--kind", _Words(("adr", "aer")))
-    cmd.opt("--attacked", float, help="attacked reading (scalar mode)")
-    cmd.opt("--benign", float, help="benign reading (adr)")
-    cmd.opt("--target", float, help="target value (aer)")
+    cmd.opt("--attacked", _finite, help="attacked reading (scalar mode)")
+    cmd.opt("--benign", _finite, help="benign reading (adr)")
+    cmd.opt("--target", _finite, help="target value (aer)")
     cmd.opt("--attacked-map", help="attacked map file (map mode)")
     cmd.opt("--benign-map", help="benign map file (adr map mode)")
     cmd.opt("--map-kind", _Words(("depth", "disparity")), "depth")
@@ -366,7 +387,7 @@ def _add_defend(sub) -> _Command:
     cmd = _Command(sub, "defend", "blur detection verdicts", cmd_defend)
     cmd.opt("--input", help="image to score")
     cmd.opt("--method", _Words(("varlap", "lbp")))
-    cmd.opt("--threshold", float, help="verdict threshold (method default)")
+    cmd.opt("--threshold", _finite, help="verdict threshold (method default)")
     cmd.opt("--window", int, defense.DEFAULT_TILE_PX, help="lbp tile size, px")
     cmd.opt("--delta", int, defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
     cmd.opt("--mask-out", help="write the blur mask PGM here (lbp)")
@@ -398,22 +419,22 @@ def cmd_defend(ns) -> int:
 def _add_scenario(sub) -> _Command:
     cmd = _Command(sub, "scenario", "closed-loop braking run", cmd_scenario)
     defaults = scenario.ScenarioConfig  # class attributes hold field defaults
-    cmd.opt("--gap0", float, 40.0, help="initial gap, m")
-    cmd.opt("--speed", float, 10.0, help="ego speed, m/s")
-    cmd.opt("--max-decel", float, 6.0, help="braking deceleration, m/s^2")
-    cmd.opt("--margin", float, 2.0, help="safety margin, m")
-    cmd.opt("--dt", float, defaults.dt_s, help="tick, s")
-    cmd.opt("--max-time", float, defaults.max_sim_time_s, help="simulation cap, s")
-    cmd.opt("--sigma", float, defaults.noise_sigma_m, help="perception noise sigma, m")
+    cmd.opt("--gap0", _finite, 40.0, help="initial gap, m")
+    cmd.opt("--speed", _finite, 10.0, help="ego speed, m/s")
+    cmd.opt("--max-decel", _finite, 6.0, help="braking deceleration, m/s^2")
+    cmd.opt("--margin", _finite, 2.0, help="safety margin, m")
+    cmd.opt("--dt", _finite, defaults.dt_s, help="tick, s")
+    cmd.opt("--max-time", _finite, defaults.max_sim_time_s, help="simulation cap, s")
+    cmd.opt("--sigma", _finite, defaults.noise_sigma_m, help="perception noise sigma, m")
     cmd.opt("--seed", int, defaults.seed, help="noise seed")
-    cmd.opt("--ratio", float, defaults.depth_ratio, help="perceived/true depth ratio")
+    cmd.opt("--ratio", _finite, defaults.depth_ratio, help="perceived/true depth ratio")
     cmd.opt("--ratio-from-optics", _SWITCH, False, action="store_const", const="1",
             help="derive the ratio from lens geometry")
     cmd.opt("--lens", _LENS_KIND, help="with --ratio-from-optics")
-    cmd.opt("--f", float, help="attack lens focal length magnitude, m")
-    cmd.opt("--db", float, help="lens gap, m")
-    cmd.opt("--do1", float, help="object distance, m")
-    cmd.opt("--fc", float, help="camera focal length, m")
+    cmd.opt("--f", _finite, help="attack lens focal length magnitude, m")
+    cmd.opt("--db", _finite, help="lens gap, m")
+    cmd.opt("--do1", _finite, help="object distance, m")
+    cmd.opt("--fc", _finite, help="camera focal length, m")
     cmd.opt("--log", help="write the tick CSV here")
     return cmd
 
@@ -440,7 +461,7 @@ def cmd_scenario(ns) -> int:
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="depthlens",
         description="optical-lens tampering toolkit for monocular depth pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -451,9 +472,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
-    ns = parser.parse_args(argv)
-    command = commands[ns.command]
     try:
+        ns = parser.parse_args(argv)
+        command = commands[ns.command]
         _resolve(ns, command)
         return command.handler(ns)
     except SingularConfiguration as exc:

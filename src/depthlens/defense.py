@@ -18,12 +18,23 @@ uniform patterns with 6..8 set bits, or any non-uniform pattern. Thresholds
 are calibration constants fixed against the test fixture corpus, not
 physical claims.
 
-The codes are built in uint8 row strips (``imaging._strips``), without
-widening the frame: ``|neighbor - center|`` is ``max - min``, each neighbor
-pair is compared once (the E, SE, S and SW comparisons give all eight ring
-bits as shifted views), each ring bit is ORed into the code after an
-in-place shift, and one 256-entry boolean table marks the high-activity
-codes.
+Both statistics work in row strips (``imaging._strips``), so no frame-sized
+temporary is built. The Laplacian is formed in int32 one strip at a time,
+and each strip adds its sum S1 and its sum of squares S2, reduced in int64,
+to Python integers: |L| <= 1020, so no strip overflows and both sums are
+exact. The variance ``(n*S2 - S1**2) / n**2`` is one integer division,
+which rounds correctly, so the score is the exact variance rounded once
+and does not depend on summation order.
+
+The LBP codes are built in uint8 strips, without widening the frame:
+``|neighbor - center|`` is ``max - min``, each neighbor pair is compared
+once (the E, SE, S and SW comparisons give all eight ring bits as shifted
+views), each ring bit is ORed into the code after an in-place shift, and
+one 256-entry boolean table marks the high-activity codes. A tile's active
+count is counted from the unpadded activity map, one band of tile rows at
+a time, then summed over the tile's columns (``np.add.reduceat``); its
+interior-pixel count follows from the tile's bounds alone, so no frame is
+padded to whole tiles.
 """
 
 from __future__ import annotations
@@ -69,20 +80,25 @@ class BlurVerdict:
         return f"verdict={verdict} score={self.score:.6g} threshold={self.threshold:.6g}"
 
 
-def laplacian(image: RasterImage) -> np.ndarray:
-    """4-neighbor Laplacian over the interior; output (h-2, w-2) int32."""
-    gray = image.to_gray().data.astype(np.int32)
+def variance_of_laplacian(image: RasterImage) -> float:
+    """Population variance of the interior Laplacian responses, correctly
+    rounded from exact integer sums."""
+    gray = image.to_gray().data
     h, w = gray.shape
     if h < 3 or w < 3:
         raise TooSmall(f"need at least 3x3 for the Laplacian, got {w}x{h}")
-    center = gray[1:-1, 1:-1]
-    return (gray[:-2, 1:-1] + gray[2:, 1:-1] + gray[1:-1, :-2] + gray[1:-1, 2:]
-            - 4 * center)
-
-
-def variance_of_laplacian(image: RasterImage) -> float:
-    """Population variance of the interior Laplacian responses."""
-    return float(np.var(laplacian(image)))
+    s1 = s2 = 0
+    for strip in _strips(h - 2, w):
+        g = gray[strip.start:strip.stop + 2]
+        lap = np.add(g[:-2, 1:-1], g[2:, 1:-1], dtype=np.int32)
+        lap += g[1:-1, :-2]
+        lap += g[1:-1, 2:]
+        lap -= np.multiply(g[1:-1, 1:-1], 4, dtype=np.int32)
+        s1 += int(lap.sum(dtype=np.int64))
+        s2 += int(np.square(lap, out=lap).sum(dtype=np.int64))
+    n = (h - 2) * (w - 2)
+    # int / int is correctly rounded, however large the operands
+    return (n * s2 - s1 * s1) / (n * n)
 
 
 def varlap_verdict(image: RasterImage,
@@ -165,17 +181,23 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
     if h < 3 or w < 3:
         raise TooSmall(f"need at least 3x3 for LBP codes, got {w}x{h}")
 
-    # Zero-pad to whole tiles: padding adds nothing to either count.
-    tiles_y = (h + window - 1) // window
-    tiles_x = (w + window - 1) // window
-    active = np.zeros((tiles_y * window, tiles_x * window), dtype=bool)
-    active[1:h - 1, 1:w - 1] = _lbp_active(gray, lbp_threshold)
-    interior = np.zeros_like(active)
-    interior[1:h - 1, 1:w - 1] = True
-    tiles = (tiles_y, window, tiles_x, window)
-    numer = active.reshape(tiles).sum(axis=(1, 3))
-    denom = interior.reshape(tiles).sum(axis=(1, 3))
-    scores = np.zeros((tiles_y, tiles_x), dtype=np.float64)
+    # Tiles start every ``window`` px. A tile's interior pixels are the
+    # frame's rows (columns) 1..n-2 inside it; only the last tile along an
+    # axis can hold none.
+    starts_y, starts_x = np.arange(0, h, window), np.arange(0, w, window)
+    inner_y, inner_x = (np.clip(np.minimum(lo + window, n - 1) - np.maximum(lo, 1), 0, None)
+                        for lo, n in ((starts_y, h), (starts_x, w)))
+    denom = np.outer(inner_y, inner_x)
+    # Activity row (column) i is frame row (column) i + 1: each tile's sum
+    # runs from its first interior line to the next tile's. Each band of
+    # tile rows is counted by itself: a reduceat over the whole map would
+    # first widen all of it to the count type.
+    first_y = np.maximum(starts_y[inner_y > 0] - 1, 0)
+    first_x = np.maximum(starts_x[inner_x > 0] - 1, 0)
+    numer = np.zeros(denom.shape, dtype=np.intp)
+    for row, band in zip(numer, np.split(_lbp_active(gray, lbp_threshold), first_y[1:])):
+        row[:len(first_x)] = np.add.reduceat(np.count_nonzero(band, axis=0), first_x)
+    scores = np.zeros(denom.shape, dtype=np.float64)
     np.divide(numer, denom, out=scores, where=denom > 0)
     return SharpnessMap(scores=scores, window=window, image_shape=(h, w))
 

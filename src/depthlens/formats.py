@@ -8,8 +8,9 @@ Three interchange formats, all chosen for bit-exactness across platforms:
 * 16-bit binary PGM (maxval 65535, big-endian) plus a sidecar ``<path>.scale``
   text file holding the meters-per-count factor.
 
-Writers emit a canonical single-whitespace header; readers tolerate runs of
-whitespace and ``#`` comments in PNM headers.
+The raster writer emits a canonical single-whitespace header; readers
+tolerate runs of whitespace and ``#`` comments in PNM headers. The maps are
+produced by external estimators, so only their readers live here.
 """
 
 from __future__ import annotations
@@ -128,28 +129,6 @@ def read_pgm16(path) -> np.ndarray:
     return np.multiply(raw, scale32, dtype=np.float32)
 
 
-def write_pgm16(path, values: np.ndarray, scale: float) -> None:
-    """Write float values as 16-bit PGM counts of ``scale`` units each, and
-    ``scale`` to the sidecar ``<path>.scale``.
-
-    A count has no NaN or infinity, so non-finite values are rejected: a NaN
-    hole written as count 0 would read back as a valid zero sample.
-    """
-    check_positive(scale=scale)
-    counts = np.round(np.asarray(values, dtype=np.float64) / scale)
-    if not np.isfinite(counts).all():
-        raise ValueError("values must be finite (16-bit counts have no NaN or inf)")
-    if counts.min() < 0 or counts.max() > 65535:
-        raise ValueError("values do not fit 16-bit counts at this scale")
-    arr = counts.astype(">u2")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n65535\n" % (w, h))
-        fh.write(arr.tobytes())
-    with open(str(path) + ".scale", "w", encoding="ascii") as fh:
-        fh.write(f"{scale!r}\n")
-
-
 def read_pfm(path) -> np.ndarray:
     """Load a grayscale PFM as float32 (h, w), top-down row order."""
     _, scale, height, width, raster = _read_raster(
@@ -157,14 +136,3 @@ def read_pfm(path) -> np.ndarray:
     dtype = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(raster, dtype=dtype).reshape(height, width)
     return data[::-1].astype(np.float32, copy=False)  # stored bottom-up
-
-
-def write_pfm(path, values: np.ndarray) -> None:
-    """Write float32 (h, w) as grayscale PFM, little-endian, bottom-up."""
-    arr = np.asarray(values, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d map, got shape {arr.shape}")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(b"Pf\n%d %d\n-1.0\n" % (w, h))
-        fh.write(np.ascontiguousarray(arr[::-1]).tobytes())

@@ -27,9 +27,9 @@ from unittest import mock
 
 import numpy as np
 
-from depthlens import formats
 from depthlens.cli import main
 from depthlens.imaging import RasterImage
+from helpers import write_pfm, write_pgm16
 
 CORPUS_JSON = Path(__file__).with_name("cli_corpus.json")
 W, H = 160, 120
@@ -58,6 +58,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                          "--do1", "0.2", "--fc", "0.026"], []),
     "optics_nan_f": (["optics", "--lens", "concave", "--f", "nan", "--db", "0.04",
                       "--do1", "6", "--fc", "0.026"], []),
+    "optics_table_unused_nan": (["optics", "--table", "concave", "--fc", "0.026",
+                                 "--do1", "nan"], []),
     "optics_bad_lens": (["optics", "--lens", "banana", *_OPTICS], []),
     "optics_bad_table": (["optics", "--table", "banana", "--fc", "0.026"], []),
     "optics_table_unused_bad_lens": (["optics", "--table", "convex", "--fc", "0.026",
@@ -148,6 +150,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "metrics_unused_bad_map_kind": (["metrics", "--kind", "adr", "--attacked", "1",
                                      "--benign", "2", "--map-kind", "dpeth"], []),
     "metrics_missing_benign": (["metrics", "--kind", "adr", "--attacked", "1"], []),
+    "metrics_bad_magic_map": (["metrics", "--kind", "adr", "--attacked-map",
+                               "bad_magic.pfm", "--benign", "1", "--boxes", "boxes.txt"],
+                              []),
+    "metrics_bad_scale_sidecar": (["metrics", "--kind", "aer", "--attacked-map",
+                                   "bad_scale.pgm", "--target", "1", "--boxes",
+                                   "boxes.txt"], []),
     # defend: both methods, the mask, the error exits
     "defend_varlap_gray": (["defend", "--input", "gray.pgm", "--method", "varlap"], []),
     "defend_lbp_rgb_mask": (["defend", "--input", "rgb.ppm", "--method", "lbp",
@@ -158,6 +166,16 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                   "bad_method.cfg"], []),
     "defend_varlap_mask_out": (["defend", "--input", "gray.pgm", "--method", "varlap",
                                 "--mask-out", "def_b.pgm"], ["def_b.pgm"]),
+    "defend_varlap_rgb": (["defend", "--input", "rgb.ppm", "--method", "varlap"], []),
+    # 50 divides neither 160 nor 120; 200 exceeds both
+    "defend_lbp_partial_tiles": (["defend", "--input", "gray.pgm", "--method", "lbp",
+                                  "--window", "50", "--mask-out", "def_c.pgm"],
+                                 ["def_c.pgm"]),
+    "defend_lbp_window_over_frame": (["defend", "--input", "rgb.ppm", "--method", "lbp",
+                                      "--window", "200", "--mask-out", "def_d.pgm"],
+                                     ["def_d.pgm"]),
+    "defend_truncated_pgm": (["defend", "--input", "truncated.pgm", "--method",
+                              "varlap"], []),
     # scenario: noise-free and noisy with tick logs, optics ratio, configs,
     # the error exits
     "scenario_defaults": (["scenario"], []),
@@ -168,7 +186,9 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_ratio_from_optics": (["scenario", "--ratio-from-optics", *_OPTICS_LENS],
                                    []),
     "scenario_config": (["scenario", "--config", "scenario.cfg"], []),
+    "scenario_timeout": (["scenario", "--max-time", "0.5"], []),
     "scenario_unused_bad_lens": (["scenario", "--lens", "banana"], []),
+    "scenario_unused_nan": (["scenario", "--f", "nan"], []),
     "scenario_bad_switch_config": (["scenario", "--config", "bad_switch.cfg"], []),
     "scenario_bad_number_config": (["scenario", "--config", "bad_number.cfg"], []),
     "scenario_unknown_key": (["scenario", "--config", "unknown_key.cfg"], []),
@@ -213,6 +233,12 @@ def make_fixtures(directory: Path) -> None:
     (directory / "boxes_empty.txt").write_text("# no boxes\n")
     for name, text in _CONFIGS.items():
         (directory / name).write_text(text)
+    # malformed inputs: a raster cut short, a map of no known format, and a
+    # 16-bit map whose sidecar scale is not a number
+    (directory / "truncated.pgm").write_bytes((directory / "gray.pgm").read_bytes()[:-7])
+    (directory / "bad_magic.pfm").write_bytes(b"P7\n4 4\n-1.0\n" + bytes(64))
+    (directory / "bad_scale.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(32))
+    (directory / "bad_scale.pgm.scale").write_text("abc\n")
 
     ys, xs = np.mgrid[0:H, 0:W]
     base = 0.2 + 0.6 * (ys / H) + 0.05 * rng.random((H, W))
@@ -225,11 +251,11 @@ def make_fixtures(directory: Path) -> None:
         values += 0.01 * rng.random((H, W))
         holed = values.copy()
         holed[rng.random((H, W)) < 0.02] = np.nan
-        formats.write_pfm(directory / "maps_le" / f"{tag}.pfm", holed.astype(np.float32))
+        write_pfm(directory / "maps_le" / f"{tag}.pfm", holed.astype(np.float32))
         _write_pfm_big_endian(directory / "maps_be" / f"{tag}.pfm", 10.0 * values)
-        formats.write_pgm16(directory / "maps_pgm" / f"{tag}.pgm", values, 1e-4)
+        write_pgm16(directory / "maps_pgm" / f"{tag}.pgm", values, 1e-4)
         values[50:54, 70:74] = np.inf
-        formats.write_pfm(directory / "maps_inf" / f"{tag}.pfm", 10.0 * values)
+        write_pfm(directory / "maps_inf" / f"{tag}.pfm", 10.0 * values)
 
 
 def _sha(data: bytes) -> str:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from depthlens import estimation, imaging
+from depthlens.errors import check_positive
 from depthlens.imaging import LensRegion, RasterImage, region_masks
 
 # Strip sizes of the raster kernels tried besides the default, which holds
@@ -22,6 +23,40 @@ def strip_values(values):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(imaging, "_STRIP_VALUES", values)
         yield
+
+
+# The CLI only reads maps; their writers serve the tests and the CLI corpus.
+def write_pgm16(path, values: np.ndarray, scale: float) -> None:
+    """Write float values as 16-bit PGM counts of ``scale`` units each, and
+    ``scale`` to the sidecar ``<path>.scale``.
+
+    A count has no NaN or infinity, so non-finite values are rejected: a NaN
+    hole written as count 0 would read back as a valid zero sample.
+    """
+    check_positive(scale=scale)
+    counts = np.round(np.asarray(values, dtype=np.float64) / scale)
+    if not np.isfinite(counts).all():
+        raise ValueError("values must be finite (16-bit counts have no NaN or inf)")
+    if counts.min() < 0 or counts.max() > 65535:
+        raise ValueError("values do not fit 16-bit counts at this scale")
+    arr = counts.astype(">u2")
+    h, w = arr.shape
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n65535\n" % (w, h))
+        fh.write(arr.tobytes())
+    with open(str(path) + ".scale", "w", encoding="ascii") as fh:
+        fh.write(f"{scale!r}\n")
+
+
+def write_pfm(path, values: np.ndarray) -> None:
+    """Write float32 (h, w) as grayscale PFM, little-endian, bottom-up."""
+    arr = np.asarray(values, dtype="<f4")
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d map, got shape {arr.shape}")
+    h, w = arr.shape
+    with open(path, "wb") as fh:
+        fh.write(b"Pf\n%d %d\n-1.0\n" % (w, h))
+        fh.write(np.ascontiguousarray(arr[::-1]).tobytes())
 
 
 def noise_image(shape=(128, 128), seed=0) -> RasterImage:

@@ -13,6 +13,7 @@ reproduce them bit for bit.
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -221,6 +222,23 @@ def dense_box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterI
 
 
 # ---------------------------------------------------------------- defense ----
+
+def dense_laplacian(image: RasterImage) -> np.ndarray:
+    """Reference 4-neighbor Laplacian over the interior: the whole frame
+    widened to int32 at once; output (h-2, w-2) int32."""
+    gray = image.to_gray().data.astype(np.int32)
+    center = gray[1:-1, 1:-1]
+    return (gray[:-2, 1:-1] + gray[2:, 1:-1] + gray[1:-1, :-2] + gray[1:-1, 2:]
+            - 4 * center)
+
+
+def exact_variance(values: np.ndarray) -> Fraction:
+    """Population variance of integer samples in exact rational arithmetic."""
+    samples = values.ravel().tolist()
+    n, total = len(samples), sum(samples)
+    # sum((v - total/n)**2) / n, scaled by n**2 to stay in integers
+    return Fraction(sum((n * v - total) ** 2 for v in samples), n ** 3)
+
 
 # The LBP ring, circular from N: neighbor p sets bit p of the code.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))

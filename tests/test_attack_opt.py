@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import attack_opt, formats, imaging
+from depthlens import attack_opt, imaging
 from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_sweep,
                                   loss_out, loss_vehicle_targeted,
                                   loss_vehicle_untargeted, optimize_level,
@@ -16,7 +16,7 @@ from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper)
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
-from helpers import STRIPS, concave_sweep_fixture, strip_values
+from helpers import STRIPS, concave_sweep_fixture, strip_values, write_pfm
 from oracles import (_dense_abs_diff, dense_alpha_sweep, dense_optimize_level,
                      two_step_masked_mean)
 
@@ -275,10 +275,10 @@ class TestOptimizeLevel:
         assert isinstance(err.value.__cause__, EmptyMask)
 
     def test_estimator_failure_tagged_with_level(self, tmp_path):
-        formats.write_pfm(tmp_path / "benign.pfm", np.full((8, 8), 1.0, np.float32))
+        write_pfm(tmp_path / "benign.pfm", np.full((8, 8), 1.0, np.float32))
         for lv in (1, 2, 3, 4, 5, 6, 8, 9):
-            formats.write_pfm(tmp_path / f"level_{lv}.pfm",
-                              np.full((8, 8), 1.2, np.float32))
+            write_pfm(tmp_path / f"level_{lv}.pfm",
+                      np.full((8, 8), 1.2, np.float32))
         est = DirectoryMapEstimator(tmp_path)
         image = RasterImage(np.full((8, 8), 100, np.uint8))
         cfg = LossConfig(alpha=0.2, mode=Mode.UNTARGETED,
@@ -449,10 +449,10 @@ class TestAlphaSweep:
         assert lines[1] == lines[2]
 
     def test_failed_row_marked(self, tmp_path):
-        formats.write_pfm(tmp_path / "benign.pfm", np.full((8, 8), 1.0, np.float32))
+        write_pfm(tmp_path / "benign.pfm", np.full((8, 8), 1.0, np.float32))
         for lv in range(1, 9):  # level 9 map missing
-            formats.write_pfm(tmp_path / f"level_{lv}.pfm",
-                              np.full((8, 8), 1.2, np.float32))
+            write_pfm(tmp_path / f"level_{lv}.pfm",
+                      np.full((8, 8), 1.2, np.float32))
         est = DirectoryMapEstimator(tmp_path)
         image = RasterImage(np.full((8, 8), 100, np.uint8))
         cfg = LossConfig(alpha=0.1, mode=Mode.UNTARGETED,

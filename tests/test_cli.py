@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import attack_opt, cli, defense, formats
+from depthlens import attack_opt, cli, defense
 from depthlens.cli import main
 from depthlens.errors import EmptyMask
 from depthlens.estimation import Box, load_depth_map
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, region_masks)
 
-from helpers import noise_image, textured_image, concave_sweep_fixture
+from helpers import noise_image, textured_image, concave_sweep_fixture, write_pfm
 from oracles import dense_box_mask, two_step_masked_mean
 
 
@@ -205,10 +205,10 @@ class TestOptimizeCommand:
     def test_external_missing_level_marks_row_and_exits_zero(self, tmp_path, capsys):
         maps = tmp_path / "maps"
         maps.mkdir()
-        formats.write_pfm(maps / "benign.pfm", np.full((8, 8), 1.0, np.float32))
+        write_pfm(maps / "benign.pfm", np.full((8, 8), 1.0, np.float32))
         for lv in (1, 2, 3, 4, 5, 6, 8, 9):  # level 7 missing
-            formats.write_pfm(maps / f"level_{lv}.pfm",
-                              np.full((8, 8), 1.3, np.float32))
+            write_pfm(maps / f"level_{lv}.pfm",
+                      np.full((8, 8), 1.3, np.float32))
         src = tmp_path / "benign.pgm"
         RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
         boxes = tmp_path / "boxes.txt"
@@ -244,11 +244,11 @@ class TestOptimizeCommand:
         # valid pixel and every alpha fails at level 1
         maps = tmp_path / "maps"
         maps.mkdir()
-        formats.write_pfm(maps / "benign.pfm", np.full((8, 8), 1.0, np.float32))
+        write_pfm(maps / "benign.pfm", np.full((8, 8), 1.0, np.float32))
         attacked = np.full((8, 8), np.nan, np.float32)
         attacked[region_masks(8, 8, LensRegion.circle(4, 4, 3))] = 1.3
         for lv in range(1, 10):
-            formats.write_pfm(maps / f"level_{lv}.pfm", attacked)
+            write_pfm(maps / f"level_{lv}.pfm", attacked)
         src = tmp_path / "benign.pgm"
         RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
         boxes = tmp_path / "boxes.txt"
@@ -270,7 +270,7 @@ class TestOptimizeCommand:
         maps = tmp_path / "maps"
         maps.mkdir()
         for tag in ["benign"] + [f"level_{lv}" for lv in (1, 2, 3, 4, 5, 6, 8, 9)]:
-            formats.write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
+            write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
         src = tmp_path / "benign.pgm"
         RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
         boxes = tmp_path / "boxes.txt"
@@ -299,12 +299,14 @@ class TestOptimizeCommand:
                              str(boxes), "--fiducial-height", "1.5",
                              "--focal-px", focal_px)
         assert (code, out) == (2, "")
-        assert "focal length must be finite and positive" in err
+        if focal_px in ("nan", "inf"):  # the option's parser rejects these
+            assert err == f"error: option --focal-px: must be finite, got '{focal_px}'\n"
+        else:
+            assert "focal length must be finite and positive" in err
 
     def test_baseline_is_not_an_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--baseline", "0.54"])
-        assert exc.value.code == 2
+        assert run(capsys, "optimize", "--baseline", "0.54") == (
+            2, "", "error: unrecognized arguments: --baseline 0.54\n")
         cfg = tmp_path / "c.cfg"
         cfg.write_text("baseline = 0.54\n")
         code, _, err = run(capsys, "optimize", "--config", str(cfg))
@@ -316,7 +318,7 @@ class TestOptimizeCommand:
         maps = tmp_path / "maps"
         maps.mkdir()
         for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
-            formats.write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
+            write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
         src = tmp_path / "benign.pgm"
         RasterImage(np.full((8, 8), 120, np.uint8)).save(src)
         boxes = tmp_path / "boxes.txt"
@@ -346,8 +348,8 @@ class TestMetricsCommand:
     def test_map_mode(self, tmp_path, capsys):
         att = tmp_path / "att.pfm"
         ben = tmp_path / "ben.pfm"
-        formats.write_pfm(att, np.full((6, 6), 0.36, np.float32))
-        formats.write_pfm(ben, np.full((6, 6), 0.28, np.float32))
+        write_pfm(att, np.full((6, 6), 0.36, np.float32))
+        write_pfm(ben, np.full((6, 6), 0.28, np.float32))
         boxes = tmp_path / "boxes.txt"
         boxes.write_text("1 1 5 5\n")
         code, out, _ = run(capsys, "metrics", "--kind", "adr", "--attacked-map",
@@ -369,7 +371,7 @@ class TestMetricsCommand:
         box = Box(x0, y0, x0 + data.draw(st.integers(1, 15)),
                   y0 + data.draw(st.integers(1, 15)))
         tmp = tmp_path_factory.mktemp("metrics")
-        formats.write_pfm(tmp / "m.pfm", values)
+        write_pfm(tmp / "m.pfm", values)
         (tmp / "boxes.txt").write_text(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}\n")
         ns = argparse.Namespace(boxes=str(tmp / "boxes.txt"),
                                 map_kind=data.draw(st.sampled_from(["depth", "disparity"])))
@@ -389,7 +391,7 @@ class TestMetricsCommand:
 
     def test_benign_map_without_boxes_exits_two(self, tmp_path, capsys):
         ben = tmp_path / "m.pfm"
-        formats.write_pfm(ben, np.full((6, 6), 0.28, np.float32))
+        write_pfm(ben, np.full((6, 6), 0.28, np.float32))
         code, _, err = run(capsys, "metrics", "--kind", "adr", "--attacked", "5",
                            "--benign-map", str(ben))
         assert code == 2
@@ -397,7 +399,7 @@ class TestMetricsCommand:
 
     def test_empty_boxes_file_exits_two(self, tmp_path, capsys):
         att = tmp_path / "att.pfm"
-        formats.write_pfm(att, np.full((6, 6), 0.36, np.float32))
+        write_pfm(att, np.full((6, 6), 0.36, np.float32))
         boxes = tmp_path / "empty.txt"
         boxes.write_text("# no boxes\n")
         code, _, err = run(capsys, "metrics", "--kind", "aer", "--attacked-map",
@@ -550,6 +552,30 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     assert run(capsys, "scenario") == first
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["scenario", "--baseline", "3"], "unrecognized arguments: --baseline 3"),
+    (["scenario", "--gap0"], "argument --gap0: expected one argument"),
+    (["scenario", "--ratio-from-optics=1"], "argument --ratio-from-optics: "),
+    (["sceanrio"], "argument command: invalid choice: 'sceanrio'"),
+    ([], "the following arguments are required: command")])
+def test_argparse_usage_errors_return_two_with_one_line(capsys, argv, message):
+    """What argparse rejects is reported like every other usage error: main()
+    returns 2 with one error line, no usage text and no SystemExit."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["scenario", "-h"], ["defend", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: depthlens") and captured.err == ""
+
+
 def test_module_entry_point_matches_main(capsys):
     argv = ["optics", "--lens", "none", "--do1", "6", "--fc", "0.026", "--db", "0.04"]
     code, out, _ = run(capsys, *argv)
@@ -632,7 +658,7 @@ def _values(parse):
     if parse is int:
         ints = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6))
         return ints.map(lambda v: (str(v), str(v), v))
-    if parse is float:
+    if parse is cli._finite:
         return floats.map(lambda v: (repr(v), repr(v), v))
     if parse is cli._floats:
         lists = st.lists(floats, min_size=1, max_size=4)
@@ -772,6 +798,42 @@ def test_every_accepted_word_resolves_to_its_value(tmp_path, name, dest, via):
             assert type(getattr(ns, dest)) is type(want)
 
 
+def _reads_numbers(parse):
+    """Whether an option's registered parser reads numbers: a float, or a
+    comma list of them (--alphas)."""
+    try:
+        value = parse("0.5")
+    except ValueError:
+        return False
+    return type(value) is float or value == (0.5,)
+
+
+_NUMBER_OPTIONS = [(name, dest) for name, command in _COMMANDS.items()
+                   for dest, (parse, _) in command.options.items()
+                   if _reads_numbers(parse)]
+
+
+def test_number_options_are_the_float_options_and_alphas():
+    floats = {(name, dest) for name, command in _COMMANDS.items()
+              for dest, (parse, _) in command.options.items() if parse is cli._finite}
+    assert set(_NUMBER_OPTIONS) == floats | {("optimize", "alphas")}
+
+
+@pytest.mark.parametrize("name,dest", _NUMBER_OPTIONS, ids=[
+    f"{name}--{dest.replace('_', '-')}" for name, dest in _NUMBER_OPTIONS])
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_unread_non_finite_number_exits_two(tmp_path, capsys, name, dest, via, value):
+    """Every number option, and each item of --alphas, given as the one option
+    of its subcommand, so that no handler reads it: NaN or an infinity is
+    still a usage error, from the registered parser, with an empty stdout."""
+    text = f"0.1,{value}" if dest == "alphas" else value
+    source = (f"option --{dest.replace('_', '-')}" if via == "flag"
+              else f"config key {dest!r}")
+    assert run(capsys, *_word_argv(name, dest, via, text, tmp_path)) == (
+        2, "", f"error: {source}: must be finite, got {value!r}\n")
+
+
 # Invocations that read float options: each reads every float flag it names,
 # and together they name every registered float option.
 _FLOAT_READERS = [
@@ -806,7 +868,8 @@ _FLOAT_READERS = [
 
 def _float_flags(name):
     return {"--" + dest.replace("_", "-")
-            for dest, (parse, _) in _COMMANDS[name].options.items() if parse is float}
+            for dest, (parse, _) in _COMMANDS[name].options.items()
+            if parse is cli._finite}
 
 
 _FLOAT_CASES = [(argv, i) for argv in _FLOAT_READERS
@@ -825,14 +888,14 @@ def reader_files(tmp_path_factory):
     maps = tmp / "maps"
     maps.mkdir()
     for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
-        formats.write_pfm(maps / f"{tag}.pfm", np.full((16, 16), 1.0, np.float32))
+        write_pfm(maps / f"{tag}.pfm", np.full((16, 16), 1.0, np.float32))
     return {"img": str(tmp / "in.pgm"), "out": str(tmp / "out.pgm"),
             "boxes": str(tmp / "boxes.txt"), "maps": str(maps)}
 
 
 def test_every_float_option_has_a_reading_invocation():
     registered = {(name, dest) for name, command in _COMMANDS.items()
-                  for dest, (parse, _) in command.options.items() if parse is float}
+                  for dest, (parse, _) in command.options.items() if parse is cli._finite}
     covered = {(argv[0], argv[i][2:].replace("-", "_")) for argv, i in _FLOAT_CASES}
     assert covered == registered
 

@@ -1,11 +1,14 @@
 """Blur detection: Laplacian scoring and LBP sharpness segmentation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from depthlens.defense import (DEFAULT_LBP_SCORE_THRESHOLD, DEFAULT_VARLAP_THRESHOLD,
-                               _lbp_active, laplacian, lbp_sharpness_map, segment_blur,
+                               _lbp_active, lbp_sharpness_map, segment_blur,
                                variance_of_laplacian, varlap_verdict)
 from depthlens import imaging
 from depthlens.errors import TooSmall
@@ -14,7 +17,8 @@ from depthlens.imaging import (BlurPlacement, LensKind, LensRegion, RasterImage,
                                region_masks, AttackProfile)
 
 from helpers import STRIPS, noise_image, strip_values, textured_image
-from oracles import reference_lbp_active, tile_loop_lbp_scores
+from oracles import (dense_laplacian, exact_variance, reference_lbp_active,
+                     tile_loop_lbp_scores)
 
 
 def impulse_image():
@@ -26,10 +30,10 @@ def impulse_image():
 class TestLaplacian:
     def test_constant_zero(self):
         img = RasterImage(np.full((10, 10), 99, np.uint8))
-        assert (laplacian(img) == 0).all()
+        assert (dense_laplacian(img) == 0).all()
 
     def test_impulse_pattern(self):
-        lap = laplacian(impulse_image())
+        lap = dense_laplacian(impulse_image())
         assert lap.shape == (3, 3)
         assert lap[1, 1] == -36
         assert lap[0, 1] == lap[1, 0] == lap[1, 2] == lap[2, 1] == 9
@@ -37,16 +41,19 @@ class TestLaplacian:
 
     def test_linear_ramp_zero(self):
         ramp = np.tile(np.arange(0, 60, 3, dtype=np.uint8), (12, 1))
-        assert (laplacian(RasterImage(ramp)) == 0).all()
+        assert (dense_laplacian(RasterImage(ramp)) == 0).all()
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
-            laplacian(RasterImage(np.zeros((2, 5), np.uint8)))
+        for shape in ((2, 5), (5, 2)):
+            h, w = shape
+            with pytest.raises(TooSmall, match=f"need at least 3x3 for the Laplacian, "
+                                               f"got {w}x{h}"):
+                variance_of_laplacian(RasterImage(np.zeros(shape, np.uint8)))
 
     def test_rgb_converted_by_luma(self):
         rng = np.random.default_rng(2)
         rgb = RasterImage(rng.integers(0, 256, (12, 12, 3)).astype(np.uint8))
-        assert np.array_equal(laplacian(rgb), laplacian(rgb.to_gray()))
+        assert variance_of_laplacian(rgb) == variance_of_laplacian(rgb.to_gray())
 
 
 class TestVarianceOfLaplacian:
@@ -55,6 +62,47 @@ class TestVarianceOfLaplacian:
 
     def test_impulse_fixture_exact(self):
         assert variance_of_laplacian(impulse_image()) == 180.0
+
+    @pytest.mark.parametrize("strip", [imaging._STRIP_VALUES] + STRIPS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_is_the_exact_variance_rounded_once(self, strip, data):
+        """Equal to the exact rational variance of the dense Laplacian, rounded
+        once, with the frame split into row strips; within 1e-12 of np.var's
+        float sum. A narrow value range gives small and zero variances."""
+        h, w = data.draw(st.integers(3, 70)), data.draw(st.integers(3, 70))
+        lo = data.draw(st.integers(0, 255))
+        hi = data.draw(st.integers(lo, 255))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        image = RasterImage(rng.integers(lo, hi + 1, (h, w), dtype=np.uint8))
+        with strip_values(strip):
+            got = variance_of_laplacian(image)
+        lap = dense_laplacian(image)
+        assert got == float(exact_variance(lap))
+        assert math.isclose(got, float(np.var(lap)), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("shape,seed", [((5, 7), 2), ((7, 8), 2), ((8, 9), 1)])
+    def test_correctly_rounded_where_the_float_sum_is_not(self, shape, seed):
+        """Frames on which np.var's float sum misses the exact variance in the
+        last bit: the score is the exact value rounded once."""
+        image = RasterImage(np.random.default_rng(seed).integers(0, 256, shape,
+                                                                 dtype=np.uint8))
+        exact = float(exact_variance(dense_laplacian(image)))
+        assert float(np.var(dense_laplacian(image))) != exact
+        assert variance_of_laplacian(image) == exact
+
+    def test_builds_no_frame_sized_temporary(self):
+        """The Laplacian lives one row strip at a time: the call allocates
+        less than one uint8 frame, where a widened frame takes 4 bytes a
+        pixel and a float64 one 8."""
+        image = noise_image((1000, 1000), seed=0)
+        tracemalloc.start()
+        try:
+            variance_of_laplacian(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000
 
     def test_blur_strictly_lowers_score_random(self):
         full = np.ones((96, 96), bool)
@@ -109,15 +157,23 @@ class TestLbpSharpness:
         b = lbp_sharpness_map(RasterImage(shifted), window=32).scores
         assert np.array_equal(a, b)
 
-    @settings(max_examples=150, deadline=None)
-    @given(h=st.integers(3, 70), w=st.integers(3, 70), window=st.integers(8, 24),
-           delta=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
-    @example(h=9, w=17, window=8, delta=20, seed=0)  # edge tiles with no interior
-    def test_matches_tile_loop_oracle(self, h, w, window, delta, seed):
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(3, 70), w=st.integers(3, 70), window=st.integers(8, 80),
+           delta=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1),
+           strip=st.sampled_from([imaging._STRIP_VALUES] + STRIPS))
+    # edge tiles with no interior pixel, along either axis
+    @example(h=9, w=17, window=8, delta=20, seed=0, strip=97)
+    @example(h=17, w=9, window=8, delta=20, seed=0, strip=1)
+    @example(h=5, w=6, window=24, delta=20, seed=1, strip=1)  # frame inside one tile
+    @example(h=50, w=70, window=24, delta=20, seed=2, strip=97)  # partial edge tiles
+    def test_matches_tile_loop_oracle(self, h, w, window, delta, seed, strip):
+        """Scores equal the tile loop's with ==, at every strip size, for
+        windows that do not divide the frame or exceed it."""
         gray = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
-        scores = lbp_sharpness_map(RasterImage(gray), window, delta).scores
-        expected = tile_loop_lbp_scores(_lbp_active(gray, delta), window)
-        assert np.array_equal(scores, expected)
+        with strip_values(strip):
+            scores = lbp_sharpness_map(RasterImage(gray), window, delta).scores
+        expected = tile_loop_lbp_scores(reference_lbp_active(gray, delta), window)
+        assert scores.dtype == expected.dtype and np.array_equal(scores, expected)
 
     @pytest.mark.parametrize("strip", [imaging._STRIP_VALUES] + STRIPS)
     @settings(max_examples=150, deadline=None)

@@ -13,14 +13,14 @@ from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
 from depthlens import formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
-from helpers import fiducial_reading, render_fiducial
+from helpers import fiducial_reading, render_fiducial, write_pfm, write_pgm16
 from oracles import dense_box_mask, nonzero_blob_extent
 
 
 def _rescaled(tmp_path, values, constant):
     """``values`` as a disparity PFM, read back through
     ``DirectoryMapEstimator(rescale=constant)``."""
-    formats.write_pfm(tmp_path / "benign.pfm", np.asarray(values, np.float32))
+    write_pfm(tmp_path / "benign.pfm", np.asarray(values, np.float32))
     estimator = DirectoryMapEstimator(tmp_path, rescale=constant)
     return estimator.estimate_map(RasterImage(np.zeros((1, 1), np.uint8)), tag="benign")
 
@@ -109,7 +109,7 @@ class TestLoaders:
     def test_pfm_round_trip(self, tmp_path):
         values = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
         path = tmp_path / "m.pfm"
-        formats.write_pfm(path, values)
+        write_pfm(path, values)
         assert np.array_equal(formats.read_pfm(path), values)
 
     def test_pfm_big_endian(self, tmp_path):
@@ -127,7 +127,7 @@ class TestLoaders:
 
     def test_load_depth_map_pfm(self, tmp_path):
         path = tmp_path / "d.pfm"
-        formats.write_pfm(path, np.array([[5.0, 0.0], [-1.0, 2.0]], dtype=np.float32))
+        write_pfm(path, np.array([[5.0, 0.0], [-1.0, 2.0]], dtype=np.float32))
         depth = load_depth_map(path, kind="depth")
         assert depth.dtype == np.float64
         assert depth[0, 0] == 5.0
@@ -135,21 +135,21 @@ class TestLoaders:
 
     def test_load_depth_map_pgm16_sidecar(self, tmp_path):
         path = tmp_path / "d.pgm"
-        formats.write_pgm16(path, np.array([[12.5, 3.0]]), scale=0.001)
+        write_pgm16(path, np.array([[12.5, 3.0]]), scale=0.001)
         depth = load_depth_map(path, kind="depth")
         assert depth[0, 0] == pytest.approx(12.5, abs=1e-3)
         assert depth[0, 1] == pytest.approx(3.0, abs=1e-3)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "d.pgm"
-        formats.write_pgm16(path, np.array([[1.0]]), scale=0.001)
+        write_pgm16(path, np.array([[1.0]]), scale=0.001)
         (tmp_path / "d.pgm.scale").unlink()
         with pytest.raises(ParseError):
             load_depth_map(path)
 
     def test_disparity_kind(self, tmp_path):
         path = tmp_path / "disp.pfm"
-        formats.write_pfm(path, np.array([[0.0, 4.0]], dtype=np.float32))
+        write_pfm(path, np.array([[0.0, 4.0]], dtype=np.float32))
         disp = load_depth_map(path, kind="disparity")
         assert disp[0, 0] == 0.0  # zero disparity is a valid sample here
 
@@ -271,8 +271,8 @@ class TestMapEstimators:
             ProxyDepthMapper(FiducialSpec(height_m), focal_px, near_m=near_m, far_m=far_m)
 
     def test_directory_estimator_by_tag(self, tmp_path):
-        formats.write_pfm(tmp_path / "benign.pfm", np.full((4, 4), 2.0, np.float32))
-        formats.write_pfm(tmp_path / "level_3.pfm", np.full((4, 4), 5.0, np.float32))
+        write_pfm(tmp_path / "benign.pfm", np.full((4, 4), 2.0, np.float32))
+        write_pfm(tmp_path / "level_3.pfm", np.full((4, 4), 5.0, np.float32))
         est = DirectoryMapEstimator(tmp_path, kind="disparity")
         img = RasterImage(np.zeros((4, 4), np.uint8))
         assert est.estimate_map(img, tag="benign")[0, 0] == 2.0
@@ -281,7 +281,7 @@ class TestMapEstimators:
             est.estimate_map(img, tag="level_7")
 
     def test_directory_estimator_rescale(self, tmp_path):
-        formats.write_pfm(tmp_path / "benign.pfm", np.full((2, 2), 2.16, np.float32))
+        write_pfm(tmp_path / "benign.pfm", np.full((2, 2), 2.16, np.float32))
         est = DirectoryMapEstimator(tmp_path, rescale=5.4)
         img = RasterImage(np.zeros((2, 2), np.uint8))
         assert est.estimate_map(img, tag="benign")[0, 0] == pytest.approx(0.4)

@@ -10,6 +10,8 @@ from depthlens import formats
 from depthlens.errors import ParseError
 from depthlens.estimation import load_depth_map
 
+from helpers import write_pfm, write_pgm16
+
 
 class TestDimensionChecks:
     def test_pfm_zero_dimensions(self, tmp_path):
@@ -60,7 +62,7 @@ class TestReadPgm16:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0", "-0.001"])
     def test_sidecar_scale_must_be_finite_and_positive(self, tmp_path, text):
         path = tmp_path / "d.pgm"
-        formats.write_pgm16(path, np.array([[1.0, 2.0]]), scale=0.001)
+        write_pgm16(path, np.array([[1.0, 2.0]]), scale=0.001)
         (tmp_path / "d.pgm.scale").write_text(text + "\n")
         with pytest.raises(ParseError, match="bad scale value"):
             formats.read_pgm16(path)
@@ -69,14 +71,14 @@ class TestReadPgm16:
     def test_sidecar_scale_must_be_finite_and_positive_in_float32(self, tmp_path, text):
         # Finite and positive as a float64, but inf or 0.0 once narrowed.
         path = tmp_path / "d.pgm"
-        formats.write_pgm16(path, np.array([[0.0, 2.0]]), scale=1.0)
+        write_pgm16(path, np.array([[0.0, 2.0]]), scale=1.0)
         (tmp_path / "d.pgm.scale").write_text(text + "\n")
         with pytest.raises(ParseError, match="bad scale value"):
             formats.read_pgm16(path)
 
     def test_scaled_count_must_fit_float32(self, tmp_path):
         path = tmp_path / "d.pgm"
-        formats.write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
+        write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
         (tmp_path / "d.pgm.scale").write_text("1e35\n")
         with pytest.raises(ParseError, match="overflows float32"):
             formats.read_pgm16(path)
@@ -86,7 +88,7 @@ class TestReadPgm16:
         f32max = np.finfo(np.float32).max
         scale = float(np.nextafter(f32max / np.float32(65535), np.float32(0)))
         path = tmp_path / "d.pgm"
-        formats.write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
+        write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
         (tmp_path / "d.pgm.scale").write_text(f"{scale!r}\n")
         got = formats.read_pgm16(path)
         assert got.dtype == np.float32
@@ -98,22 +100,22 @@ class TestWritePgm16:
     def test_scale_must_be_finite_and_positive(self, tmp_path, scale):
         path = tmp_path / "d.pgm"
         with pytest.raises(ValueError, match="scale must be finite and positive"):
-            formats.write_pgm16(path, np.array([[1.0, 2.0]]), scale=scale)
+            write_pgm16(path, np.array([[1.0, 2.0]]), scale=scale)
         assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, tmp_path, bad):
         path = tmp_path / "d.pgm"
         with pytest.raises(ValueError, match="finite"):
-            formats.write_pgm16(path, np.array([[1.0, bad]]), scale=0.001)
+            write_pgm16(path, np.array([[1.0, bad]]), scale=0.001)
         assert not path.exists()
 
 
 _WRITERS = {
     "pgm": formats.write_pnm,
     "ppm": formats.write_pnm,
-    "pfm": formats.write_pfm,
-    "pgm16": lambda path, data: formats.write_pgm16(path, data, scale=0.5),
+    "pfm": write_pfm,
+    "pgm16": lambda path, data: write_pgm16(path, data, scale=0.5),
 }
 _READERS = {"pgm": formats.read_pnm, "ppm": formats.read_pnm,
             "pfm": formats.read_pfm, "pgm16": formats.read_pgm16}
@@ -193,7 +195,7 @@ def test_pfm_loads_as_float64_with_holes_marked(tmp_path_factory, data, kind):
     """NaN holes stay NaN; non-positive depths and negative disparities
     become NaN; every other sample is the float32 value widened."""
     path = tmp_path_factory.mktemp("pfm") / "m.pfm"
-    formats.write_pfm(path, data)
+    write_pfm(path, data)
     expected = data.astype(np.float64)
     expected[~(expected > 0) if kind == "depth" else expected < 0] = np.nan
     loaded = load_depth_map(path, kind=kind)
@@ -207,7 +209,7 @@ def test_pfm_loads_as_float64_with_holes_marked(tmp_path_factory, data, kind):
        scale=st.floats(1e-4, 1e4))
 def test_pgm16_round_trip_recovers_counts(tmp_path_factory, counts, scale):
     path = tmp_path_factory.mktemp("pgm16") / "m.pgm"
-    formats.write_pgm16(path, counts * scale, scale=scale)
+    write_pgm16(path, counts * scale, scale=scale)
     values = formats.read_pgm16(path)
     assert np.array_equal(np.round(values / scale), counts)
     # counts widened to float32, then scaled in float32
