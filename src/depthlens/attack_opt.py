@@ -15,9 +15,11 @@ of mask sizes. Each loss is one ``estimation.masked_mean`` with the benign
 map or the target as reference, so ``|a - b|`` is formed strip by strip,
 never as a frame-sized map. The vehicle terms are reduced on the vehicle
 box's crop: the pixels of its full-frame mask in the same order, so the
-same bits at the cost of a box. The argmin over levels 1..9 is exact
-enumeration; ties break toward the smallest level (least conspicuous blur,
-and determinism needs a rule).
+same bits at the cost of a box. The search holds one level's map at a
+time: a render is dropped once its map is estimated, and a map once the
+next level has rendered, before the next map is made. The argmin over
+levels 1..9 is exact enumeration; ties break toward the smallest level
+(least conspicuous blur, and determinism needs a rule).
 """
 
 from __future__ import annotations
@@ -158,10 +160,16 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
         try:
             profile = level_to_profile(lens_kind, level, region=cfg.region)
             attacked = apply_attack_transform(benign, profile)
+            # One level's map at a time, dropped only after the next render:
+            # dropped before it, the map and the loss selection freed above
+            # it leave the heap together (glibc trims its top), and every
+            # render faults those pages back in.
+            est_att = att_veh = None
             est_att = np.asarray(
                 estimator.estimate_map(attacked, tag=f"level_{level}"),
                 dtype=np.float64,
             )
+            attacked = None  # only the estimator reads the render
             if est_att.shape != est_benign.shape:
                 raise ValueError(
                     f"estimator returned {est_att.shape}, benign map is "

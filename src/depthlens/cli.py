@@ -19,9 +19,10 @@ Conventions shared by all commands:
 * human-readable numbers print with 6 significant digits, CSV output keeps
   full float precision;
 * exit codes: 0 success, 1 domain error (singular / infeasible geometry),
-  2 usage or I/O error; a NaN or infinite number is a usage error, caught
-  by the option's parser whether or not the run reads it, and argparse's
-  own usage errors (an unknown flag) exit 2 with one ``error:`` line too.
+  2 usage or I/O error; a NaN or infinite number, and an integer outside
+  its option's range, is a usage error, caught by the option's parser
+  whether or not the run reads it, and argparse's own usage errors (an
+  unknown flag) exit 2 with one ``error:`` line too.
 """
 
 from __future__ import annotations
@@ -75,6 +76,22 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
     return value
+
+
+class _Int:
+    """Parser of an integer option in ``low..high`` (``high`` None: no upper
+    bound). Like ``_finite``, it checks a value that the run never reads."""
+
+    def __init__(self, low: int, high: int | None = None):
+        self.low, self.high = low, high
+
+    def __call__(self, text: str) -> int:
+        value = int(text)
+        if value < self.low or self.high is not None and value > self.high:
+            bounds = (f">= {self.low}" if self.high is None
+                      else f"in {self.low}..{self.high}")
+            raise ValueError(f"must be {bounds}, got {text!r}")
+        return value
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -236,9 +253,9 @@ def _add_simulate(sub) -> _Command:
     cmd.opt("--input", help="benign PGM/PPM")
     cmd.opt("--output", help="attacked image path")
     cmd.opt("--lens-kind", _LENS_KIND, LensKind.CONCAVE)
-    cmd.opt("--level", int, help="discrete attack level 1..9")
+    cmd.opt("--level", _Int(1, 9), help="discrete attack level 1..9")
     cmd.opt("--scale", _finite, help="override rescale factor")
-    cmd.opt("--blur", int, help="override blur radius, px")
+    cmd.opt("--blur", _Int(0), help="override blur radius, px")
     cmd.opt("--placement", _Words(BlurPlacement), help="override")
     _add_region_options(cmd)
     cmd.opt("--emit-masks",
@@ -296,7 +313,7 @@ def _add_optimize(sub) -> _Command:
     cmd.opt("--y-tar", _finite, help="target value for targeted mode")
     cmd.opt("--fiducial-height", _finite, help="proxy fiducial height, m")
     cmd.opt("--focal-px", _finite, help="proxy focal length, px")
-    cmd.opt("--detect-threshold", int, estimation.FiducialSpec.detection_threshold,
+    cmd.opt("--detect-threshold", _Int(0, 255), estimation.FiducialSpec.detection_threshold,
             help="proxy blob threshold")
     cmd.opt("--output", help="CSV path (default stdout)")
     return cmd
@@ -388,8 +405,8 @@ def _add_defend(sub) -> _Command:
     cmd.opt("--input", help="image to score")
     cmd.opt("--method", _Words(("varlap", "lbp")))
     cmd.opt("--threshold", _finite, help="verdict threshold (method default)")
-    cmd.opt("--window", int, defense.DEFAULT_TILE_PX, help="lbp tile size, px")
-    cmd.opt("--delta", int, defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
+    cmd.opt("--window", _Int(8), defense.DEFAULT_TILE_PX, help="lbp tile size, px")
+    cmd.opt("--delta", _Int(0), defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
     cmd.opt("--mask-out", help="write the blur mask PGM here (lbp)")
     return cmd
 
@@ -426,7 +443,7 @@ def _add_scenario(sub) -> _Command:
     cmd.opt("--dt", _finite, defaults.dt_s, help="tick, s")
     cmd.opt("--max-time", _finite, defaults.max_sim_time_s, help="simulation cap, s")
     cmd.opt("--sigma", _finite, defaults.noise_sigma_m, help="perception noise sigma, m")
-    cmd.opt("--seed", int, defaults.seed, help="noise seed")
+    cmd.opt("--seed", _Int(0), defaults.seed, help="noise seed")
     cmd.opt("--ratio", _finite, defaults.depth_ratio, help="perceived/true depth ratio")
     cmd.opt("--ratio-from-optics", _SWITCH, False, action="store_const", const="1",
             help="derive the ratio from lens geometry")

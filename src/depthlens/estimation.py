@@ -9,7 +9,8 @@ everything around them:
   height_px); it is the one place that formula is computed;
 * a file-backed estimator, ``DirectoryMapEstimator``, over externally
   produced maps, which divides disparity maps by a constant on request;
-* loaders for those maps (PFM, 16-bit PGM + sidecar scale) and for
+* loaders for those maps (PFM, 16-bit PGM + sidecar scale), which mark
+  holes in the readers' float64 frame in place, strip by strip, and for
   bounding-box text files;
 * masked means, the reduction every metric and loss in this toolkit starts
   from; given a reference map or number they average
@@ -94,9 +95,10 @@ def load_depth_map(path, kind: str = "depth") -> np.ndarray:
     """Load an externally produced map as float64 (h, w).
 
     The format is sniffed from the magic bytes: ``Pf`` float PFM or a 16-bit
-    PGM with its sidecar scale file. ``kind`` ("depth" or "disparity")
-    selects which samples are invalid and become NaN: non-positive depths,
-    negative disparities.
+    PGM with its sidecar scale file. The reader's float64 frame is the one
+    copy: ``kind`` ("depth" or "disparity") selects which samples are
+    invalid, non-positive depths or negative disparities, and they become
+    NaN in place, one row strip at a time.
     """
     with open(path, "rb") as fh:
         magic = fh.read(2)
@@ -106,13 +108,11 @@ def load_depth_map(path, kind: str = "depth") -> np.ndarray:
         values = formats.read_pgm16(path)
     else:
         raise ParseError(f"unrecognized map format (magic {magic!r})", byte_offset=0)
-    values = values.astype(np.float64)  # the one copy; holes are marked in it
-    if kind == "depth":
-        values[~(values > 0)] = np.nan
-    elif kind == "disparity":
-        values[values < 0] = np.nan
-    else:
+    if kind not in ("depth", "disparity"):
         raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
+    for strip in _strips(*values.shape):
+        part = values[strip]
+        part[~(part > 0) if kind == "depth" else part < 0] = np.nan
     return values
 
 
@@ -211,7 +211,7 @@ class DirectoryMapEstimator:
     Expects ``<tag>.pfm`` (or 16-bit ``<tag>.pgm``) in the directory, e.g.
     ``benign.pfm`` and ``level_1.pfm`` .. ``level_9.pfm`` produced offline by
     whatever estimator is under attack. ``rescale`` divides disparity maps by
-    a constant on load.
+    a constant on load, in place.
     """
 
     def __init__(self, directory, kind: str = "disparity",
@@ -230,7 +230,7 @@ class DirectoryMapEstimator:
             if os.path.exists(candidate):
                 values = load_depth_map(candidate, kind=self.kind)
                 if self.rescale is not None:
-                    values = values / self.rescale
+                    values /= self.rescale
                 return values
         raise FileNotFoundError(
             f"no {tag}.pfm / {tag}.pgm in {self.directory}"

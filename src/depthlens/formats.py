@@ -9,17 +9,31 @@ Three interchange formats, all chosen for bit-exactness across platforms:
   text file holding the meters-per-count factor.
 
 The raster writer emits a canonical single-whitespace header; readers
-tolerate runs of whitespace and ``#`` comments in PNM headers. The maps are
-produced by external estimators, so only their readers live here.
+tolerate runs of whitespace and ``#`` comments in PNM headers, and share
+one header parser. The maps are produced by external estimators, so only
+their readers live here.
+
+``read_pnm`` returns a read-only view of the whole file's bytes. The map
+readers never hold the file: they parse the header from a prefix, check
+the raster length against the file size, then read the raster in row
+strips (``imaging._strips``) into one reused buffer and widen each strip
+into the float64 (h, w) frame they return, which the caller may modify.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
 
 import numpy as np
 
+from . import imaging
 from .errors import ParseError, check_positive
+
+# Bytes of a map file read for its header at first; a longer header (a long
+# comment) doubles the read until it fits.
+_HEADER_PREFIX = 128
 
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
@@ -40,17 +54,16 @@ def _read_number(buf: bytes, pos: int, what: str, parse=int):
         raise ParseError(f"bad {what} {token!r}", byte_offset=pos) from None
 
 
-def _read_raster(path, px_bytes: dict[bytes, int], what: str, maxval: int | None):
-    """Parse ``magic width height third`` plus one whitespace byte, then the
-    raster behind it.
+def _parse_header(buf: bytes, px_bytes: dict[bytes, int], what: str,
+                  maxval: int | None):
+    """Parse ``magic width height third`` from the start of ``buf``.
 
     ``px_bytes`` maps each accepted magic to its bytes per pixel. The third
     token must equal ``maxval``; without one it is the PFM scale, a finite
     nonzero float. Returns the magic, the third token's value, the height,
-    the width and a memoryview of the raster bytes.
+    the width and the raster's offset, past the one whitespace byte that
+    ends the header.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
     magic, pos = _read_token(buf, 0)
     if magic not in px_bytes:
         raise ParseError(f"not a {what} (magic {magic!r})", byte_offset=0)
@@ -66,23 +79,73 @@ def _read_raster(path, px_bytes: dict[bytes, int], what: str, maxval: int | None
             raise ParseError(f"unsupported maxval {third} (only {maxval})", byte_offset=pos)
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}", byte_offset=pos)
-    pos += 1  # single whitespace byte separates header from raster
-    need = width * height * px_bytes[magic]
-    raster = memoryview(buf)[pos:pos + need]  # a view: no copy of the raster
-    if len(raster) != need:
-        raise ParseError(
-            f"raster truncated: expected {need} bytes, got {len(raster)}",
-            byte_offset=pos + len(raster),
-        )
-    return magic, third, height, width, raster
+    return magic, third, height, width, pos + 1
+
+
+def _check_length(need: int, start: int, size: int) -> None:
+    """The raster starts at ``start`` of a ``size``-byte file and must hold
+    ``need`` bytes."""
+    got = min(need, max(size - start, 0))
+    if got != need:
+        raise ParseError(f"raster truncated: expected {need} bytes, got {got}",
+                         byte_offset=start + got)
+
+
+def _read_map_header(fh, magic: bytes, px_bytes: int, what: str,
+                     maxval: int | None):
+    """Parse a map header from a prefix of the open file, check the raster
+    length against the file size and leave ``fh`` at the raster.
+
+    The prefix doubles until the header parses with its closing whitespace
+    byte inside it, so every token was read whole; a prefix that fails to
+    parse is grown too, until it is the whole file and the error is the one
+    the whole file gives. Returns the third token's value, height and width.
+    """
+    buf = b""
+    while True:
+        want = max(len(buf), _HEADER_PREFIX)
+        chunk = fh.read(want)
+        buf += chunk
+        whole = len(chunk) < want
+        try:
+            _, third, height, width, start = _parse_header(
+                buf, {magic: px_bytes}, what, maxval)
+            if start <= len(buf) or whole:
+                break
+        except ParseError:
+            if whole:
+                raise
+    _check_length(height * width * px_bytes, start, os.fstat(fh.fileno()).st_size)
+    fh.seek(start)
+    return third, height, width
+
+
+def _raster_strips(fh, height: int, width: int, dtype: str):
+    """Read the raster in row strips of ``imaging._strips`` size, into one
+    reused buffer; yields each strip's row slice (in file order) and its
+    (rows, width) view of the buffer."""
+    buf = np.empty(0, dtype=dtype)
+    for rows in imaging._strips(height, width):
+        count = (rows.stop - rows.start) * width
+        if len(buf) < count:  # the first strip is the largest
+            buf = np.empty(count, dtype=dtype)
+        part = buf[:count]
+        got = fh.readinto(part)
+        if got != part.nbytes:  # the file shrank after the size check
+            raise ParseError(f"raster truncated: read {got} of {part.nbytes} bytes")
+        yield rows, part.reshape(-1, width)
 
 
 def read_pnm(path) -> np.ndarray:
     """Load binary PGM/PPM as a read-only uint8 (h, w) or (h, w, 3) view."""
-    magic, _, height, width, raster = _read_raster(
-        path, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    magic, _, height, width, start = _parse_header(
+        buf, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
     shape = (height, width) if magic == b"P5" else (height, width, 3)
-    return np.frombuffer(raster, dtype=np.uint8).reshape(shape)
+    _check_length(math.prod(shape), start, len(buf))
+    # a view of the file's bytes: no copy of the raster
+    return np.frombuffer(buf, np.uint8, math.prod(shape), start).reshape(shape)
 
 
 def write_pnm(path, data: np.ndarray) -> None:
@@ -102,37 +165,49 @@ def write_pnm(path, data: np.ndarray) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w).
+    """Load a 16-bit PGM and apply the sidecar scale, returning float64 (h, w).
 
     The sidecar ``<path>.scale`` holds one float, finite and positive in
-    float32: physical units per raw count. A scaled count that overflows
-    float32 is an error, not an infinity.
+    float32: physical units per raw count. Counts are scaled in float32, one
+    strip at a time, and widened into the frame. A scaled count that
+    overflows float32 is an error, not an infinity.
     """
-    _, _, height, width, raster = _read_raster(path, {b"P5": 2}, "16-bit PGM", 65535)
-    raw = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    sidecar = str(path) + ".scale"
-    try:
-        with open(sidecar, "r", encoding="ascii") as fh:
-            scale = float(fh.read().strip())
-        check_positive(scale=scale)
-        if not scale <= float(np.finfo(np.float32).max) or np.float32(scale) == 0:
-            raise ValueError  # inf or 0.0 once narrowed to float32
-    except FileNotFoundError:
-        raise ParseError(f"missing sidecar scale file {sidecar}") from None
-    except ValueError:
-        raise ParseError(f"bad scale value in {sidecar}") from None
-    scale32 = np.float32(scale)
-    with np.errstate(over="ignore"):  # reported below as a ParseError
-        peak = raw.max() * scale32
-    if not np.isfinite(peak):
-        raise ParseError(f"largest count at scale {scale!r} in {sidecar} overflows float32")
-    return np.multiply(raw, scale32, dtype=np.float32)
+    with open(path, "rb") as fh:
+        _, height, width = _read_map_header(fh, b"P5", 2, "16-bit PGM", 65535)
+        sidecar = str(path) + ".scale"
+        try:
+            with open(sidecar, "r", encoding="ascii") as side:
+                scale = float(side.read().strip())
+            check_positive(scale=scale)
+            if not scale <= float(np.finfo(np.float32).max) or np.float32(scale) == 0:
+                raise ValueError  # inf or 0.0 once narrowed to float32
+        except FileNotFoundError:
+            raise ParseError(f"missing sidecar scale file {sidecar}") from None
+        except ValueError:
+            raise ParseError(f"bad scale value in {sidecar}") from None
+        scale32 = np.float32(scale)
+        out = np.empty((height, width))
+        for rows, counts in _raster_strips(fh, height, width, ">u2"):
+            with np.errstate(over="ignore"):  # reported below as a ParseError
+                peak = counts.max() * scale32
+            if not np.isfinite(peak):
+                raise ParseError(f"largest count at scale {scale!r} in {sidecar} "
+                                 "overflows float32")
+            out[rows] = np.multiply(counts, scale32, dtype=np.float32)
+    return out
 
 
 def read_pfm(path) -> np.ndarray:
-    """Load a grayscale PFM as float32 (h, w), top-down row order."""
-    _, scale, height, width, raster = _read_raster(
-        path, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
-    dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(raster, dtype=dtype).reshape(height, width)
-    return data[::-1].astype(np.float32, copy=False)  # stored bottom-up
+    """Load a grayscale PFM as float64 (h, w), top-down row order.
+
+    The float32 rows, in either byte order, are widened strip by strip into
+    the frame; the file stores them bottom-up.
+    """
+    with open(path, "rb") as fh:
+        scale, height, width = _read_map_header(
+            fh, b"Pf", 4, "grayscale PFM (color 'PF' is not supported)", None)
+        out = np.empty((height, width))
+        for rows, part in _raster_strips(fh, height, width,
+                                         "<f4" if scale < 0 else ">f4"):
+            out[height - rows.stop:height - rows.start] = part[::-1]
+    return out

@@ -89,6 +89,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                 "--placement", "sideways"], ["sim_i.pgm"]),
     "simulate_bad_region": ([*_SIM, "--output", "sim_j.pgm", "--level", "2",
                              "--region", "square"], ["sim_j.pgm"]),
+    "simulate_level_out_of_range": ([*_SIM, "--output", "sim_l.pgm", "--level", "10"],
+                                    ["sim_l.pgm"]),
     "simulate_bad_lens_kind": ([*_SIM, "--output", "sim_k.pgm", "--level", "2",
                                 "--lens-kind", "prism"], ["sim_k.pgm"]),
     # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
@@ -176,6 +178,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                      ["def_d.pgm"]),
     "defend_truncated_pgm": (["defend", "--input", "truncated.pgm", "--method",
                               "varlap"], []),
+    "defend_varlap_unused_bad_window": (["defend", "--input", "gray.pgm", "--method",
+                                         "varlap", "--window", "3", "--delta", "-5"], []),
     # scenario: noise-free and noisy with tick logs, optics ratio, configs,
     # the error exits
     "scenario_defaults": (["scenario"], []),
@@ -194,6 +198,7 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_unknown_key": (["scenario", "--config", "unknown_key.cfg"], []),
     "scenario_duplicate_key": (["scenario", "--config", "duplicate_key.cfg"], []),
     "scenario_bad_seed_flag": (["scenario", "--seed", "1.5"], []),
+    "scenario_negative_seed": (["scenario", "--sigma", "0.5", "--seed", "-1"], []),
     "scenario_unknown_option": (["scenario", "--baseline", "3"], []),
 }
 

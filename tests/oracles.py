@@ -12,6 +12,7 @@ reproduce them bit for bit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -22,7 +23,8 @@ from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
                                   OptimizationResult, SweepRow)
 from depthlens.defense import _LBP_LABELS
 from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
-                              FiducialNotFound, SingularConfiguration)
+                              FiducialNotFound, ParseError, SingularConfiguration,
+                              check_positive)
 from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
                                apply_attack_transform, level_to_profile, region_masks)
 from depthlens.metrics import adr, aer
@@ -383,6 +385,114 @@ def nonzero_blob_extent(gray: np.ndarray, fiducial) -> tuple[slice, slice]:
         raise FiducialNotFound(f"thresholding at {fiducial.detection_threshold} "
                                f"found {ys.size} px (need >= 4)")
     return slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)
+
+
+# ------------------------------------------------------------- map files ----
+# The map readers as first written: the whole file read into one ``bytes``,
+# the header parsed from it, the raster viewed in place and converted to
+# float32 in one step; ``reference_load_depth_map`` widens that to float64
+# and marks the holes with frame-sized boolean maps.
+
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
+def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    match = _TOKEN.match(buf, pos)
+    if not match[1]:
+        raise ParseError("truncated header", byte_offset=match.start(1))
+    return match[1], match.end()
+
+
+def _reference_number(buf: bytes, pos: int, what: str, parse=int):
+    token, end = _reference_token(buf, pos)
+    try:
+        return parse(token), end
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", byte_offset=pos) from None
+
+
+def reference_read_raster(path, px_bytes: dict[bytes, int], what: str,
+                          maxval: int | None):
+    """Magic, third token, height, width and a view of the raster bytes."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    magic, pos = _reference_token(buf, 0)
+    if magic not in px_bytes:
+        raise ParseError(f"not a {what} (magic {magic!r})", byte_offset=0)
+    width, pos = _reference_number(buf, pos, "width")
+    height, pos = _reference_number(buf, pos, "height")
+    if maxval is None:
+        third, pos = _reference_number(buf, pos, "scale", float)
+        if not 0 < abs(third) < float("inf"):
+            raise ParseError("scale must be finite and nonzero", byte_offset=pos)
+    else:
+        third, pos = _reference_number(buf, pos, "maxval")
+        if third != maxval:
+            raise ParseError(f"unsupported maxval {third} (only {maxval})", byte_offset=pos)
+    if width < 1 or height < 1:
+        raise ParseError(f"bad dimensions {width}x{height}", byte_offset=pos)
+    pos += 1
+    need = width * height * px_bytes[magic]
+    raster = memoryview(buf)[pos:pos + need]
+    if len(raster) != need:
+        raise ParseError(
+            f"raster truncated: expected {need} bytes, got {len(raster)}",
+            byte_offset=pos + len(raster),
+        )
+    return magic, third, height, width, raster
+
+
+def reference_read_pgm16(path) -> np.ndarray:
+    """16-bit PGM counts times the sidecar scale, float32 (h, w)."""
+    _, _, height, width, raster = reference_read_raster(
+        path, {b"P5": 2}, "16-bit PGM", 65535)
+    raw = np.frombuffer(raster, dtype=">u2").reshape(height, width)
+    sidecar = str(path) + ".scale"
+    try:
+        with open(sidecar, "r", encoding="ascii") as fh:
+            scale = float(fh.read().strip())
+        check_positive(scale=scale)
+        if not scale <= float(np.finfo(np.float32).max) or np.float32(scale) == 0:
+            raise ValueError
+    except FileNotFoundError:
+        raise ParseError(f"missing sidecar scale file {sidecar}") from None
+    except ValueError:
+        raise ParseError(f"bad scale value in {sidecar}") from None
+    scale32 = np.float32(scale)
+    with np.errstate(over="ignore"):
+        peak = raw.max() * scale32
+    if not np.isfinite(peak):
+        raise ParseError(f"largest count at scale {scale!r} in {sidecar} overflows float32")
+    return np.multiply(raw, scale32, dtype=np.float32)
+
+
+def reference_read_pfm(path) -> np.ndarray:
+    """Grayscale PFM as float32 (h, w), top-down."""
+    _, scale, height, width, raster = reference_read_raster(
+        path, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
+    dtype = "<f4" if scale < 0 else ">f4"
+    data = np.frombuffer(raster, dtype=dtype).reshape(height, width)
+    return data[::-1].astype(np.float32, copy=False)
+
+
+def reference_load_depth_map(path, kind: str = "depth") -> np.ndarray:
+    """Float64 (h, w) with non-positive depths or negative disparities NaN."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    if magic == b"Pf" or magic == b"PF":
+        values = reference_read_pfm(path)
+    elif magic == b"P5":
+        values = reference_read_pgm16(path)
+    else:
+        raise ParseError(f"unrecognized map format (magic {magic!r})", byte_offset=0)
+    values = values.astype(np.float64)
+    if kind == "depth":
+        values[~(values > 0)] = np.nan
+    elif kind == "disparity":
+        values[values < 0] = np.nan
+    else:
+        raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
+    return values
 
 
 # --------------------------------------------------------------- scenario ----

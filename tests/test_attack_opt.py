@@ -1,6 +1,7 @@
 """Loss functions and the brute-force level search."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper)
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
-from helpers import STRIPS, concave_sweep_fixture, strip_values, write_pfm
+from helpers import (STRIPS, concave_sweep_fixture, strip_values, textured_image,
+                     write_pfm)
 from oracles import (_dense_abs_diff, dense_alpha_sweep, dense_optimize_level,
                      two_step_masked_mean)
 
@@ -287,6 +289,52 @@ class TestOptimizeLevel:
         with pytest.raises(OptimizationError) as err:
             optimize_level(image, est, cfg, LensKind.CONCAVE)
         assert err.value.level == 7
+
+
+class LifetimeEstimator:
+    """Returns a fresh map per call and keeps only weak references to the
+    level maps it returned and the renders it was given."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.refs = []  # (render, map) weak references, one pair per level
+        self.alive_at_estimate = []
+
+    def alive(self):
+        """Whether the last level's render and map are still alive."""
+        return tuple(ref() is not None for ref in self.refs[-1]) if self.refs else None
+
+    def estimate_map(self, image, tag=None):
+        out = np.full(self.shape, 1.0 if tag == "benign" else 1.5)
+        if tag != "benign":
+            self.alive_at_estimate.append(self.alive())
+            self.refs.append((weakref.ref(image), weakref.ref(out)))
+        return out
+
+
+@pytest.mark.parametrize("mode, y_tar", [(Mode.TARGETED, 0.43), (Mode.UNTARGETED, None)])
+def test_one_level_map_and_render_at_a_time(monkeypatch, mode, y_tar):
+    """When the estimator is called for level k+1, the level-k map and render
+    are gone, so the search never holds two levels' maps; the level-k render
+    is gone before level k+1 renders."""
+    image = textured_image((64, 64), seed=1)
+    est = LifetimeEstimator(image.data.shape)
+    render_alive_at_render = []
+    render = attack_opt.apply_attack_transform
+
+    def checked_render(benign, profile):
+        render_alive_at_render.append(est.alive() and est.alive()[0])
+        attacked = render(benign, profile)
+        assert attacked is not benign
+        return attacked
+
+    monkeypatch.setattr(attack_opt, "apply_attack_transform", checked_render)
+    cfg = LossConfig(alpha=0.3, mode=mode, vehicle_box=Box(8, 8, 24, 24),
+                     region=LensRegion.circle(32, 32, 20), y_tar=y_tar)
+    optimize_level(image, est, cfg, LensKind.CONVEX)
+    assert len(est.refs) == 9
+    assert est.alive_at_estimate == [None] + [(False, False)] * 8
+    assert render_alive_at_render == [None] + [False] * 8
 
 
 class RandomMapEstimator:

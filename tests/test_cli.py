@@ -535,7 +535,7 @@ class TestScenarioCommand:
     def test_negative_seed_exits_two_naming_it(self, capsys):
         code, out, err = run(capsys, "scenario", "--sigma", "0.5", "--seed", "-1")
         assert (code, out) == (2, "")
-        assert "seed must be non-negative, got -1" in err
+        assert err == "error: option --seed: must be >= 0, got '-1'\n"
 
     def test_unknown_lens_with_ratio_from_optics_exits_two(self, capsys):
         code, _, err = run(capsys, "scenario", "--ratio-from-optics", "--lens",
@@ -655,8 +655,9 @@ def _values(parse):
     """(command-line text, config text, resolved value) for one option's
     parser; a switch takes no command-line text."""
     floats = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
-    if parse is int:
-        ints = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6))
+    if isinstance(parse, cli._Int):
+        high = 10 ** 6 if parse.high is None else parse.high
+        ints = st.one_of(st.sampled_from([parse.low, high]), st.integers(parse.low, high))
         return ints.map(lambda v: (str(v), str(v), v))
     if parse is cli._finite:
         return floats.map(lambda v: (repr(v), repr(v), v))
@@ -832,6 +833,58 @@ def test_unread_non_finite_number_exits_two(tmp_path, capsys, name, dest, via, v
               else f"config key {dest!r}")
     assert run(capsys, *_word_argv(name, dest, via, text, tmp_path)) == (
         2, "", f"error: {source}: must be finite, got {value!r}\n")
+
+
+# Each integer option's range (high None: no upper bound) and how its
+# message states it.
+_INT_RANGES = {
+    ("simulate", "level"): (1, 9, "in 1..9"),
+    ("simulate", "blur"): (0, None, ">= 0"),
+    ("optimize", "detect_threshold"): (0, 255, "in 0..255"),
+    ("defend", "window"): (8, None, ">= 8"),
+    ("defend", "delta"): (0, None, ">= 0"),
+    ("scenario", "seed"): (0, None, ">= 0"),
+}
+
+
+def test_varlap_with_lbp_only_values_out_of_range_exits_two(tmp_path, capsys):
+    """--window and --delta only matter to LBP; out of range they are still
+    usage errors under --method varlap, reported before the image is read."""
+    noise_image((24, 24), seed=5).save(tmp_path / "g.pgm")
+    assert run(capsys, "defend", "--input", str(tmp_path / "g.pgm"), "--method",
+               "varlap", "--window", "3", "--delta", "-5") == (
+        2, "", "error: option --window: must be >= 8, got '3'\n")
+
+
+def test_every_integer_option_is_range_checked():
+    ints = {(name, dest): (parse.low, parse.high) for name, command in _COMMANDS.items()
+            for dest, (parse, _) in command.options.items() if isinstance(parse, cli._Int)}
+    assert ints == {key: (low, high) for key, (low, high, _) in _INT_RANGES.items()}
+    assert not any(parse is int for command in _COMMANDS.values()
+                   for parse, _ in command.options.values())
+
+
+@pytest.mark.parametrize("name,dest", list(_INT_RANGES),
+                         ids=[f"{n}--{d.replace('_', '-')}" for n, d in _INT_RANGES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unread_out_of_range_integer_exits_two(name, dest, data):
+    """Any integer outside the option's range, just outside included, from a
+    flag or the config file, as the one option of its subcommand, which no
+    handler reads: exit 2, an empty stdout and one line naming the source."""
+    low, high, bounds = _INT_RANGES[name, dest]
+    below = st.one_of(st.just(low - 1), st.integers(-10 ** 9, low - 1))
+    value = data.draw(below if high is None else st.one_of(
+        below, st.just(high + 1), st.integers(high + 1, 10 ** 9)))
+    via = data.draw(st.sampled_from(["flag", "config"]))
+    source = (f"option --{dest.replace('_', '-')}" if via == "flag"
+              else f"config key {dest!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(_word_argv(name, dest, via, str(value), tmp))
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: {source}: must be {bounds}, got '{value}'\n"
 
 
 # Invocations that read float options: each reads every float flag it names,

@@ -14,7 +14,7 @@ from depthlens import formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
 from helpers import fiducial_reading, render_fiducial, write_pfm, write_pgm16
-from oracles import dense_box_mask, nonzero_blob_extent
+from oracles import dense_box_mask, nonzero_blob_extent, reference_load_depth_map
 
 
 def _rescaled(tmp_path, values, constant):
@@ -30,6 +30,14 @@ class TestRescale:
         d = _rescaled(tmp_path, [[2.16]], 5.4)
         assert d[0, 0] == pytest.approx(0.40)
         assert d[0, 0] == np.float64(np.float32(2.16)) / 5.4
+
+    def test_equals_dividing_the_reference_map(self, tmp_path):
+        """Dividing in place gives the bits of the whole-file load divided."""
+        values = np.random.default_rng(3).uniform(-1.0, 80.0, (37, 53))
+        values[::5, ::3] = np.nan
+        got = _rescaled(tmp_path, values, 3.7)
+        want = reference_load_depth_map(tmp_path / "benign.pfm", "disparity") / 3.7
+        assert got.tobytes() == want.tobytes()
 
     def test_identity_and_zeros(self, tmp_path):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])

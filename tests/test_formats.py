@@ -1,5 +1,7 @@
 """File formats: header dimension checks, truncation, 16-bit PGM writing,
-round trips."""
+round trips, the streamed map readers against the whole-file oracles."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from depthlens import formats
 from depthlens.errors import ParseError
 from depthlens.estimation import load_depth_map
 
-from helpers import write_pfm, write_pgm16
+from helpers import strip_values, write_pfm, write_pgm16
+from oracles import reference_load_depth_map, reference_read_pfm, reference_read_pgm16
 
 
 class TestDimensionChecks:
@@ -48,14 +51,15 @@ class TestReadPfm:
     @pytest.mark.parametrize("scale, order", [(b"-1.0", "<f4"), (b"1.0", ">f4")])
     def test_either_byte_order_reads_as_native_float32(self, tmp_path, scale, order):
         """The writer emits little-endian only; a big-endian map must still
-        come back converted to native float32, bit for bit."""
+        come back as the native float32 values, bit for bit, widened to
+        float64 (exactly, so narrowing gives the bits back)."""
         values = np.array([[1.5, -2.25, np.nan], [3e38, -0.0, 1e-45]], np.float32)
         path = tmp_path / "m.pfm"
         path.write_bytes(b"Pf\n3 2\n" + scale + b"\n"
                          + values[::-1].astype(order).tobytes())
         got = formats.read_pfm(path)
-        assert got.dtype == np.dtype(np.float32)
-        assert got.tobytes() == values.tobytes()
+        assert got.dtype == np.dtype(np.float64)
+        assert got.astype(np.float32).tobytes() == values.tobytes()
 
 
 class TestReadPgm16:
@@ -91,7 +95,9 @@ class TestReadPgm16:
         write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
         (tmp_path / "d.pgm.scale").write_text(f"{scale!r}\n")
         got = formats.read_pgm16(path)
-        assert got.dtype == np.float32
+        assert got.dtype == np.float64
+        expected = np.array([[0.0, 65535.0]], np.float32) * np.float32(scale)
+        assert got.astype(np.float32).tobytes() == expected.tobytes()
         assert got[0, 0] == 0.0 and np.isfinite(got[0, 1])
 
 
@@ -211,6 +217,126 @@ def test_pgm16_round_trip_recovers_counts(tmp_path_factory, counts, scale):
     path = tmp_path_factory.mktemp("pgm16") / "m.pgm"
     write_pgm16(path, counts * scale, scale=scale)
     values = formats.read_pgm16(path)
+    assert values.dtype == np.float64
     assert np.array_equal(np.round(values / scale), counts)
-    # counts widened to float32, then scaled in float32
-    assert values.tobytes() == (counts.astype(np.float32) * np.float32(scale)).tobytes()
+    # counts widened to float32, then scaled in float32, then widened
+    expected = counts.astype(np.float32) * np.float32(scale)
+    assert values.astype(np.float32).tobytes() == expected.tobytes()
+
+
+# Values a float map may hold: any float32, with NaN, the infinities, -0.0
+# and subnormals drawn often.
+_SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, -1e-45,
+            float(np.finfo(np.float32).smallest_normal) / 2]
+_MAP_VALUES = st.one_of(st.floats(width=32), st.sampled_from(_SPECIAL))
+# A header comment longer than the readers' first read of the file.
+_LONG_COMMENT = st.integers(formats._HEADER_PREFIX, 4 * formats._HEADER_PREFIX).map(
+    lambda n: b" #" + b"c" * n + b"\n")
+
+
+@st.composite
+def map_files(draw):
+    """The bytes of one PFM (either byte order) or 16-bit PGM and its sidecar
+    text (None: no sidecar), whole or damaged: cut short, a header byte
+    replaced, or the magic changed."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    gaps = draw(st.lists(st.one_of(_GAP, _LONG_COMMENT), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.float32, (h, w), elements=_MAP_VALUES))
+        order = draw(st.sampled_from(["<f4", ">f4"]))
+        magic, third = b"Pf", b"-1.0" if order == "<f4" else b"1.0"
+        raster = values[::-1].astype(order).tobytes()
+        sidecar = None
+    else:
+        values = draw(hnp.arrays(np.uint16, (h, w)))
+        magic, third = b"P5", b"65535"
+        raster = values.astype(">u2").tobytes()
+        sidecar = draw(st.one_of(st.none(), st.sampled_from(
+            ["0.001", "0.5", "1e35", "3.5e38", "nan", "-1"]),
+            st.floats(1e-6, 1e6).map(repr)))
+    data = (magic + gaps[0] + b"%d" % w + gaps[1] + b"%d" % h + gaps[2] + third
+            + b"\n" + raster)
+    damage = draw(st.sampled_from(["none", "cut", "byte", "magic"]))
+    if damage == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif damage == "byte":
+        at = draw(st.integers(0, len(data) - len(raster) - 1))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    elif damage == "magic":
+        data = draw(st.sampled_from([b"PF", b"P6", b"P2", b"Pf", b"P5"])) + data[2:]
+    return data, sidecar
+
+
+def _outcome(read, *args):
+    """A reader's map bytes (float64), or its ParseError's text and offset."""
+    try:
+        return "map", np.asarray(read(*args), dtype=np.float64).tobytes()
+    except ParseError as exc:
+        return "error", str(exc), exc.byte_offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=map_files(), kind=st.sampled_from(["depth", "disparity"]),
+       strip=st.sampled_from([1, 7, 64]))
+def test_streamed_readers_match_the_whole_file_readers(tmp_path_factory, spec, kind,
+                                                       strip):
+    """Each map reader and ``load_depth_map`` return the whole-file oracle's
+    values widened to float64, bit for bit (NaN payloads, signed zeros and
+    subnormals included), with heights of 1 and heights that are not a
+    multiple of the strip rows; a damaged file raises the oracle's
+    ParseError, text and byte offset, headers longer than the first read
+    included."""
+    data, sidecar = spec
+    path = tmp_path_factory.mktemp("map") / "m.map"
+    path.write_bytes(data)
+    if sidecar is not None:
+        (path.parent / "m.map.scale").write_text(sidecar + "\n")
+    with strip_values(strip):
+        for read, reference in [(formats.read_pfm, reference_read_pfm),
+                                (formats.read_pgm16, reference_read_pgm16)]:
+            assert _outcome(read, path) == _outcome(reference, path)
+        assert (_outcome(load_depth_map, path, kind)
+                == _outcome(reference_load_depth_map, path, kind))
+
+
+@pytest.mark.parametrize("third", [b"-1.0", b"1.0", b"65535"])
+def test_header_ending_at_any_offset_around_the_first_read(tmp_path, third):
+    """A comment pads the header so that its last token ends at each offset
+    near the end of the readers' first read: a token cut there (``1.0`` as
+    ``1.``, ``65535`` as ``655``) must be read whole, as the oracle does."""
+    magic, read, reference = ((b"P5", formats.read_pgm16, reference_read_pgm16)
+                              if third == b"65535" else
+                              (b"Pf", formats.read_pfm, reference_read_pfm))
+    raster = bytes(range(1, 25))  # 3x2 float32, or 3x2 counts and 12 spare bytes
+    (tmp_path / "m.map.scale").write_text("0.5\n")
+    for end in range(formats._HEADER_PREFIX - 8, formats._HEADER_PREFIX + 4):
+        head = magic + b" 3 2 #"
+        head += b"c" * (end - len(head) - len(third) - 1) + b"\n" + third
+        assert len(head) == end
+        for tail in [b"\n" + raster, b"\n" + raster[:10], b"\n", b""]:
+            path = tmp_path / "m.map"
+            path.write_bytes(head + tail)
+            assert _outcome(read, path) == _outcome(reference, path)
+            assert _outcome(read, path)[0] == ("map" if len(tail) > 11 else "error")
+
+
+@pytest.mark.parametrize("fmt", ["pfm", "pgm16"])
+def test_load_depth_map_peak_is_the_frame(tmp_path, fmt):
+    """A 1080p map load allocates its float64 frame and at most 1 MiB more:
+    no copy of the file's bytes, no float32 frame, no frame-sized mask."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "m.map"
+    if fmt == "pfm":
+        values = rng.standard_normal((1080, 1920)).astype(np.float32)
+        values[::7, ::5] = np.nan
+        write_pfm(path, values)
+    else:
+        write_pgm16(path, rng.integers(0, 65536, (1080, 1920)) * 0.001, scale=0.001)
+    tracemalloc.start()
+    try:
+        loaded = load_depth_map(path, kind="depth")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.shape == (1080, 1920)
+    assert peak <= loaded.nbytes + 2 ** 20
