@@ -153,7 +153,7 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
 
 def load_boxes(path) -> list[Box]:
     """Bounding-box text file: one ``x_min y_min x_max y_max`` line per box,
-    integer pixels, inclusive-exclusive."""
+    integer pixels (digits after an optional minus), inclusive-exclusive."""
     boxes = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -163,10 +163,10 @@ def load_boxes(path) -> list[Box]:
             parts = line.split()
             if len(parts) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 4 integers, got {line!r}")
-            try:
-                x0, y0, x1, y1 = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad integer in {line!r}") from None
+            # int() alone would also take "+3" and "1_0"
+            if not all(p.removeprefix("-").isdigit() for p in parts):
+                raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
+            x0, y0, x1, y1 = (int(p) for p in parts)
             try:
                 boxes.append(Box(x0, y0, x1, y1))
             except ValueError as exc:  # an empty box

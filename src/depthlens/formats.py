@@ -8,116 +8,107 @@ Three interchange formats, all chosen for bit-exactness across platforms:
 * 16-bit binary PGM (maxval 65535, big-endian) plus a sidecar ``<path>.scale``
   text file holding the meters-per-count factor.
 
-The raster writer emits a canonical single-whitespace header; readers
-tolerate runs of whitespace and ``#`` comments in PNM headers, and share
-one header parser. The maps are produced by external estimators, so only
-their readers live here.
+The raster writer emits a canonical single-whitespace header. The three
+readers share one header parser, which reads the header token by token from
+the open file: runs of whitespace and ``#`` comments are tolerated,
+dimensions and maxval must be ASCII digits and the PFM scale a decimal
+float, and the raster length is checked against the file size before any
+of it is read. The maps are produced by external estimators, so only their
+readers live here.
 
-``read_pnm`` returns a read-only view of the whole file's bytes. The map
-readers never hold the file: they parse the header from a prefix, check
-the raster length against the file size, then read the raster in row
-strips (``imaging._strips``) into one reused buffer and widen each strip
-into the float64 (h, w) frame they return, which the caller may modify.
+``read_pnm`` returns a read-only view of the raster's bytes. The map
+readers never hold the file: they read the raster in row strips
+(``imaging._strips``) into one reused buffer and widen each strip into the
+float64 (h, w) frame they return, which the caller may modify.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 
 import numpy as np
 
 from . import imaging
 from .errors import ParseError, check_positive
 
-# Bytes of a map file read for its header at first; a longer header (a long
-# comment) doubles the read until it fits.
-_HEADER_PREFIX = 128
 
-_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+def _read_token(fh) -> tuple[bytes, int]:
+    """Next header token of the open file and its end offset, skipping
+    whitespace and ``#`` comments that run to a CR or LF. The byte after
+    the token (whitespace, or none at the end of the file) is consumed."""
+    byte = fh.read(1)
+    while byte.isspace() or byte == b"#":
+        if byte == b"#":
+            while byte not in b"\r\n":  # b"", the end of the file, is in it
+                byte = fh.read(1)
+        byte = fh.read(1)
+    token = bytearray()
+    while byte and not byte.isspace():
+        token += byte
+        byte = fh.read(1)
+    end = fh.tell() - len(byte)
+    if not token:
+        raise ParseError("truncated header", byte_offset=end)
+    return bytes(token), end
 
 
-def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping ``#`` line comments."""
-    match = _TOKEN.match(buf, pos)
-    if not match[1]:
-        raise ParseError("truncated header", byte_offset=match.start(1))
-    return match[1], match.end()
+def _digits(token: bytes) -> int:
+    """ASCII digits only: int() alone would also take ``+3`` and ``1_0``."""
+    if not token.isdigit():
+        raise ValueError
+    return int(token)
 
 
-def _read_number(buf: bytes, pos: int, what: str, parse=int):
-    token, end = _read_token(buf, pos)
+def _decimal(text: bytes) -> float:
+    """A decimal float (``nan`` and ``inf`` included): float() alone would
+    also take ``1_0``."""
+    if b"_" in text:
+        raise ValueError
+    return float(text)
+
+
+def _read_number(fh, pos: int, what: str, parse):
+    """The next token as read by ``parse``; one it rejects is reported at
+    ``pos``, the end of the token before it."""
+    token, end = _read_token(fh)
     try:
         return parse(token), end
     except ValueError:
         raise ParseError(f"bad {what} {token!r}", byte_offset=pos) from None
 
 
-def _parse_header(buf: bytes, px_bytes: dict[bytes, int], what: str,
-                  maxval: int | None):
-    """Parse ``magic width height third`` from the start of ``buf``.
+def _parse_header(fh, px_bytes: dict[bytes, int], what: str, maxval: int | None):
+    """Parse ``magic width height third`` from the start of the open file,
+    check that the file holds the raster and leave ``fh`` at it.
 
     ``px_bytes`` maps each accepted magic to its bytes per pixel. The third
     token must equal ``maxval``; without one it is the PFM scale, a finite
-    nonzero float. Returns the magic, the third token's value, the height,
-    the width and the raster's offset, past the one whitespace byte that
-    ends the header.
+    nonzero float. The raster starts past the one whitespace byte that ends
+    the header. Returns the magic, the third token's value, the height and
+    the width.
     """
-    magic, pos = _read_token(buf, 0)
+    magic, pos = _read_token(fh)
     if magic not in px_bytes:
         raise ParseError(f"not a {what} (magic {magic!r})", byte_offset=0)
-    width, pos = _read_number(buf, pos, "width")
-    height, pos = _read_number(buf, pos, "height")
+    width, pos = _read_number(fh, pos, "width", _digits)
+    height, pos = _read_number(fh, pos, "height", _digits)
     if maxval is None:
-        third, pos = _read_number(buf, pos, "scale", float)
+        third, pos = _read_number(fh, pos, "scale", _decimal)
         if not 0 < abs(third) < float("inf"):  # NaN fails too
             raise ParseError("scale must be finite and nonzero", byte_offset=pos)
     else:
-        third, pos = _read_number(buf, pos, "maxval")
+        third, pos = _read_number(fh, pos, "maxval", _digits)
         if third != maxval:
             raise ParseError(f"unsupported maxval {third} (only {maxval})", byte_offset=pos)
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}", byte_offset=pos)
-    return magic, third, height, width, pos + 1
-
-
-def _check_length(need: int, start: int, size: int) -> None:
-    """The raster starts at ``start`` of a ``size``-byte file and must hold
-    ``need`` bytes."""
-    got = min(need, max(size - start, 0))
+    start, need = pos + 1, height * width * px_bytes[magic]
+    got = min(need, max(os.fstat(fh.fileno()).st_size - start, 0))
     if got != need:
         raise ParseError(f"raster truncated: expected {need} bytes, got {got}",
                          byte_offset=start + got)
-
-
-def _read_map_header(fh, magic: bytes, px_bytes: int, what: str,
-                     maxval: int | None):
-    """Parse a map header from a prefix of the open file, check the raster
-    length against the file size and leave ``fh`` at the raster.
-
-    The prefix doubles until the header parses with its closing whitespace
-    byte inside it, so every token was read whole; a prefix that fails to
-    parse is grown too, until it is the whole file and the error is the one
-    the whole file gives. Returns the third token's value, height and width.
-    """
-    buf = b""
-    while True:
-        want = max(len(buf), _HEADER_PREFIX)
-        chunk = fh.read(want)
-        buf += chunk
-        whole = len(chunk) < want
-        try:
-            _, third, height, width, start = _parse_header(
-                buf, {magic: px_bytes}, what, maxval)
-            if start <= len(buf) or whole:
-                break
-        except ParseError:
-            if whole:
-                raise
-    _check_length(height * width * px_bytes, start, os.fstat(fh.fileno()).st_size)
-    fh.seek(start)
-    return third, height, width
+    return magic, third, height, width
 
 
 def _raster_strips(fh, height: int, width: int, dtype: str):
@@ -139,13 +130,14 @@ def _raster_strips(fh, height: int, width: int, dtype: str):
 def read_pnm(path) -> np.ndarray:
     """Load binary PGM/PPM as a read-only uint8 (h, w) or (h, w, 3) view."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, _, height, width, start = _parse_header(
-        buf, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
-    shape = (height, width) if magic == b"P5" else (height, width, 3)
-    _check_length(math.prod(shape), start, len(buf))
-    # a view of the file's bytes: no copy of the raster
-    return np.frombuffer(buf, np.uint8, math.prod(shape), start).reshape(shape)
+        magic, _, height, width = _parse_header(
+            fh, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
+        shape = (height, width) if magic == b"P5" else (height, width, 3)
+        raster = fh.read(math.prod(shape))
+    if len(raster) != math.prod(shape):  # the file shrank after the size check
+        raise ParseError(f"raster truncated: read {len(raster)} of {math.prod(shape)} bytes")
+    # a view of the raster's bytes: no copy
+    return np.frombuffer(raster, np.uint8).reshape(shape)
 
 
 def write_pnm(path, data: np.ndarray) -> None:
@@ -173,11 +165,11 @@ def read_pgm16(path) -> np.ndarray:
     overflows float32 is an error, not an infinity.
     """
     with open(path, "rb") as fh:
-        _, height, width = _read_map_header(fh, b"P5", 2, "16-bit PGM", 65535)
+        _, _, height, width = _parse_header(fh, {b"P5": 2}, "16-bit PGM", 65535)
         sidecar = str(path) + ".scale"
         try:
-            with open(sidecar, "r", encoding="ascii") as side:
-                scale = float(side.read().strip())
+            with open(sidecar, "rb") as side:
+                scale = _decimal(side.read().strip())
             check_positive(scale=scale)
             if not scale <= float(np.finfo(np.float32).max) or np.float32(scale) == 0:
                 raise ValueError  # inf or 0.0 once narrowed to float32
@@ -204,8 +196,8 @@ def read_pfm(path) -> np.ndarray:
     the frame; the file stores them bottom-up.
     """
     with open(path, "rb") as fh:
-        scale, height, width = _read_map_header(
-            fh, b"Pf", 4, "grayscale PFM (color 'PF' is not supported)", None)
+        _, scale, height, width = _parse_header(
+            fh, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
         out = np.empty((height, width))
         for rows, part in _raster_strips(fh, height, width,
                                          "<f4" if scale < 0 else ">f4"):

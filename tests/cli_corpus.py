@@ -93,6 +93,9 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                     ["sim_l.pgm"]),
     "simulate_bad_lens_kind": ([*_SIM, "--output", "sim_k.pgm", "--level", "2",
                                 "--lens-kind", "prism"], ["sim_k.pgm"]),
+    "simulate_circle_off_frame": ([*_SIM, "--output", "sim_m.pgm", "--level", "2",
+                                   "--region", "circle", "--cx", "500", "--cy", "500",
+                                   "--radius", "20"], ["sim_m.pgm"]),
     # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
     # and off the frame, both modes, the error exits
     "optimize_proxy_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind", "concave",
@@ -136,6 +139,16 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                "--map-kind", "dpeth", "--alphas", "0.1"], []),
     "optimize_bad_alphas": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
                              *_PROXY, "--alphas", "0.1,abc"], []),
+    "optimize_maps_without_benign": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                      "concave", *_CIRCLE, "--estimator", "external",
+                                      "--maps", "maps_no_benign", "--alphas", "0.1"], []),
+    "optimize_level_map_dims_differ": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                        "concave", *_CIRCLE, "--estimator", "external",
+                                        "--maps", "maps_small_level", "--alphas", "0.1"],
+                                       []),
+    "optimize_detect_threshold_zero": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                        "concave", *_PROXY, "--detect-threshold", "0",
+                                        "--alphas", "0.1"], []),
     # metrics: scalar and map modes, the error exits
     "metrics_adr_scalars": (["metrics", "--kind", "adr", "--attacked", "0.36",
                              "--benign", "0.28"], []),
@@ -158,6 +171,41 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "metrics_bad_scale_sidecar": (["metrics", "--kind", "aer", "--attacked-map",
                                    "bad_scale.pgm", "--target", "1", "--boxes",
                                    "boxes.txt"], []),
+    "metrics_nan_pfm_scale": (["metrics", "--kind", "aer", "--attacked-map",
+                               "nan_scale.pfm", "--target", "1", "--boxes", "boxes.txt"],
+                              []),
+    "metrics_color_pfm": (["metrics", "--kind", "aer", "--attacked-map", "color.pfm",
+                           "--target", "1", "--boxes", "boxes.txt"], []),
+    "metrics_pgm16_no_sidecar": (["metrics", "--kind", "aer", "--attacked-map",
+                                  "no_sidecar.pgm", "--target", "1", "--boxes",
+                                  "boxes.txt"], []),
+    "metrics_pgm16_overflow": (["metrics", "--kind", "aer", "--attacked-map",
+                                "overflow.pgm", "--target", "1", "--boxes", "boxes.txt"],
+                               []),
+    "metrics_zero_benign": (["metrics", "--kind", "adr", "--attacked", "1", "--benign",
+                             "0"], []),
+    "metrics_zero_target": (["metrics", "--kind", "aer", "--attacked", "1", "--target",
+                             "0"], []),
+    "metrics_sidecar_zero_in_float32": (["metrics", "--kind", "aer", "--attacked-map",
+                                         "tiny_scale.pgm", "--target", "1", "--boxes",
+                                         "boxes.txt"], []),
+    "metrics_coerced_pfm_scale": (["metrics", "--kind", "aer", "--attacked-map",
+                                   "coerced_scale.pfm", "--target", "1", "--boxes",
+                                   "boxes.txt"], []),
+    # box files: a line of three numbers, a word, an empty box, and numbers
+    # int() would read (6_4 as 64, +40 as 40)
+    "metrics_box_three_fields": (["metrics", "--kind", "aer", "--attacked-map",
+                                  "maps_le/level_5.pfm", "--target", "1", "--boxes",
+                                  "boxes_three.txt"], []),
+    "metrics_box_word": (["metrics", "--kind", "aer", "--attacked-map",
+                          "maps_le/level_5.pfm", "--target", "1", "--boxes",
+                          "boxes_word.txt"], []),
+    "metrics_box_empty": (["metrics", "--kind", "aer", "--attacked-map",
+                           "maps_le/level_5.pfm", "--target", "1", "--boxes",
+                           "boxes_flat.txt"], []),
+    "metrics_box_coerced": (["metrics", "--kind", "aer", "--attacked-map",
+                             "maps_le/level_5.pfm", "--target", "1", "--boxes",
+                             "boxes_coerced.txt"], []),
     # defend: both methods, the mask, the error exits
     "defend_varlap_gray": (["defend", "--input", "gray.pgm", "--method", "varlap"], []),
     "defend_lbp_rgb_mask": (["defend", "--input", "rgb.ppm", "--method", "lbp",
@@ -178,6 +226,17 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                      ["def_d.pgm"]),
     "defend_truncated_pgm": (["defend", "--input", "truncated.pgm", "--method",
                               "varlap"], []),
+    "defend_bad_width": (["defend", "--input", "bad_width.pgm", "--method", "varlap"], []),
+    "defend_truncated_header": (["defend", "--input", "cut_header.pgm", "--method",
+                                 "varlap"], []),
+    "defend_unsupported_maxval": (["defend", "--input", "maxval.pgm", "--method",
+                                   "varlap"], []),
+    "defend_bad_dimensions": (["defend", "--input", "zero_dims.pgm", "--method",
+                               "varlap"], []),
+    "defend_tiny_pgm": (["defend", "--input", "tiny.pgm", "--method", "varlap"], []),
+    "defend_lbp_tiny_pgm": (["defend", "--input", "tiny.pgm", "--method", "lbp"], []),
+    "defend_coerced_numbers": (["defend", "--input", "coerced.pgm", "--method",
+                                "varlap"], []),
     "defend_varlap_unused_bad_window": (["defend", "--input", "gray.pgm", "--method",
                                          "varlap", "--window", "3", "--delta", "-5"], []),
     # scenario: noise-free and noisy with tick logs, optics ratio, configs,
@@ -200,6 +259,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_bad_seed_flag": (["scenario", "--seed", "1.5"], []),
     "scenario_negative_seed": (["scenario", "--sigma", "0.5", "--seed", "-1"], []),
     "scenario_unknown_option": (["scenario", "--baseline", "3"], []),
+    "scenario_config_without_equals": (["scenario", "--config", "no_equals.cfg"], []),
+    "scenario_coarse_dt": (["scenario", "--dt", "0.1"], []),
 }
 
 _CONFIGS = {
@@ -213,6 +274,7 @@ _CONFIGS = {
     "bad_number.cfg": "sigma = abc\n",
     "unknown_key.cfg": "sigma = 0.1\nwidth = 3\n",
     "duplicate_key.cfg": "sigma = 0.5\nsigma = 0\n",
+    "no_equals.cfg": "sigma 0.5\n",
 }
 
 
@@ -236,6 +298,10 @@ def make_fixtures(directory: Path) -> None:
     (directory / "boxes_across.txt").write_text("140 100 200 160\n")
     (directory / "boxes_off.txt").write_text("200 150 240 180\n")
     (directory / "boxes_empty.txt").write_text("# no boxes\n")
+    (directory / "boxes_three.txt").write_text("64 40 96\n")
+    (directory / "boxes_word.txt").write_text("64 40 96 eighty\n")
+    (directory / "boxes_flat.txt").write_text("64 40 64 80\n")
+    (directory / "boxes_coerced.txt").write_text("6_4 +40 9_6 80\n")
     for name, text in _CONFIGS.items():
         (directory / name).write_text(text)
     # malformed inputs: a raster cut short, a map of no known format, and a
@@ -244,6 +310,29 @@ def make_fixtures(directory: Path) -> None:
     (directory / "bad_magic.pfm").write_bytes(b"P7\n4 4\n-1.0\n" + bytes(64))
     (directory / "bad_scale.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(32))
     (directory / "bad_scale.pgm.scale").write_text("abc\n")
+    # header exits: a width that is no number, a header cut inside a
+    # comment, an 8-bit raster of maxval 65535, zero dimensions, and a raster
+    # too small for the defense
+    (directory / "bad_width.pgm").write_bytes(b"P5 x 2 255\n" + bytes(4))
+    (directory / "cut_header.pgm").write_bytes(b"P5 3 # cut")
+    (directory / "maxval.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(32))
+    (directory / "zero_dims.pgm").write_bytes(b"P5\n0 4\n255\n")
+    (directory / "tiny.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([10, 200, 30, 40]))
+    # numbers int() would read: 1_0 as 10, +3 as 3, 25_5 as 255
+    (directory / "coerced.pgm").write_bytes(b"P5 1_0 +3 25_5\n" + bytes(range(30)))
+    # map exits: a NaN scale, the color PFM magic, a 16-bit map with no
+    # sidecar, and one whose largest count overflows float32 at its scale
+    (directory / "nan_scale.pfm").write_bytes(b"Pf\n4 4\nnan\n" + bytes(64))
+    (directory / "color.pfm").write_bytes(b"PF\n4 4\n-1.0\n" + bytes(192))
+    (directory / "no_sidecar.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(32))
+    (directory / "overflow.pgm").write_bytes(b"P5\n4 4\n65535\n" + b"\xff" * 32)
+    (directory / "overflow.pgm.scale").write_text("1e35\n")
+    # a sidecar scale that is 0.0 once narrowed to float32, and a PFM scale
+    # float() would read as -1.0
+    (directory / "tiny_scale.pgm").write_bytes(b"P5\n4 4\n65535\n" + bytes(32))
+    (directory / "tiny_scale.pgm.scale").write_text("1e-50\n")
+    (directory / "coerced_scale.pfm").write_bytes(b"Pf\n%d %d\n-1_0\n" % (W, H)
+                                                  + np.ones(W * H, "<f4").tobytes())
 
     ys, xs = np.mgrid[0:H, 0:W]
     base = 0.2 + 0.6 * (ys / H) + 0.05 * rng.random((H, W))
@@ -261,6 +350,17 @@ def make_fixtures(directory: Path) -> None:
         write_pgm16(directory / "maps_pgm" / f"{tag}.pgm", values, 1e-4)
         values[50:54, 70:74] = np.inf
         write_pfm(directory / "maps_inf" / f"{tag}.pfm", 10.0 * values)
+    # map directories that fail every level: no benign map, and level maps
+    # smaller than the benign map
+    (directory / "maps_no_benign").mkdir()
+    (directory / "maps_small_level").mkdir()
+    for level in range(1, 10):
+        name = f"level_{level}.pfm"
+        (directory / "maps_no_benign" / name).write_bytes(
+            (directory / "maps_le" / name).read_bytes())
+        write_pfm(directory / "maps_small_level" / name, np.ones((H // 2, W), np.float32))
+    (directory / "maps_small_level" / "benign.pfm").write_bytes(
+        (directory / "maps_le" / "benign.pfm").read_bytes())
 
 
 def _sha(data: bytes) -> str:

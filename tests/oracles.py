@@ -388,12 +388,30 @@ def nonzero_blob_extent(gray: np.ndarray, fiducial) -> tuple[slice, slice]:
 
 
 # ------------------------------------------------------------- map files ----
-# The map readers as first written: the whole file read into one ``bytes``,
-# the header parsed from it, the raster viewed in place and converted to
-# float32 in one step; ``reference_load_depth_map`` widens that to float64
-# and marks the holes with frame-sized boolean maps.
+# The readers as first written: the whole file read into one ``bytes``, the
+# header parsed from it with a regex, the raster viewed in place and
+# converted to float32 in one step; ``reference_load_depth_map`` widens that
+# to float64 and marks the holes with frame-sized boolean maps. Numbers are
+# matched against their grammar before int() or float() reads them, which
+# would also take ``1_0`` or ``+3``.
 
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+_INTEGER = re.compile(rb"[0-9]+")
+_DECIMAL = re.compile(
+    rb"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE)
+
+
+def reference_integer(token: bytes) -> int:
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def reference_decimal(token: bytes) -> float:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(token)
+    return float(token)
 
 
 def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -403,7 +421,7 @@ def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return match[1], match.end()
 
 
-def _reference_number(buf: bytes, pos: int, what: str, parse=int):
+def _reference_number(buf: bytes, pos: int, what: str, parse=reference_integer):
     token, end = _reference_token(buf, pos)
     try:
         return parse(token), end
@@ -422,7 +440,7 @@ def reference_read_raster(path, px_bytes: dict[bytes, int], what: str,
     width, pos = _reference_number(buf, pos, "width")
     height, pos = _reference_number(buf, pos, "height")
     if maxval is None:
-        third, pos = _reference_number(buf, pos, "scale", float)
+        third, pos = _reference_number(buf, pos, "scale", reference_decimal)
         if not 0 < abs(third) < float("inf"):
             raise ParseError("scale must be finite and nonzero", byte_offset=pos)
     else:
@@ -442,6 +460,14 @@ def reference_read_raster(path, px_bytes: dict[bytes, int], what: str,
     return magic, third, height, width, raster
 
 
+def reference_read_pnm(path) -> np.ndarray:
+    """Binary PGM/PPM as uint8 (h, w) or (h, w, 3)."""
+    magic, _, height, width, raster = reference_read_raster(
+        path, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
+    shape = (height, width) if magic == b"P5" else (height, width, 3)
+    return np.frombuffer(raster, np.uint8).reshape(shape)
+
+
 def reference_read_pgm16(path) -> np.ndarray:
     """16-bit PGM counts times the sidecar scale, float32 (h, w)."""
     _, _, height, width, raster = reference_read_raster(
@@ -449,8 +475,8 @@ def reference_read_pgm16(path) -> np.ndarray:
     raw = np.frombuffer(raster, dtype=">u2").reshape(height, width)
     sidecar = str(path) + ".scale"
     try:
-        with open(sidecar, "r", encoding="ascii") as fh:
-            scale = float(fh.read().strip())
+        with open(sidecar, "rb") as fh:
+            scale = reference_decimal(fh.read().strip())
         check_positive(scale=scale)
         if not scale <= float(np.finfo(np.float32).max) or np.float32(scale) == 0:
             raise ValueError

@@ -203,9 +203,9 @@ class TestMaskedMean:
 class TestBoxes:
     def test_load(self, tmp_path):
         path = tmp_path / "boxes.txt"
-        path.write_text("10 20 30 40\n# comment\n5 5 6 6\n")
+        path.write_text("10 20 30 40\n# comment\n5 5 6 6\n-10 -5 3 4\n")
         boxes = load_boxes(path)
-        assert boxes == [Box(10, 20, 30, 40), Box(5, 5, 6, 6)]
+        assert boxes == [Box(10, 20, 30, 40), Box(5, 5, 6, 6), Box(-10, -5, 3, 4)]
 
     def test_mask_inclusive_exclusive(self):
         mask = np.zeros((4, 4), bool)
@@ -218,6 +218,16 @@ class TestBoxes:
         path.write_text("1 2 3\n")
         with pytest.raises(ParseError):
             load_boxes(path)
+
+    @pytest.mark.parametrize("line", ["1_0 +0 2_0 20", "10 0 20 +20", "10 0 2_0 20",
+                                      "10 0 20 -+20"])
+    def test_coordinates_are_optional_minus_and_digits(self, tmp_path, line):
+        # int() alone would read "1_0 +0 2_0 20" as Box(10, 0, 20, 20)
+        path = tmp_path / "boxes.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ParseError) as err:
+            load_boxes(path)
+        assert str(err.value) == f"{path}:1: bad integer in {line!r}"
 
     def test_empty_box_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "boxes.txt"

@@ -1,6 +1,7 @@
 """File formats: header dimension checks, truncation, 16-bit PGM writing,
-round trips, the streamed map readers against the whole-file oracles."""
+round trips, the readers against the whole-file oracles."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ from depthlens.errors import ParseError
 from depthlens.estimation import load_depth_map
 
 from helpers import strip_values, write_pfm, write_pgm16
-from oracles import reference_load_depth_map, reference_read_pfm, reference_read_pgm16
+from oracles import (reference_decimal, reference_load_depth_map, reference_read_pfm,
+                     reference_read_pgm16, reference_read_pnm)
 
 
 class TestDimensionChecks:
@@ -25,9 +27,10 @@ class TestDimensionChecks:
         assert err.value.byte_offset is not None
 
     def test_pgm16_negative_dimensions(self, tmp_path):
+        # a dimension is ASCII digits, so a sign makes it no number at all
         path = tmp_path / "n.pgm"
         path.write_bytes(b"P5\n-3 4\n65535\n" + bytes(24))
-        with pytest.raises(ParseError, match="bad dimensions"):
+        with pytest.raises(ParseError, match=r"^bad width b'-3' \(byte offset 2\)$"):
             formats.read_pgm16(path)
 
     def test_pgm16_zero_width(self, tmp_path):
@@ -99,6 +102,51 @@ class TestReadPgm16:
         expected = np.array([[0.0, 65535.0]], np.float32) * np.float32(scale)
         assert got.astype(np.float32).tobytes() == expected.tobytes()
         assert got[0, 0] == 0.0 and np.isfinite(got[0, 1])
+
+
+class TestNumbersAreNotCoerced:
+    """Header dimensions and maxvals are ASCII digits and scales are plain
+    decimal floats: ``int()`` and ``float()`` alone would read ``1_0`` as 10
+    and ``+3`` as 3."""
+
+    @pytest.mark.parametrize("read, head, message", [
+        (formats.read_pnm, b"P5 1_0 +3 25_5\n", "bad width b'1_0' (byte offset 2)"),
+        (formats.read_pnm, b"P5 10 +3 255\n", "bad height b'+3' (byte offset 5)"),
+        (formats.read_pnm, b"P5 10 3 25_5\n", "bad maxval b'25_5' (byte offset 7)"),
+        (formats.read_pnm, b"P6 1 1 +255\n", "bad maxval b'+255' (byte offset 6)"),
+        (formats.read_pgm16, b"P5 2 1 6_5535\n", "bad maxval b'6_5535' (byte offset 6)"),
+        (formats.read_pfm, b"Pf 2 1 -1_0.0\n", "bad scale b'-1_0.0' (byte offset 6)"),
+        (formats.read_pfm, b"Pf +2 1 -1.0\n", "bad width b'+2' (byte offset 2)"),
+    ])
+    def test_header(self, tmp_path, read, head, message):
+        path = tmp_path / "f.map"
+        path.write_bytes(head + bytes(90))
+        (tmp_path / "f.map.scale").write_text("0.5\n")
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["0.5_0", "1_0", "1e1_0"])
+    def test_sidecar_scale(self, tmp_path, text):
+        path = tmp_path / "d.pgm"
+        write_pgm16(path, np.array([[1.0, 2.0]]), scale=0.5)
+        (tmp_path / "d.pgm.scale").write_text(text + "\n")
+        with pytest.raises(ParseError, match="^bad scale value in "):
+            formats.read_pgm16(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text("0123456789_+-.eEinftyaINFTYA", max_size=9))
+    def test_decimal_is_the_float_grammar(self, text):
+        token = text.encode()
+        try:
+            expected = ("float", reference_decimal(token))
+        except ValueError:
+            expected = ("error",)
+        try:
+            got = ("float", formats._decimal(token))
+        except ValueError:
+            got = ("error",)
+        assert repr(got) == repr(expected)  # repr: nan equals nan
 
 
 class TestWritePgm16:
@@ -229,18 +277,44 @@ def test_pgm16_round_trip_recovers_counts(tmp_path_factory, counts, scale):
 _SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, -1e-45,
             float(np.finfo(np.float32).smallest_normal) / 2]
 _MAP_VALUES = st.one_of(st.floats(width=32), st.sampled_from(_SPECIAL))
-# A header comment longer than the readers' first read of the file.
-_LONG_COMMENT = st.integers(formats._HEADER_PREFIX, 4 * formats._HEADER_PREFIX).map(
+# A header comment of up to twice the buffered reader's size, so that the
+# header parser's reads cross a refill of the buffer.
+_LONG_COMMENT = st.integers(0, 2 * io.DEFAULT_BUFFER_SIZE).map(
     lambda n: b" #" + b"c" * n + b"\n")
+
+
+def _damaged(draw, magic: bytes, width: int, height: int, third: bytes,
+             raster: bytes) -> bytes:
+    """A file of that header and raster, whole or damaged: cut short, a
+    header byte replaced, or the magic changed."""
+    gaps = draw(st.lists(st.one_of(_GAP, _LONG_COMMENT), min_size=3, max_size=3))
+    data = (magic + gaps[0] + b"%d" % width + gaps[1] + b"%d" % height + gaps[2]
+            + third + b"\n" + raster)
+    damage = draw(st.sampled_from(["none", "cut", "byte", "magic"]))
+    if damage == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif damage == "byte":
+        at = draw(st.integers(0, len(data) - len(raster) - 1))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    elif damage == "magic":
+        data = draw(st.sampled_from([b"PF", b"P6", b"P2", b"Pf", b"P5"])) + data[2:]
+    return data
+
+
+@st.composite
+def pnm_files(draw):
+    """The bytes of one binary PGM or PPM, whole or damaged."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    magic, channels = draw(st.sampled_from([(b"P5", 1), (b"P6", 3)]))
+    raster = draw(st.binary(min_size=h * w * channels, max_size=h * w * channels))
+    return _damaged(draw, magic, w, h, b"255", raster)
 
 
 @st.composite
 def map_files(draw):
-    """The bytes of one PFM (either byte order) or 16-bit PGM and its sidecar
-    text (None: no sidecar), whole or damaged: cut short, a header byte
-    replaced, or the magic changed."""
+    """The bytes of one PFM (either byte order) or 16-bit PGM, whole or
+    damaged, and its sidecar text (None: no sidecar)."""
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    gaps = draw(st.lists(st.one_of(_GAP, _LONG_COMMENT), min_size=3, max_size=3))
     if draw(st.booleans()):
         values = draw(hnp.arrays(np.float32, (h, w), elements=_MAP_VALUES))
         order = draw(st.sampled_from(["<f4", ">f4"]))
@@ -254,25 +328,28 @@ def map_files(draw):
         sidecar = draw(st.one_of(st.none(), st.sampled_from(
             ["0.001", "0.5", "1e35", "3.5e38", "nan", "-1"]),
             st.floats(1e-6, 1e6).map(repr)))
-    data = (magic + gaps[0] + b"%d" % w + gaps[1] + b"%d" % h + gaps[2] + third
-            + b"\n" + raster)
-    damage = draw(st.sampled_from(["none", "cut", "byte", "magic"]))
-    if damage == "cut":
-        data = data[:draw(st.integers(0, len(data) - 1))]
-    elif damage == "byte":
-        at = draw(st.integers(0, len(data) - len(raster) - 1))
-        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
-    elif damage == "magic":
-        data = draw(st.sampled_from([b"PF", b"P6", b"P2", b"Pf", b"P5"])) + data[2:]
-    return data, sidecar
+    return _damaged(draw, magic, w, h, third, raster), sidecar
 
 
 def _outcome(read, *args):
-    """A reader's map bytes (float64), or its ParseError's text and offset."""
+    """A reader's shape and values as float64 bytes, or its ParseError's
+    text and offset."""
     try:
-        return "map", np.asarray(read(*args), dtype=np.float64).tobytes()
+        values = np.asarray(read(*args), dtype=np.float64)
+        return "values", values.shape, values.tobytes()
     except ParseError as exc:
         return "error", str(exc), exc.byte_offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=pnm_files())
+def test_pnm_reader_matches_the_whole_file_reader(tmp_path_factory, data):
+    """``read_pnm`` returns the whole-file oracle's raster, shape and bytes;
+    a damaged file raises the oracle's ParseError, text and byte offset,
+    headers longer than the buffered reader's first read included."""
+    path = tmp_path_factory.mktemp("pnm") / "f.pnm"
+    path.write_bytes(data)
+    assert _outcome(formats.read_pnm, path) == _outcome(reference_read_pnm, path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,8 +361,8 @@ def test_streamed_readers_match_the_whole_file_readers(tmp_path_factory, spec, k
     values widened to float64, bit for bit (NaN payloads, signed zeros and
     subnormals included), with heights of 1 and heights that are not a
     multiple of the strip rows; a damaged file raises the oracle's
-    ParseError, text and byte offset, headers longer than the first read
-    included."""
+    ParseError, text and byte offset, headers longer than the buffered
+    reader's first read included."""
     data, sidecar = spec
     path = tmp_path_factory.mktemp("map") / "m.map"
     path.write_bytes(data)
@@ -299,17 +376,30 @@ def test_streamed_readers_match_the_whole_file_readers(tmp_path_factory, spec, k
                 == _outcome(reference_load_depth_map, path, kind))
 
 
+@pytest.mark.parametrize("read, head", [
+    (formats.read_pnm, b"P5 2#c 1 255\n"), (formats.read_pgm16, b"P5 2#c 1 65535\n"),
+    (formats.read_pfm, b"Pf 2#c 1 -1.0\n")])
+def test_a_hash_inside_a_token_is_part_of_it(tmp_path, read, head):
+    """Only a ``#`` where a token would start opens a comment."""
+    path = tmp_path / "f.map"
+    path.write_bytes(head + bytes(8))
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert str(err.value) == "bad width b'2#c' (byte offset 2)"
+
+
 @pytest.mark.parametrize("third", [b"-1.0", b"1.0", b"65535"])
 def test_header_ending_at_any_offset_around_the_first_read(tmp_path, third):
     """A comment pads the header so that its last token ends at each offset
-    near the end of the readers' first read: a token cut there (``1.0`` as
+    within 8 bytes of the buffered reader's refill at
+    ``io.DEFAULT_BUFFER_SIZE``: a token that a refill cuts (``1.0`` as
     ``1.``, ``65535`` as ``655``) must be read whole, as the oracle does."""
     magic, read, reference = ((b"P5", formats.read_pgm16, reference_read_pgm16)
                               if third == b"65535" else
                               (b"Pf", formats.read_pfm, reference_read_pfm))
     raster = bytes(range(1, 25))  # 3x2 float32, or 3x2 counts and 12 spare bytes
     (tmp_path / "m.map.scale").write_text("0.5\n")
-    for end in range(formats._HEADER_PREFIX - 8, formats._HEADER_PREFIX + 4):
+    for end in range(io.DEFAULT_BUFFER_SIZE - 8, io.DEFAULT_BUFFER_SIZE + 9):
         head = magic + b" 3 2 #"
         head += b"c" * (end - len(head) - len(third) - 1) + b"\n" + third
         assert len(head) == end
@@ -317,7 +407,7 @@ def test_header_ending_at_any_offset_around_the_first_read(tmp_path, third):
             path = tmp_path / "m.map"
             path.write_bytes(head + tail)
             assert _outcome(read, path) == _outcome(reference, path)
-            assert _outcome(read, path)[0] == ("map" if len(tail) > 11 else "error")
+            assert _outcome(read, path)[0] == ("values" if len(tail) > 11 else "error")
 
 
 @pytest.mark.parametrize("fmt", ["pfm", "pgm16"])
