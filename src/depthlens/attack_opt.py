@@ -16,8 +16,10 @@ map or the target as reference, so ``|a - b|`` is formed strip by strip,
 never as a frame-sized map. The vehicle terms are reduced on the vehicle
 box's crop: the pixels of its full-frame mask in the same order, so the
 same bits at the cost of a box. The search holds one level's map at a
-time: a render is dropped once its map is estimated, and a map once the
-next level has rendered, before the next map is made. The argmin over
+time: a map is dropped before the next level's is made, and a render once
+its map is. Renders are deferred (``imaging.apply_attack_transform``): an
+estimator that reads pixels renders the level inside its call, and one
+that reads precomputed maps renders nothing. The argmin over
 levels 1..9 is exact enumeration; ties break toward the smallest level
 (least conspicuous blur, and determinism needs a rule).
 """
@@ -160,10 +162,11 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
         try:
             profile = level_to_profile(lens_kind, level, region=cfg.region)
             attacked = apply_attack_transform(benign, profile)
-            # One level's map at a time, dropped only after the next render:
-            # dropped before it, the map and the loss selection freed above
-            # it leave the heap together (glibc trims its top), and every
-            # render faults those pages back in.
+            # One level's map at a time: the last one goes before this one is
+            # made, so an estimator that reads pixels renders after it goes.
+            # The attacked frame, allocated by the call above, keeps the
+            # freed map and loss selection from forming a heap top that
+            # glibc would trim and the render would fault back in.
             est_att = att_veh = None
             est_att = np.asarray(
                 estimator.estimate_map(attacked, tag=f"level_{level}"),

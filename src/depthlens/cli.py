@@ -71,8 +71,11 @@ _SWITCH = _Words({**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 def _finite(text: str) -> float:
     """Parser of a number option. NaN and infinities are rejected here, so a
-    value that the run never reads is checked too."""
+    value that the run never reads is checked too; so are the ``_``
+    separators and non-ASCII digits that float() alone would take."""
     value = float(text)
+    if "_" in text or not text.isascii():
+        raise ValueError(f"must be an ASCII number without '_', got {text!r}")
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
     return value
@@ -87,6 +90,9 @@ class _Int:
 
     def __call__(self, text: str) -> int:
         value = int(text)
+        # int() alone would also take "+3", "1_0" and non-ASCII digits
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(f"must be ASCII digits after an optional minus, got {text!r}")
         if value < self.low or self.high is not None and value > self.high:
             bounds = (f">= {self.low}" if self.high is None
                       else f"in {self.low}..{self.high}")

@@ -155,8 +155,12 @@ def load_boxes(path) -> list[Box]:
     """Bounding-box text file: one ``x_min y_min x_max y_max`` line per box,
     integer pixels (digits after an optional minus), inclusive-exclusive."""
     boxes = []
-    with open(path, "r", encoding="ascii") as fh:
+    # Undecodable bytes pass as surrogates, so the line that holds one is known.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raw = line.rstrip("\r\n").encode("ascii", "surrogateescape")
+                raise ParseError(f"{path}:{lineno}: non-ASCII byte in {raw!r}")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -33,18 +33,27 @@ from . import imaging
 from .errors import ParseError, check_positive
 
 
+# Header tokens are a few bytes; a longer one is damage, and is reported at
+# its start without being read whole.
+_MAX_TOKEN = 64
+
+
 def _read_token(fh) -> tuple[bytes, int]:
     """Next header token of the open file and its end offset, skipping
     whitespace and ``#`` comments that run to a CR or LF. The byte after
-    the token (whitespace, or none at the end of the file) is consumed."""
+    the token (whitespace, or none at the end of the file) is consumed. A
+    token over ``_MAX_TOKEN`` bytes raises ``header token too long``."""
     byte = fh.read(1)
     while byte.isspace() or byte == b"#":
         if byte == b"#":
             while byte not in b"\r\n":  # b"", the end of the file, is in it
                 byte = fh.read(1)
         byte = fh.read(1)
+    start = fh.tell() - len(byte)
     token = bytearray()
     while byte and not byte.isspace():
+        if len(token) == _MAX_TOKEN:
+            raise ParseError("header token too long", byte_offset=start)
         token += byte
         byte = fh.read(1)
     end = fh.tell() - len(byte)

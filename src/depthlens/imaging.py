@@ -9,7 +9,12 @@ reproduces both effects on 8-bit rasters:
 * ``box_blur`` replaces masked pixels with the mean of a square window
   (clipped at frame edges, integer round-half-up, so output is bit-exact
   across platforms);
-* ``apply_attack_transform`` composes the two per an ``AttackProfile``;
+* ``apply_attack_transform`` composes the two per an ``AttackProfile``,
+  deferred: it checks the region against the frame and allocates the
+  frame when called, and renders on the first read of the result's
+  ``data`` (the rescale writes into the frame, the blur works on it in
+  place), so a caller that reads no pixels (a search scored on
+  precomputed maps) renders nothing;
 * ``level_to_profile`` maps the discretized lens strength 1..9 onto a
   (scale, blur) pair; strength 1 adds the least blur, 9 the most.
 
@@ -69,38 +74,51 @@ def _strips(rows: int, row_values: int):
         yield slice(start, min(start + step, rows))
 
 
-@dataclass(frozen=True, eq=False)
 class RasterImage:
     """8-bit raster, gray (h, w) or RGB (h, w, 3), row-major. ``data`` is a
     read-only view of the array it was built from, so a function may return
-    its input raster instead of a copy. Rasters compare and hash by
+    its input raster instead of a copy. A ``deferred`` raster knows only its
+    shape until ``data`` is first read. Rasters compare and hash by
     identity; compare ``data`` to compare pixels."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = self.data
-        if arr.dtype != np.uint8:
-            raise ValueError(f"raster must be uint8, got {arr.dtype}")
-        if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (3,)):
-            raise ValueError(f"raster must be (h, w) or (h, w, 3), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
+    def __init__(self, data: np.ndarray):
+        if data.dtype != np.uint8:
+            raise ValueError(f"raster must be uint8, got {data.dtype}")
+        if data.ndim not in (2, 3) or data.shape[2:] not in ((), (3,)):
+            raise ValueError(f"raster must be (h, w) or (h, w, 3), got {data.shape}")
+        if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("raster needs at least one pixel")
-        view = arr.view()
+        view = data.view()
         view.flags.writeable = False
-        object.__setattr__(self, "data", view)
+        self._shape, self._data, self._render = data.shape, view, None
+
+    @classmethod
+    def deferred(cls, shape: tuple[int, ...], render) -> "RasterImage":
+        """A raster of ``shape`` whose pixels are those of ``render()``, a
+        raster of that shape, called on the first read of ``data``; the
+        raster then drops ``render`` and whatever it holds."""
+        raster = cls.__new__(cls)
+        raster._shape, raster._data, raster._render = shape, None, render
+        return raster
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._render is not None:
+            self._data = self._render().data
+            self._render = None
+        return self._data
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self._shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self._shape[1]
 
     @property
     def channels(self) -> int:
-        return 1 if self.data.ndim == 2 else 3
+        return 1 if len(self._shape) == 2 else 3
 
     def to_gray(self) -> "RasterImage":
         """Luma conversion (0.299, 0.587, 0.114), rounded half-up."""
@@ -177,6 +195,17 @@ def _lens_box(width: int, height: int, region: LensRegion):
     return rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
 
 
+def _check_meets_frame(width: int, height: int, region: LensRegion) -> None:
+    """Raise ``DegenerateRegion`` unless some pixel of the frame is in-lens.
+    A circle's predicate adds two squared offsets and rounding is monotone,
+    so its least value over the frame is the sum of the least of each."""
+    if region.kind is RegionKind.CIRCLE:
+        dx2 = (np.arange(width, dtype=np.float64) - region.center_x) ** 2
+        dy2 = (np.arange(height, dtype=np.float64) - region.center_y) ** 2
+        if not dx2.min() + dy2.min() <= region.radius ** 2:
+            raise DegenerateRegion("lens region does not intersect the frame")
+
+
 def region_masks(width: int, height: int, region: LensRegion) -> np.ndarray:
     """The (height, width) in-lens mask: pixel (x, y) is in-lens iff its
     center lies within the region. ``~mask`` is the out-of-lens side."""
@@ -231,7 +260,8 @@ def _source_coords(start: int, stop: int, center: float, scale: float, size: int
     return lo, np.minimum(lo + 1, size - 1), s - lo
 
 
-def scale_region(image: RasterImage, region: LensRegion, scale: float) -> RasterImage:
+def scale_region(image: RasterImage, region: LensRegion, scale: float,
+                 out: np.ndarray | None = None) -> RasterImage:
     """Resample the in-region content by ``scale`` about the region center.
 
     Inverse mapping: an output pixel at offset v from the center samples the
@@ -239,13 +269,14 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     (content pushed past a circle boundary is simply clipped) and shrinking
     pulls from a widened one, edge-replicating wherever sources leave the
     frame. Pixels outside the region are untouched; scale 1 returns the input.
+    The result is written into ``out`` (a uint8 array of the image's shape,
+    not its memory) when one is given, else into a copy.
     """
     check_positive(scale=scale)
-    rows, cols, inside = _lens_box(image.width, image.height, region)
-    if not inside.any():
-        raise DegenerateRegion("lens region does not intersect the frame")
+    _check_meets_frame(image.width, image.height, region)
     if scale == 1.0:
         return image
+    rows, cols, inside = _lens_box(image.width, image.height, region)
     cx, cy = _region_center(image, region)
     x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
     y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
@@ -253,7 +284,10 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float) -> Raster
     # a contiguous axis.
     fx = np.repeat(fx, image.channels)
     data = image.data
-    out = data.copy()
+    if out is None:
+        out = data.copy()
+    else:
+        np.copyto(out, data)
     box = out[rows, cols]
     for strip in _strips(len(y0), len(fx)):
         n = strip.stop - strip.start
@@ -308,13 +342,18 @@ def _unclipped(counts: np.ndarray, length: int) -> slice:
     return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
 
 
-def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
+def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
+             out: np.ndarray | None = None) -> RasterImage:
     """Mean filter over a (2r+1)^2 window, applied to masked pixels only.
 
     The window is clipped at frame edges and averaged over the in-frame
     samples, so borders do not darken. Unmasked pixels pass through
     untouched; radius 0 or an empty mask returns the input. Rounding is
-    half-up in exact integer arithmetic. The mask must be boolean.
+    half-up in exact integer arithmetic. The mask must be boolean. The
+    result is written into ``out`` (a uint8 array of the image's shape) when
+    one is given, else into a copy; ``out`` may be the array ``image`` was
+    built from, as every source row enters the row sums before its output
+    row is written.
     """
     if mask.dtype != np.bool_:
         raise ValueError(f"blur mask must be bool, got {mask.dtype}")
@@ -335,7 +374,10 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterImage:
     x0, x1 = int(xs[0]), int(xs[-1]) + 1
     # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
     dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
-    out = image.data.copy()
+    if out is None:
+        out = image.data.copy()
+    elif image.data.base is not out:
+        np.copyto(out, image.data)
     length = 2 * radius + 1
     values = (x1 - x0) * channels
     strips = list(_strips(y1 - y0, values))
@@ -415,8 +457,9 @@ class AttackProfile:
         if not 1 <= self.level <= 9:
             raise BadLevel(f"level must be in 1..9, got {self.level}")
         check_positive(scale_factor=self.scale_factor)
-        if self.blur_radius < 0:
-            raise ValueError("blur radius must be non-negative")
+        if not isinstance(self.blur_radius, numbers.Integral) or self.blur_radius < 0:
+            raise ValueError(f"blur radius must be a non-negative integer, "
+                             f"got {self.blur_radius!r}")
 
 
 # Default level calibration: blur radius grows one pixel per level; the
@@ -445,9 +488,26 @@ def level_to_profile(lens_kind: LensKind, level: int,
 
 
 def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> RasterImage:
-    """Render the attack: rescale the in-lens content, then defocus the side
-    selected by the profile's blur placement."""
-    scaled = scale_region(image, profile.region, profile.scale_factor)
-    inside = region_masks(image.width, image.height, profile.region)
-    blur_mask = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
-    return box_blur(scaled, blur_mask, profile.blur_radius)
+    """The attack render: rescale the in-lens content, then defocus the side
+    selected by the profile's blur placement.
+
+    A region that misses the frame raises here, and the frame is allocated
+    here (untouched until rendered, so it costs no page until then). The
+    pixels are rendered on the first read of the result's ``data``, from
+    ``image``'s pixels at that time, by the kernels this module binds then:
+    the rescale writes into the frame and the blur works on it in place. A
+    reader of the shape alone (or of nothing) costs no render. Scale 1
+    without blur returns ``image``.
+    """
+    _check_meets_frame(image.width, image.height, profile.region)
+    if profile.scale_factor == 1.0 and profile.blur_radius == 0:
+        return image
+    out = np.empty(image._shape, np.uint8)
+
+    def render() -> RasterImage:
+        scaled = scale_region(image, profile.region, profile.scale_factor, out=out)
+        inside = region_masks(image.width, image.height, profile.region)
+        blur_mask = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
+        return box_blur(scaled, blur_mask, profile.blur_radius, out=out)
+
+    return RasterImage.deferred(image._shape, render)

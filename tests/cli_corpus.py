@@ -149,6 +149,13 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "optimize_detect_threshold_zero": ([*_OPT, "--mode", "untargeted", "--lens-kind",
                                         "concave", *_PROXY, "--detect-threshold", "0",
                                         "--alphas", "0.1"], []),
+    # the external estimator reads no render, yet a circle that misses the
+    # frame still fails every row at level 1
+    "optimize_external_circle_off_frame": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                            "concave", "--region", "circle", "--cx", "500",
+                                            "--cy", "500", "--radius", "20", "--estimator",
+                                            "external", "--maps", "maps_le", "--alphas",
+                                            "0.1,0.5"], []),
     # metrics: scalar and map modes, the error exits
     "metrics_adr_scalars": (["metrics", "--kind", "adr", "--attacked", "0.36",
                              "--benign", "0.28"], []),
@@ -206,6 +213,10 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "metrics_box_coerced": (["metrics", "--kind", "aer", "--attacked-map",
                              "maps_le/level_5.pfm", "--target", "1", "--boxes",
                              "boxes_coerced.txt"], []),
+    # a box file with a non-ASCII byte on its second line
+    "metrics_box_non_ascii": (["metrics", "--kind", "aer", "--attacked-map",
+                               "maps_le/level_5.pfm", "--target", "1", "--boxes",
+                               "boxes_non_ascii.txt"], []),
     # defend: both methods, the mask, the error exits
     "defend_varlap_gray": (["defend", "--input", "gray.pgm", "--method", "varlap"], []),
     "defend_lbp_rgb_mask": (["defend", "--input", "rgb.ppm", "--method", "lbp",
@@ -237,6 +248,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "defend_lbp_tiny_pgm": (["defend", "--input", "tiny.pgm", "--method", "lbp"], []),
     "defend_coerced_numbers": (["defend", "--input", "coerced.pgm", "--method",
                                 "varlap"], []),
+    "defend_long_header_token": (["defend", "--input", "long_token.pgm", "--method",
+                                  "varlap"], []),
     "defend_varlap_unused_bad_window": (["defend", "--input", "gray.pgm", "--method",
                                          "varlap", "--window", "3", "--delta", "-5"], []),
     # scenario: noise-free and noisy with tick logs, optics ratio, configs,
@@ -260,6 +273,9 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_negative_seed": (["scenario", "--sigma", "0.5", "--seed", "-1"], []),
     "scenario_unknown_option": (["scenario", "--baseline", "3"], []),
     "scenario_config_without_equals": (["scenario", "--config", "no_equals.cfg"], []),
+    # numbers int() and float() would read: 1_0 as 10, Arabic-Indic 40
+    "scenario_coerced_seed": (["scenario", "--sigma", "0.5", "--seed", "1_0"], []),
+    "scenario_coerced_gap0": (["scenario", "--gap0", "\u0664\u0660"], []),
     "scenario_coarse_dt": (["scenario", "--dt", "0.1"], []),
 }
 
@@ -302,6 +318,8 @@ def make_fixtures(directory: Path) -> None:
     (directory / "boxes_word.txt").write_text("64 40 96 eighty\n")
     (directory / "boxes_flat.txt").write_text("64 40 64 80\n")
     (directory / "boxes_coerced.txt").write_text("6_4 +40 9_6 80\n")
+    (directory / "boxes_non_ascii.txt").write_bytes("64 40 96 80\n10 20 30 4\u00e9\n"
+                                                   .encode("utf-8"))
     for name, text in _CONFIGS.items():
         (directory / name).write_text(text)
     # malformed inputs: a raster cut short, a map of no known format, and a
@@ -320,6 +338,9 @@ def make_fixtures(directory: Path) -> None:
     (directory / "tiny.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([10, 200, 30, 40]))
     # numbers int() would read: 1_0 as 10, +3 as 3, 25_5 as 255
     (directory / "coerced.pgm").write_bytes(b"P5 1_0 +3 25_5\n" + bytes(range(30)))
+    # a width of 100 digits: longer than any header token may be
+    (directory / "long_token.pgm").write_bytes(b"P5 " + b"1" * 100 + b" 2 255\n"
+                                               + bytes(8))
     # map exits: a NaN scale, the color PFM magic, a 16-bit map with no
     # sidecar, and one whose largest count overflows float32 at its scale
     (directory / "nan_scale.pfm").write_bytes(b"Pf\n4 4\nnan\n" + bytes(64))

@@ -418,6 +418,8 @@ def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     match = _TOKEN.match(buf, pos)
     if not match[1]:
         raise ParseError("truncated header", byte_offset=match.start(1))
+    if len(match[1]) > 64:
+        raise ParseError("header token too long", byte_offset=match.start(1))
     return match[1], match.end()
 
 

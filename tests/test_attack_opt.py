@@ -337,6 +337,35 @@ def test_one_level_map_and_render_at_a_time(monkeypatch, mode, y_tar):
     assert render_alive_at_render == [None] + [False] * 8
 
 
+@pytest.mark.parametrize("region", [LensRegion.full_frame(), LensRegion.circle(16, 12, 9)])
+@pytest.mark.parametrize("lens_kind", LensKind)
+def test_a_file_backed_search_renders_nothing(tmp_path, monkeypatch, region, lens_kind):
+    """The directory estimator reads no pixels, so no level's render runs:
+    nine attacks are requested and neither raster kernel is called."""
+    rng = np.random.default_rng(4)
+    for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
+        write_pfm(tmp_path / f"{tag}.pfm", rng.uniform(0.5, 2.0, (24, 32)).astype(np.float32))
+    calls = {"scale_region": 0, "box_blur": 0, "apply_attack_transform": 0}
+
+    def counted(module, name):
+        kernel = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(module, name, count)
+
+    counted(imaging, "scale_region")
+    counted(imaging, "box_blur")
+    counted(attack_opt, "apply_attack_transform")
+    cfg = LossConfig(alpha=0.4, mode=Mode.UNTARGETED, vehicle_box=Box(4, 4, 20, 16),
+                     region=region)
+    result = optimize_level(textured_image((24, 32), seed=2), DirectoryMapEstimator(tmp_path),
+                            cfg, lens_kind)
+    assert len(result.loss_curve) == 9
+    assert calls == {"scale_region": 0, "box_blur": 0, "apply_attack_transform": 9}
+
+
 class RandomMapEstimator:
     """Seeded random maps per tag, with NaN holes; one tag may be missing."""
 

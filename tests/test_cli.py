@@ -887,6 +887,62 @@ def test_unread_out_of_range_integer_exits_two(name, dest, data):
     assert err.getvalue() == f"error: {source}: must be {bounds}, got '{value}'\n"
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _coerced_spellings(digits):
+    """Spellings of a number that int() or float() read as ``digits``: a
+    plus sign, a digit separator, and non-ASCII decimal digits."""
+    return ["+" + digits, digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits,
+            digits.translate(_ARABIC_INDIC), digits.translate(_FULLWIDTH)]
+
+
+@pytest.mark.parametrize("name,dest", list(_INT_RANGES),
+                         ids=[f"{n}--{d.replace('_', '-')}" for n, d in _INT_RANGES])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_integer_options_take_only_ascii_digits(tmp_path, capsys, name, dest, via):
+    """A spelling that int() reads as an in-range value, as the one option of
+    its subcommand: exit 2, an empty stdout and one line naming the source."""
+    value = str(_INT_RANGES[name, dest][0] + 1)
+    source = (f"option --{dest.replace('_', '-')}" if via == "flag"
+              else f"config key {dest!r}")
+    for text in _coerced_spellings(value):
+        assert int(text) == int(value)
+        assert run(capsys, *_word_argv(name, dest, via, text, tmp_path)) == (
+            2, "", f"error: {source}: must be ASCII digits after an optional minus, "
+                   f"got {text!r}\n")
+
+
+@pytest.mark.parametrize("name,dest", _NUMBER_OPTIONS, ids=[
+    f"{name}--{dest.replace('_', '-')}" for name, dest in _NUMBER_OPTIONS])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_number_options_take_only_ascii_without_separators(tmp_path, capsys, name,
+                                                           dest, via):
+    """A spelling with a digit separator or non-ASCII digits, which float()
+    reads, is a usage error whether or not the run reads the option; a plus
+    sign stays a valid float."""
+    source = (f"option --{dest.replace('_', '-')}" if via == "flag"
+              else f"config key {dest!r}")
+    for value in _coerced_spellings("40")[1:] + ["0.5_0", "٠.٥"]:
+        assert float(value) in (40.0, 0.5)
+        text = f"0.1,{value}" if dest == "alphas" else value
+        assert run(capsys, *_word_argv(name, dest, via, text, tmp_path)) == (
+            2, "", f"error: {source}: must be an ASCII number without '_', "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["scenario", "--seed", "1_0"],
+                                  ["scenario", "--gap0", "4_0"],
+                                  ["scenario", "--gap0", "٤٠"],
+                                  ["simulate", "--input", "x.pgm", "--output", "y.pgm",
+                                   "--level", "+3"]])
+def test_coerced_numbers_from_the_reported_runs_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: option {argv[-2]}: must be ")
+
+
 # Invocations that read float options: each reads every float flag it names,
 # and together they name every registered float option.
 _FLOAT_READERS = [

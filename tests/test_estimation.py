@@ -229,6 +229,18 @@ class TestBoxes:
             load_boxes(path)
         assert str(err.value) == f"{path}:1: bad integer in {line!r}"
 
+    @pytest.mark.parametrize("text, lineno", [("10 20 30 4\u00e9\n", 1),
+                                              ("0 0 4 4\n10 20 30 4\u00e9\n", 2),
+                                              ("# v\u00e9hicule\n0 0 4 4\n", 1),
+                                              ("0 0 4 4\r\n\u0664 0 8 8\r\n", 2)])
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, text, lineno):
+        path = tmp_path / "boxes.txt"
+        path.write_bytes(text.encode("utf-8"))
+        raw = text.encode("utf-8").splitlines()[lineno - 1]
+        with pytest.raises(ParseError) as err:
+            load_boxes(path)
+        assert str(err.value) == f"{path}:{lineno}: non-ASCII byte in {raw!r}"
+
     def test_empty_box_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "boxes.txt"
         path.write_text("0 0 4 4\n10 10 5 5\n")

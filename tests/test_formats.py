@@ -388,6 +388,47 @@ def test_a_hash_inside_a_token_is_part_of_it(tmp_path, read, head):
     assert str(err.value) == "bad width b'2#c' (byte offset 2)"
 
 
+@pytest.mark.parametrize("magic, read", [(b"P5", formats.read_pnm),
+                                         (b"Pf", formats.read_pfm),
+                                         (b"P5", formats.read_pgm16)])
+@pytest.mark.parametrize("at", ["magic", "width", "third"])
+def test_a_header_token_over_64_bytes_fails_at_its_start(tmp_path, magic, read, at):
+    """A token of 64 bytes is read; one of 65 fails where it starts."""
+    third = b"-1.0" if read is formats.read_pfm else (
+        b"255" if read is formats.read_pnm else b"65535")
+    (tmp_path / "m.map.scale").write_text("0.5\n")
+    path = tmp_path / "m.map"
+    index = {"magic": 0, "width": 1, "third": 3}[at]
+    for size, ok in [(64, True), (65, False)]:
+        tokens = [magic, b"2", b"1", third]
+        if at == "magic":
+            tokens[0] = magic + b"x" * (size - 2)
+        elif at == "width":
+            tokens[1] = b"0" * (size - 1) + b"2"
+        else:
+            tokens[3] = (b"0" * (size - len(third)) + third if third != b"-1.0"
+                         else b"-" + b"0" * (size - 4) + b"1.0")
+        assert len(tokens[index]) == size
+        start = sum(len(t) + 1 for t in tokens[:index])
+        path.write_bytes(b" ".join(tokens) + b"\n" + bytes(8))
+        outcome = _outcome(read, path)
+        if ok:
+            assert "too long" not in str(outcome)
+            assert outcome[0] == ("error" if at == "magic" else "values")
+        else:
+            assert outcome == ("error", f"header token too long (byte offset {start})",
+                               start)
+
+
+@pytest.mark.parametrize("read", [formats.read_pnm, formats.read_pfm, formats.read_pgm16])
+def test_a_two_megabyte_token_fails_with_a_short_message(tmp_path, read):
+    path = tmp_path / "big.map"
+    path.write_bytes(b"P5" + bytes(2 * 1024 * 1024))
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert str(err.value) == "header token too long (byte offset 0)"
+
+
 @pytest.mark.parametrize("third", [b"-1.0", b"1.0", b"65535"])
 def test_header_ending_at_any_offset_around_the_first_read(tmp_path, third):
     """A comment pads the header so that its last token ends at each offset

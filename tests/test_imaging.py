@@ -1,6 +1,8 @@
 """Raster attack synthesis: masks, scaling, blur, profiles, PNM round trips."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +146,21 @@ class TestScaleRegion:
         region = data.draw(regions(img.width, img.height))
         assert_scale_matches_dense_oracle(img, region, data.draw(scales()))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_writes_into_out(self, data):
+        img = data.draw(rasters())
+        region = data.draw(regions(img.width, img.height))
+        scale = data.draw(scales().filter(lambda s: s != 1.0))
+        out = np.full(img.data.shape, 7, np.uint8)
+        try:
+            expected = dense_scale_region(img, region, scale).data
+        except DegenerateRegion:
+            return
+        got = scale_region(img, region, scale, out=out)
+        assert got.data.base is out
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("strip", STRIPS)
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -264,6 +281,26 @@ class TestBoxBlur:
         with strip_values(strip):
             got = box_blur(img, mask, radius)
         assert np.array_equal(got.data, dense_box_blur(img, mask, radius).data)
+
+    @pytest.mark.parametrize("strip", [None] + STRIPS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writes_into_out_and_in_place(self, strip, data):
+        """Into a separate array, and in place into the array the input was
+        built from: the bytes of the copying blur, in any strip size."""
+        img = data.draw(rasters())
+        mask = data.draw(masks(img.width, img.height))
+        radius = data.draw(st.integers(0, 15))
+        expected = dense_box_blur(img, mask, radius).data
+        with strip_values(strip or imaging._STRIP_VALUES):
+            out = np.full(img.data.shape, 7, np.uint8)
+            got = box_blur(img, mask, radius, out=out)
+            assert np.array_equal(got.data, expected)
+            own = np.array(img.data)
+            got = box_blur(RasterImage(own), mask, radius, out=own)
+            assert np.array_equal(got.data, expected)
+        if radius and mask.any():
+            assert got.data.base is own
 
     @pytest.mark.parametrize("radius", [9, 1100])
     def test_wide_accumulator_exact(self, radius):
@@ -469,6 +506,14 @@ class TestLevelProfiles:
         with pytest.raises(BadLevel):
             AttackProfile(0, LensRegion.full_frame(), 0.9, 1, BlurPlacement.OUT_OF_LENS)
 
+    @pytest.mark.parametrize("radius", [-1, 2.0, 0.0, 1.5])
+    def test_blur_radius_is_a_non_negative_integer(self, radius):
+        # the deferred render would meet a float radius only when read
+        with pytest.raises(ValueError, match="blur radius must be a non-negative integer"):
+            AttackProfile(1, LensRegion.full_frame(), 0.9, radius, BlurPlacement.IN_LENS)
+        assert AttackProfile(1, LensRegion.full_frame(), 0.9, np.int64(2),
+                             BlurPlacement.IN_LENS).blur_radius == 2
+
 
 class TestApplyAttackTransform:
     def test_identity_profile(self):
@@ -511,6 +556,146 @@ class TestApplyAttackTransform:
         a = apply_attack_transform(img, p)
         b = apply_attack_transform(img, p)
         assert np.array_equal(a.data, b.data)
+
+
+def dense_attack(image, profile):
+    """Reference ``apply_attack_transform`` from the dense kernels."""
+    inside = dense_in_lens(image.width, image.height, profile.region)
+    scaled = dense_scale_region(image, profile.region, profile.scale_factor)
+    blur = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
+    return dense_box_blur(scaled, blur, profile.blur_radius)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of each raster kernel, counted through ``imaging``'s globals."""
+    calls = dict.fromkeys(["scale_region", "region_masks", "box_blur"], 0)
+    for name in calls:
+        def counted(*args, _kernel=getattr(imaging, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(imaging, name, counted)
+    return calls
+
+
+class TestDeferredRender:
+    """``apply_attack_transform`` checks the profile against the frame when it
+    is called and renders on the first read of ``data``, once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pixels_equal_the_dense_render(self, data):
+        img = data.draw(rasters())
+        region = data.draw(regions(img.width, img.height))
+        profile = AttackProfile(data.draw(st.integers(1, 9)), region,
+                                data.draw(scales()), data.draw(st.integers(0, 6)),
+                                data.draw(st.sampled_from(BlurPlacement)))
+        try:
+            expected = dense_attack(img, profile)
+        except DegenerateRegion:
+            with pytest.raises(DegenerateRegion):
+                apply_attack_transform(img, profile)
+            return
+        out = apply_attack_transform(img, profile)
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert out.data.shape == expected.data.shape
+        _assert_read_only(out)
+
+    @pytest.mark.parametrize("shape", [(40, 30), (40, 30, 3)])
+    @pytest.mark.parametrize("region", [LensRegion.full_frame(),
+                                        LensRegion.circle(12, 20, 9)])
+    def test_shape_alone_renders_nothing(self, kernel_calls, shape, region):
+        img = noise_image(shape, seed=4)
+        out = apply_attack_transform(img, AttackProfile(3, region, 1.4, 2,
+                                                        BlurPlacement.IN_LENS))
+        assert (out.height, out.width, out.channels) == (
+            img.height, img.width, img.channels)
+        assert kernel_calls == dict(scale_region=0, region_masks=0, box_blur=0)
+        out.data
+        out.data
+        assert kernel_calls == dict(scale_region=1, region_masks=1, box_blur=1)
+
+    def test_kernels_are_looked_up_when_rendering(self, monkeypatch):
+        """A kernel swapped in after the call (as a tracer does) is the one
+        the render runs."""
+        img = noise_image((20, 20), seed=2)
+        profile = level_to_profile(LensKind.CONCAVE, 4)
+        out = apply_attack_transform(img, profile)
+        seen = []
+        monkeypatch.setattr(imaging, "box_blur",
+                            lambda image, mask, radius, out: seen.append(radius) or image)
+        scaled = scale_region(img, profile.region, profile.scale_factor)
+        assert np.array_equal(out.data, scaled.data)
+        assert seen == [profile.blur_radius]
+
+    @pytest.mark.parametrize("scale, radius", [(1.0, 0), (1.0, 3), (0.7, 0), (2.0, 4)])
+    @pytest.mark.parametrize("placement", BlurPlacement)
+    def test_a_circle_off_the_frame_fails_when_called(self, kernel_calls, scale, radius,
+                                                      placement):
+        img = noise_image((30, 40), seed=1)
+        for region in [LensRegion.circle(500, 10, 20), LensRegion.circle(10, -25, 20),
+                       LensRegion.circle(-15, -15, 20)]:
+            with pytest.raises(DegenerateRegion,
+                               match="^lens region does not intersect the frame$"):
+                apply_attack_transform(img, AttackProfile(2, region, scale, radius,
+                                                          placement))
+        assert kernel_calls == dict(scale_region=0, region_masks=0, box_blur=0)
+
+    @pytest.mark.parametrize("strip", STRIPS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pixels_equal_the_dense_render_across_strips(self, strip, data):
+        """The rescale writes into the frame and the blur works on it in
+        place, strip by strip, with the bytes of the dense kernels."""
+        img = data.draw(rasters())
+        region = data.draw(regions(img.width, img.height))
+        profile = AttackProfile(1, region, data.draw(scales()), data.draw(st.integers(0, 6)),
+                                data.draw(st.sampled_from(BlurPlacement)))
+        try:
+            expected = dense_attack(img, profile)
+        except DegenerateRegion:
+            return
+        with strip_values(strip):
+            got = apply_attack_transform(img, profile).data
+        assert got.tobytes() == expected.data.tobytes()
+
+    def test_a_circle_touching_one_pixel_renders(self):
+        # (3, 4) is the only pixel center within the circle of radius 5
+        # about (-1, 7): 4^2 + 3^2 = 25
+        img = noise_image((10, 10), seed=3)
+        profile = AttackProfile(2, LensRegion.circle(-1, 7, 5), 1.5, 1,
+                                BlurPlacement.IN_LENS)
+        out = apply_attack_transform(img, profile)
+        assert out.data.tobytes() == dense_attack(img, profile).data.tobytes()
+
+    def test_keeps_no_source_after_rendering(self):
+        img = noise_image((16, 16), seed=5)
+        source = weakref.ref(img)
+        out = apply_attack_transform(img, level_to_profile(LensKind.CONVEX, 2))
+        del img
+        gc.collect()
+        assert source() is not None  # the render still needs it
+        out.data
+        gc.collect()
+        assert source() is None
+
+    def test_weak_referenceable_and_compared_by_identity(self):
+        img = noise_image((8, 8), seed=6)
+        profile = level_to_profile(LensKind.CONVEX, 2)
+        a, b = apply_attack_transform(img, profile), apply_attack_transform(img, profile)
+        assert weakref.ref(a)() is a
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert np.array_equal(a.data, b.data)
+
+    def test_a_deferred_source_renders_inside_the_next_render(self, kernel_calls):
+        img = noise_image((24, 24, 3), seed=7)
+        p1 = level_to_profile(LensKind.CONCAVE, 2, LensRegion.circle(10, 10, 8))
+        p2 = level_to_profile(LensKind.CONVEX, 3)
+        twice = apply_attack_transform(apply_attack_transform(img, p1), p2)
+        assert kernel_calls["scale_region"] == 0
+        expected = dense_attack(dense_attack(img, p1), p2)
+        assert twice.data.tobytes() == expected.data.tobytes()
+        assert kernel_calls["scale_region"] == 2
 
 
 class TestPnmRoundTrip:
@@ -620,7 +805,7 @@ class TestReadOnlyRasters:
                    lambda: scale_region(img, region, scale),
                    lambda: box_blur(img, mask, radius),
                    lambda: apply_attack_transform(
-                       img, AttackProfile(1, region, scale, radius, placement))]
+                       img, AttackProfile(1, region, scale, radius, placement)).data]
         for render in renders:
             try:
                 render()
