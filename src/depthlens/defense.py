@@ -109,24 +109,14 @@ def varlap_verdict(image: RasterImage,
     return BlurVerdict(blurred=score < threshold, score=score, threshold=threshold)
 
 
-def _build_label_lut() -> np.ndarray:
-    """Map each 8-bit ring code to its pattern label.
-
-    Uniform codes (at most two 0/1 transitions around the ring) are labeled
-    by their set-bit count 0..8; everything else collapses into label 9.
-    """
-    labels = np.empty(256, dtype=np.uint8)
-    for code in range(256):
-        rotated = ((code << 1) | (code >> 7)) & 0xFF
-        transitions = bin(code ^ rotated).count("1")
-        bits = bin(code).count("1")
-        labels[code] = bits if transitions <= 2 else 9
-    return labels
+def _is_high_activity(code: int) -> bool:
+    """Whether an 8-bit ring code is high-activity: non-uniform (more than
+    two 0/1 transitions around the ring) or with at least six set bits."""
+    rotated = ((code << 1) | (code >> 7)) & 0xFF
+    return bin(code ^ rotated).count("1") > 2 or bin(code).count("1") >= 6
 
 
-_LBP_LABELS = _build_label_lut()
-# Whether each 8-bit ring code is high-activity (label 6..9).
-_LBP_HIGH = _LBP_LABELS >= 6
+_LBP_HIGH = np.array([_is_high_activity(code) for code in range(256)])
 
 
 def _lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:

@@ -100,6 +100,8 @@ def load_depth_map(path, kind: str = "depth") -> np.ndarray:
     invalid, non-positive depths or negative disparities, and they become
     NaN in place, one row strip at a time.
     """
+    if kind not in ("depth", "disparity"):
+        raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
     with open(path, "rb") as fh:
         magic = fh.read(2)
     if magic == b"Pf" or magic == b"PF":
@@ -108,8 +110,6 @@ def load_depth_map(path, kind: str = "depth") -> np.ndarray:
         values = formats.read_pgm16(path)
     else:
         raise ParseError(f"unrecognized map format (magic {magic!r})", byte_offset=0)
-    if kind not in ("depth", "disparity"):
-        raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
     for strip in _strips(*values.shape):
         part = values[strip]
         part[~(part > 0) if kind == "depth" else part < 0] = np.nan

@@ -10,7 +10,7 @@ Three interchange formats, all chosen for bit-exactness across platforms:
 
 The raster writer emits a canonical single-whitespace header. The three
 readers share one header parser, which reads the header token by token from
-the open file: runs of whitespace and ``#`` comments are tolerated,
+the open file: whitespace and ``#`` comments are tolerated up to 64 KiB,
 dimensions and maxval must be ASCII digits and the PFM scale a decimal
 float, and the raster length is checked against the file size before any
 of it is read. The maps are produced by external estimators, so only their
@@ -33,23 +33,25 @@ from . import imaging
 from .errors import ParseError, check_positive
 
 
-# Header tokens are a few bytes; a longer one is damage, and is reported at
-# its start without being read whole.
+# Header tokens are a few bytes, and the gaps between them rarely more than
+# a line; longer ones are damage, and are reported without being read whole.
 _MAX_TOKEN = 64
+_MAX_HEADER = 64 * 1024
 
 
 def _read_token(fh) -> tuple[bytes, int]:
     """Next header token of the open file and its end offset, skipping
     whitespace and ``#`` comments that run to a CR or LF. The byte after
     the token (whitespace, or none at the end of the file) is consumed. A
-    token over ``_MAX_TOKEN`` bytes raises ``header token too long``."""
-    byte = fh.read(1)
-    while byte.isspace() or byte == b"#":
-        if byte == b"#":
-            while byte not in b"\r\n":  # b"", the end of the file, is in it
-                byte = fh.read(1)
-        byte = fh.read(1)
-    start = fh.tell() - len(byte)
+    token over ``_MAX_TOKEN`` bytes raises ``header token too long``, and
+    a skipped byte at offset ``_MAX_HEADER`` or past it ``header too
+    long``."""
+    start, byte, comment = fh.tell(), fh.read(1), False  # start: byte's offset
+    while byte.isspace() or byte == b"#" or (comment and byte):
+        if start >= _MAX_HEADER:
+            raise ParseError("header too long", byte_offset=start)
+        comment = (comment or byte == b"#") and byte not in b"\r\n"
+        start, byte = start + 1, fh.read(1)
     token = bytearray()
     while byte and not byte.isspace():
         if len(token) == _MAX_TOKEN:

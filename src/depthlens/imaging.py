@@ -11,10 +11,10 @@ reproduces both effects on 8-bit rasters:
   across platforms);
 * ``apply_attack_transform`` composes the two per an ``AttackProfile``,
   deferred: it checks the region against the frame and allocates the
-  frame when called, and renders on the first read of the result's
-  ``data`` (the rescale writes into the frame, the blur works on it in
-  place), so a caller that reads no pixels (a search scored on
-  precomputed maps) renders nothing;
+  frame when called; the first read of the result's ``data`` copies the
+  image into the frame and both kernels rewrite it in place, so a caller
+  that reads no pixels (a search scored on precomputed maps) renders
+  nothing;
 * ``level_to_profile`` maps the discretized lens strength 1..9 onto a
   (scale, blur) pair; strength 1 adds the least blur, 9 the most.
 
@@ -39,10 +39,11 @@ rows per output row; it gathers the source columns with ``take``, which
 returns contiguous blocks. ``box_blur`` forms its window sums, counts,
 the half-up division (by one scalar for the windows wholly inside the
 frame) and the masked write per strip, and ``RasterImage.to_gray`` sums
-three per-channel tables of ``weight * value``. Both kernels store through
-one masked writer: a strip whose mask is all set (every strip of a
-full-frame lens) is stored directly; any other is merged in uint8 by a
-bitwise select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
+three per-channel tables of ``weight * value``. Into a frame that already
+holds the image, both kernels store only what they change, through one
+masked writer: a strip whose mask is all set (every strip of a full-frame
+lens) is stored directly; any other is merged in uint8 by a bitwise
+select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -77,8 +78,8 @@ def _strips(rows: int, row_values: int):
 class RasterImage:
     """8-bit raster, gray (h, w) or RGB (h, w, 3), row-major. ``data`` is a
     read-only view of the array it was built from, so a function may return
-    its input raster instead of a copy. A ``deferred`` raster knows only its
-    shape until ``data`` is first read. Rasters compare and hash by
+    its input raster instead of a copy; a ``deferred`` raster fills that
+    array on the first read of ``data``. Rasters compare and hash by
     identity; compare ``data`` to compare pixels."""
 
     def __init__(self, data: np.ndarray):
@@ -90,35 +91,39 @@ class RasterImage:
             raise ValueError("raster needs at least one pixel")
         view = data.view()
         view.flags.writeable = False
-        self._shape, self._data, self._render = data.shape, view, None
+        self._data, self._fill = view, None
 
     @classmethod
-    def deferred(cls, shape: tuple[int, ...], render) -> "RasterImage":
-        """A raster of ``shape`` whose pixels are those of ``render()``, a
-        raster of that shape, called on the first read of ``data``; the
-        raster then drops ``render`` and whatever it holds."""
-        raster = cls.__new__(cls)
-        raster._shape, raster._data, raster._render = shape, None, render
+    def deferred(cls, frame: np.ndarray, fill) -> "RasterImage":
+        """A raster of ``frame`` whose pixels ``fill()`` writes into it on
+        the first read of ``data``; the raster then drops ``fill`` and
+        whatever it holds."""
+        raster = cls(frame)
+        raster._fill = fill
         return raster
 
     @property
     def data(self) -> np.ndarray:
-        if self._render is not None:
-            self._data = self._render().data
-            self._render = None
+        if self._fill is not None:
+            self._fill()
+            self._fill = None
         return self._data
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self._data.shape
+
+    @property
     def height(self) -> int:
-        return self._shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self._shape[1]
+        return self.shape[1]
 
     @property
     def channels(self) -> int:
-        return 1 if len(self._shape) == 2 else 3
+        return 1 if len(self.shape) == 2 else 3
 
     def to_gray(self) -> "RasterImage":
         """Luma conversion (0.299, 0.587, 0.114), rounded half-up."""
@@ -269,8 +274,8 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     (content pushed past a circle boundary is simply clipped) and shrinking
     pulls from a widened one, edge-replicating wherever sources leave the
     frame. Pixels outside the region are untouched; scale 1 returns the input.
-    The result is written into ``out`` (a uint8 array of the image's shape,
-    not its memory) when one is given, else into a copy.
+    The result is written into a copy, or into ``out``: a uint8 array (not
+    the image's memory) that already holds the image's pixels.
     """
     check_positive(scale=scale)
     _check_meets_frame(image.width, image.height, region)
@@ -284,10 +289,7 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     # a contiguous axis.
     fx = np.repeat(fx, image.channels)
     data = image.data
-    if out is None:
-        out = data.copy()
-    else:
-        np.copyto(out, data)
+    out = data.copy() if out is None else out
     box = out[rows, cols]
     for strip in _strips(len(y0), len(fx)):
         n = strip.stop - strip.start
@@ -350,10 +352,10 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
     samples, so borders do not darken. Unmasked pixels pass through
     untouched; radius 0 or an empty mask returns the input. Rounding is
     half-up in exact integer arithmetic. The mask must be boolean. The
-    result is written into ``out`` (a uint8 array of the image's shape) when
-    one is given, else into a copy; ``out`` may be the array ``image`` was
-    built from, as every source row enters the row sums before its output
-    row is written.
+    result is written into a copy, or into ``out``: a uint8 array that
+    already holds the image's pixels, such as the array ``image`` was built
+    from, as every source row enters the row sums before its output row is
+    written.
     """
     if mask.dtype != np.bool_:
         raise ValueError(f"blur mask must be bool, got {mask.dtype}")
@@ -374,10 +376,7 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
     x0, x1 = int(xs[0]), int(xs[-1]) + 1
     # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
     dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
-    if out is None:
-        out = image.data.copy()
-    elif image.data.base is not out:
-        np.copyto(out, image.data)
+    out = image.data.copy() if out is None else out
     length = 2 * radius + 1
     values = (x1 - x0) * channels
     strips = list(_strips(y1 - y0, values))
@@ -492,22 +491,23 @@ def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> Raster
     selected by the profile's blur placement.
 
     A region that misses the frame raises here, and the frame is allocated
-    here (untouched until rendered, so it costs no page until then). The
-    pixels are rendered on the first read of the result's ``data``, from
-    ``image``'s pixels at that time, by the kernels this module binds then:
-    the rescale writes into the frame and the blur works on it in place. A
-    reader of the shape alone (or of nothing) costs no render. Scale 1
-    without blur returns ``image``.
+    here (untouched until filled, so it costs no page until then). The
+    first read of the result's ``data`` copies ``image``'s pixels at that
+    time into the frame, and the kernels this module binds then rewrite it
+    in place: the rescale the lens, the blur the defocused side. A reader of
+    the shape alone (or of nothing) costs no render. Scale 1 without blur
+    returns ``image``.
     """
     _check_meets_frame(image.width, image.height, profile.region)
     if profile.scale_factor == 1.0 and profile.blur_radius == 0:
         return image
-    out = np.empty(image._shape, np.uint8)
+    frame = np.empty(image.shape, np.uint8)
 
-    def render() -> RasterImage:
-        scaled = scale_region(image, profile.region, profile.scale_factor, out=out)
+    def fill() -> None:
+        np.copyto(frame, image.data)
+        scale_region(image, profile.region, profile.scale_factor, out=frame)
         inside = region_masks(image.width, image.height, profile.region)
         blur_mask = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
-        return box_blur(scaled, blur_mask, profile.blur_radius, out=out)
+        box_blur(RasterImage(frame), blur_mask, profile.blur_radius, out=frame)
 
-    return RasterImage.deferred(image._shape, render)
+    return RasterImage.deferred(frame, fill)

@@ -96,6 +96,15 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "simulate_circle_off_frame": ([*_SIM, "--output", "sim_m.pgm", "--level", "2",
                                    "--region", "circle", "--cx", "500", "--cy", "500",
                                    "--radius", "20"], ["sim_m.pgm"]),
+    # render paths: a blur without a rescale, the identity profile, and an
+    # RGB circle, whose strips are merged by the bitwise select
+    "simulate_blur_only_circle": ([*_SIM, "--output", "sim_n.pgm", "--blur", "2",
+                                   *_CIRCLE], ["sim_n.pgm"]),
+    "simulate_identity_profile": ([*_SIM, "--output", "sim_o.pgm", "--scale", "1",
+                                   "--blur", "0"], ["sim_o.pgm"]),
+    "simulate_rgb_convex_circle": (["simulate", "--input", "rgb.ppm", "--output",
+                                    "sim_p.ppm", "--lens-kind", "convex", "--level", "4",
+                                    *_CIRCLE], ["sim_p.ppm"]),
     # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
     # and off the frame, both modes, the error exits
     "optimize_proxy_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind", "concave",
@@ -250,6 +259,9 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                 "varlap"], []),
     "defend_long_header_token": (["defend", "--input", "long_token.pgm", "--method",
                                   "varlap"], []),
+    # a header comment that runs past the 64 KiB header cap
+    "defend_long_header_comment": (["defend", "--input", "long_comment.pgm", "--method",
+                                    "varlap"], []),
     "defend_varlap_unused_bad_window": (["defend", "--input", "gray.pgm", "--method",
                                          "varlap", "--window", "3", "--delta", "-5"], []),
     # scenario: noise-free and noisy with tick logs, optics ratio, configs,
@@ -341,6 +353,8 @@ def make_fixtures(directory: Path) -> None:
     # a width of 100 digits: longer than any header token may be
     (directory / "long_token.pgm").write_bytes(b"P5 " + b"1" * 100 + b" 2 255\n"
                                                + bytes(8))
+    (directory / "long_comment.pgm").write_bytes(b"P5 #" + b"c" * 70000 + b"\n8 8 255\n"
+                                                 + bytes(64))
     # map exits: a NaN scale, the color PFM magic, a 16-bit map with no
     # sidecar, and one whose largest count overflows float32 at its scale
     (directory / "nan_scale.pfm").write_bytes(b"Pf\n4 4\nnan\n" + bytes(64))

@@ -21,7 +21,6 @@ import numpy as np
 
 from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
                                   OptimizationResult, SweepRow)
-from depthlens.defense import _LBP_LABELS
 from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
                               FiducialNotFound, ParseError, SingularConfiguration,
                               check_positive)
@@ -242,6 +241,19 @@ def exact_variance(values: np.ndarray) -> Fraction:
     return Fraction(sum((n * v - total) ** 2 for v in samples), n ** 3)
 
 
+def _lbp_labels() -> np.ndarray:
+    """Each 8-bit ring code's pattern label: a uniform code (at most two 0/1
+    transitions around the ring) is labeled by its set-bit count 0..8,
+    every other code 9. Labels 6..9 are high-activity."""
+    labels = np.empty(256, dtype=np.uint8)
+    for code in range(256):
+        bits = [(code >> p) & 1 for p in range(8)]
+        transitions = sum(bits[p] != bits[p - 1] for p in range(8))
+        labels[code] = sum(bits) if transitions <= 2 else 9
+    return labels
+
+
+LBP_LABELS = _lbp_labels()
 # The LBP ring, circular from N: neighbor p sets bit p of the code.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
@@ -256,7 +268,7 @@ def reference_lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
     for bit, (dy, dx) in enumerate(_RING):
         neighbor = g[1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
         code |= (np.abs(neighbor - center) > delta).astype(np.uint8) << bit
-    return _LBP_LABELS[code] >= 6
+    return LBP_LABELS[code] >= 6
 
 
 def tile_loop_lbp_scores(active: np.ndarray, window: int) -> np.ndarray:
@@ -415,7 +427,13 @@ def reference_decimal(token: bytes) -> float:
 
 
 def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    """The token after ``pos``: 0, or the end of the token before, whose
+    next byte ends that token and is no part of the gap to this one. A gap
+    byte at offset 64 KiB or past it fails at that byte."""
     match = _TOKEN.match(buf, pos)
+    gap = pos + 1 if pos else 0
+    if match.start(1) > max(gap, 64 * 1024):
+        raise ParseError("header too long", byte_offset=max(gap, 64 * 1024))
     if not match[1]:
         raise ParseError("truncated header", byte_offset=match.start(1))
     if len(match[1]) > 64:

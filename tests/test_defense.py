@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from depthlens.defense import (DEFAULT_LBP_SCORE_THRESHOLD, DEFAULT_VARLAP_THRESHOLD,
-                               _lbp_active, lbp_sharpness_map, segment_blur,
+                               _LBP_HIGH, _lbp_active, lbp_sharpness_map, segment_blur,
                                variance_of_laplacian, varlap_verdict)
 from depthlens import imaging
 from depthlens.errors import TooSmall
@@ -17,7 +17,7 @@ from depthlens.imaging import (BlurPlacement, LensKind, LensRegion, RasterImage,
                                region_masks, AttackProfile)
 
 from helpers import STRIPS, noise_image, strip_values, textured_image
-from oracles import (dense_laplacian, exact_variance, reference_lbp_active,
+from oracles import (LBP_LABELS, dense_laplacian, exact_variance, reference_lbp_active,
                      tile_loop_lbp_scores)
 
 
@@ -193,6 +193,11 @@ class TestLbpSharpness:
             got = _lbp_active(gray, delta)
         assert got.dtype == bool and got.shape == (h - 2, w - 2)
         assert np.array_equal(got, reference_lbp_active(gray, delta))
+
+    def test_high_activity_codes_are_labels_six_to_nine(self):
+        """Every ring code against the reference's ten-label table."""
+        assert np.array_equal(_LBP_HIGH, LBP_LABELS >= 6)
+        assert np.count_nonzero(_LBP_HIGH) == 215
 
     def test_window_floor(self):
         with pytest.raises(ValueError):

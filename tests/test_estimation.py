@@ -161,6 +161,12 @@ class TestLoaders:
         disp = load_depth_map(path, kind="disparity")
         assert disp[0, 0] == 0.0  # zero disparity is a valid sample here
 
+    def test_bad_kind_fails_before_the_file_is_read(self, tmp_path):
+        """The kind error is not hidden behind the file's own errors."""
+        with pytest.raises(ValueError,
+                           match="^kind must be 'depth' or 'disparity', got 'dpeth'$"):
+            load_depth_map(tmp_path / "missing.pfm", kind="dpeth")
+
 
 class TestMaskedMean:
     def test_constant(self):

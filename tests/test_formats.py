@@ -429,6 +429,55 @@ def test_a_two_megabyte_token_fails_with_a_short_message(tmp_path, read):
     assert str(err.value) == "header token too long (byte offset 0)"
 
 
+_MAX_HEADER = 64 * 1024
+_HEADS = [(b"P5", b"255", formats.read_pnm, reference_read_pnm),
+          (b"Pf", b"-1.0", formats.read_pfm, reference_read_pfm),
+          (b"P5", b"65535", formats.read_pgm16, reference_read_pgm16)]
+
+
+@pytest.mark.parametrize("magic, third, read, reference", _HEADS,
+                         ids=["pnm", "pfm", "pgm16"])
+@pytest.mark.parametrize("gap", [b"#" + b"c" * 2 * 1024 * 1024 + b"\n",
+                                 b" " * 2 * 1024 * 1024], ids=["comment", "spaces"])
+def test_a_two_megabyte_header_gap_fails_at_the_cap(tmp_path, magic, third, read,
+                                                    reference, gap):
+    """A comment or a whitespace run is read up to the header cap, no
+    further, and fails there."""
+    path = tmp_path / "m.map"
+    (tmp_path / "m.map.scale").write_text("0.5\n")
+    path.write_bytes(magic + b" " + gap + b" 2 1 " + third + b"\n" + bytes(8))
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert str(err.value) == f"header too long (byte offset {_MAX_HEADER})"
+    assert _outcome(read, path) == _outcome(reference, path)
+
+
+@pytest.mark.parametrize("magic, third, read, reference", _HEADS,
+                         ids=["pnm", "pfm", "pgm16"])
+@pytest.mark.parametrize("pad", [b" ", b"#"], ids=["spaces", "comment"])
+def test_header_gaps_around_the_cap_match_the_oracle(tmp_path, magic, third, read,
+                                                     reference, pad):
+    """Padding before each token puts its start at each offset around the
+    cap: a token may start at the cap, but a gap byte at the cap or past it
+    (other than the one that ends a token) fails at that byte."""
+    (tmp_path / "m.map.scale").write_text("0.5\n")
+    path = tmp_path / "m.map"
+    tokens = [magic, b"2", b"1", third]
+    for index in range(4):
+        before = b"".join(t + b" " for t in tokens[:index])
+        for start in range(_MAX_HEADER - 6, _MAX_HEADER + 2):
+            width = start - len(before)
+            gap = (b" " * width if pad == b" " else
+                   b"#" + b"c" * (width - 2) + b"\n")
+            path.write_bytes(before + gap + b" ".join(tokens[index:]) + b"\n"
+                             + bytes(8))
+            outcome = _outcome(read, path)
+            assert outcome == _outcome(reference, path)
+            # the gap is [len(before), start): the byte that ends a token is
+            # not in it, so token index + 1 may start at the cap plus one
+            assert outcome[0] == ("error" if start > _MAX_HEADER else "values")
+
+
 @pytest.mark.parametrize("third", [b"-1.0", b"1.0", b"65535"])
 def test_header_ending_at_any_offset_around_the_first_read(tmp_path, third):
     """A comment pads the header so that its last token ends at each offset

@@ -152,7 +152,7 @@ class TestScaleRegion:
         img = data.draw(rasters())
         region = data.draw(regions(img.width, img.height))
         scale = data.draw(scales().filter(lambda s: s != 1.0))
-        out = np.full(img.data.shape, 7, np.uint8)
+        out = np.array(img.data)  # ``out`` holds the image's pixels
         try:
             expected = dense_scale_region(img, region, scale).data
         except DegenerateRegion:
@@ -261,6 +261,36 @@ class TestScaleRegion:
             scale_region(textured_image(), LensRegion.full_frame(), 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_out_keeps_the_pixels_a_kernel_leaves(data):
+    """``out`` holds the image's pixels, so a kernel writes only the pixels
+    it changes: each other pixel keeps whatever value ``out`` held."""
+    img = data.draw(rasters())
+    held = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).integers(
+        0, 256, img.data.shape, dtype=np.uint8)
+    region = data.draw(regions(img.width, img.height))
+    scale = data.draw(scales())
+    mask = data.draw(masks(img.width, img.height))
+    radius = data.draw(st.integers(0, 6))
+    try:
+        scaled = dense_scale_region(img, region, scale).data
+    except DegenerateRegion:
+        scaled = None
+    changed = dense_in_lens(img.width, img.height, region) & (scale != 1.0)
+    blurred = dense_box_blur(img, mask, radius).data
+    for kernel, expected, written in [
+            (lambda out: scale_region(img, region, scale, out=out), scaled, changed),
+            (lambda out: box_blur(img, mask, radius, out=out), blurred,
+             mask & (radius > 0))]:
+        if expected is None:
+            continue
+        out = held.copy()
+        kernel(out)
+        written = written.reshape(written.shape + (1,) * (img.data.ndim - 2))
+        assert np.array_equal(out, np.where(written, expected, held))
+
+
 class TestBoxBlur:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -286,16 +316,17 @@ class TestBoxBlur:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_writes_into_out_and_in_place(self, strip, data):
-        """Into a separate array, and in place into the array the input was
-        built from: the bytes of the copying blur, in any strip size."""
+        """Into a separate array that holds the image's pixels, and in place
+        into the array the input was built from: the bytes of the copying
+        blur, in any strip size."""
         img = data.draw(rasters())
         mask = data.draw(masks(img.width, img.height))
         radius = data.draw(st.integers(0, 15))
         expected = dense_box_blur(img, mask, radius).data
         with strip_values(strip or imaging._STRIP_VALUES):
-            out = np.full(img.data.shape, 7, np.uint8)
-            got = box_blur(img, mask, radius, out=out)
-            assert np.array_equal(got.data, expected)
+            out = np.array(img.data)
+            box_blur(img, mask, radius, out=out)
+            assert np.array_equal(out, expected)
             own = np.array(img.data)
             got = box_blur(RasterImage(own), mask, radius, out=own)
             assert np.array_equal(got.data, expected)
