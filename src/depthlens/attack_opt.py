@@ -13,15 +13,18 @@ better), and L_out penalizes any estimate drift outside the lens outline
 All reductions are masked L1 means, which keeps alpha meaningful regardless
 of mask sizes. Each loss is one ``estimation.masked_mean`` with the benign
 map or the target as reference, so ``|a - b|`` is formed strip by strip,
-never as a frame-sized map. The vehicle terms are reduced on the vehicle
-box's crop: the pixels of its full-frame mask in the same order, so the
-same bits at the cost of a box. The search holds one level's map at a
-time: a map is dropped before the next level's is made, and a render once
-its map is. Renders are deferred (``imaging.apply_attack_transform``): an
-estimator that reads pixels renders the level inside its call, and one
-that reads precomputed maps renders nothing. The argmin over
-levels 1..9 is exact enumeration; ties break toward the smallest level
-(least conspicuous blur, and determinism needs a rule).
+never as a frame-sized map, and a map is scored in the dtype the
+estimator returns (float32 from a file): the mean widens each strip, so
+no map is copied to float64 and the losses are those of the float64 copy.
+The vehicle terms are reduced on the vehicle box's crop: the pixels of its
+full-frame mask in the same order, so the same bits at the cost of a box.
+The search holds one level's map at a time: a map is dropped before the
+next level's is made, and a render once its map is. Renders are deferred
+(``imaging.apply_attack_transform``): an estimator that reads pixels
+renders the level inside its call, and one that reads precomputed maps
+renders nothing. The argmin over levels 1..9 is exact enumeration; ties
+break toward the smallest level (least conspicuous blur, and determinism
+needs a rule).
 """
 
 from __future__ import annotations
@@ -140,9 +143,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     if not levels:
         raise ValueError("candidate level set must not be empty")
     try:
-        est_benign = np.asarray(
-            estimator.estimate_map(benign, tag="benign"), dtype=np.float64
-        )
+        est_benign = estimator.estimate_map(benign, tag="benign")
     except (DepthlensError, OSError) as exc:
         raise OptimizationError("benign", exc) from exc
 
@@ -168,10 +169,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
             # freed map and loss selection from forming a heap top that
             # glibc would trim and the render would fault back in.
             est_att = att_veh = None
-            est_att = np.asarray(
-                estimator.estimate_map(attacked, tag=f"level_{level}"),
-                dtype=np.float64,
-            )
+            est_att = estimator.estimate_map(attacked, tag=f"level_{level}")
             attacked = None  # only the estimator reads the render
             if est_att.shape != est_benign.shape:
                 raise ValueError(

@@ -10,16 +10,19 @@ everything around them:
 * a file-backed estimator, ``DirectoryMapEstimator``, over externally
   produced maps, which divides disparity maps by a constant on request;
 * loaders for those maps (PFM, 16-bit PGM + sidecar scale), which mark
-  holes in the readers' float64 frame in place, strip by strip, and for
+  holes in the readers' float32 frame in place, strip by strip, and for
   bounding-box text files;
 * masked means, the reduction every metric and loss in this toolkit starts
   from; given a reference map or number they average
   ``|map - reference|`` in row strips, without a frame-sized difference
   map.
 
-A depth or disparity map is a plain float64 ``np.ndarray`` of shape (h, w).
-Invalid pixels (holes, zero disparity) are marked NaN rather than raised:
-maps from real estimators contain them routinely.
+A depth or disparity map is a plain float ``np.ndarray`` of shape (h, w):
+float32 as read from a PFM/PGM16 file; float64 from the proxy or when
+rescaled. ``masked_mean`` widens to float64 before it computes, so a map's
+dtype changes no loss or metric. Invalid pixels (holes, zero disparity) are
+marked NaN rather than raised: maps from real estimators contain them
+routinely.
 """
 
 from __future__ import annotations
@@ -92,10 +95,10 @@ def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
 
 
 def load_depth_map(path, kind: str = "depth") -> np.ndarray:
-    """Load an externally produced map as float64 (h, w).
+    """Load an externally produced map as float32 (h, w), as the file holds it.
 
     The format is sniffed from the magic bytes: ``Pf`` float PFM or a 16-bit
-    PGM with its sidecar scale file. The reader's float64 frame is the one
+    PGM with its sidecar scale file. The reader's float32 frame is the one
     copy: ``kind`` ("depth" or "disparity") selects which samples are
     invalid, non-positive depths or negative disparities, and they become
     NaN in place, one row strip at a time.
@@ -120,11 +123,12 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     """Arithmetic mean over the valid (finite) masked pixels of ``values``,
     or of ``|values - reference|`` when a reference map or number is given.
 
-    Rows are read in strips: each is widened to float64 before the
-    difference (under NEP 50 a float32 map minus a Python float stays
-    float32), and its finite masked values are appended in row-major order
-    to one array of ``count_nonzero(mask)`` values. The mean thus sums the
-    values a frame-wide selection would, in the same order.
+    Rows are read in strips: the difference widens both operands to
+    float64 before it subtracts (under NEP 50 a float32 map minus a Python
+    float stays float32), and each strip's finite masked values are
+    appended in row-major order to one float64 array of
+    ``count_nonzero(mask)`` values. A float32 map thus gives the sum of its
+    float64 copy's frame-wide selection, in the same order.
     """
     values = np.asarray(values)
     if mask.shape != values.shape:
@@ -136,10 +140,11 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     selected = np.empty(np.count_nonzero(mask), dtype=np.float64)
     filled = 0
     for strip in _strips(len(values), math.prod(values.shape[1:])):
-        part = np.asarray(values[strip], dtype=np.float64)
+        part = values[strip]
         if reference is not None:
             with np.errstate(invalid="ignore"):  # inf - inf: a NaN dropped below
-                part = part - (reference[strip] if np.ndim(reference) else reference)
+                part = np.subtract(part, reference[strip] if np.ndim(reference)
+                                   else reference, dtype=np.float64)
             np.abs(part, out=part)
         keep = np.isfinite(part)
         keep &= mask[strip]
@@ -214,8 +219,9 @@ class DirectoryMapEstimator:
 
     Expects ``<tag>.pfm`` (or 16-bit ``<tag>.pgm``) in the directory, e.g.
     ``benign.pfm`` and ``level_1.pfm`` .. ``level_9.pfm`` produced offline by
-    whatever estimator is under attack. ``rescale`` divides disparity maps by
-    a constant on load, in place.
+    whatever estimator is under attack, and returned as loaded (float32).
+    ``rescale`` divides disparity maps by a constant on load, in float64:
+    under NEP 50 a float32 map divided by a Python float stays float32.
     """
 
     def __init__(self, directory, kind: str = "disparity",
@@ -234,7 +240,7 @@ class DirectoryMapEstimator:
             if os.path.exists(candidate):
                 values = load_depth_map(candidate, kind=self.kind)
                 if self.rescale is not None:
-                    values /= self.rescale
+                    values = np.divide(values, self.rescale, dtype=np.float64)
                 return values
         raise FileNotFoundError(
             f"no {tag}.pfm / {tag}.pgm in {self.directory}"

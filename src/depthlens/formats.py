@@ -18,8 +18,10 @@ readers live here.
 
 ``read_pnm`` returns a read-only view of the raster's bytes. The map
 readers never hold the file: they read the raster in row strips
-(``imaging._strips``) into one reused buffer and widen each strip into the
-float64 (h, w) frame they return, which the caller may modify.
+(``imaging._strips``) into one reused buffer and write each strip into the
+float32 (h, w) frame they return, which the caller may modify. float32 is
+the files' own precision: PFM samples are float32, and 16-bit counts are
+scaled in float32.
 """
 
 from __future__ import annotations
@@ -164,16 +166,16 @@ def write_pnm(path, data: np.ndarray) -> None:
         raise ValueError(f"expected (h, w) or (h, w, 3) uint8, got shape {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(arr.tobytes())
+        fh.write(arr)  # the contiguous array's own buffer: no copy
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Load a 16-bit PGM and apply the sidecar scale, returning float64 (h, w).
+    """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w).
 
     The sidecar ``<path>.scale`` holds one float, finite and positive in
     float32: physical units per raw count. Counts are scaled in float32, one
-    strip at a time, and widened into the frame. A scaled count that
-    overflows float32 is an error, not an infinity.
+    strip at a time, straight into the frame. A scaled count that overflows
+    float32 is an error, not an infinity.
     """
     with open(path, "rb") as fh:
         _, _, height, width = _parse_header(fh, {b"P5": 2}, "16-bit PGM", 65535)
@@ -189,27 +191,27 @@ def read_pgm16(path) -> np.ndarray:
         except ValueError:
             raise ParseError(f"bad scale value in {sidecar}") from None
         scale32 = np.float32(scale)
-        out = np.empty((height, width))
+        out = np.empty((height, width), dtype=np.float32)
         for rows, counts in _raster_strips(fh, height, width, ">u2"):
             with np.errstate(over="ignore"):  # reported below as a ParseError
                 peak = counts.max() * scale32
             if not np.isfinite(peak):
                 raise ParseError(f"largest count at scale {scale!r} in {sidecar} "
                                  "overflows float32")
-            out[rows] = np.multiply(counts, scale32, dtype=np.float32)
+            np.multiply(counts, scale32, out=out[rows], dtype=np.float32)
     return out
 
 
 def read_pfm(path) -> np.ndarray:
-    """Load a grayscale PFM as float64 (h, w), top-down row order.
+    """Load a grayscale PFM as native float32 (h, w), top-down row order.
 
-    The float32 rows, in either byte order, are widened strip by strip into
-    the frame; the file stores them bottom-up.
+    The float32 rows, in either byte order, are copied strip by strip into
+    the frame, bit for bit; the file stores them bottom-up.
     """
     with open(path, "rb") as fh:
         _, scale, height, width = _parse_header(
             fh, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
-        out = np.empty((height, width))
+        out = np.empty((height, width), dtype=np.float32)
         for rows, part in _raster_strips(fh, height, width,
                                          "<f4" if scale < 0 else ">f4"):
             out[height - rows.stop:height - rows.start] = part[::-1]

@@ -66,6 +66,13 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                       "--lens", "banana"], []),
     "optics_bad_float_flag": (["optics", "--lens", "concave", "--f", "abc", "--db",
                                "0.04", "--do1", "6", "--fc", "0.026"], []),
+    # library guards the option parser leaves to the library: a zero focal
+    # length, and a combined magnification that underflows to zero
+    "optics_zero_f": (["optics", "--lens", "concave", "--f", "0", "--db", "0.04",
+                       "--do1", "6", "--fc", "0.026"], []),
+    "optics_magnification_underflows": (["optics", "--lens", "concave", "--f", "1e-200",
+                                         "--db", "0.04", "--do1", "6", "--fc",
+                                         "1e-200"], []),
     # simulate: gray and RGB, masks, overrides, config, the error exits
     "simulate_gray_circle_masks": ([*_SIM, "--output", "sim_a.pgm", "--lens-kind",
                                     "convex", "--level", "5", *_CIRCLE,
@@ -105,6 +112,9 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "simulate_rgb_convex_circle": (["simulate", "--input", "rgb.ppm", "--output",
                                     "sim_p.ppm", "--lens-kind", "convex", "--level", "4",
                                     *_CIRCLE], ["sim_p.ppm"]),
+    "simulate_subpixel_radius": ([*_SIM, "--output", "sim_q.pgm", "--level", "2",
+                                  "--region", "circle", "--cx", "80", "--cy", "60",
+                                  "--radius", "0.5"], ["sim_q.pgm"]),
     # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
     # and off the frame, both modes, the error exits
     "optimize_proxy_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind", "concave",
@@ -165,6 +175,13 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                             "--cy", "500", "--radius", "20", "--estimator",
                                             "external", "--maps", "maps_le", "--alphas",
                                             "0.1,0.5"], []),
+    # an alpha out of [0, 1] after a valid one, and a rescale constant of 0
+    "optimize_alpha_out_of_range": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                     "concave", *_CIRCLE, "--estimator", "external",
+                                     "--maps", "maps_le", "--alphas", "0.1,1.5"], []),
+    "optimize_rescale_zero": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
+                               *_CIRCLE, "--estimator", "external", "--maps",
+                               "maps_pgm", "--rescale", "0", "--alphas", "0.1"], []),
     # metrics: scalar and map modes, the error exits
     "metrics_adr_scalars": (["metrics", "--kind", "adr", "--attacked", "0.36",
                              "--benign", "0.28"], []),
@@ -289,6 +306,7 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_coerced_seed": (["scenario", "--sigma", "0.5", "--seed", "1_0"], []),
     "scenario_coerced_gap0": (["scenario", "--gap0", "\u0664\u0660"], []),
     "scenario_coarse_dt": (["scenario", "--dt", "0.1"], []),
+    "scenario_negative_sigma": (["scenario", "--sigma", "-1"], []),
 }
 
 _CONFIGS = {

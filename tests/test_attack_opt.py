@@ -366,6 +366,32 @@ def test_a_file_backed_search_renders_nothing(tmp_path, monkeypatch, region, len
     assert calls == {"scale_region": 0, "box_blur": 0, "apply_attack_transform": 9}
 
 
+def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
+    """Each external map stays the file's float32 frame from load to loss:
+    the search's peak is the benign and one level's map at 4 bytes a pixel,
+    the out-of-lens mask and its float64 loss selection, and 4 MiB more. A
+    float64 copy of either map would add 8 MB."""
+    rng = np.random.default_rng(6)
+    for tag in ["benign", "level_1", "level_2"]:
+        values = rng.uniform(0.5, 2.0, (1080, 1920)).astype(np.float32)
+        values[::7, ::5] = np.nan
+        write_pfm(tmp_path / f"{tag}.pfm", values)
+    region = LensRegion.circle(960, 540, 300)
+    cfg = LossConfig(alpha=0.3, mode=Mode.UNTARGETED,
+                     vehicle_box=Box(860, 440, 1060, 640), region=region)
+    image = RasterImage(np.full((1080, 1920), 128, np.uint8))
+    m_out = ~region_masks(1920, 1080, region)
+    tracemalloc.start()
+    try:
+        optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE,
+                       levels=(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    maps = 2 * 4 * m_out.size
+    assert peak <= maps + m_out.size + 8 * np.count_nonzero(m_out) + 4 * 2 ** 20
+
+
 class RandomMapEstimator:
     """Seeded random maps per tag, with NaN holes; one tag may be missing."""
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
 from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
@@ -13,7 +14,8 @@ from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
 from depthlens import formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
-from helpers import fiducial_reading, render_fiducial, write_pfm, write_pgm16
+from helpers import (fiducial_reading, render_fiducial, strip_values, write_pfm,
+                     write_pgm16)
 from oracles import dense_box_mask, nonzero_blob_extent, reference_load_depth_map
 
 
@@ -38,6 +40,16 @@ class TestRescale:
         got = _rescaled(tmp_path, values, 3.7)
         want = reference_load_depth_map(tmp_path / "benign.pfm", "disparity") / 3.7
         assert got.tobytes() == want.tobytes()
+
+    def test_divides_in_float64(self, tmp_path):
+        """The file's float32 values are divided as float64: the quotient is
+        not rounded to float32, which every value here would show."""
+        f32 = np.array([[1.0, 2.0, 0.1], [3e38, 7.0, 1e-45]], np.float32)
+        got = _rescaled(tmp_path, f32, 3.0)
+        want = f32.astype(np.float64) / 3.0
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert (np.float64(f32 / np.float32(3.0)) != want).all()
 
     def test_identity_and_zeros(self, tmp_path):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -137,7 +149,7 @@ class TestLoaders:
         path = tmp_path / "d.pfm"
         write_pfm(path, np.array([[5.0, 0.0], [-1.0, 2.0]], dtype=np.float32))
         depth = load_depth_map(path, kind="depth")
-        assert depth.dtype == np.float64
+        assert depth.dtype == np.float32
         assert depth[0, 0] == 5.0
         assert np.isnan(depth[0, 1]) and np.isnan(depth[1, 0])
 
@@ -204,6 +216,38 @@ class TestMaskedMean:
         base = masked_mean(vals, mask)
         perm = rng.permutation(16)
         assert masked_mean(vals[perm], mask[perm]) == pytest.approx(base)
+
+
+# float32 samples: any finite value, NaN, the infinities, both zeros, the
+# extremes and the subnormals, drawn often.
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32 = st.one_of(st.floats(width=32), st.sampled_from(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, _F32_MAX, -_F32_MAX, 1e-45, -1e-45,
+     float(np.finfo(np.float32).smallest_normal)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), strip=st.sampled_from([1, 7, 2 ** 16]))
+def test_a_float32_map_means_as_its_float64_widening(data, strip):
+    """``masked_mean`` of float32 values, with no reference, a float32
+    number or a float32 map, equals (``==``) ``masked_mean`` of their float64
+    widenings: the same selected values, summed in the same order."""
+    shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    values = data.draw(hnp.arrays(np.float32, shape, elements=_F32))
+    mask = data.draw(hnp.arrays(np.bool_, shape))
+    reference = data.draw(st.one_of(
+        st.none(), _F32.map(np.float32), hnp.arrays(np.float32, shape, elements=_F32)))
+    wide = None if reference is None else np.float64(reference)
+
+    def outcome(*args):
+        try:
+            return masked_mean(*args)
+        except EmptyMask:
+            return "empty"
+
+    with strip_values(strip):
+        assert (outcome(values, mask, reference)
+                == outcome(values.astype(np.float64), mask, wide))
 
 
 class TestBoxes:

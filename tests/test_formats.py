@@ -54,15 +54,14 @@ class TestReadPfm:
     @pytest.mark.parametrize("scale, order", [(b"-1.0", "<f4"), (b"1.0", ">f4")])
     def test_either_byte_order_reads_as_native_float32(self, tmp_path, scale, order):
         """The writer emits little-endian only; a big-endian map must still
-        come back as the native float32 values, bit for bit, widened to
-        float64 (exactly, so narrowing gives the bits back)."""
+        come back as the native float32 values, bit for bit."""
         values = np.array([[1.5, -2.25, np.nan], [3e38, -0.0, 1e-45]], np.float32)
         path = tmp_path / "m.pfm"
         path.write_bytes(b"Pf\n3 2\n" + scale + b"\n"
                          + values[::-1].astype(order).tobytes())
         got = formats.read_pfm(path)
-        assert got.dtype == np.dtype(np.float64)
-        assert got.astype(np.float32).tobytes() == values.tobytes()
+        assert got.dtype == np.dtype(np.float32)
+        assert got.tobytes() == values.tobytes()
 
 
 class TestReadPgm16:
@@ -98,9 +97,9 @@ class TestReadPgm16:
         write_pgm16(path, np.array([[0.0, 65535.0]]), scale=1.0)
         (tmp_path / "d.pgm.scale").write_text(f"{scale!r}\n")
         got = formats.read_pgm16(path)
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         expected = np.array([[0.0, 65535.0]], np.float32) * np.float32(scale)
-        assert got.astype(np.float32).tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.tobytes()
         assert got[0, 0] == 0.0 and np.isfinite(got[0, 1])
 
 
@@ -219,6 +218,22 @@ def test_pnm_round_trip_is_byte_exact(tmp_path_factory, data):
     assert back.tobytes() == data.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1080, 1920), (1080, 1920, 3)])
+def test_pnm_write_sends_the_array_buffer(tmp_path, shape):
+    """A 1080p write allocates under 1 MiB: the file is written from the
+    array's own buffer, with no bytes copy of the raster."""
+    data = np.random.default_rng(0).integers(0, 256, shape, dtype=np.uint8)
+    path = tmp_path / "f.pnm"
+    tracemalloc.start()
+    try:
+        formats.write_pnm(path, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert path.read_bytes().endswith(data.tobytes())
+
+
 # One or more whitespace bytes, then any mix of whitespace and ``#`` comments
 # running to a CR or LF.
 _COMMENT = st.tuples(st.binary(max_size=8), st.sampled_from([b"\n", b"\r"])).map(
@@ -245,15 +260,15 @@ def test_pnm_header_tolerates_whitespace_runs_and_comments(tmp_path_factory, gap
 @given(data=hnp.arrays(np.float32, st.tuples(_SIDES, _SIDES),
                        elements=st.floats(width=32, allow_infinity=False)),
        kind=st.sampled_from(["depth", "disparity"]))
-def test_pfm_loads_as_float64_with_holes_marked(tmp_path_factory, data, kind):
+def test_pfm_loads_as_float32_with_holes_marked(tmp_path_factory, data, kind):
     """NaN holes stay NaN; non-positive depths and negative disparities
-    become NaN; every other sample is the float32 value widened."""
+    become NaN; every other sample is the file's float32 value."""
     path = tmp_path_factory.mktemp("pfm") / "m.pfm"
     write_pfm(path, data)
-    expected = data.astype(np.float64)
+    expected = data.copy()
     expected[~(expected > 0) if kind == "depth" else expected < 0] = np.nan
     loaded = load_depth_map(path, kind=kind)
-    assert loaded.dtype == np.float64
+    assert loaded.dtype == np.float32
     np.testing.assert_array_equal(loaded, expected)
 
 
@@ -265,11 +280,11 @@ def test_pgm16_round_trip_recovers_counts(tmp_path_factory, counts, scale):
     path = tmp_path_factory.mktemp("pgm16") / "m.pgm"
     write_pgm16(path, counts * scale, scale=scale)
     values = formats.read_pgm16(path)
-    assert values.dtype == np.float64
-    assert np.array_equal(np.round(values / scale), counts)
-    # counts widened to float32, then scaled in float32, then widened
+    assert values.dtype == np.float32
+    assert np.array_equal(np.round(values.astype(np.float64) / scale), counts)
+    # counts widened to float32, then scaled in float32
     expected = counts.astype(np.float32) * np.float32(scale)
-    assert values.astype(np.float32).tobytes() == expected.tobytes()
+    assert values.tobytes() == expected.tobytes()
 
 
 # Values a float map may hold: any float32, with NaN, the infinities, -0.0
@@ -358,8 +373,8 @@ def test_pnm_reader_matches_the_whole_file_reader(tmp_path_factory, data):
 def test_streamed_readers_match_the_whole_file_readers(tmp_path_factory, spec, kind,
                                                        strip):
     """Each map reader and ``load_depth_map`` return the whole-file oracle's
-    values widened to float64, bit for bit (NaN payloads, signed zeros and
-    subnormals included), with heights of 1 and heights that are not a
+    values, compared widened to float64, bit for bit (NaN payloads, signed
+    zeros and subnormals included), with heights of 1 and heights that are not a
     multiple of the strip rows; a damaged file raises the oracle's
     ParseError, text and byte offset, headers longer than the buffered
     reader's first read included."""
@@ -502,8 +517,9 @@ def test_header_ending_at_any_offset_around_the_first_read(tmp_path, third):
 
 @pytest.mark.parametrize("fmt", ["pfm", "pgm16"])
 def test_load_depth_map_peak_is_the_frame(tmp_path, fmt):
-    """A 1080p map load allocates its float64 frame and at most 1 MiB more:
-    no copy of the file's bytes, no float32 frame, no frame-sized mask."""
+    """A 1080p map load allocates its float32 frame, 4 bytes a pixel, and
+    at most 1 MiB more: no copy of the file's bytes, no float64 frame, no
+    frame-sized mask."""
     rng = np.random.default_rng(0)
     path = tmp_path / "m.map"
     if fmt == "pfm":
@@ -519,4 +535,4 @@ def test_load_depth_map_peak_is_the_frame(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert loaded.shape == (1080, 1920)
-    assert peak <= loaded.nbytes + 2 ** 20
+    assert peak <= 4 * 1080 * 1920 + 2 ** 20
