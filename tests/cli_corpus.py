@@ -129,6 +129,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                         "convex", *_CIRCLE, "--estimator", "external",
                                         "--maps", "maps_be", "--map-kind", "depth",
                                         "--y-tar", "9.5"], []),
+    # a lens small enough that the out-of-lens loss keeps more values
+    # (about 17k) than one pairwise-sum subtree of the masked mean holds
+    "optimize_pfm_small_lens": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
+                                 "--region", "circle", "--cx", "80", "--cy", "60",
+                                 "--radius", "20", "--estimator", "external", "--maps",
+                                 "maps_le", "--alphas", "0.3"], []),
     "optimize_pgm16_rescaled": ([*_OPT, "--mode", "untargeted", "--lens-kind",
                                  "concave", *_CIRCLE, "--estimator", "external",
                                  "--maps", "maps_pgm", "--rescale", "2",
