@@ -13,9 +13,10 @@ better), and L_out penalizes any estimate drift outside the lens outline
 All reductions are masked L1 means, which keeps alpha meaningful regardless
 of mask sizes. Each loss is one ``estimation.masked_mean`` with the benign
 map or the target as reference, so ``|a - b|`` is formed strip by strip,
-never as a frame-sized map, and a map is scored in the dtype the
-estimator returns (float32 from a file): the mean widens each strip, so
-no map is copied to float64 and the losses are those of the float64 copy.
+never as a frame-sized map, and its kept values are summed as they come,
+never held as a selection; a map is scored in the dtype the estimator
+returns (float32 from a file): the mean widens each strip, so no map is
+copied to float64 and the losses are those of the float64 copy.
 The vehicle terms are reduced on the vehicle box's crop: the pixels of its
 full-frame mask in the same order, so the same bits at the cost of a box.
 The search holds one level's map at a time: a map is dropped before the
@@ -166,8 +167,8 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
             # One level's map at a time: the last one goes before this one is
             # made, so an estimator that reads pixels renders after it goes.
             # The attacked frame, allocated by the call above, keeps the
-            # freed map and loss selection from forming a heap top that
-            # glibc would trim and the render would fault back in.
+            # freed map from forming a heap top that glibc would trim and
+            # the render would fault back in.
             est_att = att_veh = None
             est_att = estimator.estimate_map(attacked, tag=f"level_{level}")
             attacked = None  # only the estimator reads the render

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the one range rule for
-numbers from outside (NaN passes a hand-written ``value <= 0``, not these).
+"""Exception types shared across the toolkit, the one range rule for
+numbers from outside (NaN passes a hand-written ``value <= 0``, not these)
+and the one dtype rule for masks (a uint8 mask is not coerced).
 
 Callers (the optimizer, the CLI) branch on these, so every failure mode that
 is part of a module contract has a dedicated class instead of a bare
@@ -24,6 +25,14 @@ def check_positive(**values: float) -> None:
         if not (math.isfinite(value) and value > 0):
             raise ValueError(
                 f"{name.replace('_', ' ')} must be finite and positive, got {value}")
+
+
+def check_bool(**arrays) -> None:
+    """Reject the first array that is not boolean, naming it in words:
+    ``blur_mask=m`` reads "blur mask must be bool, got uint8"."""
+    for name, array in arrays.items():
+        if array.dtype != bool:
+            raise ValueError(f"{name.replace('_', ' ')} must be bool, got {array.dtype}")
 
 
 class DepthlensError(Exception):

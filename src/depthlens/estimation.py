@@ -15,7 +15,9 @@ everything around them:
 * masked means, the reduction every metric and loss in this toolkit starts
   from; given a reference map or number they average
   ``|map - reference|`` in row strips, without a frame-sized difference
-  map.
+  map or a held selection: the kept values stream through NumPy's
+  pairwise-sum tree one subtree at a time, so a mean has the bits of
+  ``np.mean`` over the whole selection.
 
 A depth or disparity map is a plain float ``np.ndarray`` of shape (h, w):
 float32 as read from a PFM/PGM16 file; float64 from the proxy or when
@@ -33,9 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMask, FiducialNotFound, ParseError, check_positive
+from .errors import EmptyMask, FiducialNotFound, ParseError, check_bool, check_positive
 from . import formats
 from .imaging import RasterImage, _strips
+
+# NumPy's pairwise sum (``np.add.reduce`` of a contiguous float64 array, and
+# so ``np.mean``) adds blocks of at most 128 values with 8 accumulators and
+# splits a longer span at half its length rounded down to a multiple of 8.
+# ``masked_mean`` reduces the subtrees of at most this many values whole.
+_SUBTREE = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -123,37 +131,129 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     """Arithmetic mean over the valid (finite) masked pixels of ``values``,
     or of ``|values - reference|`` when a reference map or number is given.
 
-    Rows are read in strips: the difference widens both operands to
-    float64 before it subtracts (under NEP 50 a float32 map minus a Python
-    float stays float32), and each strip's finite masked values are
-    appended in row-major order to one float64 array of
-    ``count_nonzero(mask)`` values. A float32 map thus gives the sum of its
-    float64 copy's frame-wide selection, in the same order.
+    It has the bits of ``np.mean`` over the float64 selection in row-major
+    order, and holds no selection: ``np.mean`` is NumPy's pairwise sum over
+    the count (the rule is at ``_SUBTREE``; a property test against
+    ``np.mean`` pins it), and the count alone fixes that tree, so the kept
+    values stream strip by strip through one buffer of ``_SUBTREE`` values,
+    each subtree reduced by ``np.add.reduce`` as it fills, and the subtree
+    sums are added pairwise up the tree.
+
+    The count is first taken to be the mask's: over more than one subtree,
+    every masked value is summed unchecked, and a sum that is finite shows
+    they all are. Otherwise the masked pixels with finite operands are
+    counted, and the sum is made again over the finite values; a float64
+    difference that overflows costs one more pass. Strips are differenced
+    in float64, a float32 operand widened into a strip buffer first, so a
+    float32 map gives the mean of its float64 copy.
     """
     values = np.asarray(values)
+    check_bool(mask=mask)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} does not match map {values.shape}")
     if np.ndim(reference) and np.shape(reference) != values.shape:
         raise ValueError(
             f"reference shape {np.shape(reference)} does not match map {values.shape}"
         )
-    selected = np.empty(np.count_nonzero(mask), dtype=np.float64)
-    filled = 0
-    for strip in _strips(len(values), math.prod(values.shape[1:])):
-        part = values[strip]
-        if reference is not None:
-            with np.errstate(invalid="ignore"):  # inf - inf: a NaN dropped below
-                part = np.subtract(part, reference[strip] if np.ndim(reference)
-                                   else reference, dtype=np.float64)
-            np.abs(part, out=part)
-        keep = np.isfinite(part)
-        keep &= mask[strip]
-        part = part[keep]
-        selected[filled:filled + len(part)] = part
-        filled += len(part)
-    if filled == 0:
+    masked = int(np.count_nonzero(mask))
+    # inf - inf, and inf + -inf in an unchecked sum, are NaNs that are not kept
+    with np.errstate(invalid="ignore"):
+        total, kept = _tree_sum(values, mask, reference, masked, unchecked=True)
+        if total is None:  # a masked value is not finite, or the sum overflowed
+            kept = _finite_count(values, mask, reference)
+        while total is None and kept:  # the kept count fixes the tree
+            total, kept = _tree_sum(values, mask, reference, kept, unchecked=False)
+    if kept == 0:
         raise EmptyMask("no valid pixel under the mask")
-    return float(selected[:filled].mean())
+    return float(total / kept)
+
+
+def _subtree_lengths(count: int) -> list[int]:
+    """Lengths, left to right, of the nodes of NumPy's pairwise-sum tree over
+    ``count`` values at the first depth where none exceeds ``_SUBTREE``.
+    Node lengths at one depth differ by less than 30, so with ``_SUBTREE`` of
+    256 or more every node split here is longer than a 128-value block."""
+    lengths = [count]
+    while max(lengths) > _SUBTREE:
+        lefts = [n // 2 - n // 2 % 8 for n in lengths]
+        lengths = [side for n, left in zip(lengths, lefts) for side in (left, n - left)]
+    return lengths
+
+
+def _float64(part: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``part`` if it is float64, else ``part`` widened into ``out``: a
+    widening copy costs less than a subtraction that casts as it goes."""
+    if part.dtype == np.float64:
+        return part
+    np.copyto(out, part)
+    return out
+
+
+def _finite_count(values, mask, reference) -> int:
+    """How many masked pixels have finite operands: the kept count, unless a
+    float64 difference of finite operands overflows."""
+    count = 0
+    for strip in _strips(len(values), math.prod(values.shape[1:])):
+        finite = np.isfinite(values[strip])
+        if reference is not None:
+            finite &= np.isfinite(reference[strip] if np.ndim(reference) else reference)
+        finite &= mask[strip]
+        count += np.count_nonzero(finite)
+    return count
+
+
+def _tree_sum(values, mask, reference, count: int, unchecked: bool):
+    """Sum of the finite masked values (of ``|values - reference|`` with a
+    reference) in row-major order, added as NumPy's pairwise sum adds
+    ``count`` values, and how many such values there are. The sum is None
+    when that is not ``count`` and the tree has more than one subtree; one
+    subtree is one ``np.add.reduce``, right for any count.
+
+    ``unchecked`` sums every masked value of a tree of several subtrees, as
+    if all were finite. Then the sum is None unless every subtree sum is
+    finite, and the pass ends at the first strip that makes one not.
+    """
+    lengths = _subtree_lengths(count)
+    unchecked = unchecked and len(lengths) > 1
+    sums = np.empty(len(lengths))
+    tree = np.empty(max(lengths))
+    node = filled = kept = 0
+    widened = None
+    for strip in _strips(len(values), math.prod(values.shape[1:])):
+        part, in_mask = values[strip], mask[strip]
+        if reference is not None:
+            if widened is None:
+                widened = np.empty((2,) + part.shape)
+            wide, wide_ref = widened[:, :len(part)]
+            ref = reference[strip] if np.ndim(reference) else reference
+            part = np.subtract(_float64(part, wide),
+                               _float64(ref, wide_ref) if np.ndim(ref) else ref, out=wide)
+        keep = in_mask
+        if not unchecked:
+            keep = np.isfinite(part)
+            keep &= in_mask
+        part = part[keep]
+        kept += len(part)
+        while len(part):
+            take = min(len(part), lengths[node] - filled)
+            if reference is None:
+                tree[filled:filled + take] = part[:take]
+            else:
+                np.abs(part[:take], out=tree[filled:filled + take])
+            part = part[take:]
+            filled += take
+            if filled == lengths[node] and node + 1 < len(lengths):
+                sums[node] = np.add.reduce(tree[:filled])
+                node += 1
+                filled = 0
+        if unchecked and not np.isfinite(sums[:node]).all():
+            break  # a masked value is not finite
+    sums[-1] = np.add.reduce(tree[:filled])  # the last subtree, or the only one
+    if kept != count and len(lengths) > 1 or unchecked and not np.isfinite(sums).all():
+        return None, kept
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0], kept
 
 
 def load_boxes(path) -> list[Box]:

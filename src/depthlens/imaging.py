@@ -58,7 +58,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadLevel, DegenerateRegion, check_finite, check_positive
+from .errors import (BadLevel, DegenerateRegion, check_bool, check_finite,
+                     check_positive)
 from . import formats
 
 # Values (pixels times channels) per row strip of the raster kernels.
@@ -357,8 +358,7 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
     from, as every source row enters the row sums before its output row is
     written.
     """
-    if mask.dtype != np.bool_:
-        raise ValueError(f"blur mask must be bool, got {mask.dtype}")
+    check_bool(blur_mask=mask)
     if mask.shape != (image.height, image.width):
         raise ValueError(
             f"mask shape {mask.shape} does not match image "

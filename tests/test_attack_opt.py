@@ -139,7 +139,7 @@ class TestLossOut:
         with pytest.raises(ValueError, match="does not match"):
             loss_out(np.ones((3, 4)), np.ones(b_shape), np.ones(mask_shape, bool))
 
-    def test_peak_memory_is_the_selection(self):
+    def test_peak_memory_is_a_few_strips(self):
         rng = np.random.default_rng(5)
         a, b = rng.uniform(4.0, 40.0, (2, 1080, 1920))
         m_out = ~region_masks(1920, 1080, LensRegion.circle(960, 540, 300))
@@ -149,7 +149,25 @@ class TestLossOut:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * np.count_nonzero(m_out) + 4 * 2 ** 20
+        assert peak <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("radius", [150, 500])
+    def test_peak_memory_does_not_grow_with_the_selection(self, radius):
+        """float32 maps with NaN holes, as read from PFM files: the kept
+        count is known only after a pass, and no pass holds the selection
+        (1.3 to 2.0 M values here, 8 bytes each)."""
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(0.5, 2.0, (2, 1080, 1920)).astype(np.float32)
+        a[::7, ::5] = np.nan
+        b[3::11, ::13] = np.nan
+        m_out = ~region_masks(1920, 1080, LensRegion.circle(960, 540, radius))
+        tracemalloc.start()
+        try:
+            loss_out(a, b, m_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class FakeEstimator:
@@ -369,8 +387,8 @@ def test_a_file_backed_search_renders_nothing(tmp_path, monkeypatch, region, len
 def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
     """Each external map stays the file's float32 frame from load to loss:
     the search's peak is the benign and one level's map at 4 bytes a pixel,
-    the out-of-lens mask and its float64 loss selection, and 4 MiB more. A
-    float64 copy of either map would add 8 MB."""
+    the out-of-lens mask, and 4 MiB more. A float64 copy of either map would
+    add 8 MB, and so would the losses' selections if they were held."""
     rng = np.random.default_rng(6)
     for tag in ["benign", "level_1", "level_2"]:
         values = rng.uniform(0.5, 2.0, (1080, 1920)).astype(np.float32)
@@ -389,7 +407,7 @@ def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
     finally:
         tracemalloc.stop()
     maps = 2 * 4 * m_out.size
-    assert peak <= maps + m_out.size + 8 * np.count_nonzero(m_out) + 4 * 2 ** 20
+    assert peak <= maps + m_out.size + 4 * 2 ** 20
 
 
 class RandomMapEstimator:

@@ -42,6 +42,9 @@ ALLOWED = [
     # --detect-threshold is range-checked there
     ("errors", "check_finite",
      "raise ValueError(f\"{name.replace('_', ' ')} must be finite, got {value}\")"),
+    # the CLI passes only the bool masks it builds: to the blur and the means
+    ("errors", "check_bool",
+     "raise ValueError(f\"{name.replace('_', ' ')} must be bool, got {array.dtype}\")"),
     ("estimation", "FiducialSpec.__post_init__",
      'raise ValueError("detection threshold must be an 8-bit level")'),
     # --map-kind takes "depth" or "disparity" only
@@ -73,9 +76,8 @@ ALLOWED = [
      'raise ValueError(f"raster must be (h, w) or (h, w, 3), got {data.shape}")'),
     ("imaging", "RasterImage.__init__", 'raise ValueError("raster needs at least one pixel")'),
     # frame sizes, --blur and --level are checked by the readers and the
-    # option parser; the CLI always passes a region and a bool mask
+    # option parser; the CLI always passes a region and a mask of the frame's shape
     ("imaging", "region_masks", 'raise ValueError("mask dimensions must be positive")'),
-    ("imaging", "box_blur", 'raise ValueError(f"blur mask must be bool, got {mask.dtype}")'),
     ("imaging", "box_blur", "raise ValueError("),
     ("imaging", "box_blur", 'raise ValueError("blur radius must be non-negative")'),
     ("imaging", "AttackProfile.__post_init__",

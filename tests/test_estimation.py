@@ -11,12 +11,13 @@ from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
 from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper, _find_blob, load_boxes,
                                   load_depth_map, masked_mean)
-from depthlens import formats
+from depthlens import estimation, formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
 from helpers import (fiducial_reading, render_fiducial, strip_values, write_pfm,
                      write_pgm16)
-from oracles import dense_box_mask, nonzero_blob_extent, reference_load_depth_map
+from oracles import (_dense_abs_diff, dense_box_mask, nonzero_blob_extent,
+                     reference_load_depth_map)
 
 
 def _rescaled(tmp_path, values, constant):
@@ -209,6 +210,11 @@ class TestMaskedMean:
         reference = np.array([[inf, 1.5], [2.0, 3.0]])
         assert masked_mean(values, np.ones((2, 2), bool), reference) == 0.5 / 3
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_mask_must_be_bool(self, dtype):
+        with pytest.raises(ValueError, match=f"^mask must be bool, got {np.dtype(dtype)}$"):
+            masked_mean(np.ones((2, 3)), np.ones((2, 3), dtype))
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(1, 50, (16, 16))
@@ -248,6 +254,68 @@ def test_a_float32_map_means_as_its_float64_widening(data, strip):
     with strip_values(strip):
         assert (outcome(values, mask, reference)
                 == outcome(values.astype(np.float64), mask, wide))
+
+
+def _numpy_mean_of_dense_selection(values, mask, reference):
+    """``np.mean`` of the dense selection: ``|values - reference|`` (or the
+    values) in float64, the masked pixels in row-major order, the finite
+    ones of those."""
+    if reference is None:
+        dense = np.asarray(values, dtype=np.float64)
+    else:
+        dense = _dense_abs_diff(values, reference)
+    selected = dense[mask]
+    selected = selected[np.isfinite(selected)]
+    return float(np.mean(selected)) if selected.size else "empty"
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data(), subtree=st.sampled_from([256, 300, 2 ** 14]),
+       strip=st.sampled_from([1, 7, 2 ** 16]))
+def test_masked_mean_is_numpy_mean_of_the_dense_selection(data, subtree, strip):
+    """``masked_mean`` streams the selection through NumPy's pairwise-sum
+    tree of the kept count, one subtree at a time; it must give the bits of
+    ``np.mean`` over the whole selection. Counts run from 1 past 10^5 and
+    the subtree size is drawn small, so every depth of the tree above the
+    subtrees is drawn; NaN, the infinities and -0.0 are drawn often, and
+    float64 pairs whose finite difference overflows to inf. A change to
+    NumPy's pairwise-sum rule (blocks of 128, split at half rounded down to
+    a multiple of 8) fails here."""
+    size = data.draw(st.one_of(st.integers(1, 300), st.integers(300, 20_000),
+                               st.integers(112_000, 160_000)))
+    w = data.draw(st.integers(max(1, size // 1000), min(size, 600)))
+    h = -(-size // w)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def a_map():
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        scale = data.draw(st.sampled_from(
+            [1.0, 1e6] + ([0.9 * float(np.finfo(np.float64).max)] if dtype == np.float64
+                          else [])))
+        values = rng.uniform(-1.0, 1.0, (h, w)) * scale
+        special = rng.random((h, w)) < data.draw(st.sampled_from([0.0, 0.001, 0.1, 1.0]))
+        values[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], special.sum())
+        return values.astype(dtype)
+
+    values = a_map()
+    mask = rng.random((h, w)) < data.draw(st.sampled_from([0.0, 0.01, 0.5, 0.9, 1.0]))
+    reference = data.draw(st.sampled_from(["none", "number", "map"]))
+    if reference == "none":
+        reference = None
+    elif reference == "number":
+        reference = data.draw(st.one_of(st.floats(-1e6, 1e6),
+                                        st.sampled_from([np.nan, np.inf, -0.0])))
+    else:
+        reference = a_map()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _numpy_mean_of_dense_selection(values, mask, reference)
+        with strip_values(strip), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_SUBTREE", subtree)
+            try:
+                got = masked_mean(values, mask, reference)
+            except EmptyMask:
+                got = "empty"
+    assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestBoxes:
