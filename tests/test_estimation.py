@@ -215,6 +215,24 @@ class TestMaskedMean:
         with pytest.raises(ValueError, match=f"^mask must be bool, got {np.dtype(dtype)}$"):
             masked_mean(np.ones((2, 3)), np.ones((2, 3), dtype))
 
+    def test_negative_zeros_sum_to_positive_zero_as_in_numpy(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_SUBTREE", 256)
+        values = np.full((40, 40), -0.0)
+        assert repr(masked_mean(values, np.ones(values.shape, bool))) == "0.0"
+
+    def test_overflowing_float64_differences_are_dropped(self, monkeypatch):
+        """A finite pair whose difference overflows is not kept: its pixel
+        shows only in the difference, so the count of finite operands is one
+        too many and the sum is made once more on the kept count."""
+        monkeypatch.setattr(estimation, "_SUBTREE", 256)
+        rng = np.random.default_rng(3)
+        values, reference = rng.uniform(1.0, 2.0, (2, 30, 40))
+        values[5, 7], reference[5, 7] = 1e308, -1e308
+        mask = np.ones(values.shape, bool)
+        with np.errstate(over="ignore"):
+            want = _numpy_mean_of_dense_selection(values, mask, reference)
+            assert masked_mean(values, mask, reference) == want
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(1, 50, (16, 16))
@@ -275,12 +293,13 @@ def _numpy_mean_of_dense_selection(values, mask, reference):
 def test_masked_mean_is_numpy_mean_of_the_dense_selection(data, subtree, strip):
     """``masked_mean`` streams the selection through NumPy's pairwise-sum
     tree of the kept count, one subtree at a time; it must give the bits of
-    ``np.mean`` over the whole selection. Counts run from 1 past 10^5 and
-    the subtree size is drawn small, so every depth of the tree above the
-    subtrees is drawn; NaN, the infinities and -0.0 are drawn often, and
-    float64 pairs whose finite difference overflows to inf. A change to
-    NumPy's pairwise-sum rule (blocks of 128, split at half rounded down to
-    a multiple of 8) fails here."""
+    ``np.mean`` over the whole selection (``repr`` tells -0.0 from 0.0).
+    Counts run from 1 past 10^5 and the subtree size is drawn small, so
+    every depth of the tree above the subtrees is drawn; NaN, the
+    infinities and -0.0 are drawn often, and float64 pairs whose finite
+    difference overflows to inf. A change to NumPy's pairwise-sum rule
+    (blocks of 128, split at half rounded down to a multiple of 8) fails
+    here."""
     size = data.draw(st.one_of(st.integers(1, 300), st.integers(300, 20_000),
                                st.integers(112_000, 160_000)))
     w = data.draw(st.integers(max(1, size // 1000), min(size, 600)))
@@ -315,7 +334,7 @@ def test_masked_mean_is_numpy_mean_of_the_dense_selection(data, subtree, strip):
                 got = masked_mean(values, mask, reference)
             except EmptyMask:
                 got = "empty"
-    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert repr(got) == repr(want)  # -0.0 and 0.0 differ; NaN equals NaN
 
 
 class TestBoxes:
