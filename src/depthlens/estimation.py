@@ -44,7 +44,7 @@ from .imaging import RasterImage, _strips
 # splits a longer span at half its length rounded down to a multiple of 8.
 # ``masked_mean`` reduces the subtrees of at most this many values whole:
 # 128 KiB of float64, and few enough that a 160x120 frame of the CLI corpus
-# spans two subtrees (2^13 to 2^17 ran equally fast at 1080p).
+# spans two subtrees (of 2^13 to 2^17, 2^14 and 2^15 ran fastest at 1080p).
 _SUBTREE = 2 ** 14
 
 
