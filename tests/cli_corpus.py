@@ -103,10 +103,13 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "simulate_circle_off_frame": ([*_SIM, "--output", "sim_m.pgm", "--level", "2",
                                    "--region", "circle", "--cx", "500", "--cy", "500",
                                    "--radius", "20"], ["sim_m.pgm"]),
-    # render paths: a blur without a rescale, the identity profile, and an
-    # RGB circle, whose strips are merged by the bitwise select
+    # render paths: a blur without a rescale, a rescale without a blur, the
+    # identity profile, and an RGB circle, whose strips are merged by the
+    # bitwise select
     "simulate_blur_only_circle": ([*_SIM, "--output", "sim_n.pgm", "--blur", "2",
                                    *_CIRCLE], ["sim_n.pgm"]),
+    "simulate_scale_only_circle": ([*_SIM, "--output", "sim_r.pgm", "--scale", "0.8",
+                                    "--blur", "0", *_CIRCLE], ["sim_r.pgm"]),
     "simulate_identity_profile": ([*_SIM, "--output", "sim_o.pgm", "--scale", "1",
                                    "--blur", "0"], ["sim_o.pgm"]),
     "simulate_rgb_convex_circle": (["simulate", "--input", "rgb.ppm", "--output",
