@@ -217,20 +217,20 @@ def alpha_sweep(benign: RasterImage, estimator: Estimator, base_cfg: LossConfig,
                 alphas, lens_kind: LensKind) -> list[SweepRow]:
     """One full optimization per weighting coefficient.
 
-    Failures are confined to their row (marked, not raised) so a sweep with
-    one missing pre-computed map still reports every other alpha.
+    Every alpha is checked before any search runs. Failures are confined to
+    their row (marked, not raised) so a sweep with one missing pre-computed
+    map still reports every other alpha.
     """
-    alphas = list(alphas)
-    if not alphas:
+    cfgs = [replace(base_cfg, alpha=alpha) for alpha in alphas]
+    if not cfgs:
         raise ValueError("alpha list must not be empty")
     rows = []
-    for alpha in alphas:
-        cfg = replace(base_cfg, alpha=alpha)
+    for cfg in cfgs:
         try:
-            rows.append(SweepRow(alpha, cfg.mode, optimize_level(
+            rows.append(SweepRow(cfg.alpha, cfg.mode, optimize_level(
                 benign, estimator, cfg, lens_kind)))
         except OptimizationError as exc:
-            rows.append(SweepRow(alpha, cfg.mode, None, error=str(exc)))
+            rows.append(SweepRow(cfg.alpha, cfg.mode, None, error=str(exc)))
     return rows
 
 

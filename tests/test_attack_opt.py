@@ -592,6 +592,23 @@ class TestAlphaSweep:
         with pytest.raises(ValueError):
             alpha_sweep(image, est, cfg, [], LensKind.CONCAVE)
 
+    @pytest.mark.parametrize("alphas, calls", [((0.1, 1.5), 0), ((-0.2, 0.3), 0),
+                                               ((0.1, 0.3), 20), ((0.4,), 10)])
+    def test_every_alpha_is_checked_before_any_search(self, alphas, calls):
+        image, box, region, est = fake_setup({lv: (1.0, 1.0) for lv in range(1, 10)})
+        seen = []
+        estimate_map = est.estimate_map
+        est.estimate_map = lambda image, tag=None: seen.append(tag) or estimate_map(image, tag)
+        cfg = LossConfig(alpha=0.1, mode=Mode.UNTARGETED, vehicle_box=box, region=region)
+        if calls:
+            assert len(alpha_sweep(image, est, cfg, alphas, LensKind.CONCAVE)) == len(alphas)
+        else:
+            bad = next(a for a in alphas if not 0 <= a <= 1)
+            with pytest.raises(ValueError,
+                               match=fr"^alpha must be in \[0, 1\], got {bad}$"):
+                alpha_sweep(image, est, cfg, alphas, LensKind.CONCAVE)
+        assert len(seen) == calls
+
 
 class TestLossConfigValidation:
     def test_alpha_range(self):
