@@ -234,7 +234,8 @@ def _tree_sum(values, mask, reference, count: int, unchecked: bool):
         if not unchecked:
             keep = np.isfinite(part)
             keep &= in_mask
-        part = part[keep]
+        # A boolean index copies even when it keeps every value.
+        part = part.reshape(-1) if keep.all() else part[keep]
         kept += len(part)
         while len(part):
             take = min(len(part), lengths[node] - filled)
