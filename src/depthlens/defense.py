@@ -30,11 +30,12 @@ The LBP codes are built in uint8 strips, without widening the frame:
 ``|neighbor - center|`` is ``max - min``, each neighbor pair is compared
 once (the E, SE, S and SW comparisons give all eight ring bits as shifted
 views), each ring bit is ORed into the code after an in-place shift, and
-one 256-entry boolean table marks the high-activity codes. A tile's active
-count is counted from the unpadded activity map, one band of tile rows at
-a time, then summed over the tile's columns (``np.add.reduceat``); its
-interior-pixel count follows from the tile's bounds alone, so no frame is
-padded to whole tiles.
+one 256-entry boolean table marks the high-activity codes. No activity map
+of the frame is held: each strip's active pixels are counted per column as
+the strip is made, the part of the strip in each band of tile rows by
+itself, then summed over the tile's columns (``np.add.reduceat``); a tile's
+interior-pixel count follows from its bounds alone, so no frame is padded
+to whole tiles.
 """
 
 from __future__ import annotations
@@ -119,14 +120,14 @@ def _is_high_activity(code: int) -> bool:
 _LBP_HIGH = np.array([_is_high_activity(code) for code in range(256)])
 
 
-def _lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
-    """Boolean (h-2, w-2): interior pixels whose code is high-activity.
+def _lbp_active(gray: np.ndarray, delta: int):
+    """Interior pixels whose code is high-activity, in row strips: yields
+    each strip's slice of the (h-2, w-2) interior rows and its boolean map.
 
     Ring order is circular, N, NE, E, SE, S, SW, W, NW: ring neighbor p
     sets bit p of the code.
     """
     h, w = gray.shape
-    active = np.empty((h - 2, w - 2), dtype=bool)
 
     def differs(a, b):
         # |a - b| > delta without widening: max - min
@@ -150,8 +151,7 @@ def _lbp_active(gray: np.ndarray, delta: int) -> np.ndarray:
                     east[:, 1:], southwest[:-1, 1:], south[:-1]):
             code <<= 1
             code |= bit
-        _LBP_HIGH.take(code, out=active[strip])
-    return active
+        yield strip, _LBP_HIGH.take(code)
 
 
 def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
@@ -179,14 +179,18 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
                         for lo, n in ((starts_y, h), (starts_x, w)))
     denom = np.outer(inner_y, inner_x)
     # Activity row (column) i is frame row (column) i + 1: each tile's sum
-    # runs from its first interior line to the next tile's. Each band of
-    # tile rows is counted by itself: a reduceat over the whole map would
-    # first widen all of it to the count type.
+    # runs from its first interior line to the next tile's. A strip's rows
+    # are counted per column as they are made, split where a tile row
+    # starts, and summed over each tile's columns.
     first_y = np.maximum(starts_y[inner_y > 0] - 1, 0)
     first_x = np.maximum(starts_x[inner_x > 0] - 1, 0)
     numer = np.zeros(denom.shape, dtype=np.intp)
-    for row, band in zip(numer, np.split(_lbp_active(gray, lbp_threshold), first_y[1:])):
-        row[:len(first_x)] = np.add.reduceat(np.count_nonzero(band, axis=0), first_x)
+    for rows, active in _lbp_active(gray, lbp_threshold):
+        tile = int(np.searchsorted(first_y, rows.start, side="right")) - 1
+        cuts = first_y[tile + 1:]
+        cuts = cuts[cuts < rows.stop] - rows.start
+        for row, piece in zip(numer[tile:], np.split(active, cuts)):
+            row[:len(first_x)] += np.add.reduceat(np.count_nonzero(piece, axis=0), first_x)
     scores = np.zeros(denom.shape, dtype=np.float64)
     np.divide(numer, denom, out=scores, where=denom > 0)
     return SharpnessMap(scores=scores, window=window, image_shape=(h, w))

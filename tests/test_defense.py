@@ -190,9 +190,22 @@ class TestLbpSharpness:
         delta = data.draw(st.one_of(st.integers(0, 300),
                                     st.sampled_from([0, 254, 255, 256])))
         with strip_values(strip):
-            got = _lbp_active(gray, delta)
+            got = np.concatenate([active for _, active in _lbp_active(gray, delta)])
         assert got.dtype == bool and got.shape == (h - 2, w - 2)
         assert np.array_equal(got, reference_lbp_active(gray, delta))
+
+    def test_holds_no_frame_sized_activity_map(self):
+        """Active pixels are counted as each strip is made: at 1080p the call
+        allocates less than one uint8 frame, where a bool activity map of the
+        interior takes nearly that."""
+        image = noise_image((1080, 1920), seed=0)
+        tracemalloc.start()
+        try:
+            lbp_sharpness_map(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1080 * 1920
 
     def test_high_activity_codes_are_labels_six_to_nine(self):
         """Every ring code against the reference's ten-label table."""
