@@ -16,7 +16,10 @@ float, and the raster length is checked against the file size before any
 of it is read. The maps are produced by external estimators, so only their
 readers live here.
 
-``read_pnm`` returns a read-only view of the raster's bytes. The map
+``read_pnm`` reads the raster into a new uint8 array or into the caller's
+frame, such as a deferred ``imaging.RasterImage.load``'s, which has the
+shape ``pnm_shape`` read from the header when the image was loaded; a
+file that holds another shape by then raises ``ParseError``. The map
 readers never hold the file: they read the raster in row strips
 (``imaging._strips``) into one reused buffer and write each strip into the
 float32 (h, w) frame they return, which the caller may modify. float32 is
@@ -26,7 +29,6 @@ scaled in float32.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -124,6 +126,13 @@ def _parse_header(fh, px_bytes: dict[bytes, int], what: str, maxval: int | None)
     return magic, third, height, width
 
 
+def _read_into(fh, buf: np.ndarray) -> None:
+    """Fill the contiguous array ``buf`` from the open file."""
+    got = fh.readinto(buf)
+    if got != buf.nbytes:  # the file shrank after the size check
+        raise ParseError(f"raster truncated: read {got} of {buf.nbytes} bytes")
+
+
 def _raster_strips(fh, height: int, width: int, dtype: str):
     """Read the raster in row strips of ``imaging._strips`` size, into one
     reused buffer; yields each strip's row slice (in file order) and its
@@ -134,23 +143,34 @@ def _raster_strips(fh, height: int, width: int, dtype: str):
         if len(buf) < count:  # the first strip is the largest
             buf = np.empty(count, dtype=dtype)
         part = buf[:count]
-        got = fh.readinto(part)
-        if got != part.nbytes:  # the file shrank after the size check
-            raise ParseError(f"raster truncated: read {got} of {part.nbytes} bytes")
+        _read_into(fh, part)
         yield rows, part.reshape(-1, width)
 
 
-def read_pnm(path) -> np.ndarray:
-    """Load binary PGM/PPM as a read-only uint8 (h, w) or (h, w, 3) view."""
+def _pnm_header(fh) -> tuple[int, ...]:
+    """Parse a PGM/PPM header from the open file; returns the raster shape."""
+    magic, _, height, width = _parse_header(
+        fh, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
+    return (height, width) if magic == b"P5" else (height, width, 3)
+
+
+def pnm_shape(path) -> tuple[int, ...]:
+    """The raster shape, (h, w) or (h, w, 3), of a binary PGM/PPM whose
+    header ``read_pnm`` would accept; the raster is not read."""
     with open(path, "rb") as fh:
-        magic, _, height, width = _parse_header(
-            fh, {b"P5": 1, b"P6": 3}, "binary PGM/PPM", 255)
-        shape = (height, width) if magic == b"P5" else (height, width, 3)
-        raster = fh.read(math.prod(shape))
-    if len(raster) != math.prod(shape):  # the file shrank after the size check
-        raise ParseError(f"raster truncated: read {len(raster)} of {math.prod(shape)} bytes")
-    # a view of the raster's bytes: no copy
-    return np.frombuffer(raster, np.uint8).reshape(shape)
+        return _pnm_header(fh)
+
+
+def read_pnm(path, out: np.ndarray | None = None) -> np.ndarray:
+    """Load binary PGM/PPM as uint8 (h, w) or (h, w, 3), into a new array or
+    into ``out``: a contiguous uint8 array of the file's raster shape."""
+    with open(path, "rb") as fh:
+        shape = _pnm_header(fh)
+        out = np.empty(shape, np.uint8) if out is None else out
+        if out.shape != shape:  # the file changed after its shape was read
+            raise ParseError(f"raster shape {shape} does not match {out.shape}")
+        _read_into(fh, out)
+    return out
 
 
 def write_pnm(path, data: np.ndarray) -> None:

@@ -15,6 +15,9 @@ reproduces both effects on 8-bit rasters:
   image into the frame and both kernels rewrite it in place, so a caller
   that reads no pixels (a search scored on precomputed maps) renders
   nothing;
+* ``RasterImage.load`` is deferred in the same way: it checks the file's
+  header when called, and ``formats.read_pnm`` reads the pixels into the
+  raster's frame on the first read of its ``data``;
 * ``level_to_profile`` maps the discretized lens strength 1..9 onto a
   (scale, blur) pair; strength 1 adds the least blur, 9 the most.
 
@@ -38,12 +41,15 @@ row's top and bottom row along y; a strip never interpolates more than two
 rows per output row; it gathers the source columns with ``take``, which
 returns contiguous blocks. ``box_blur`` forms its window sums, counts,
 the half-up division (by one scalar for the windows wholly inside the
-frame) and the masked write per strip, and ``RasterImage.to_gray`` sums
-three per-channel tables of ``weight * value``. Into a frame that already
+frame) and the masked write per strip, and ``RasterImage.to_gray`` adds
+each channel times its weight, in float64. Into a frame that already
 holds the image, both kernels store only what they change, through one
 masked writer: a strip whose mask is all set (every strip of a full-frame
 lens) is stored directly; any other is merged in uint8 by a bitwise
-select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
+select, ``box ^ ((new ^ box) & -mask)``, on the folded rows. A full-frame
+lens builds no frame-sized mask: its in-lens mask is a read-only view of
+one set value, and the render skips its out-of-lens blur, as no pixel
+lies outside the lens.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -64,8 +70,8 @@ from . import formats
 
 # Values (pixels times channels) per row strip of the raster kernels.
 _STRIP_VALUES = 2 ** 16
-# Luma weight times every 8-bit value, one table per RGB channel.
-_LUMA_TABLES = tuple(w * np.arange(256, dtype=np.float64) for w in (0.299, 0.587, 0.114))
+# Luma weight of each RGB channel.
+_LUMA = (0.299, 0.587, 0.114)
 
 
 def _strips(rows: int, row_values: int):
@@ -130,20 +136,25 @@ class RasterImage:
         """Luma conversion (0.299, 0.587, 0.114), rounded half-up."""
         if self.channels == 1:
             return self
-        red, green, blue = _LUMA_TABLES
+        red, green, blue = _LUMA
         out = np.empty((self.height, self.width), dtype=np.uint8)
         for strip in _strips(self.height, self.width):
             rgb = self.data[strip]
-            luma = red.take(rgb[..., 0])
-            luma += green.take(rgb[..., 1])
-            luma += blue.take(rgb[..., 2])
+            luma = np.multiply(rgb[..., 0], red, dtype=np.float64)
+            term = np.multiply(rgb[..., 1], green, dtype=np.float64)
+            luma += term
+            luma += np.multiply(rgb[..., 2], blue, out=term, dtype=np.float64)
             luma += 0.5
             out[strip] = np.floor(luma, out=luma)
         return RasterImage(out)
 
     @classmethod
     def load(cls, path) -> "RasterImage":
-        return cls(formats.read_pnm(path))
+        """A deferred raster of the binary PGM/PPM at ``path``: the header is
+        read and checked now, and ``formats.read_pnm`` reads the pixels into
+        the raster's frame on the first read of ``data``."""
+        frame = np.empty(formats.pnm_shape(path), np.uint8)
+        return cls.deferred(frame, lambda: formats.read_pnm(path, out=frame))
 
     def save(self, path) -> None:
         formats.write_pnm(path, self.data)
@@ -182,13 +193,14 @@ def _lens_box(width: int, height: int, region: LensRegion):
     """Bounding box of the in-lens pixels and the in-lens mask over it.
 
     Returns ``(rows, cols, inside)``: two slices into the frame and the
-    boolean mask of shape ``(rows, cols)``. The circle predicate is the same
+    boolean mask of shape ``(rows, cols)``; a full-frame lens's is a
+    read-only all-set view of one value. The circle predicate is the same
     float expression on every pixel it evaluates; a row (column) whose own
     squared offset already exceeds ``r**2`` cannot hold an in-lens pixel,
     because the other squared term is non-negative and rounding is monotone.
     """
     if region.kind is RegionKind.FULL_FRAME:
-        return slice(0, height), slice(0, width), np.ones((height, width), dtype=bool)
+        return slice(0, height), slice(0, width), np.broadcast_to(True, (height, width))
     dy2 = (np.arange(height, dtype=np.float64) - region.center_y) ** 2
     dx2 = (np.arange(width, dtype=np.float64) - region.center_x) ** 2
     r2 = region.radius ** 2
@@ -506,8 +518,15 @@ def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> Raster
     def fill() -> None:
         np.copyto(frame, image.data)
         scale_region(image, profile.region, profile.scale_factor, out=frame)
-        inside = region_masks(image.width, image.height, profile.region)
-        blur_mask = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
+        in_lens = profile.blur_placement is BlurPlacement.IN_LENS
+        if profile.region.kind is RegionKind.FULL_FRAME:
+            # No frame-sized mask: every pixel is in-lens, and none outside.
+            if not in_lens:
+                return
+            blur_mask = _lens_box(image.width, image.height, profile.region)[2]
+        else:
+            inside = region_masks(image.width, image.height, profile.region)
+            blur_mask = inside if in_lens else ~inside
         box_blur(RasterImage(frame), blur_mask, profile.blur_radius, out=frame)
 
     return RasterImage.deferred(frame, fill)

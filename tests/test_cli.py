@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import attack_opt, cli, defense
+from depthlens import attack_opt, cli, defense, formats
 from depthlens.cli import main
 from depthlens.errors import EmptyMask
 from depthlens.estimation import Box, load_depth_map
@@ -164,6 +165,91 @@ class TestSimulateCommand:
                                 BlurPlacement.IN_LENS)
         expected = apply_attack_transform(RasterImage.load(src), profile)
         assert np.array_equal(RasterImage.load(dst).data, expected.data)
+
+
+@pytest.fixture
+def pnm_reads(monkeypatch):
+    """The paths ``formats.read_pnm`` reads, in order."""
+    paths = []
+    read_pnm = formats.read_pnm
+    monkeypatch.setattr(formats, "read_pnm",
+                        lambda path, out=None: paths.append(path) or read_pnm(path, out))
+    return paths
+
+
+class TestInputReads:
+    """An input raster's pixels are read on their first use, once, and not
+    at all by a command that uses only its size."""
+
+    def _sweep_inputs(self, tmp_path):
+        image, box, _, _, _ = concave_sweep_fixture(seed=42)
+        src = tmp_path / "benign.pgm"
+        image.save(src)
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text(f"{box.x_min} {box.y_min} {box.x_max} {box.y_max}\n")
+        return ["optimize", "--input", str(src), "--mode", "untargeted", "--lens-kind",
+                "concave", "--boxes", str(boxes), "--region", "circle", "--cx", "96",
+                "--cy", "96", "--radius", "60", "--alphas", "0.1,0.3"]
+
+    def test_an_external_map_search_reads_no_pixels(self, tmp_path, capsys, pnm_reads):
+        argv = self._sweep_inputs(tmp_path)
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        rng = np.random.default_rng(1)
+        for tag in ["benign"] + [f"level_{level}" for level in range(1, 10)]:
+            write_pfm(maps / f"{tag}.pfm", rng.uniform(0.5, 2.0, (192, 192)).astype(np.float32))
+        code, out, err = run(capsys, *argv, "--estimator", "external", "--maps", str(maps))
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 3
+        assert pnm_reads == []
+
+    def test_a_proxy_search_reads_its_input_once(self, tmp_path, capsys, pnm_reads):
+        argv = self._sweep_inputs(tmp_path)
+        code, _, err = run(capsys, *argv, "--fiducial-height", "1.5", "--focal-px", "700")
+        assert (code, err) == (0, "")
+        assert pnm_reads == [argv[2]]
+
+    @pytest.mark.parametrize("region", [[], ["--region", "circle", "--cx", "20",
+                                             "--cy", "30", "--radius", "15"]])
+    def test_simulate_and_defend_read_their_input_once(self, tmp_path, capsys, pnm_reads,
+                                                       region):
+        src, dst = str(tmp_path / "in.ppm"), str(tmp_path / "out.ppm")
+        noise_image((48, 40, 3), seed=2).save(src)
+        assert run(capsys, "simulate", "--input", src, "--output", dst, "--level", "4",
+                   *region)[0] == 0
+        assert run(capsys, "defend", "--input", dst, "--method", "lbp")[0] == 0
+        assert pnm_reads == [src, dst]
+
+    @pytest.mark.parametrize("lens_kind", ["concave", "convex"])
+    @pytest.mark.parametrize("region", [[], ["--region", "circle", "--cx", "20",
+                                             "--cy", "30", "--radius", "15"]])
+    def test_simulate_in_place_writes_the_bytes_of_two_paths(self, tmp_path, capsys,
+                                                             lens_kind, region):
+        src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+        noise_image((48, 40, 3), seed=3).save(src)
+        argv = ["--lens-kind", lens_kind, "--level", "6", *region]
+        assert run(capsys, "simulate", "--input", str(src), "--output", str(dst),
+                   *argv)[0] == 0
+        assert run(capsys, "simulate", "--input", str(src), "--output", str(src),
+                   *argv)[0] == 0
+        assert src.read_bytes() == dst.read_bytes()
+
+    @pytest.mark.parametrize("lens_kind", ["concave", "convex"])
+    def test_a_full_frame_render_holds_no_frame_sized_mask(self, tmp_path, capsys,
+                                                           lens_kind):
+        """A 1080p full-frame simulate allocates the input and output frames
+        and strips: under 3 MiB more, where one bool mask takes 2 MB."""
+        src, dst = str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm")
+        noise_image((1080, 1920), seed=4).save(src)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--input", src, "--output", dst,
+                         "--lens-kind", lens_kind, "--level", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 1080 * 1920 + 3 * 2 ** 20
 
 
 class TestOptimizeCommand:

@@ -60,13 +60,13 @@ ALLOWED = [
     # the optimizer always passes a tag
     ("estimation", "DirectoryMapEstimator.estimate_map",
      'raise ValueError("file-backed estimator needs an evaluation tag")'),
-    # the file shrank between the size check and the read: a race no
+    # the file shrank between the size check and the read, or a loaded
+    # image's file changed shape before its pixels were read: races no
     # corpus entry can stage
-    ("formats", "_raster_strips",
-     'raise ParseError(f"raster truncated: read {got} of {part.nbytes} bytes")'),
+    ("formats", "_read_into",
+     'raise ParseError(f"raster truncated: read {got} of {buf.nbytes} bytes")'),
     ("formats", "read_pnm",
-     'raise ParseError(f"raster truncated: read {len(raster)} of {math.prod(shape)} '
-     'bytes")'),
+     'raise ParseError(f"raster shape {shape} does not match {out.shape}")'),
     # the CLI writes only rasters it read or rendered: uint8, gray or RGB
     ("formats", "write_pnm",
      'raise ValueError(f"expected (h, w) or (h, w, 3) uint8, got shape {arr.shape}")'),

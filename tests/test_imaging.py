@@ -644,13 +644,15 @@ class TestDeferredRender:
         assert kernel_calls == dict(scale_region=0, region_masks=0, box_blur=0)
         out.data
         out.data
-        assert kernel_calls == dict(scale_region=1, region_masks=1, box_blur=1)
+        # a full-frame lens's blur builds no frame-sized mask
+        masks = int(region.kind is not imaging.RegionKind.FULL_FRAME)
+        assert kernel_calls == dict(scale_region=1, region_masks=masks, box_blur=1)
 
     def test_kernels_are_looked_up_when_rendering(self, monkeypatch):
         """A kernel swapped in after the call (as a tracer does) is the one
         the render runs."""
         img = noise_image((20, 20), seed=2)
-        profile = level_to_profile(LensKind.CONCAVE, 4)
+        profile = level_to_profile(LensKind.CONVEX, 4)  # a full-frame in-lens blur
         out = apply_attack_transform(img, profile)
         seen = []
         monkeypatch.setattr(imaging, "box_blur",
@@ -763,6 +765,34 @@ class TestPnmRoundTrip:
         path.write_bytes(b"P3\n2 2\n255\n")
         with pytest.raises(ParseError):
             RasterImage.load(path)
+
+    def test_pixels_are_read_on_first_use(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        noise_image((6, 5, 3), seed=2).save(path)
+        img = RasterImage.load(path)
+        assert (img.shape, img.channels) == ((6, 5, 3), 3)
+        noise_image((6, 5, 3), seed=3).save(path)  # same header, new pixels
+        assert np.array_equal(img.data, noise_image((6, 5, 3), seed=3).data)
+        path.unlink()
+        assert np.array_equal(img.data, noise_image((6, 5, 3), seed=3).data)
+
+    def test_a_file_cut_short_after_load_fails_on_first_use(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        noise_image((4, 4), seed=1).save(path)
+        img = RasterImage.load(path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ParseError, match=r"^raster truncated: expected 16 bytes, "
+                                             r"got 13 \(byte offset 24\)$"):
+            img.data
+
+    def test_a_file_of_another_shape_after_load_fails_on_first_use(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        noise_image((4, 4), seed=1).save(path)
+        img = RasterImage.load(path)
+        noise_image((2, 8), seed=1).save(path)
+        with pytest.raises(ParseError, match=r"^raster shape \(2, 8\) does not match "
+                                             r"\(4, 4\)$"):
+            img.data
 
 
 def _assert_read_only(img):
