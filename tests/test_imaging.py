@@ -776,22 +776,19 @@ class TestPnmRoundTrip:
         path.unlink()
         assert np.array_equal(img.data, noise_image((6, 5, 3), seed=3).data)
 
-    def test_a_file_cut_short_after_load_fails_on_first_use(self, tmp_path):
+    @pytest.mark.parametrize("change, message", [
+        (lambda path: path.write_bytes(path.read_bytes()[:-3]),
+         r"^raster truncated: expected 16 bytes, got 13 \(byte offset 24\)$"),
+        (lambda path: noise_image((2, 8), seed=1).save(path),
+         r"^raster shape \(2, 8\) does not match \(4, 4\)$"),
+    ], ids=["cut_short", "reshaped"])
+    def test_a_file_changed_after_load_fails_on_first_use(self, tmp_path, change,
+                                                          message):
         path = tmp_path / "img.pgm"
         noise_image((4, 4), seed=1).save(path)
         img = RasterImage.load(path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ParseError, match=r"^raster truncated: expected 16 bytes, "
-                                             r"got 13 \(byte offset 24\)$"):
-            img.data
-
-    def test_a_file_of_another_shape_after_load_fails_on_first_use(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        noise_image((4, 4), seed=1).save(path)
-        img = RasterImage.load(path)
-        noise_image((2, 8), seed=1).save(path)
-        with pytest.raises(ParseError, match=r"^raster shape \(2, 8\) does not match "
-                                             r"\(4, 4\)$"):
+        change(path)
+        with pytest.raises(ParseError, match=message):
             img.data
 
 
