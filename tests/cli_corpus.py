@@ -132,6 +132,11 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                         "convex", *_CIRCLE, "--estimator", "external",
                                         "--maps", "maps_be", "--map-kind", "depth",
                                         "--y-tar", "9.5"], []),
+    # a full-frame lens on precomputed maps: nothing lies outside the lens,
+    # so every level's out-of-lens loss is 0
+    "optimize_pfm_full_frame_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind",
+                                          "concave", "--estimator", "external", "--maps",
+                                          "maps_le", "--alphas", "0.1,0.9"], []),
     # a lens small enough that the out-of-lens loss keeps more values
     # (about 17k) than one pairwise-sum subtree of the masked mean holds
     "optimize_pfm_small_lens": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
