@@ -37,7 +37,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DepthlensError, check_positive
+from .errors import REPORTED_ERRORS, DepthlensError, check_positive
 from .estimation import Box, masked_mean
 from .imaging import (LensKind, LensRegion, RasterImage, apply_attack_transform,
                       level_to_profile, region_masks)
@@ -145,7 +145,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
         raise ValueError("candidate level set must not be empty")
     try:
         est_benign = estimator.estimate_map(benign, tag="benign")
-    except (DepthlensError, OSError) as exc:
+    except REPORTED_ERRORS as exc:
         raise OptimizationError("benign", exc) from exc
 
     map_h, map_w = est_benign.shape
@@ -155,8 +155,9 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     # Not ``~``: NumPy would invert the temporary in place, and that
     # allocation order raises the peak RSS of the attack workloads.
     m_out = np.logical_not(region_masks(map_w, map_h, cfg.region))
-    # Nothing lies outside a full-frame lens, so nothing can drift there.
-    has_out = bool(m_out.any())
+    # Nothing lies outside a full-frame lens, so nothing can drift there, and
+    # the search holds no all-clear mask.
+    m_out = m_out if m_out.any() else None
 
     curve = []
     attacked_means = {}
@@ -182,11 +183,11 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
                 l_veh = loss_vehicle_targeted(att_veh, m_veh, cfg.y_tar)
             else:
                 l_veh = loss_vehicle_untargeted(att_veh, benign_veh, m_veh)
-            l_out = loss_out(est_att, est_benign, m_out) if has_out else 0.0
+            l_out = 0.0 if m_out is None else loss_out(est_att, est_benign, m_out)
             l_total = (1.0 - cfg.alpha) * l_veh + cfg.alpha * l_out
             curve.append(LevelScore(level, l_total, l_veh, l_out))
             attacked_means[level] = masked_mean(att_veh, m_veh)
-        except (DepthlensError, OSError, ValueError) as exc:
+        except REPORTED_ERRORS as exc:
             raise OptimizationError(level, exc) from exc
 
     best = min(curve, key=lambda s: (s.l_total, s.level))

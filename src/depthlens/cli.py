@@ -36,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import attack_opt, defense, estimation, metrics, optics, scenario
-from .errors import DepthlensError, SingularConfiguration
+from .errors import REPORTED_ERRORS, SingularConfiguration
 from .imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                       RasterImage, apply_attack_transform, level_to_profile,
                       region_masks)
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
     except SingularConfiguration as exc:
         print(f"error: singular configuration: {exc}", file=sys.stderr)
         return 1
-    except (DepthlensError, OSError, ValueError) as exc:
+    except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,12 @@ Callers (the optimizer, the CLI) branch on these, so every failure mode that
 is part of a module contract has a dedicated class instead of a bare
 ValueError. ``SingularConfiguration`` is the one "domain" error the CLI maps
 to exit code 1; everything else is treated as a usage / input problem.
+
+``REPORTED_ERRORS`` (these classes, ``OSError`` and ``ValueError``) is the
+one set of failures a run reports instead of crashing on: the CLI exits 2
+with the message, and the optimizer tags one raised by the benign estimate
+or by a level with where it arose, so a sweep marks the rows it fails
+instead of raising.
 """
 
 import math
@@ -79,3 +85,6 @@ class NonPositiveDenominator(DepthlensError):
 
 class TooSmall(DepthlensError):
     """Image smaller than the minimum a filter/detector needs."""
+
+
+REPORTED_ERRORS = (DepthlensError, OSError, ValueError)

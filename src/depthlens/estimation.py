@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyMask, FiducialNotFound, ParseError, check_bool, check_positive
 from . import formats
-from .imaging import RasterImage, _strips
+from .imaging import RasterImage, _span, _strips
 
 # NumPy's pairwise sum (``np.add.reduce`` of a contiguous float64 array, and
 # so ``np.mean``) adds blocks of at most 128 values with 8 accumulators and
@@ -99,9 +99,9 @@ def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
             f"thresholding at {fiducial.detection_threshold} found "
             f"{count} px (need >= 4)"
         )
-    ys = np.flatnonzero(hits.any(axis=1)) + rows.start
-    xs = np.flatnonzero(hits.any(axis=0)) + cols.start
-    return slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1)
+    ys, xs = _span(hits.any(axis=1)), _span(hits.any(axis=0))
+    return (slice(rows.start + ys.start, rows.start + ys.stop),
+            slice(cols.start + xs.start, cols.start + xs.stop))
 
 
 def load_depth_map(path, kind: str = "depth") -> np.ndarray:

@@ -19,7 +19,10 @@ reproduces both effects on 8-bit rasters:
   header when called, and ``formats.read_pnm`` reads the pixels into the
   raster's frame on the first read of its ``data``;
 * ``level_to_profile`` maps the discretized lens strength 1..9 onto a
-  (scale, blur) pair; strength 1 adds the least blur, 9 the most.
+  (scale, blur) pair for a given lens region (``LensRegion.full_frame()``
+  for the whole frame); strength 1 adds the least blur, 9 the most.
+  ``AttackProfile`` is the one check of a level: an integer in 1..9,
+  stored as ``int``.
 
 Both kernels touch only a bounding box: ``scale_region`` the box of the
 lens region, ``box_blur`` the box of its mask grown by the radius and
@@ -59,7 +62,7 @@ in the same order, as in the dense reference kernels.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -80,6 +83,13 @@ def _strips(rows: int, row_values: int):
     step = max(1, _STRIP_VALUES // max(row_values, 1))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
+
+
+def _span(hit: np.ndarray) -> slice:
+    """From the first to the last set entry of a 1-d boolean array; an
+    empty slice if none is set."""
+    index = np.flatnonzero(hit)
+    return slice(int(index[0]), int(index[-1]) + 1) if index.size else slice(0, 0)
 
 
 class RasterImage:
@@ -204,12 +214,7 @@ def _lens_box(width: int, height: int, region: LensRegion):
     dy2 = (np.arange(height, dtype=np.float64) - region.center_y) ** 2
     dx2 = (np.arange(width, dtype=np.float64) - region.center_x) ** 2
     r2 = region.radius ** 2
-    ys = np.flatnonzero(dy2 <= r2)
-    xs = np.flatnonzero(dx2 <= r2)
-    if ys.size == 0 or xs.size == 0:
-        return slice(0, 0), slice(0, 0), np.zeros((0, 0), dtype=bool)
-    rows = slice(int(ys[0]), int(ys[-1]) + 1)
-    cols = slice(int(xs[0]), int(xs[-1]) + 1)
+    rows, cols = _span(dy2 <= r2), _span(dx2 <= r2)
     return rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
 
 
@@ -233,12 +238,6 @@ def region_masks(width: int, height: int, region: LensRegion) -> np.ndarray:
     inside = np.zeros((height, width), dtype=bool)
     inside[rows, cols] = box
     return inside
-
-
-def _region_center(image: RasterImage, region: LensRegion) -> tuple[float, float]:
-    if region.kind is RegionKind.CIRCLE:
-        return float(region.center_x), float(region.center_y)
-    return (image.width - 1) / 2.0, (image.height - 1) / 2.0
 
 
 def _write_masked(box: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
@@ -295,7 +294,10 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     if scale == 1.0:
         return image
     rows, cols, inside = _lens_box(image.width, image.height, region)
-    cx, cy = _region_center(image, region)
+    if region.kind is RegionKind.CIRCLE:
+        cx, cy = float(region.center_x), float(region.center_y)
+    else:
+        cx, cy = (image.width - 1) / 2.0, (image.height - 1) / 2.0
     x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
     y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
     # RGB channels are folded into the row so every weight broadcasts along
@@ -350,13 +352,6 @@ def _window_counts(start: int, stop: int, size: int, radius: int) -> np.ndarray:
     return np.minimum(i + radius + 1, size) - np.maximum(i - radius, 0)
 
 
-def _unclipped(counts: np.ndarray, length: int) -> slice:
-    """The positions whose window lies wholly inside the frame: one run, as
-    the counts rise, hold at ``length`` and fall."""
-    inside = np.flatnonzero(counts == length)
-    return slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
-
-
 def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
              out: np.ndarray | None = None) -> RasterImage:
     """Mean filter over a (2r+1)^2 window, applied to masked pixels only.
@@ -378,14 +373,13 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
         )
     if radius < 0:
         raise ValueError("blur radius must be non-negative")
-    ys = np.flatnonzero(mask.any(axis=1))
-    if radius == 0 or ys.size == 0:
+    ys = _span(mask.any(axis=1))
+    if radius == 0 or ys.start == ys.stop:
         return image
-    xs = np.flatnonzero(mask.any(axis=0))
+    xs = _span(mask.any(axis=0))
     h, w = mask.shape
     channels = image.channels
-    y0, y1 = int(ys[0]), int(ys[-1]) + 1
-    x0, x1 = int(xs[0]), int(xs[-1]) + 1
+    y0, y1, x0, x1 = ys.start, ys.stop, xs.start, xs.stop
     # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
     dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
     out = image.data.copy() if out is None else out
@@ -407,7 +401,9 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
     ring[0] = 0
     done = 0
     count_x = np.repeat(_window_counts(x0, x1, w, radius), channels).astype(dtype)
-    cols = _unclipped(count_x, length)
+    # The positions whose window lies wholly inside the frame: one run, as
+    # the counts rise, hold at ``length`` and fall.
+    cols = _span(count_x == length)
     box, mask = out[y0:y1, x0:x1], mask[y0:y1, x0:x1]
     for strip in strips:
         top, bottom = y0 + strip.start, y0 + strip.stop
@@ -429,7 +425,7 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
         mean *= 2
         mean += count
         count *= 2
-        rows = _unclipped(count_y, length)
+        rows = _span(count_y == length)
         for clipped in (np.s_[:rows.start], np.s_[rows.stop:],
                         np.s_[rows, :cols.start], np.s_[rows, cols.stop:]):
             mean[clipped] //= count[clipped]
@@ -465,8 +461,9 @@ class AttackProfile:
     blur_placement: BlurPlacement
 
     def __post_init__(self):
-        if not 1 <= self.level <= 9:
-            raise BadLevel(f"level must be in 1..9, got {self.level}")
+        if not isinstance(self.level, numbers.Integral) or not 1 <= self.level <= 9:
+            raise BadLevel(f"level must be an integer in 1..9, got {self.level!r}")
+        object.__setattr__(self, "level", int(self.level))
         check_positive(scale_factor=self.scale_factor)
         if not isinstance(self.blur_radius, numbers.Integral) or self.blur_radius < 0:
             raise ValueError(f"blur radius must be a non-negative integer, "
@@ -481,21 +478,16 @@ CONCAVE_SCALE_SPAN = (0.95, 0.55)
 CONVEX_SCALE_SPAN = (1.1, 3.0)
 
 
-def level_to_profile(lens_kind: LensKind, level: int,
-                     region: LensRegion | None = None) -> AttackProfile:
+def level_to_profile(lens_kind: LensKind, level: int, region: LensRegion) -> AttackProfile:
     """Turn a discrete attack level into a renderable profile."""
-    if not isinstance(level, numbers.Integral) or not 1 <= level <= 9:
-        raise BadLevel(f"level must be an integer in 1..9, got {level!r}")
-    level = int(level)
-    if region is None:
-        region = LensRegion.full_frame()
-    span = CONCAVE_SCALE_SPAN if lens_kind is LensKind.CONCAVE else CONVEX_SCALE_SPAN
-    scale = span[0] + (span[1] - span[0]) * (level - 1) / 8.0
-    blur = BLUR_PX_PER_LEVEL * level
     placement = (BlurPlacement.OUT_OF_LENS if lens_kind is LensKind.CONCAVE
                  else BlurPlacement.IN_LENS)
-    return AttackProfile(level=level, region=region, scale_factor=scale,
-                         blur_radius=blur, blur_placement=placement)
+    # The profile checks the level before the calibration reads it.
+    profile = AttackProfile(level, region, 1.0, 0, placement)
+    span = CONCAVE_SCALE_SPAN if lens_kind is LensKind.CONCAVE else CONVEX_SCALE_SPAN
+    return replace(profile,
+                   scale_factor=span[0] + (span[1] - span[0]) * (profile.level - 1) / 8.0,
+                   blur_radius=BLUR_PX_PER_LEVEL * profile.level)
 
 
 def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> RasterImage:

@@ -329,7 +329,7 @@ def dense_optimize_level(benign, estimator, cfg, lens_kind,
     try:
         est_benign = np.asarray(
             estimator.estimate_map(benign, tag="benign"), dtype=np.float64)
-    except (DepthlensError, OSError) as exc:
+    except (DepthlensError, OSError, ValueError) as exc:
         raise OptimizationError("benign", exc) from exc
     map_h, map_w = est_benign.shape
     m_veh = dense_box_mask(cfg.vehicle_box, map_w, map_h)

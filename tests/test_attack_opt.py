@@ -410,6 +410,29 @@ def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
     assert peak <= maps + m_out.size + 4 * 2 ** 20
 
 
+def test_a_1080p_full_frame_search_holds_no_out_of_lens_mask(tmp_path):
+    """Nothing lies outside a full-frame lens, so the search holds no
+    out-of-lens mask: its peak is the benign and one level's float32 map,
+    the deferred render's frame, and 0.5 MiB more."""
+    rng = np.random.default_rng(8)
+    for tag in ["benign", "level_1", "level_2"]:
+        write_pfm(tmp_path / f"{tag}.pfm",
+                  rng.uniform(0.5, 2.0, (1080, 1920)).astype(np.float32))
+    cfg = LossConfig(alpha=0.3, mode=Mode.TARGETED, vehicle_box=Box(860, 440, 1060, 640),
+                     region=LensRegion.full_frame(), y_tar=1.2)
+    image = RasterImage(np.full((1080, 1920), 128, np.uint8))
+    tracemalloc.start()
+    try:
+        result = optimize_level(image, DirectoryMapEstimator(tmp_path), cfg,
+                                LensKind.CONCAVE, levels=(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.l_out for s in result.loss_curve] == [0.0, 0.0]
+    frame = 1080 * 1920
+    assert peak <= 2 * 4 * frame + frame + 2 ** 19
+
+
 class RandomMapEstimator:
     """Seeded random maps per tag, with NaN holes; one tag may be missing."""
 
@@ -425,6 +448,20 @@ class RandomMapEstimator:
         if tag == self.missing:
             raise FileNotFoundError(f"no {tag}.pfm")
         return self.maps[tag]
+
+
+class BenignRejected:
+    """Another estimator's maps, but the benign frame raises ``ValueError``."""
+
+    REASON = "benign frame rejected"
+
+    def __init__(self, estimator):
+        self.estimator = estimator
+
+    def estimate_map(self, image, tag=None):
+        if tag == "benign":
+            raise ValueError(self.REASON)
+        return self.estimator.estimate_map(image, tag)
 
 
 def _box_span(draw, size, where):
@@ -498,11 +535,17 @@ class TestCroppedLossesMatchDense:
             assert_same_result(got, want)
 
     @settings(max_examples=100, deadline=None)
-    @given(loss_cases(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
-    def test_alpha_sweep(self, case, alphas):
+    @given(loss_cases(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           st.booleans())
+    def test_alpha_sweep(self, case, alphas, benign_rejected):
         image, est, cfg = case
+        if benign_rejected:
+            est = BenignRejected(est)
         got = _outcome(alpha_sweep, image, est, cfg, alphas, LensKind.CONCAVE)
         want = _outcome(dense_alpha_sweep, image, est, cfg, alphas, LensKind.CONCAVE)
+        if benign_rejected:  # a failure the sweep confines to every row
+            reason = f"level benign: {BenignRejected.REASON}"
+            assert [row.error for row in got] == [reason] * len(alphas)
         if isinstance(want, tuple):
             assert got == want
             return

@@ -76,17 +76,14 @@ ALLOWED = [
      'raise ValueError(f"raster must be (h, w) or (h, w, 3), got {data.shape}")'),
     ("imaging", "RasterImage.__init__", 'raise ValueError("raster needs at least one pixel")'),
     # frame sizes, --blur and --level are checked by the readers and the
-    # option parser; the CLI always passes a region and a mask of the frame's shape
+    # option parser; the CLI always passes a mask of the frame's shape
     ("imaging", "region_masks", 'raise ValueError("mask dimensions must be positive")'),
     ("imaging", "box_blur", "raise ValueError("),
     ("imaging", "box_blur", 'raise ValueError("blur radius must be non-negative")'),
     ("imaging", "AttackProfile.__post_init__",
-     'raise BadLevel(f"level must be in 1..9, got {self.level}")'),
+     'raise BadLevel(f"level must be an integer in 1..9, got {self.level!r}")'),
     ("imaging", "AttackProfile.__post_init__",
      'raise ValueError(f"blur radius must be a non-negative integer, "'),
-    ("imaging", "level_to_profile",
-     'raise BadLevel(f"level must be an integer in 1..9, got {level!r}")'),
-    ("imaging", "level_to_profile", "region = LensRegion.full_frame()"),
     # --seed is range-checked by the option parser
     ("scenario", "ScenarioConfig.__post_init__",
      'raise ValueError(f"seed must be non-negative, got {self.seed}")'),

@@ -507,35 +507,44 @@ class TestToGray:
 
 class TestLevelProfiles:
     def test_concave_level_one_defaults(self):
-        p = level_to_profile(LensKind.CONCAVE, 1)
+        p = level_to_profile(LensKind.CONCAVE, 1, LensRegion.full_frame())
         assert p.scale_factor == pytest.approx(0.95)
         assert p.blur_radius == 1
         assert p.blur_placement is BlurPlacement.OUT_OF_LENS
 
     def test_convex_level_nine_defaults(self):
-        p = level_to_profile(LensKind.CONVEX, 9)
+        p = level_to_profile(LensKind.CONVEX, 9, LensRegion.full_frame())
         assert p.scale_factor == pytest.approx(3.0)
         assert p.blur_radius == 9
         assert p.blur_placement is BlurPlacement.IN_LENS
 
     def test_blur_strictly_increases_with_level(self):
-        radii = [level_to_profile(LensKind.CONVEX, lv).blur_radius
+        radii = [level_to_profile(LensKind.CONVEX, lv, LensRegion.full_frame()).blur_radius
                  for lv in range(1, 10)]
         assert all(b > a for a, b in zip(radii, radii[1:]))
 
     def test_bad_levels(self):
         for level in (0, 10, -3, 3.0, np.float64(3.0), np.int64(10)):
             with pytest.raises(BadLevel):
-                level_to_profile(LensKind.CONCAVE, level)
+                level_to_profile(LensKind.CONCAVE, level, LensRegion.full_frame())
 
     def test_numpy_integer_level_accepted(self):
-        p = level_to_profile(LensKind.CONVEX, np.int64(3))
-        assert p == level_to_profile(LensKind.CONVEX, 3)
+        p = level_to_profile(LensKind.CONVEX, np.int64(3), LensRegion.full_frame())
+        assert p == level_to_profile(LensKind.CONVEX, 3, LensRegion.full_frame())
         assert type(p.level) is int
 
     def test_profile_invariant_checks(self):
         with pytest.raises(BadLevel):
             AttackProfile(0, LensRegion.full_frame(), 0.9, 1, BlurPlacement.OUT_OF_LENS)
+
+    @pytest.mark.parametrize("level", [0, 10, 2.5, 3.0, np.float64(3.0)])
+    def test_profile_level_is_an_integer_in_range(self, level):
+        with pytest.raises(BadLevel, match=r"^level must be an integer in 1\.\.9, got "):
+            AttackProfile(level, LensRegion.full_frame(), 0.9, 1, BlurPlacement.OUT_OF_LENS)
+
+    def test_profile_stores_a_numpy_integer_level_as_int(self):
+        p = AttackProfile(np.int64(3), LensRegion.full_frame(), 0.9, 1, BlurPlacement.IN_LENS)
+        assert type(p.level) is int and p.level == 3
 
     @pytest.mark.parametrize("radius", [-1, 2.0, 0.0, 1.5])
     def test_blur_radius_is_a_non_negative_integer(self, radius):
@@ -652,7 +661,8 @@ class TestDeferredRender:
         """A kernel swapped in after the call (as a tracer does) is the one
         the render runs."""
         img = noise_image((20, 20), seed=2)
-        profile = level_to_profile(LensKind.CONVEX, 4)  # a full-frame in-lens blur
+        # a full-frame in-lens blur
+        profile = level_to_profile(LensKind.CONVEX, 4, LensRegion.full_frame())
         out = apply_attack_transform(img, profile)
         seen = []
         monkeypatch.setattr(imaging, "box_blur",
@@ -704,7 +714,8 @@ class TestDeferredRender:
     def test_keeps_no_source_after_rendering(self):
         img = noise_image((16, 16), seed=5)
         source = weakref.ref(img)
-        out = apply_attack_transform(img, level_to_profile(LensKind.CONVEX, 2))
+        out = apply_attack_transform(
+            img, level_to_profile(LensKind.CONVEX, 2, LensRegion.full_frame()))
         del img
         gc.collect()
         assert source() is not None  # the render still needs it
@@ -714,7 +725,7 @@ class TestDeferredRender:
 
     def test_weak_referenceable_and_compared_by_identity(self):
         img = noise_image((8, 8), seed=6)
-        profile = level_to_profile(LensKind.CONVEX, 2)
+        profile = level_to_profile(LensKind.CONVEX, 2, LensRegion.full_frame())
         a, b = apply_attack_transform(img, profile), apply_attack_transform(img, profile)
         assert weakref.ref(a)() is a
         assert a == a and a != b and len({a, b, a}) == 2
@@ -723,7 +734,7 @@ class TestDeferredRender:
     def test_a_deferred_source_renders_inside_the_next_render(self, kernel_calls):
         img = noise_image((24, 24, 3), seed=7)
         p1 = level_to_profile(LensKind.CONCAVE, 2, LensRegion.circle(10, 10, 8))
-        p2 = level_to_profile(LensKind.CONVEX, 3)
+        p2 = level_to_profile(LensKind.CONVEX, 3, LensRegion.full_frame())
         twice = apply_attack_transform(apply_attack_transform(img, p1), p2)
         assert kernel_calls["scale_region"] == 0
         expected = dense_attack(dense_attack(img, p1), p2)
@@ -829,7 +840,8 @@ class TestReadOnlyRasters:
         lambda img: img.to_gray(),
         lambda img: scale_region(img, LensRegion.full_frame(), 0.5),
         lambda img: box_blur(img, np.ones((9, 8), bool), 1),
-        lambda img: apply_attack_transform(img, level_to_profile(LensKind.CONVEX, 3)),
+        lambda img: apply_attack_transform(
+            img, level_to_profile(LensKind.CONVEX, 3, LensRegion.full_frame())),
     ], ids=["to_gray", "scale_region", "box_blur", "apply_attack_transform"])
     def test_returned_by_a_kernel(self, render):
         rgb = RasterImage(np.random.default_rng(3).integers(0, 256, (9, 8, 3), np.uint8))
