@@ -141,8 +141,12 @@ class _Command:
 def _load_config_file(path: str, known) -> dict[str, tuple[int, str]]:
     """Each key's line number and value text; every key must be ``known``."""
     entries: dict[str, tuple[int, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes pass as surrogates, so the line that holds one is known.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if any("\udc80" <= c <= "\udcff" for c in raw):
+                data = raw.rstrip("\r\n").encode("utf-8", "surrogateescape")
+                raise ValueError(f"{path}:{lineno}: non-UTF-8 byte in {data!r}")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

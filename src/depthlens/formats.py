@@ -174,8 +174,11 @@ def read_pnm(path, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def write_pnm(path, data: np.ndarray) -> None:
-    """Write uint8 gray (h, w) or RGB (h, w, 3) as binary PGM/PPM."""
-    arr = np.ascontiguousarray(data, dtype=np.uint8)
+    """Write uint8 gray (h, w) or RGB (h, w, 3) as binary PGM/PPM; any other
+    dtype is an error, not a cast."""
+    if data.dtype != np.uint8:
+        raise ValueError(f"raster must be uint8, got {data.dtype}")
+    arr = np.ascontiguousarray(data)
     if arr.ndim == 2:
         magic = b"P5"
         h, w = arr.shape

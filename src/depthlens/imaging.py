@@ -49,10 +49,16 @@ each channel times its weight, in float64. Into a frame that already
 holds the image, both kernels store only what they change, through one
 masked writer: a strip whose mask is all set (every strip of a full-frame
 lens) is stored directly; any other is merged in uint8 by a bitwise
-select, ``box ^ ((new ^ box) & -mask)``, on the folded rows. A full-frame
-lens builds no frame-sized mask: its in-lens mask is a read-only view of
-one set value, and the render skips its out-of-lens blur, as no pixel
-lies outside the lens.
+select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
+
+``_lens_box`` is the one owner of the lens footprint: it gives the
+rescale's center, the bounding box of the in-lens pixels and the in-lens
+mask over it, and it alone builds per-pixel offsets from a region's
+center. ``region_masks`` returns that mask itself when the box is the whole
+frame, so a full-frame lens builds no frame-sized mask: its mask is a
+read-only view of one set value, and the render skips its out-of-lens
+blur, as no pixel lies outside the lens. The frame check builds no array:
+it evaluates a circle's predicate at the pixel nearest its center.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -196,45 +202,62 @@ class LensRegion:
         check_finite(center_x=center_x, center_y=center_y, radius=radius)
         if radius < 1:
             raise ValueError(f"circle radius must be >= 1 px, got {radius}")
+        try:
+            float(radius) ** 2  # the in-lens bound
+        except OverflowError:
+            raise ValueError(f"circle radius squared must be finite, got {radius}") from None
         return cls(RegionKind.CIRCLE, center_x, center_y, radius)
 
 
 def _lens_box(width: int, height: int, region: LensRegion):
-    """Bounding box of the in-lens pixels and the in-lens mask over it.
+    """The lens footprint on a frame: its center, the bounding box of the
+    in-lens pixels and the in-lens mask over that box.
 
-    Returns ``(rows, cols, inside)``: two slices into the frame and the
-    boolean mask of shape ``(rows, cols)``; a full-frame lens's is a
-    read-only all-set view of one value. The circle predicate is the same
-    float expression on every pixel it evaluates; a row (column) whose own
-    squared offset already exceeds ``r**2`` cannot hold an in-lens pixel,
-    because the other squared term is non-negative and rounding is monotone.
+    Returns ``(cx, cy, rows, cols, inside)``: the center in pixel
+    coordinates (a full-frame lens's is the frame's), two slices into the
+    frame and the boolean mask of shape ``(rows, cols)``; a full-frame
+    lens's is a read-only all-set view of one value. The circle predicate is
+    the same float expression on every pixel it evaluates; a row (column)
+    whose own squared offset already exceeds ``r**2`` cannot hold an in-lens
+    pixel, because the other squared term is non-negative and rounding is
+    monotone. An offset whose square overflows is outside, as ``r**2`` is
+    finite.
     """
     if region.kind is RegionKind.FULL_FRAME:
-        return slice(0, height), slice(0, width), np.broadcast_to(True, (height, width))
-    dy2 = (np.arange(height, dtype=np.float64) - region.center_y) ** 2
-    dx2 = (np.arange(width, dtype=np.float64) - region.center_x) ** 2
-    r2 = region.radius ** 2
-    rows, cols = _span(dy2 <= r2), _span(dx2 <= r2)
-    return rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
+        return ((width - 1) / 2.0, (height - 1) / 2.0, slice(0, height), slice(0, width),
+                np.broadcast_to(True, (height, width)))
+    cx, cy, r2 = float(region.center_x), float(region.center_y), region.radius ** 2
+    with np.errstate(over="ignore"):
+        dy2 = (np.arange(height, dtype=np.float64) - cy) ** 2
+        dx2 = (np.arange(width, dtype=np.float64) - cx) ** 2
+        rows, cols = _span(dy2 <= r2), _span(dx2 <= r2)
+        return cx, cy, rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
 
 
 def _check_meets_frame(width: int, height: int, region: LensRegion) -> None:
     """Raise ``DegenerateRegion`` unless some pixel of the frame is in-lens.
-    A circle's predicate adds two squared offsets and rounding is monotone,
-    so its least value over the frame is the sum of the least of each."""
+    A circle's predicate adds two squared offsets, each least at the pixel
+    nearest the center on its axis, and rounding is monotone, so the
+    predicate is evaluated there alone, in ``_lens_box``'s float operations
+    (in Python floats, whose squares overflow to inf without a warning)."""
     if region.kind is RegionKind.CIRCLE:
-        dx2 = (np.arange(width, dtype=np.float64) - region.center_x) ** 2
-        dy2 = (np.arange(height, dtype=np.float64) - region.center_y) ** 2
-        if not dx2.min() + dy2.min() <= region.radius ** 2:
+        cx, cy = float(region.center_x), float(region.center_y)
+        dx = min(max(round(cx), 0), width - 1) - cx
+        dy = min(max(round(cy), 0), height - 1) - cy
+        if not dx * dx + dy * dy <= region.radius ** 2:
             raise DegenerateRegion("lens region does not intersect the frame")
 
 
 def region_masks(width: int, height: int, region: LensRegion) -> np.ndarray:
     """The (height, width) in-lens mask: pixel (x, y) is in-lens iff its
-    center lies within the region. ``~mask`` is the out-of-lens side."""
+    center lies within the region. ``~mask`` is the out-of-lens side. A lens
+    whose box is the whole frame returns the box's own mask: for a
+    full-frame lens, a read-only view of one set value."""
     if width < 1 or height < 1:
         raise ValueError("mask dimensions must be positive")
-    rows, cols, box = _lens_box(width, height, region)
+    *_, rows, cols, box = _lens_box(width, height, region)
+    if box.shape == (height, width):
+        return box
     inside = np.zeros((height, width), dtype=bool)
     inside[rows, cols] = box
     return inside
@@ -293,11 +316,7 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     _check_meets_frame(image.width, image.height, region)
     if scale == 1.0:
         return image
-    rows, cols, inside = _lens_box(image.width, image.height, region)
-    if region.kind is RegionKind.CIRCLE:
-        cx, cy = float(region.center_x), float(region.center_y)
-    else:
-        cx, cy = (image.width - 1) / 2.0, (image.height - 1) / 2.0
+    cx, cy, rows, cols, inside = _lens_box(image.width, image.height, region)
     x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
     y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
     # RGB channels are folded into the row so every weight broadcasts along
@@ -510,15 +529,11 @@ def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> Raster
     def fill() -> None:
         np.copyto(frame, image.data)
         scale_region(image, profile.region, profile.scale_factor, out=frame)
+        inside = region_masks(image.width, image.height, profile.region)
         in_lens = profile.blur_placement is BlurPlacement.IN_LENS
-        if profile.region.kind is RegionKind.FULL_FRAME:
-            # No frame-sized mask: every pixel is in-lens, and none outside.
-            if not in_lens:
-                return
-            blur_mask = _lens_box(image.width, image.height, profile.region)[2]
-        else:
-            inside = region_masks(image.width, image.height, profile.region)
-            blur_mask = inside if in_lens else ~inside
-        box_blur(RasterImage(frame), blur_mask, profile.blur_radius, out=frame)
+        if not in_lens and profile.region.kind is RegionKind.FULL_FRAME:
+            return  # no pixel lies outside a full-frame lens
+        box_blur(RasterImage(frame), inside if in_lens else ~inside, profile.blur_radius,
+                 out=frame)
 
     return RasterImage.deferred(frame, fill)

@@ -126,8 +126,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
     """
     rng = np.random.default_rng(cfg.seed) if cfg.noise_sigma_m > 0 else None
     dt = cfg.dt_s
-    threshold = cfg.ego_speed_mps ** 2 / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m
     speed = cfg.ego_speed_mps
+    # A square past the float range is inf, so the first tick brakes; ** raises.
+    threshold = speed * speed / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m
     gap = cfg.initial_gap_m
     braking = False
     t = 0.0
@@ -140,10 +141,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
             done = 0
         m = _BLOCK - done
         accel = -cfg.max_decel_mps2 if braking else 0.0
-        speeds = np.maximum(_chain(np.add, speed, accel * dt, m), 0.0)
-        gaps = _chain(np.subtract, gap, speeds[1:] * dt, m)
-        times = _chain(np.add, t, dt, m)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in float math
+        # inf and NaN as in float math, also in the ticks past the block's event
+        with np.errstate(over="ignore", invalid="ignore"):
+            speeds = np.maximum(_chain(np.add, speed, accel * dt, m), 0.0)
+            gaps = _chain(np.subtract, gap, speeds[1:] * dt, m)
+            times = _chain(np.add, t, dt, m)
             seen = gaps[:-1] * cfg.depth_ratio
             if noise is not None:
                 seen += noise[done:]

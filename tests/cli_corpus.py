@@ -118,6 +118,13 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "simulate_subpixel_radius": ([*_SIM, "--output", "sim_q.pgm", "--level", "2",
                                   "--region", "circle", "--cx", "80", "--cy", "60",
                                   "--radius", "0.5"], ["sim_q.pgm"]),
+    # a radius whose square overflows, and a center whose offsets' squares do
+    "simulate_huge_radius": ([*_SIM, "--output", "sim_s.pgm", "--level", "3", "--region",
+                              "circle", "--cx", "3", "--cy", "3", "--radius", "1e200"],
+                             ["sim_s.pgm"]),
+    "simulate_far_center": ([*_SIM, "--output", "sim_t.pgm", "--level", "3", "--region",
+                             "circle", "--cx", "1e200", "--cy", "3", "--radius", "3"],
+                            ["sim_t.pgm"]),
     # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
     # and off the frame, both modes, the error exits
     "optimize_proxy_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind", "concave",
@@ -184,6 +191,11 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                         "--alphas", "0.1"], []),
     # the external estimator reads no render, yet a circle that misses the
     # frame still fails every row at level 1
+    "optimize_external_far_center": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                      "concave", "--region", "circle", "--cx", "1e200",
+                                      "--cy", "60", "--radius", "20", "--estimator",
+                                      "external", "--maps", "maps_le", "--alphas", "0.1"],
+                                     []),
     "optimize_external_circle_off_frame": ([*_OPT, "--mode", "untargeted", "--lens-kind",
                                             "concave", "--region", "circle", "--cx", "500",
                                             "--cy", "500", "--radius", "20", "--estimator",
@@ -321,6 +333,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_coerced_gap0": (["scenario", "--gap0", "\u0664\u0660"], []),
     "scenario_coarse_dt": (["scenario", "--dt", "0.1"], []),
     "scenario_negative_sigma": (["scenario", "--sigma", "-1"], []),
+    # a speed whose square overflows brakes at once; a deceleration whose
+    # speeds overflow past the stop tick
+    "scenario_huge_speed": (["scenario", "--speed", "1e200"], []),
+    "scenario_huge_decel": (["scenario", "--max-decel", "1e308"], []),
+    # a config file with a byte that is not UTF-8 on its second line
+    "scenario_bad_byte_config": (["scenario", "--config", "bad_byte.cfg"], []),
 }
 
 _CONFIGS = {
@@ -366,6 +384,7 @@ def make_fixtures(directory: Path) -> None:
                                                    .encode("utf-8"))
     for name, text in _CONFIGS.items():
         (directory / name).write_text(text)
+    (directory / "bad_byte.cfg").write_bytes(b"sigma = 0.5\nseed = 1\xff\n")
     # malformed inputs: a raster cut short, a map of no known format, and a
     # 16-bit map whose sidecar scale is not a number
     (directory / "truncated.pgm").write_bytes((directory / "gray.pgm").read_bytes()[:-7])

@@ -567,7 +567,7 @@ def reference_run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, list[TickLog]]
         noise = float(rng.normal(0.0, cfg.noise_sigma_m)) if rng is not None else 0.0
         seen = max(0.0, gap * cfg.depth_ratio + noise)
         accel = 0.0
-        if speed > 0 and seen <= speed ** 2 / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m:
+        if speed > 0 and seen <= speed * speed / (2.0 * cfg.max_decel_mps2) + cfg.safety_margin_m:
             accel = -cfg.max_decel_mps2
         if braking and speed > 0:
             accel = -cfg.max_decel_mps2

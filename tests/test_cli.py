@@ -672,7 +672,80 @@ def test_module_entry_point_matches_main(capsys):
     assert out
 
 
+_CIRCLE_AT = ["simulate", "--input", "g.pgm", "--output", "o.pgm", "--level", "3",
+              "--region", "circle"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([*_CIRCLE_AT, "--cx", "3", "--cy", "3", "--radius", "1e200"],
+     "error: circle radius squared must be finite, got 1e+200\n"),
+    ([*_CIRCLE_AT, "--cx", "1e200", "--cy", "3", "--radius", "3"],
+     "error: lens region does not intersect the frame\n"),
+    (["scenario", "--config", "bad_byte.cfg"],
+     "error: bad_byte.cfg:2: non-UTF-8 byte in b'seed = 1\\xff'\n"),
+], ids=["huge_radius", "far_center", "bad_config_byte"])
+def test_overflowing_and_undecodable_input_exits_two_with_one_line(tmp_path, argv, err):
+    """In a plain interpreter, where NumPy's warnings reach stderr: one error
+    line, no traceback and no warning."""
+    RasterImage(np.arange(64, dtype=np.uint8).reshape(8, 8)).save(tmp_path / "g.pgm")
+    (tmp_path / "bad_byte.cfg").write_bytes(b"sigma = 0.5\nseed = 1\xff\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "depthlens.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+def test_a_far_center_fails_each_optimize_row_without_a_warning(tmp_path):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for tag in ["benign"] + [f"level_{lv}" for lv in range(1, 10)]:
+        write_pfm(maps / f"{tag}.pfm", np.full((8, 8), 1.0, np.float32))
+    RasterImage(np.full((8, 8), 120, np.uint8)).save(tmp_path / "g.pgm")
+    (tmp_path / "boxes.txt").write_text("2 2 6 6\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "depthlens.cli", "optimize", "--input", "g.pgm", "--mode",
+         "untargeted", "--lens-kind", "concave", "--boxes", "boxes.txt", "--region",
+         "circle", "--cx", "1e200", "--cy", "3", "--radius", "3", "--estimator",
+         "external", "--maps", "maps", "--alphas", "0.1,0.5"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "error: alpha 0.1: level 1: lens region does not intersect the frame\n"
+        "error: alpha 0.5: level 1: lens region does not intersect the frame\n")
+
+
+def test_a_huge_speed_brakes_at_once(capsys):
+    # speed**2 overflows: the stopping distance is infinite, so the first
+    # tick brakes, and the gap is gone after it
+    code, out, err = run(capsys, "scenario", "--speed", "1e200")
+    assert (code, out, err) == (0, "COLLISION speed=1e+200\n", "")
+
+
+def test_a_huge_deceleration_stops_without_a_warning(capsys):
+    # the block's speeds fall past -1e308 after the stop tick
+    code, out, err = run(capsys, "scenario", "--max-decel", "1e308")
+    assert (code, out, err) == (0, "STOPPED gap=2\n", "")
+
+
 class TestConfigResolution:
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"# noise\r\nsigma = 0.5\r\nseed = \xe9\xff\r\n")
+        code, out, err = run(capsys, "scenario", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: non-UTF-8 byte in b'seed = \\xe9\\xff'\n"
+
+    def test_utf8_values_and_crlf_lines_are_read(self, tmp_path, capsys):
+        log = tmp_path / "résumé 日.csv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(f"# été\r\nsigma = 0.5\r\nlog = {log}\r\n".encode("utf-8"))
+        code, out, err = run(capsys, "scenario", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.endswith(f"wrote {log}\n")
+        _, plain, _ = run(capsys, "scenario", "--sigma", "0.5")
+        assert out.split("\n")[0] == plain.split("\n")[0]
+
     def test_explicit_zero_flags_beat_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sigma = 0.5\nseed = 7\n")

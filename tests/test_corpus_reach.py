@@ -68,6 +68,7 @@ ALLOWED = [
     ("formats", "read_pnm",
      'raise ParseError(f"raster shape {shape} does not match {out.shape}")'),
     # the CLI writes only rasters it read or rendered: uint8, gray or RGB
+    ("formats", "write_pnm", 'raise ValueError(f"raster must be uint8, got {data.dtype}")'),
     ("formats", "write_pnm",
      'raise ValueError(f"expected (h, w) or (h, w, 3) uint8, got shape {arr.shape}")'),
     ("imaging", "RasterImage.__init__",

@@ -234,6 +234,18 @@ def test_pnm_write_sends_the_array_buffer(tmp_path, shape):
     assert path.read_bytes().endswith(data.tobytes())
 
 
+@pytest.mark.parametrize("data", [np.array([[300.0, -1.0], [np.nan, 7.0]]),
+                                  np.array([[True, False]]), np.array([[1, 2]], np.int64),
+                                  np.zeros((2, 2, 3), np.uint16)],
+                         ids=["float64", "bool", "int64", "uint16"])
+def test_pnm_write_rejects_non_uint8_arrays(tmp_path, data):
+    """300.0 would be written as 44, -1.0 as 255, NaN as 0 and True as 1."""
+    path = tmp_path / "f.pnm"
+    with pytest.raises(ValueError, match=f"^raster must be uint8, got {data.dtype}$"):
+        formats.write_pnm(path, data)
+    assert not path.exists()
+
+
 # One or more whitespace bytes, then any mix of whitespace and ``#`` comments
 # running to a CR or LF.
 _COMMENT = st.tuples(st.binary(max_size=8), st.sampled_from([b"\n", b"\r"])).map(

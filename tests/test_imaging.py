@@ -1,6 +1,7 @@
 """Raster attack synthesis: masks, scaling, blur, profiles, PNM round trips."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -51,6 +52,25 @@ def regions(draw, width, height):
     return LensRegion.circle(draw(_coord(-reach, width + reach)),
                              draw(_coord(-reach, height + reach)),
                              draw(_coord(1, reach)))
+
+
+@st.composite
+def boundary_circles(draw, width, height):
+    """Circles on the edge of meeting the frame: half-integer and whole
+    centers, centers off each edge, and a radius equal to the distance to
+    the nearest pixel, or one float step either side of it."""
+    def axis(n):
+        return draw(st.one_of(st.integers(-3, n + 2).map(lambda k: k + 0.5),
+                              st.integers(-2 * n, 3 * n).map(float),
+                              st.floats(-4.0 * n, 0.0), st.floats(n - 1.0, 5.0 * n)))
+    cx, cy = axis(width), axis(height)
+    dx = min(max(round(cx), 0), width - 1) - cx
+    dy = min(max(round(cy), 0), height - 1) - cy
+    near = math.sqrt(dx * dx + dy * dy)
+    radius = draw(st.one_of(
+        st.sampled_from([math.nextafter(near, 0.0), near, math.nextafter(near, math.inf)]),
+        st.floats(1.0, 2.0 * (width + height))))
+    return LensRegion.circle(cx, cy, max(radius, 1.0))
 
 
 @st.composite
@@ -115,6 +135,41 @@ class TestRegionMasks:
     def test_radius_below_one_rejected(self):
         with pytest.raises(ValueError):
             LensRegion.circle(5, 5, 0)
+
+    @pytest.mark.parametrize("radius", [1e200, 1.7e308, 1.35e154, np.float64(1e200)])
+    def test_radius_whose_square_overflows_rejected(self, radius):
+        # r**2 is the in-lens bound: an infinite one would take every pixel
+        with pytest.raises(ValueError, match="^circle radius squared must be finite, got "):
+            LensRegion.circle(3, 3, radius)
+
+    def test_full_frame_mask_is_one_read_only_value(self):
+        tracemalloc.start()
+        try:
+            mask = region_masks(1920, 1080, LensRegion.full_frame())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert mask.shape == (1080, 1920) and mask.dtype == bool and mask.all()
+        assert not mask.flags.writeable
+
+    @pytest.mark.parametrize("cx, cy, radius", [
+        (1e200, 3.0, 3.0), (3.0, -1e200, 3.0), (-1.7e308, 1.7e308, 1e154),
+        # each squared offset fits, their sum does not
+        (-1.3e154, -1.3e154, 1.3e154)])
+    def test_a_far_circle_is_outside_without_a_warning(self, cx, cy, radius):
+        # a RuntimeWarning is an error under this suite's settings
+        region = LensRegion.circle(cx, cy, radius)
+        assert not region_masks(8, 6, region).any()
+        profile = AttackProfile(2, region, 1.5, 1, BlurPlacement.OUT_OF_LENS)
+        with pytest.raises(DegenerateRegion):
+            apply_attack_transform(noise_image((6, 8), seed=1), profile)
+
+    def test_a_huge_circle_meets_the_frame(self):
+        region = LensRegion.circle(-1e154, 3.0, 1.3e154)
+        assert region_masks(8, 6, region).all()
+        scaled = scale_region(noise_image((6, 8), seed=1), region, 2.0)
+        assert scaled.shape == (6, 8)
 
     def test_partition_random_circles(self):
         rng = np.random.default_rng(3)
@@ -653,9 +708,9 @@ class TestDeferredRender:
         assert kernel_calls == dict(scale_region=0, region_masks=0, box_blur=0)
         out.data
         out.data
-        # a full-frame lens's blur builds no frame-sized mask
-        masks = int(region.kind is not imaging.RegionKind.FULL_FRAME)
-        assert kernel_calls == dict(scale_region=1, region_masks=masks, box_blur=1)
+        # a full-frame lens's mask is a view of one value: see the
+        # 1080p full-frame simulate bound in test_cli.py
+        assert kernel_calls == dict(scale_region=1, region_masks=1, box_blur=1)
 
     def test_kernels_are_looked_up_when_rendering(self, monkeypatch):
         """A kernel swapped in after the call (as a tracer does) is the one
@@ -683,6 +738,20 @@ class TestDeferredRender:
                 apply_attack_transform(img, AttackProfile(2, region, scale, radius,
                                                           placement))
         assert kernel_calls == dict(scale_region=0, region_masks=0, box_blur=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_degenerate_exactly_when_no_pixel_is_in_lens(self, data):
+        w, h = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        region = data.draw(boundary_circles(w, h))
+        profile = AttackProfile(1, region, data.draw(scales()), data.draw(st.integers(0, 2)),
+                                data.draw(st.sampled_from(BlurPlacement)))
+        img = noise_image((h, w), seed=3)
+        if dense_in_lens(w, h, region).any():
+            assert apply_attack_transform(img, profile).data.shape == (h, w)
+        else:
+            with pytest.raises(DegenerateRegion):
+                apply_attack_transform(img, profile)
 
     @pytest.mark.parametrize("strip", STRIPS)
     @settings(max_examples=100, deadline=None)

@@ -141,6 +141,15 @@ class TestRunScenario:
         assert len(ticks) == 2
         assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
 
+    @pytest.mark.parametrize("speed", [1e200, 1.7e308])
+    def test_a_speed_whose_square_overflows_brakes_at_once(self, speed):
+        # an infinite stopping distance: the first tick brakes
+        cfg = config(ego_speed_mps=speed)
+        outcome, ticks = run_scenario(cfg)
+        assert outcome == Outcome.collision(speed)
+        assert ticks["braking"].tolist() == [True]
+        assert (outcome, ticks.tolist()) == reference_run_scenario(cfg)
+
     def test_perceived_gap_logged_consistently(self):
         cfg = config(depth_ratio=1.5)
         _, ticks = run_scenario(cfg)
