@@ -53,8 +53,8 @@ select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
 
 ``_lens_box`` is the one owner of the lens footprint: it gives the
 rescale's center, the bounding box of the in-lens pixels and the in-lens
-mask over it, and it alone builds per-pixel offsets from a region's
-center. ``region_masks`` returns that mask itself when the box is the whole
+mask over it, and it alone builds the squared offsets of the in-lens
+predicate. ``region_masks`` returns that mask itself when the box is the whole
 frame, so a full-frame lens builds no frame-sized mask: its mask is a
 read-only view of one set value, and the render skips its out-of-lens
 blur, as no pixel lies outside the lens. The frame check builds no array:
