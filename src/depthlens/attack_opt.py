@@ -16,11 +16,14 @@ map or the target as reference, so ``|a - b|`` is formed strip by strip,
 never as a frame-sized map, and its kept values are summed as they come,
 never held as a selection; a map is scored in the dtype the estimator
 returns (float32 from a file): the mean widens each strip, so no map is
-copied to float64 and the losses are those of the float64 copy.
+copied to float64 and the losses are those of the float64 copy; the
+proxy's ``estimation.ProxyMap`` is computed strip by strip from its gray
+frame, so it is never a float64 frame.
 The vehicle terms are reduced on the vehicle box's crop: the pixels of its
 full-frame mask in the same order, so the same bits at the cost of a box.
 The search holds one level's map at a time: a map is dropped before the
-next level's is made, and a render once its map is. Renders are deferred
+next level's is made, and a render once its map is (a proxy map holds its
+render's gray frame). Renders are deferred
 (``imaging.apply_attack_transform``): an estimator that reads pixels
 renders the level inside its call, and one that reads precomputed maps
 renders nothing. The argmin over levels 1..9 is exact enumeration; ties
@@ -38,7 +41,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import REPORTED_ERRORS, DepthlensError, check_positive
-from .estimation import Box, masked_mean
+from .estimation import Box, ProxyMap, masked_mean
 from .imaging import (LensKind, LensRegion, RasterImage, apply_attack_transform,
                       level_to_profile, region_masks)
 from .metrics import adr, aer
@@ -57,14 +60,16 @@ class Mode(Enum):
 
 
 class Estimator(Protocol):
-    """Anything that turns an image into a 2-d float map.
+    """Anything that turns an image into a 2-d float map: an array, or an
+    ``estimation.ProxyMap``, which the losses read without building it.
 
     ``tag`` identifies the evaluation ("benign", "level_1", ...) so that
     file-backed estimators can look up pre-computed maps; live estimators
     ignore it.
     """
 
-    def estimate_map(self, image: RasterImage, tag: str | None = None) -> np.ndarray:
+    def estimate_map(self, image: RasterImage,
+                     tag: str | None = None) -> np.ndarray | ProxyMap:
         ...
 
 
@@ -167,9 +172,9 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
             attacked = apply_attack_transform(benign, profile)
             # One level's map at a time: the last one goes before this one is
             # made, so an estimator that reads pixels renders after it goes.
-            # The attacked frame, allocated by the call above, keeps the
-            # freed map from forming a heap top that glibc would trim and
-            # the render would fault back in.
+            # A proxy map holds its render's gray frame, so the last render
+            # goes with it. Dropping it only after the call above allocates
+            # this level's frame faults fewer pages per proxy search.
             est_att = att_veh = None
             est_att = estimator.estimate_map(attacked, tag=f"level_{level}")
             attacked = None  # only the estimator reads the render

@@ -323,7 +323,8 @@ def _add_optimize(sub) -> _Command:
     cmd.opt("--y-tar", _finite, help="target value for targeted mode")
     cmd.opt("--fiducial-height", _finite, help="proxy fiducial height, m")
     cmd.opt("--focal-px", _finite, help="proxy focal length, px")
-    cmd.opt("--detect-threshold", _Int(0, 255), estimation.FiducialSpec.detection_threshold,
+    cmd.opt("--detect-threshold", _Int(*estimation.DETECTION_THRESHOLDS),
+            estimation.FiducialSpec.detection_threshold,
             help="proxy blob threshold")
     cmd.opt("--output", help="CSV path (default stdout)")
     return cmd
@@ -415,7 +416,7 @@ def _add_defend(sub) -> _Command:
     cmd.opt("--input", help="image to score")
     cmd.opt("--method", _Words(("varlap", "lbp")))
     cmd.opt("--threshold", _finite, help="verdict threshold (method default)")
-    cmd.opt("--window", _Int(8), defense.DEFAULT_TILE_PX, help="lbp tile size, px")
+    cmd.opt("--window", _Int(defense.MIN_TILE_PX), defense.DEFAULT_TILE_PX, help="lbp tile size, px")
     cmd.opt("--delta", _Int(0), defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
     cmd.opt("--mask-out", help="write the blur mask PGM here (lbp)")
     return cmd

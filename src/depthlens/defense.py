@@ -50,6 +50,7 @@ from .imaging import RasterImage, _strips
 DEFAULT_VARLAP_THRESHOLD = 100.0
 DEFAULT_LBP_SCORE_THRESHOLD = 0.15
 DEFAULT_TILE_PX = 32
+MIN_TILE_PX = 8
 DEFAULT_LBP_DELTA = 20
 
 
@@ -162,8 +163,8 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
     tiles may be partial); each tile's score is computed over its interior
     pixels, the ones that have a full 8-neighbor ring.
     """
-    if window < 8:
-        raise ValueError(f"window must be >= 8 px, got {window}")
+    if window < MIN_TILE_PX:
+        raise ValueError(f"window must be >= {MIN_TILE_PX} px, got {window}")
     if lbp_threshold < 0:
         raise ValueError(f"lbp delta must be non-negative, got {lbp_threshold}")
     gray = image.to_gray().data

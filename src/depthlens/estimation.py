@@ -19,12 +19,13 @@ everything around them:
   pairwise-sum tree one subtree at a time, so a mean has the bits of
   ``np.mean`` over the whole selection.
 
-A depth or disparity map is a plain float ``np.ndarray`` of shape (h, w):
-float32 as read from a PFM/PGM16 file; float64 from the proxy or when
-rescaled. ``masked_mean`` widens to float64 before it computes, so a map's
-dtype changes no loss or metric. Invalid pixels (holes, zero disparity) are
-marked NaN rather than raised: maps from real estimators contain them
-routinely.
+A depth or disparity map of shape (h, w) is a plain float ``np.ndarray``
+(float32 as read from a PFM/PGM16 file; float64 when rescaled) or the
+proxy's float64 ``ProxyMap``, computed from its gray frame where it is
+read: by strips in ``masked_mean``, and by a box's crop. ``masked_mean``
+widens to float64 before it computes, so a map's dtype changes no loss or
+metric. Invalid pixels (holes, zero disparity) are marked NaN rather than
+raised: maps from real estimators contain them routinely.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .imaging import RasterImage, _span, _strips
 # 128 KiB of float64, and few enough that a 160x120 frame of the CLI corpus
 # spans two subtrees (of 2^13 to 2^17, 2^14 and 2^15 ran fastest at 1080p).
 _SUBTREE = 2 ** 14
+# The lowest and highest 8-bit level a fiducial detection threshold may be.
+DETECTION_THRESHOLDS = (0, 255)
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,8 @@ class FiducialSpec:
 
     def __post_init__(self):
         check_positive(fiducial_height=self.physical_height_m)
-        if not 0 <= self.detection_threshold <= 255:
+        low, high = DETECTION_THRESHOLDS
+        if not low <= self.detection_threshold <= high:
             raise ValueError("detection threshold must be an 8-bit level")
 
 
@@ -147,9 +151,11 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     counted, and the sum is made again over the finite values; a float64
     difference that overflows costs one more pass. Strips are differenced
     in float64, a float32 operand widened into a strip buffer first, so a
-    float32 map gives the mean of its float64 copy.
+    float32 map gives the mean of its float64 copy; a ``ProxyMap`` is read
+    into that buffer, so the mean never builds its frame.
     """
-    values = np.asarray(values)
+    if not isinstance(values, ProxyMap):
+        values = np.asarray(values)
     check_bool(mask=mask)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} does not match map {values.shape}")
@@ -182,9 +188,16 @@ def _subtree_lengths(count: int) -> list[int]:
     return lengths
 
 
-def _float64(part: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``part`` if it is float64, else ``part`` widened into ``out``: a
-    widening copy costs less than a subtraction that casts as it goes."""
+def _rows(values, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of a map: an array's own, or a ``ProxyMap``'s read into ``out``."""
+    return values.read(rows, out=out) if isinstance(values, ProxyMap) else values[rows]
+
+
+def _float64(values, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows of a map in float64: a float64 array's own, else read or widened
+    into ``out``: a widening copy costs less than a subtraction that casts
+    as it goes."""
+    part = _rows(values, rows, out)
     if part.dtype == np.float64:
         return part
     np.copyto(out, part)
@@ -195,10 +208,10 @@ def _finite_count(values, mask, reference) -> int:
     """How many masked pixels have finite operands: the kept count, unless a
     float64 difference of finite operands overflows."""
     count = 0
-    for strip in _strips(len(values), math.prod(values.shape[1:])):
-        finite = np.isfinite(values[strip])
+    for strip in _strips(values.shape[0], math.prod(values.shape[1:])):
+        finite = np.isfinite(_rows(values, strip))
         if reference is not None:
-            finite &= np.isfinite(reference[strip] if np.ndim(reference) else reference)
+            finite &= np.isfinite(_rows(reference, strip) if np.ndim(reference) else reference)
         finite &= mask[strip]
         count += np.count_nonzero(finite)
     return count
@@ -221,15 +234,16 @@ def _tree_sum(values, mask, reference, count: int, unchecked: bool):
     tree = np.empty(max(lengths))
     node = filled = kept = 0
     widened = None
-    for strip in _strips(len(values), math.prod(values.shape[1:])):
-        part, in_mask = values[strip], mask[strip]
-        if reference is not None:
+    for strip in _strips(values.shape[0], math.prod(values.shape[1:])):
+        in_mask = mask[strip]
+        if reference is None:
+            part = _rows(values, strip)
+        else:
             if widened is None:
-                widened = np.empty((2,) + part.shape)
-            wide, wide_ref = widened[:, :len(part)]
-            ref = reference[strip] if np.ndim(reference) else reference
-            part = np.subtract(_float64(part, wide),
-                               _float64(ref, wide_ref) if np.ndim(ref) else ref, out=wide)
+                widened = np.empty((2,) + in_mask.shape)
+            wide, wide_ref = widened[:, :len(in_mask)]
+            ref = _float64(reference, strip, wide_ref) if np.ndim(reference) else reference
+            part = np.subtract(_float64(values, strip, wide), ref, out=wide)
         keep = in_mask
         if not unchecked:
             keep = np.isfinite(part)
@@ -306,15 +320,51 @@ class ProxyDepthMapper:
         self.focal_px = focal_px
         self.near_m = near_m
         self.far_m = far_m
+        # Each gray level's ramp, which its maps look up: elementwise, so
+        # with the bits of a frame's ramp.
+        self._ramp = near_m + (far_m - near_m) * np.arange(256, dtype=np.float64) / 255.0
 
-    def estimate_map(self, image: RasterImage, tag: str | None = None) -> np.ndarray:
+    def estimate_map(self, image: RasterImage, tag: str | None = None) -> "ProxyMap":
         gray = image.to_gray().data
-        depth = self.near_m + (self.far_m - self.near_m) * gray.astype(np.float64) / 255.0
         rows, cols = _find_blob(gray, self.fiducial)
         height_px = rows.stop - rows.start
         vehicle_depth = self.focal_px * self.fiducial.physical_height_m / height_px
-        depth[rows, cols] = vehicle_depth
-        return depth
+        return ProxyMap(gray, self._ramp, (rows, cols), vehicle_depth)
+
+
+class ProxyMap:
+    """The proxy's float64 depth map, computed where it is read: ``ramp``
+    looked up by ``gray``, with ``depth`` over the fiducial's ``box``. It
+    holds the gray frame, 1 byte a pixel, not 8. ``read`` (strips, into a
+    caller's buffer) and a box's crop (``map[rows, cols]``, slices of step
+    1) look up only what they return; any other index, and ``np.asarray``,
+    build the whole frame."""
+
+    dtype = np.dtype(np.float64)
+    ndim = 2
+
+    def __init__(self, gray: np.ndarray, ramp: np.ndarray,
+                 box: tuple[slice, slice], depth: float):
+        self.gray, self.ramp, self.box, self.depth = gray, ramp, box, depth
+        self.shape = gray.shape
+
+    def read(self, rows: slice, cols: slice = slice(None), out=None) -> np.ndarray:
+        """``map[rows, cols]`` for slices of step 1, written into ``out``."""
+        out = self.ramp.take(self.gray[rows, cols], out=out, mode="clip")
+        (top, _, _), (left, _, _) = rows.indices(self.shape[0]), cols.indices(self.shape[1])
+        box_rows, box_cols = self.box
+        out[max(box_rows.start - top, 0):max(box_rows.stop - top, 0),
+            max(box_cols.start - left, 0):max(box_cols.stop - left, 0)] = self.depth
+        return out
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and all(
+                isinstance(k, slice) and k.step in (None, 1) for k in key):
+            return self.read(*key)
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.read(slice(None)), dtype=dtype)
 
 
 class DirectoryMapEstimator:

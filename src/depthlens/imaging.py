@@ -294,7 +294,9 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _source_coords(start: int, stop: int, center: float, scale: float, size: int):
     """Bilinear taps along one axis for output positions [start, stop):
     lower and upper source index and the weight of the upper one."""
-    s = center + (np.arange(start, stop, dtype=np.intp) - center) / scale
+    # Below about 1e-306 the quotient overflows; the clip puts it at an edge.
+    with np.errstate(over="ignore"):
+        s = center + (np.arange(start, stop, dtype=np.intp) - center) / scale
     np.clip(s, 0.0, size - 1.0, out=s)
     lo = np.floor(s).astype(np.intp)
     return lo, np.minimum(lo + 1, size - 1), s - lo

@@ -125,6 +125,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "simulate_far_center": ([*_SIM, "--output", "sim_t.pgm", "--level", "3", "--region",
                              "circle", "--cx", "1e200", "--cy", "3", "--radius", "3"],
                             ["sim_t.pgm"]),
+    "simulate_tiny_scale": ([*_SIM, "--output", "sim_u.pgm", "--scale", "1e-307", "--blur",
+                             "0", *_CIRCLE], ["sim_u.pgm"]),
     # optimize: proxy and external on LE/BE PFM and PGM16, boxes on, across
     # and off the frame, both modes, the error exits
     "optimize_proxy_targeted": ([*_OPT, "--mode", "targeted", "--lens-kind", "concave",

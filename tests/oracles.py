@@ -399,6 +399,17 @@ def nonzero_blob_extent(gray: np.ndarray, fiducial) -> tuple[slice, slice]:
     return slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)
 
 
+def dense_proxy_map(gray: np.ndarray, fiducial, focal_px: float, near_m: float,
+                    far_m: float) -> np.ndarray:
+    """Reference proxy depth map as the first proxy computed it: the
+    brightness ramp of the whole frame in float64, then the pinhole depth
+    written over the blob's extent."""
+    depth = near_m + (far_m - near_m) * gray.astype(np.float64) / 255.0
+    rows, cols = nonzero_blob_extent(gray, fiducial)
+    depth[rows, cols] = focal_px * fiducial.physical_height_m / (rows.stop - rows.start)
+    return depth
+
+
 # ------------------------------------------------------------- map files ----
 # The readers as first written: the whole file read into one ``bytes``, the
 # header parsed from it with a regex, the raster viewed in place and

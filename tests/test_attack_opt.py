@@ -433,6 +433,30 @@ def test_a_1080p_full_frame_search_holds_no_out_of_lens_mask(tmp_path):
     assert peak <= 2 * 4 * frame + frame + 2 ** 19
 
 
+def test_a_1080p_proxy_search_holds_no_float64_map():
+    """The proxy's maps are read where the losses use them: each holds its
+    gray frame, not 8 bytes a pixel. Two float64 maps alone would be
+    31.6 MiB; one search with one alpha peaks below 16 MiB."""
+    rng = np.random.default_rng(9)
+    blocks = rng.integers(40, 256, (45, 80))
+    gray = np.kron(blocks, np.ones((24, 24), np.int64)).astype(np.uint8)
+    region = LensRegion.circle(960, 540, 300)
+    gray[region_masks(1920, 1080, region)] = 215
+    gray[490:590, 940:980] = 10  # a 100 px fiducial at the lens center
+    box = Box(880, 460, 1040, 620)
+    estimator = ProxyDepthMapper(FiducialSpec(1.5, reference_box=box), 1400.0)
+    cfg = LossConfig(alpha=0.3, mode=Mode.UNTARGETED, vehicle_box=box, region=region)
+    image = RasterImage(gray)
+    tracemalloc.start()
+    try:
+        result = optimize_level(image, estimator, cfg, LensKind.CONCAVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.loss_curve) == 9
+    assert peak < 16 * 2 ** 20
+
+
 class RandomMapEstimator:
     """Seeded random maps per tag, with NaN holes; one tag may be missing."""
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from depthlens import attack_opt, cli, defense, formats
 from depthlens.cli import main
 from depthlens.errors import EmptyMask
-from depthlens.estimation import Box, load_depth_map
+from depthlens.estimation import DETECTION_THRESHOLDS, Box, FiducialSpec, load_depth_map
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, region_masks)
 
@@ -1021,6 +1021,25 @@ def test_every_integer_option_is_range_checked():
     assert ints == {key: (low, high) for key, (low, high, _) in _INT_RANGES.items()}
     assert not any(parse is int for command in _COMMANDS.values()
                    for parse, _ in command.options.values())
+
+
+def test_library_guarded_ranges_are_read_from_the_library():
+    """The option parser pre-empts two library guards with the guard's own
+    bounds, so each rule is stated once."""
+    window, _ = _COMMANDS["defend"].options["window"]
+    threshold, _ = _COMMANDS["optimize"].options["detect_threshold"]
+    assert (window.low, window.high) == (defense.MIN_TILE_PX, None)
+    assert (threshold.low, threshold.high) == DETECTION_THRESHOLDS
+    image = noise_image((24, 24), seed=5)
+    defense.lbp_sharpness_map(image, window=defense.MIN_TILE_PX)
+    with pytest.raises(ValueError, match="window must be >= 8 px, got 7"):
+        defense.lbp_sharpness_map(image, window=defense.MIN_TILE_PX - 1)
+    low, high = DETECTION_THRESHOLDS
+    for bad in (low - 1, high + 1):
+        with pytest.raises(ValueError, match="detection threshold must be an 8-bit level"):
+            FiducialSpec(1.5, detection_threshold=bad)
+    for good in DETECTION_THRESHOLDS:
+        FiducialSpec(1.5, detection_threshold=good)
 
 
 @pytest.mark.parametrize("name,dest", list(_INT_RANGES),

@@ -35,7 +35,7 @@ ALLOWED = [
     ("cli", "<module>", "console_main()"),
     # --window and --delta are range-checked by the option parser
     ("defense", "lbp_sharpness_map",
-     'raise ValueError(f"window must be >= 8 px, got {window}")'),
+     'raise ValueError(f"window must be >= {MIN_TILE_PX} px, got {window}")'),
     ("defense", "lbp_sharpness_map",
      'raise ValueError(f"lbp delta must be non-negative, got {lbp_threshold}")'),
     # every float option is checked finite by the option parser, and
@@ -57,6 +57,11 @@ ALLOWED = [
     # the CLI's proxy uses the default near and far depths
     ("estimation", "ProxyDepthMapper.__init__",
      'raise ValueError(f"far depth {far_m} must exceed near depth {near_m}")'),
+    # only whole-frame readers of a proxy map, such as tests and oracles,
+    # index it other than by a box or read it as an array
+    ("estimation", "ProxyMap.__getitem__", "return np.asarray(self)[key]"),
+    ("estimation", "ProxyMap.__array__",
+     "return np.asarray(self.read(slice(None)), dtype=dtype)"),
     # the optimizer always passes a tag
     ("estimation", "DirectoryMapEstimator.estimate_map",
      'raise ValueError("file-backed estimator needs an evaluation tag")'),

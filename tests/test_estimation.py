@@ -16,8 +16,8 @@ from depthlens.imaging import LensRegion, RasterImage, scale_region
 
 from helpers import (fiducial_reading, render_fiducial, strip_values, write_pfm,
                      write_pgm16)
-from oracles import (_dense_abs_diff, dense_box_mask, nonzero_blob_extent,
-                     reference_load_depth_map)
+from oracles import (_dense_abs_diff, dense_box_mask, dense_proxy_map,
+                     nonzero_blob_extent, reference_load_depth_map)
 
 
 def _rescaled(tmp_path, values, constant):
@@ -124,6 +124,104 @@ class TestProxyEstimate:
         spec = FiducialSpec(1.5, reference_box=Box(64, 64, 192, 192))
         depth = fiducial_reading(ProxyDepthMapper(spec, 700.0), RasterImage(img))
         assert depth == pytest.approx(700.0 * 1.5 / 60.0, rel=0.05)
+
+
+def _bits(values):
+    values = np.asarray(values)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def _outcome(mean, *args):
+    try:
+        return mean(*args)
+    except EmptyMask as exc:
+        return str(exc)
+
+
+@st.composite
+def proxy_cases(draw):
+    """A gray frame with a dark patch, a proxy over it and the dense map it
+    must give. The frame may hold no fiducial; its ramp may span 1e-6 to
+    1e300 m, and its pinhole depth may overflow to inf."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    threshold = draw(st.integers(0, 255))
+    gray = rng.integers(draw(st.integers(0, 255)), 256, (h, w), dtype=np.uint8)
+    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    gray[y0:y0 + draw(st.integers(1, h)), x0:x0 + draw(st.integers(1, w))] = \
+        draw(st.integers(0, threshold))
+    box = None
+    if draw(st.booleans()):
+        bx, by = draw(st.integers(-4, w)), draw(st.integers(-4, h))
+        box = Box(bx, by, bx + draw(st.integers(1, w + 4)), by + draw(st.integers(1, h + 4)))
+    fiducial = FiducialSpec(draw(st.sampled_from([1.5, 1e10])),
+                            detection_threshold=threshold, reference_box=box)
+    focal_px = draw(st.sampled_from([700.0, 1e300]))  # 1e300 * 1e10 is inf
+    near_m = draw(st.floats(1e-6, 1e6))
+    far_m = near_m + draw(st.sampled_from([1e-6, 36.0, 1e300]))
+    mapper = ProxyDepthMapper(fiducial, focal_px, near_m=near_m, far_m=far_m)
+    try:
+        want = dense_proxy_map(gray, fiducial, focal_px, near_m, far_m)
+    except FiducialNotFound:
+        with pytest.raises(FiducialNotFound):
+            mapper.estimate_map(RasterImage(gray))
+        want = None
+    return gray, mapper, want
+
+
+class TestProxyMap:
+    """The proxy's map is read where it is used; every read must have the
+    bits of the dense float64 frame the proxy used to return."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=proxy_cases(), data=st.data())
+    def test_reads_have_the_dense_frames_bits(self, case, data):
+        gray, mapper, want = case
+        if want is None:
+            return
+        h, w = gray.shape
+        got = mapper.estimate_map(RasterImage(gray))
+        assert (got.shape, got.dtype, got.ndim) == (want.shape, want.dtype, 2)
+        assert _bits(got) == _bits(want)
+        top = data.draw(st.integers(0, h))
+        rows = slice(top, data.draw(st.integers(top, h)))
+        buf = np.full((rows.stop - rows.start, w), np.nan)
+        assert got.read(rows, out=buf) is buf
+        assert _bits(buf) == _bits(want[rows])
+        bx, by = data.draw(st.integers(-4, w + 2)), data.draw(st.integers(-4, h + 2))
+        box = Box(bx, by, bx + data.draw(st.integers(1, w + 4)),
+                  by + data.draw(st.integers(1, h + 4)))
+        assert _bits(got[box.slices()]) == _bits(want[box.slices()])
+        y, x = data.draw(st.integers(-h, h - 1)), data.draw(st.integers(-w, w - 1))
+        assert _bits(got[y, x]) == _bits(want[y, x])
+        assert _bits(got[y]) == _bits(want[y])
+        selection = np.random.default_rng(data.draw(st.integers(0, 99))).random((h, w)) < 0.5
+        assert _bits(got[selection]) == _bits(want[selection])
+        with np.errstate(over="ignore"):  # float32 has no 1e300
+            assert _bits(np.asarray(got, dtype=np.float32)) == _bits(want.astype(np.float32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=proxy_cases(), data=st.data())
+    def test_masked_mean_of_maps_is_the_mean_of_their_frames(self, case, data):
+        gray, mapper, want = case
+        if want is None:
+            return
+        other = gray.copy()
+        other[::data.draw(st.integers(1, 3))] //= data.draw(st.integers(1, 4))
+        try:
+            attacked = mapper.estimate_map(RasterImage(other))
+        except FiducialNotFound:
+            return
+        benign = mapper.estimate_map(RasterImage(gray))
+        mask = np.random.default_rng(data.draw(st.integers(0, 99))).random(gray.shape) \
+            < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        reference = data.draw(st.sampled_from([None, 20.0, benign]))
+        frame = np.asarray(reference) if reference is benign else reference
+        with strip_values(data.draw(st.sampled_from([1, 97, 2 ** 16]))), \
+                np.errstate(over="ignore"):  # a sum of 1e300 depths
+            got = _outcome(masked_mean, attacked, mask, reference)
+            want = _outcome(masked_mean, np.asarray(attacked), mask, frame)
+        assert got == want
 
 
 class TestLoaders:

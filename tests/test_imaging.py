@@ -225,6 +225,16 @@ class TestScaleRegion:
         with strip_values(strip):
             assert_scale_matches_dense_oracle(img, region, data.draw(scales()))
 
+    @pytest.mark.parametrize("scale", [1e-307, 5e-324])
+    def test_a_tiny_scale_clips_every_source_without_a_warning(self, scale):
+        # an offset divided by the scale overflows; a RuntimeWarning is an
+        # error under this suite's settings
+        img = noise_image((120, 160), seed=4)
+        region = LensRegion.circle(80, 60, 45)
+        with np.errstate(over="ignore"):
+            expected = dense_scale_region(img, region, scale).data
+        assert np.array_equal(scale_region(img, region, scale).data, expected)
+
     @pytest.mark.parametrize("strip", [imaging._STRIP_VALUES] + STRIPS)
     @pytest.mark.parametrize("scale", [0.01, 0.3, 2.5, 3.0])
     def test_edge_circles_across_strips(self, strip, scale):
