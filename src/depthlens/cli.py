@@ -416,7 +416,8 @@ def _add_defend(sub) -> _Command:
     cmd.opt("--input", help="image to score")
     cmd.opt("--method", _Words(("varlap", "lbp")))
     cmd.opt("--threshold", _finite, help="verdict threshold (method default)")
-    cmd.opt("--window", _Int(defense.MIN_TILE_PX), defense.DEFAULT_TILE_PX, help="lbp tile size, px")
+    cmd.opt("--window", _Int(defense.MIN_TILE_PX), defense.DEFAULT_TILE_PX,
+            help="lbp tile size, px")
     cmd.opt("--delta", _Int(0), defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
     cmd.opt("--mask-out", help="write the blur mask PGM here (lbp)")
     return cmd

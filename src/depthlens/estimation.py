@@ -324,7 +324,7 @@ class ProxyDepthMapper:
         # with the bits of a frame's ramp.
         self._ramp = near_m + (far_m - near_m) * np.arange(256, dtype=np.float64) / 255.0
 
-    def estimate_map(self, image: RasterImage, tag: str | None = None) -> "ProxyMap":
+    def estimate_map(self, image: RasterImage, tag: str | None = None) -> ProxyMap:
         gray = image.to_gray().data
         rows, cols = _find_blob(gray, self.fiducial)
         height_px = rows.stop - rows.start

@@ -217,11 +217,10 @@ class TestProxyMap:
             < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         reference = data.draw(st.sampled_from([None, 20.0, benign]))
         frame = np.asarray(reference) if reference is benign else reference
-        with strip_values(data.draw(st.sampled_from([1, 97, 2 ** 16]))), \
-                np.errstate(over="ignore"):  # a sum of 1e300 depths
+        with strip_values(data.draw(st.sampled_from([1, 97, 2 ** 16]))):
             got = _outcome(masked_mean, attacked, mask, reference)
-            want = _outcome(masked_mean, np.asarray(attacked), mask, frame)
-        assert got == want
+            dense = _outcome(masked_mean, np.asarray(attacked), mask, frame)
+        assert got == dense
 
 
 class TestLoaders:
