@@ -26,9 +26,12 @@ next level's is made, and a render once its map is (a proxy map holds its
 render's gray frame). Renders are deferred
 (``imaging.apply_attack_transform``): an estimator that reads pixels
 renders the level inside its call, and one that reads precomputed maps
-renders nothing. The argmin over levels 1..9 is exact enumeration; ties
-break toward the smallest level (least conspicuous blur, and determinism
-needs a rule).
+renders nothing. A sweep's region holds the lens footprint
+(``imaging.LensRegion.held``) from the sweep's first search to its return,
+so the out-of-lens mask and every render's rescale and blur come from one
+evaluation of the in-lens predicate. The argmin over levels 1..9 is exact
+enumeration; ties break toward the smallest level (least conspicuous blur,
+and determinism needs a rule).
 """
 
 from __future__ import annotations
@@ -157,12 +160,9 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     veh = cfg.vehicle_box.slices()
     benign_veh = est_benign[veh]
     m_veh = np.ones(benign_veh.shape, dtype=bool)
-    # Not ``~``: NumPy would invert the temporary in place, and that
-    # allocation order raises the peak RSS of the attack workloads.
-    m_out = np.logical_not(region_masks(map_w, map_h, cfg.region))
-    # Nothing lies outside a full-frame lens, so nothing can drift there, and
-    # the search holds no all-clear mask.
-    m_out = m_out if m_out.any() else None
+    # None when nothing lies outside the lens (a full-frame lens), so nothing
+    # can drift there.
+    m_out = region_masks(map_w, map_h, cfg.region, outside=True)
 
     curve = []
     attacked_means = {}
@@ -231,12 +231,15 @@ def alpha_sweep(benign: RasterImage, estimator: Estimator, base_cfg: LossConfig,
     if not cfgs:
         raise ValueError("alpha list must not be empty")
     rows = []
-    for cfg in cfgs:
-        try:
-            rows.append(SweepRow(cfg.alpha, cfg.mode, optimize_level(
-                benign, estimator, cfg, lens_kind)))
-        except OptimizationError as exc:
-            rows.append(SweepRow(cfg.alpha, cfg.mode, None, error=str(exc)))
+    # Every cfg shares base_cfg's region, which holds the lens footprint
+    # for all the searches' renders and losses and drops it at the end.
+    with base_cfg.region.held():
+        for cfg in cfgs:
+            try:
+                rows.append(SweepRow(cfg.alpha, cfg.mode, optimize_level(
+                    benign, estimator, cfg, lens_kind)))
+            except OptimizationError as exc:
+                rows.append(SweepRow(cfg.alpha, cfg.mode, None, error=str(exc)))
     return rows
 
 

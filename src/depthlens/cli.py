@@ -418,7 +418,8 @@ def _add_defend(sub) -> _Command:
     cmd.opt("--threshold", _finite, help="verdict threshold (method default)")
     cmd.opt("--window", _Int(defense.MIN_TILE_PX), defense.DEFAULT_TILE_PX,
             help="lbp tile size, px")
-    cmd.opt("--delta", _Int(0), defense.DEFAULT_LBP_DELTA, help="lbp neighbor delta")
+    cmd.opt("--delta", _Int(defense.MIN_LBP_DELTA), defense.DEFAULT_LBP_DELTA,
+            help="lbp neighbor delta")
     cmd.opt("--mask-out", help="write the blur mask PGM here (lbp)")
     return cmd
 
@@ -455,7 +456,7 @@ def _add_scenario(sub) -> _Command:
     cmd.opt("--dt", _finite, defaults.dt_s, help="tick, s")
     cmd.opt("--max-time", _finite, defaults.max_sim_time_s, help="simulation cap, s")
     cmd.opt("--sigma", _finite, defaults.noise_sigma_m, help="perception noise sigma, m")
-    cmd.opt("--seed", _Int(0), defaults.seed, help="noise seed")
+    cmd.opt("--seed", _Int(scenario.MIN_SEED), defaults.seed, help="noise seed")
     cmd.opt("--ratio", _finite, defaults.depth_ratio, help="perceived/true depth ratio")
     cmd.opt("--ratio-from-optics", _SWITCH, False, action="store_const", const="1",
             help="derive the ratio from lens geometry")

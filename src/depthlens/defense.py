@@ -52,6 +52,7 @@ DEFAULT_LBP_SCORE_THRESHOLD = 0.15
 DEFAULT_TILE_PX = 32
 MIN_TILE_PX = 8
 DEFAULT_LBP_DELTA = 20
+MIN_LBP_DELTA = 0
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
     """
     if window < MIN_TILE_PX:
         raise ValueError(f"window must be >= {MIN_TILE_PX} px, got {window}")
-    if lbp_threshold < 0:
+    if lbp_threshold < MIN_LBP_DELTA:
         raise ValueError(f"lbp delta must be non-negative, got {lbp_threshold}")
     gray = image.to_gray().data
     h, w = gray.shape

@@ -322,7 +322,11 @@ class ProxyDepthMapper:
         self.far_m = far_m
         # Each gray level's ramp, which its maps look up: elementwise, so
         # with the bits of a frame's ramp.
-        self._ramp = near_m + (far_m - near_m) * np.arange(256, dtype=np.float64) / 255.0
+        with np.errstate(over="ignore"):
+            ramp = near_m + (far_m - near_m) * np.arange(256, dtype=np.float64) / 255.0
+        if not np.isfinite(ramp).all():
+            raise ValueError(f"depth span {near_m} to {far_m} overflows the brightness ramp")
+        self._ramp = ramp
 
     def estimate_map(self, image: RasterImage, tag: str | None = None) -> ProxyMap:
         gray = image.to_gray().data

@@ -51,14 +51,21 @@ masked writer: a strip whose mask is all set (every strip of a full-frame
 lens) is stored directly; any other is merged in uint8 by a bitwise
 select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
 
-``_lens_box`` is the one owner of the lens footprint: it gives the
-rescale's center, the bounding box of the in-lens pixels and the in-lens
-mask over it, and it alone builds the squared offsets of the in-lens
-predicate. ``region_masks`` returns that mask itself when the box is the whole
+``_Footprint`` is the one owner of the lens footprint on a frame: the
+rescale's center, the bounding box of the in-lens pixels, the in-lens mask
+over it, and the out-of-lens frame mask, or ``None`` when no pixel lies
+outside the lens; it alone builds the squared offsets of the in-lens
+predicate, and evaluates it by row strips into the box mask.
+``region_masks`` returns the box mask itself when the box is the whole
 frame, so a full-frame lens builds no frame-sized mask: its mask is a
-read-only view of one set value, and the render skips its out-of-lens
-blur, as no pixel lies outside the lens. The frame check builds no array:
-it evaluates a circle's predicate at the pixel nearest its center.
+read-only view of one set value, its out-of-lens mask is ``None``, and the
+render skips its out-of-lens blur. Inside ``with region.held():`` the
+``LensRegion`` instance holds its footprint on each frame size, and the
+outermost block drops them: a render holds its region for its rescale and
+blur, and ``attack_opt.alpha_sweep`` for all its renders and losses, so a
+sweep evaluates the predicate once. Outside a block each call builds its
+own. The frame check builds no array: it evaluates a circle's predicate at
+the pixel nearest its center.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -68,6 +75,7 @@ in the same order, as in the dense reference kernels.
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -81,6 +89,9 @@ from . import formats
 _STRIP_VALUES = 2 ** 16
 # Luma weight of each RGB channel.
 _LUMA = (0.299, 0.587, 0.114)
+# The one value a full-frame lens's in-lens mask views.
+_ALL_SET = np.ones(1, dtype=bool)
+_ALL_SET.flags.writeable = False
 
 
 def _strips(rows: int, row_values: int):
@@ -208,37 +219,96 @@ class LensRegion:
             raise ValueError(f"circle radius squared must be finite, got {radius}") from None
         return cls(RegionKind.CIRCLE, center_x, center_y, radius)
 
+    @contextmanager
+    def held(self):
+        """Within the block, this region holds its footprint on each frame
+        size it is asked for, so the kernels evaluate the in-lens predicate
+        once per size; the outermost block drops them when it ends, also on
+        an error. A sweep holds its region for all its renders and losses, a
+        render for its rescale and blur. The footprints are no field:
+        equality, hashing and ``replace`` ignore them."""
+        if "_footprints" in vars(self):
+            yield
+            return
+        object.__setattr__(self, "_footprints", {})
+        try:
+            yield
+        finally:
+            object.__delattr__(self, "_footprints")
 
-def _lens_box(width: int, height: int, region: LensRegion):
-    """The lens footprint on a frame: its center, the bounding box of the
-    in-lens pixels and the in-lens mask over that box.
 
-    Returns ``(cx, cy, rows, cols, inside)``: the center in pixel
-    coordinates (a full-frame lens's is the frame's), two slices into the
-    frame and the boolean mask of shape ``(rows, cols)``; a full-frame
-    lens's is a read-only all-set view of one value. The circle predicate is
-    the same float expression on every pixel it evaluates; a row (column)
-    whose own squared offset already exceeds ``r**2`` cannot hold an in-lens
-    pixel, because the other squared term is non-negative and rounding is
-    monotone. An offset whose square overflows is outside, as ``r**2`` is
-    finite.
+class _Footprint:
+    """A lens region's footprint on a frame: the rescale's center ``cx``,
+    ``cy`` (a full-frame lens's is the frame's), the bounding box of the
+    in-lens pixels as two slices ``rows``, ``cols`` into the frame, the
+    read-only in-lens mask ``inside`` over that box (a full-frame lens's is
+    an all-set view of one value), and ``outside``, the read-only
+    out-of-lens frame mask, built on first use.
+
+    ``outside`` is ``None`` when no pixel lies outside the lens: a
+    full-frame lens, or a circle that covers the frame. This is the one
+    statement of that fact; the render's out-of-lens blur and the search's
+    out-of-lens loss both read it.
+
+    The circle predicate is the same float expression on every pixel it
+    evaluates, row strip by row strip into the mask, so no box-sized float
+    array is built; a row (column) whose own squared offset already exceeds
+    ``r**2`` cannot hold an in-lens pixel, because the other squared term
+    is non-negative and rounding is monotone. An offset whose square
+    overflows is outside, as ``r**2`` is finite.
     """
-    if region.kind is RegionKind.FULL_FRAME:
-        return ((width - 1) / 2.0, (height - 1) / 2.0, slice(0, height), slice(0, width),
-                np.broadcast_to(True, (height, width)))
-    cx, cy, r2 = float(region.center_x), float(region.center_y), region.radius ** 2
-    with np.errstate(over="ignore"):
-        dy2 = (np.arange(height, dtype=np.float64) - cy) ** 2
-        dx2 = (np.arange(width, dtype=np.float64) - cx) ** 2
-        rows, cols = _span(dy2 <= r2), _span(dx2 <= r2)
-        return cx, cy, rows, cols, dx2[None, cols] + dy2[rows, None] <= r2
+
+    __slots__ = ("cx", "cy", "rows", "cols", "inside", "width", "height", "_outside")
+
+    def __init__(self, width: int, height: int, region: LensRegion):
+        self.width, self.height = width, height
+        if region.kind is RegionKind.FULL_FRAME:
+            self.cx, self.cy = (width - 1) / 2.0, (height - 1) / 2.0
+            self.rows, self.cols = slice(0, height), slice(0, width)
+            self.inside = np.ndarray((height, width), bool, _ALL_SET, strides=(0, 0))
+            self._outside = None
+            return
+        self.cx, self.cy = float(region.center_x), float(region.center_y)
+        r2 = region.radius ** 2
+        with np.errstate(over="ignore"):
+            dy2 = (np.arange(height, dtype=np.float64) - self.cy) ** 2
+            dx2 = (np.arange(width, dtype=np.float64) - self.cx) ** 2
+            self.rows, self.cols = _span(dy2 <= r2), _span(dx2 <= r2)
+            dx2, dy2 = dx2[None, self.cols], dy2[self.rows, None]
+            self.inside = np.empty((len(dy2), dx2.shape[1]), dtype=bool)
+            for strip in _strips(len(dy2), dx2.shape[1]):
+                np.less_equal(dx2 + dy2[strip], r2, out=self.inside[strip])
+        self.inside.flags.writeable = False
+
+    @property
+    def outside(self) -> np.ndarray | None:
+        if not hasattr(self, "_outside"):
+            shape = (self.height, self.width)
+            self._outside = None
+            if not (self.inside.shape == shape and self.inside.all()):
+                # One frame: the box's complement is written into it in place.
+                self._outside = np.ones(shape, dtype=bool)
+                np.logical_not(self.inside, out=self._outside[self.rows, self.cols])
+                self._outside.flags.writeable = False
+        return self._outside
+
+
+def _footprint(width: int, height: int, region: LensRegion) -> _Footprint:
+    """``region``'s footprint on a ``width`` x ``height`` frame: the one it
+    holds, inside ``region.held()``, else a new one."""
+    held = vars(region).get("_footprints")
+    if held is None:
+        return _Footprint(width, height, region)
+    if (width, height) not in held:
+        held[width, height] = _Footprint(width, height, region)
+    return held[width, height]
 
 
 def _check_meets_frame(width: int, height: int, region: LensRegion) -> None:
     """Raise ``DegenerateRegion`` unless some pixel of the frame is in-lens.
     A circle's predicate adds two squared offsets, each least at the pixel
     nearest the center on its axis, and rounding is monotone, so the
-    predicate is evaluated there alone, in ``_lens_box``'s float operations
+    predicate is evaluated there alone, in ``_Footprint``'s float operations
     (in Python floats, whose squares overflow to inf without a warning)."""
     if region.kind is RegionKind.CIRCLE:
         cx, cy = float(region.center_x), float(region.center_y)
@@ -248,18 +318,23 @@ def _check_meets_frame(width: int, height: int, region: LensRegion) -> None:
             raise DegenerateRegion("lens region does not intersect the frame")
 
 
-def region_masks(width: int, height: int, region: LensRegion) -> np.ndarray:
+def region_masks(width: int, height: int, region: LensRegion, *,
+                 outside: bool = False) -> np.ndarray | None:
     """The (height, width) in-lens mask: pixel (x, y) is in-lens iff its
-    center lies within the region. ``~mask`` is the out-of-lens side. A lens
-    whose box is the whole frame returns the box's own mask: for a
-    full-frame lens, a read-only view of one set value."""
+    center lies within the region. With ``outside``, the out-of-lens mask
+    instead, or ``None`` when no pixel lies outside the lens. A mask the
+    footprint holds is returned itself, read-only: the out-of-lens one, and
+    the in-lens one when the box is the whole frame (for a full-frame lens,
+    a view of one set value)."""
     if width < 1 or height < 1:
         raise ValueError("mask dimensions must be positive")
-    *_, rows, cols, box = _lens_box(width, height, region)
-    if box.shape == (height, width):
-        return box
+    footprint = _footprint(width, height, region)
+    if outside:
+        return footprint.outside
+    if footprint.inside.shape == (height, width):
+        return footprint.inside
     inside = np.zeros((height, width), dtype=bool)
-    inside[rows, cols] = box
+    inside[footprint.rows, footprint.cols] = footprint.inside
     return inside
 
 
@@ -318,9 +393,10 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     _check_meets_frame(image.width, image.height, region)
     if scale == 1.0:
         return image
-    cx, cy, rows, cols, inside = _lens_box(image.width, image.height, region)
-    x0, x1, fx = _source_coords(cols.start, cols.stop, cx, scale, image.width)
-    y0, y1, fy = _source_coords(rows.start, rows.stop, cy, scale, image.height)
+    footprint = _footprint(image.width, image.height, region)
+    rows, cols, inside = footprint.rows, footprint.cols, footprint.inside
+    x0, x1, fx = _source_coords(cols.start, cols.stop, footprint.cx, scale, image.width)
+    y0, y1, fy = _source_coords(rows.start, rows.stop, footprint.cy, scale, image.height)
     # RGB channels are folded into the row so every weight broadcasts along
     # a contiguous axis.
     fx = np.repeat(fx, image.channels)
@@ -530,12 +606,11 @@ def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> Raster
 
     def fill() -> None:
         np.copyto(frame, image.data)
-        scale_region(image, profile.region, profile.scale_factor, out=frame)
-        inside = region_masks(image.width, image.height, profile.region)
-        in_lens = profile.blur_placement is BlurPlacement.IN_LENS
-        if not in_lens and profile.region.kind is RegionKind.FULL_FRAME:
-            return  # no pixel lies outside a full-frame lens
-        box_blur(RasterImage(frame), inside if in_lens else ~inside, profile.blur_radius,
-                 out=frame)
+        with profile.region.held():
+            scale_region(image, profile.region, profile.scale_factor, out=frame)
+            mask = region_masks(image.width, image.height, profile.region,
+                                outside=profile.blur_placement is BlurPlacement.OUT_OF_LENS)
+            if mask is not None:  # None: no pixel lies outside the lens
+                box_blur(RasterImage(frame), mask, profile.blur_radius, out=frame)
 
     return RasterImage.deferred(frame, fill)

@@ -37,6 +37,9 @@ import numpy as np
 
 from .errors import check_finite, check_positive
 
+# The smallest noise seed; the CLI's --seed reads it.
+MIN_SEED = 0
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -58,7 +61,7 @@ class ScenarioConfig:
         check_finite(noise_sigma=self.noise_sigma_m)
         if self.noise_sigma_m < 0:
             raise ValueError(f"noise sigma must be non-negative, got {self.noise_sigma_m}")
-        if self.seed < 0:
+        if self.seed < MIN_SEED:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.dt_s > 0.05:
             raise ValueError(f"dt must be <= 0.05 s, got {self.dt_s}")

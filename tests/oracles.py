@@ -24,8 +24,8 @@ from depthlens.attack_opt import (LevelScore, Mode, OptimizationError,
 from depthlens.errors import (DegenerateRegion, DepthlensError, EmptyMask,
                               FiducialNotFound, ParseError, SingularConfiguration,
                               check_positive)
-from depthlens.imaging import (LensRegion, RasterImage, RegionKind,
-                               apply_attack_transform, level_to_profile, region_masks)
+from depthlens.imaging import (BlurPlacement, LensRegion, RasterImage, RegionKind,
+                               level_to_profile)
 from depthlens.metrics import adr, aer
 from depthlens.optics import AttackGeometry, OpticsResult, ScenarioKind
 from depthlens.scenario import Outcome, ScenarioConfig
@@ -222,6 +222,14 @@ def dense_box_blur(image: RasterImage, mask: np.ndarray, radius: int) -> RasterI
     return RasterImage(np.ascontiguousarray(out))
 
 
+def dense_attack(image: RasterImage, profile) -> RasterImage:
+    """Reference ``apply_attack_transform`` from the dense kernels."""
+    inside = dense_in_lens(image.width, image.height, profile.region)
+    scaled = dense_scale_region(image, profile.region, profile.scale_factor)
+    blur = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
+    return dense_box_blur(scaled, blur, profile.blur_radius)
+
+
 # ---------------------------------------------------------------- defense ----
 
 def dense_laplacian(image: RasterImage) -> np.ndarray:
@@ -323,7 +331,7 @@ def _dense_abs_diff(est_attacked, other) -> np.ndarray:
 
 def dense_optimize_level(benign, estimator, cfg, lens_kind,
                          levels=tuple(range(1, 10))) -> OptimizationResult:
-    """Reference ``optimize_level`` on full-frame masks."""
+    """Reference ``optimize_level`` on full-frame masks and dense renders."""
     if not levels:
         raise ValueError("candidate level set must not be empty")
     try:
@@ -333,13 +341,13 @@ def dense_optimize_level(benign, estimator, cfg, lens_kind,
         raise OptimizationError("benign", exc) from exc
     map_h, map_w = est_benign.shape
     m_veh = dense_box_mask(cfg.vehicle_box, map_w, map_h)
-    m_out = ~region_masks(map_w, map_h, cfg.region)
+    m_out = ~dense_in_lens(map_w, map_h, cfg.region)
     curve = []
     attacked_means = {}
     for level in sorted(levels):
         try:
             profile = level_to_profile(lens_kind, level, region=cfg.region)
-            attacked = apply_attack_transform(benign, profile)
+            attacked = dense_attack(benign, profile)
             est_att = np.asarray(
                 estimator.estimate_map(attacked, tag=f"level_{level}"),
                 dtype=np.float64)

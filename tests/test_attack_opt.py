@@ -1,11 +1,12 @@
 """Loss functions and the brute-force level search."""
 
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from depthlens import attack_opt, imaging
 from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_sweep,
@@ -19,8 +20,8 @@ from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
 from helpers import (STRIPS, concave_sweep_fixture, strip_values, textured_image,
                      write_pfm)
-from oracles import (_dense_abs_diff, dense_alpha_sweep, dense_optimize_level,
-                     two_step_masked_mean)
+from oracles import (_dense_abs_diff, dense_alpha_sweep, dense_in_lens,
+                     dense_optimize_level, two_step_masked_mean)
 
 
 class TestLossPieces:
@@ -546,6 +547,19 @@ def assert_same_result(got, want):
         assert (g.level, g.l_total, g.l_veh, g.l_out) == (w.level, w.l_total, w.l_veh, w.l_out)
 
 
+def assert_same_rows(got, want):
+    """Sweep rows, or the error that ended the sweep, equal field by field."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.alpha, g.mode, g.error) == (w.alpha, w.mode, w.error)
+        assert (g.result is None) == (w.result is None)
+        if w.result is not None:
+            assert_same_result(g.result, w.result)
+
+
 class TestCroppedLossesMatchDense:
     @settings(max_examples=300, deadline=None)
     @given(loss_cases())
@@ -570,15 +584,127 @@ class TestCroppedLossesMatchDense:
         if benign_rejected:  # a failure the sweep confines to every row
             reason = f"level benign: {BenignRejected.REASON}"
             assert [row.error for row in got] == [reason] * len(alphas)
-        if isinstance(want, tuple):
-            assert got == want
-            return
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.alpha, g.mode, g.error) == (w.alpha, w.mode, w.error)
-            assert (g.result is None) == (w.result is None)
-            if w.result is not None:
-                assert_same_result(g.result, w.result)
+        assert_same_rows(got, want)
+
+
+class GrayEstimator:
+    """A map of the render's gray levels: reads every pixel of every render."""
+
+    def estimate_map(self, image, tag=None):
+        return image.to_gray().data.astype(np.float64)
+
+
+@st.composite
+def footprint_cases(draw):
+    """A textured frame with a dark fiducial, read by the proxy or by its
+    gray levels, under a full-frame lens, a circle that covers the frame, a
+    circle across the frame's edges or a radius-1 circle; either mode."""
+    h, w = draw(st.integers(6, 20)), draw(st.integers(6, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gray = rng.integers(120, 256, (h, w)).astype(np.uint8)
+    fh, fw = draw(st.integers(3, h // 2)), draw(st.integers(2, w // 2))
+    fy, fx = draw(st.integers(0, h - fh)), draw(st.integers(0, w - fw))
+    gray[fy:fy + fh, fx:fx + fw] = 10
+    kind = draw(st.sampled_from(["full", "covers", "across", "radius_1"]))
+    if kind == "full":
+        region = LensRegion.full_frame()
+    elif kind == "covers":
+        cx, cy = draw(st.floats(0.0, w - 1.0)), draw(st.floats(0.0, h - 1.0))
+        reach = math.hypot(max(cx, w - 1 - cx), max(cy, h - 1 - cy))
+        region = LensRegion.circle(cx, cy, reach + draw(st.floats(0.5, 8.0)))
+        assert dense_in_lens(w, h, region).all()
+    elif kind == "across":  # the center on or past an edge, the disc inside
+        cx = draw(st.sampled_from([-2.5, 0.0, w - 1.0, w + 1.5]))
+        cy = draw(st.floats(-2.0, h + 1.0))
+        region = LensRegion.circle(cx, cy, draw(st.floats(4.0, max(w, h))))
+        assert dense_in_lens(w, h, region).any()
+        assume(not dense_in_lens(w, h, region).all())
+    else:
+        region = LensRegion.circle(draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)),
+                                   1.0)
+    estimator = draw(st.sampled_from([
+        GrayEstimator(), ProxyDepthMapper(FiducialSpec(1.5), 700.0)]))
+    x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    box = Box(x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h)))
+    mode = draw(st.sampled_from(Mode))
+    y_tar = draw(st.floats(0.1, 300.0)) if mode is Mode.TARGETED else None
+    cfg = LossConfig(alpha=0.0, mode=mode, vehicle_box=box, region=region, y_tar=y_tar)
+    return RasterImage(gray), estimator, cfg
+
+
+class TestSharedFootprint:
+    """A sweep's region holds the lens footprint for every render and loss
+    of the sweep, and drops it when the sweep returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=footprint_cases(), lens_kind=st.sampled_from(LensKind),
+           alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_rows_equal_the_dense_sweep(self, case, lens_kind, alphas):
+        image, est, cfg = case
+        got = _outcome(alpha_sweep, image, est, cfg, alphas, lens_kind)
+        want = _outcome(dense_alpha_sweep, image, est, cfg, alphas, lens_kind)
+        assert "_footprints" not in vars(cfg.region)
+        assert_same_rows(got, want)
+
+    @pytest.fixture
+    def footprints(self, monkeypatch):
+        """Weak references to every footprint built, and to its masks."""
+        built = []
+
+        class Recorded(imaging._Footprint):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+                built.append(weakref.ref(self.inside))
+
+            @property
+            def outside(self):
+                mask = super().outside
+                if mask is not None and all(ref() is not mask for ref in built):
+                    built.append(weakref.ref(mask))
+                return mask
+
+        monkeypatch.setattr(imaging, "_Footprint", Recorded)
+        return built
+
+    @staticmethod
+    def proxy_sweep(footprints):
+        """A 4-alpha concave search of a circle, read by the proxy; only the
+        search's own footprints are recorded."""
+        image, box, region, est, y_tar = concave_sweep_fixture(seed=42)
+        footprints.clear()
+        cfg = LossConfig(alpha=0.1, mode=Mode.TARGETED, vehicle_box=box, region=region,
+                         y_tar=y_tar)
+        return region, alpha_sweep(image, est, cfg, [0.1, 0.2, 0.3, 0.4], LensKind.CONCAVE)
+
+    def test_a_four_alpha_circle_search_builds_one_footprint(self, footprints, monkeypatch):
+        renders = []
+        scale_region = imaging.scale_region
+
+        def counted(*args, **kwargs):
+            renders.append(args[1])
+            return scale_region(*args, **kwargs)
+        monkeypatch.setattr(imaging, "scale_region", counted)
+        region, rows = self.proxy_sweep(footprints)
+        assert region.kind is imaging.RegionKind.CIRCLE
+        assert not any(row.failed for row in rows)
+        assert renders == [region] * 36
+        # one footprint, its in-lens box mask and its out-of-lens frame mask
+        assert len(footprints) == 3
+
+    def test_no_footprint_outlives_the_search(self, footprints):
+        region, _ = self.proxy_sweep(footprints)
+        assert len(footprints) == 3 and all(ref() is None for ref in footprints)
+        assert "_footprints" not in vars(region)
+        # nor one whose search ends in an error that no row reports: this
+        # estimator has no level 2 map
+        image, box, region, est = fake_setup({1: (1.0, 1.1)})
+        footprints.clear()
+        cfg = LossConfig(alpha=0.1, mode=Mode.UNTARGETED, vehicle_box=box, region=region)
+        with pytest.raises(KeyError, match="level_2"):
+            alpha_sweep(image, est, cfg, [0.1], LensKind.CONCAVE)
+        assert len(footprints) == 3 and all(ref() is None for ref in footprints)
+        assert "_footprints" not in vars(region)
 
 
 class TestAlphaMonotonicity:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depthlens import attack_opt, cli, defense, formats
+from depthlens import attack_opt, cli, defense, formats, scenario
 from depthlens.cli import main
 from depthlens.errors import EmptyMask
 from depthlens.estimation import DETECTION_THRESHOLDS, Box, FiducialSpec, load_depth_map
@@ -1024,16 +1024,28 @@ def test_every_integer_option_is_range_checked():
 
 
 def test_library_guarded_ranges_are_read_from_the_library():
-    """The option parser pre-empts two library guards with the guard's own
+    """The option parser pre-empts four library guards with the guard's own
     bounds, so each rule is stated once."""
     window, _ = _COMMANDS["defend"].options["window"]
+    delta, _ = _COMMANDS["defend"].options["delta"]
     threshold, _ = _COMMANDS["optimize"].options["detect_threshold"]
+    seed, _ = _COMMANDS["scenario"].options["seed"]
     assert (window.low, window.high) == (defense.MIN_TILE_PX, None)
+    assert (delta.low, delta.high) == (defense.MIN_LBP_DELTA, None)
     assert (threshold.low, threshold.high) == DETECTION_THRESHOLDS
+    assert (seed.low, seed.high) == (scenario.MIN_SEED, None)
     image = noise_image((24, 24), seed=5)
     defense.lbp_sharpness_map(image, window=defense.MIN_TILE_PX)
     with pytest.raises(ValueError, match="window must be >= 8 px, got 7"):
         defense.lbp_sharpness_map(image, window=defense.MIN_TILE_PX - 1)
+    defense.lbp_sharpness_map(image, lbp_threshold=defense.MIN_LBP_DELTA)
+    with pytest.raises(ValueError, match="^lbp delta must be non-negative, got -1$"):
+        defense.lbp_sharpness_map(image, lbp_threshold=defense.MIN_LBP_DELTA - 1)
+    config = dict(initial_gap_m=40.0, ego_speed_mps=10.0, max_decel_mps2=6.0,
+                  safety_margin_m=2.0)
+    scenario.ScenarioConfig(**config, seed=scenario.MIN_SEED)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        scenario.ScenarioConfig(**config, seed=scenario.MIN_SEED - 1)
     low, high = DETECTION_THRESHOLDS
     for bad in (low - 1, high + 1):
         with pytest.raises(ValueError, match="detection threshold must be an 8-bit level"):

@@ -57,6 +57,8 @@ ALLOWED = [
     # the CLI's proxy uses the default near and far depths
     ("estimation", "ProxyDepthMapper.__init__",
      'raise ValueError(f"far depth {far_m} must exceed near depth {near_m}")'),
+    ("estimation", "ProxyDepthMapper.__init__",
+     'raise ValueError(f"depth span {near_m} to {far_m} overflows the brightness ramp")'),
     # only whole-frame readers of a proxy map, such as tests and oracles,
     # index it other than by a box or read it as an array
     ("estimation", "ProxyMap.__getitem__", "return np.asarray(self)[key]"),

@@ -537,6 +537,20 @@ class TestMapEstimators:
         with pytest.raises(ValueError, match=message):
             ProxyDepthMapper(FiducialSpec(height_m), focal_px, near_m=near_m, far_m=far_m)
 
+    @pytest.mark.parametrize("near_m, far_m", [(1.0, 1e306), (1e-300, 7.1e305),
+                                               (1e306, 1.7e308)])
+    def test_proxy_mapper_rejects_a_span_whose_ramp_overflows(self, near_m, far_m):
+        """255 times the span overflows: the mapper refuses it, and warns of
+        nothing (the suite makes a warning an error)."""
+        message = f"depth span {near_m} to {far_m} overflows the brightness ramp"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProxyDepthMapper(FiducialSpec(1.5), 700.0, near_m=near_m, far_m=far_m)
+
+    def test_proxy_mapper_takes_the_widest_span_its_ramp_holds(self):
+        img = render_fiducial((32, 32), 12)
+        est = ProxyDepthMapper(FiducialSpec(1.5), 700.0, near_m=1.0, far_m=7e305)
+        assert np.isfinite(np.asarray(est.estimate_map(img))).all()
+
     def test_directory_estimator_by_tag(self, tmp_path):
         write_pfm(tmp_path / "benign.pfm", np.full((4, 4), 2.0, np.float32))
         write_pfm(tmp_path / "level_3.pfm", np.full((4, 4), 5.0, np.float32))

@@ -16,7 +16,8 @@ from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegio
 from depthlens import defense, imaging
 
 from helpers import STRIPS, blob_extent, noise_image, strip_values, textured_image
-from oracles import dense_box_blur, dense_in_lens, dense_scale_region, widened_to_gray
+from oracles import (dense_attack, dense_box_blur, dense_in_lens, dense_scale_region,
+                     widened_to_gray)
 
 MAX_SIDE = 70
 
@@ -191,6 +192,84 @@ class TestRegionMasks:
         assert got.dtype == bool
         assert np.array_equal(got, dense_in_lens(w, h, region))
         assert np.array_equal(~got, ~dense_in_lens(w, h, region))
+        # the out-of-lens mask, or None when no pixel lies outside the lens
+        outside = region_masks(w, h, region, outside=True)
+        if dense_in_lens(w, h, region).all():
+            assert outside is None
+        else:
+            assert outside.dtype == bool and not outside.flags.writeable
+            assert np.array_equal(outside, ~dense_in_lens(w, h, region))
+
+
+class TestFootprint:
+    """The lens footprint: built by row strips, held by its region inside
+    ``region.held()`` and dropped by the outermost block."""
+
+    def test_a_radius_500_footprint_holds_no_float_box(self):
+        """The 1001 x 1001 in-lens box mask and 1 MiB more; a float64 sum
+        over the box would be 8 MB."""
+        region = LensRegion.circle(960, 540, 500)
+        tracemalloc.start()
+        try:
+            footprint = imaging._Footprint(1920, 1080, region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert footprint.inside.shape == (1001, 1001)
+        assert peak < footprint.inside.nbytes + 2 ** 20
+        assert np.array_equal(region_masks(1920, 1080, region),
+                              dense_in_lens(1920, 1080, region))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The frame size of every footprint built."""
+        sizes = []
+
+        class Counted(imaging._Footprint):
+            __slots__ = ()
+
+            def __init__(self, width, height, region):
+                sizes.append((width, height))
+                super().__init__(width, height, region)
+
+        monkeypatch.setattr(imaging, "_Footprint", Counted)
+        return sizes
+
+    @pytest.mark.parametrize("region", [LensRegion.full_frame(),
+                                        LensRegion.circle(12, 9, 7)])
+    def test_one_footprint_per_frame_size_while_held(self, built, region):
+        img = noise_image((20, 24), seed=6)
+        region_masks(24, 20, region)
+        scale_region(img, region, 1.5)
+        assert built == [(24, 20)] * 2
+        built.clear()
+        with region.held():
+            inside = region_masks(24, 20, region)
+            outside = region_masks(24, 20, region, outside=True)
+            with region.held():
+                scale_region(img, region, 1.5)
+                assert region_masks(24, 20, region, outside=True) is outside
+                region_masks(30, 20, region)
+            assert np.array_equal(region_masks(24, 20, region), inside)
+            region_masks(30, 20, region, outside=True)
+            assert built == [(24, 20), (30, 20)]
+        assert "_footprints" not in vars(region)
+        region_masks(24, 20, region)
+        assert built == [(24, 20), (30, 20), (24, 20)]
+
+    def test_the_block_drops_the_footprints_on_an_error(self):
+        region = LensRegion.circle(12, 9, 7)
+        with pytest.raises(KeyError):
+            with region.held():
+                region_masks(24, 20, region, outside=True)
+                raise KeyError("any")
+        assert "_footprints" not in vars(region)
+        # held footprints are no part of the region's value
+        with region.held():
+            region_masks(24, 20, region)
+            assert region == LensRegion.circle(12, 9, 7)
+            assert hash(region) == hash(LensRegion.circle(12, 9, 7))
+            assert repr(region) == repr(LensRegion.circle(12, 9, 7))
 
 
 class TestScaleRegion:
@@ -661,14 +740,6 @@ class TestApplyAttackTransform:
         a = apply_attack_transform(img, p)
         b = apply_attack_transform(img, p)
         assert np.array_equal(a.data, b.data)
-
-
-def dense_attack(image, profile):
-    """Reference ``apply_attack_transform`` from the dense kernels."""
-    inside = dense_in_lens(image.width, image.height, profile.region)
-    scaled = dense_scale_region(image, profile.region, profile.scale_factor)
-    blur = inside if profile.blur_placement is BlurPlacement.IN_LENS else ~inside
-    return dense_box_blur(scaled, blur, profile.blur_radius)
 
 
 @pytest.fixture
