@@ -196,12 +196,15 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
             raise OptimizationError(level, exc) from exc
 
     best = min(curve, key=lambda s: (s.l_total, s.level))
-    if cfg.mode is Mode.TARGETED:
-        metric_name = "AER"
-        metric_value = aer(attacked_means[best.level], cfg.y_tar)
-    else:
-        metric_name = "ADR"
-        metric_value = adr(attacked_means[best.level], masked_mean(benign_veh, m_veh))
+    try:  # a benign reading of 0 has no ADR: the best level's row fails
+        if cfg.mode is Mode.TARGETED:
+            metric_name = "AER"
+            metric_value = aer(attacked_means[best.level], cfg.y_tar)
+        else:
+            metric_name = "ADR"
+            metric_value = adr(attacked_means[best.level], masked_mean(benign_veh, m_veh))
+    except REPORTED_ERRORS as exc:
+        raise OptimizationError(best.level, exc) from exc
     return OptimizationResult(best_level=best.level, best_loss=best.l_total,
                               loss_curve=tuple(curve), metric_name=metric_name,
                               metric_value=metric_value)

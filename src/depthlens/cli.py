@@ -482,7 +482,7 @@ def cmd_scenario(ns) -> int:
     print(scenario.outcome_summary(outcome))
     if ns.log:
         with open(ns.log, "w", encoding="ascii") as fh:
-            fh.write(scenario.ticks_to_csv(ticks, cfg))
+            scenario.ticks_to_csv(ticks, cfg, fh)
         print(f"wrote {ns.log}")
     return 0
 

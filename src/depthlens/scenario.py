@@ -25,7 +25,9 @@ blocks of ``_BLOCK`` ticks: time, speed and gap are ``np.add.accumulate`` /
 scalar ``t += dt`` and ``gap -= speed * dt`` chains bit for bit, and the
 noise is drawn a block at a time, which yields the same stream as one draw
 per tick. The tick log is one structured array (``TICK_DTYPE``), and
-``ticks_to_csv`` formats it column by column in blocks of the same size.
+``ticks_to_csv`` formats it column by column and writes it to its file a
+block of ``_CSV_ROWS`` rows at a time, so the text held at once is one
+block's, not the log's.
 """
 
 from __future__ import annotations
@@ -72,9 +74,13 @@ TICK_DTYPE = np.dtype([("time_s", np.float64), ("true_gap_m", np.float64),
                        ("perceived_gap_m", np.float64), ("speed_mps", np.float64),
                        ("accel_cmd_mps2", np.float64), ("braking", np.bool_)])
 
-# Ticks per array block and rows per CSV block: memory is bounded by this
-# and by the log, not by the horizon.
+# Ticks per array block: memory is bounded by this and by the log, not by
+# the horizon.
 _BLOCK = 4096
+
+# Rows per block of CSV text written at once; larger blocks hold more text
+# and write no faster.
+_CSV_ROWS = 256
 
 
 class OutcomeKind(Enum):
@@ -175,18 +181,18 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
         done += n
 
 
-def ticks_to_csv(ticks: np.ndarray, cfg: ScenarioConfig) -> str:
-    """Tick log CSV (full precision); noisy runs record their seed in a
-    leading comment so they can be replayed."""
-    parts = ["t,true_gap,perceived_gap,speed,accel,braking\n"]
+def ticks_to_csv(ticks: np.ndarray, cfg: ScenarioConfig, fh) -> None:
+    """Write the tick log CSV (full precision) to the open text file ``fh``,
+    one block of rows at a time; noisy runs record their seed in a leading
+    comment so they can be replayed."""
     if cfg.noise_sigma_m > 0:
-        parts.insert(0, f"# seed={cfg.seed} sigma={cfg.noise_sigma_m!r}\n")
-    for lo in range(0, len(ticks), _BLOCK):
-        rows = ticks[lo:lo + _BLOCK]
+        fh.write(f"# seed={cfg.seed} sigma={cfg.noise_sigma_m!r}\n")
+    fh.write("t,true_gap,perceived_gap,speed,accel,braking\n")
+    for lo in range(0, len(ticks), _CSV_ROWS):
+        rows = ticks[lo:lo + _CSV_ROWS]
         columns = [map(repr, rows[name].tolist()) for name in TICK_DTYPE.names[:-1]]
         columns.append(np.where(rows["braking"], "1\n", "0\n").tolist())
-        parts.append("".join(map(",".join, zip(*columns))))
-    return "".join(parts)
+        fh.write("".join(map(",".join, zip(*columns))))
 
 
 def outcome_summary(outcome: Outcome) -> str:

@@ -210,6 +210,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "optimize_rescale_zero": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
                                *_CIRCLE, "--estimator", "external", "--maps",
                                "maps_pgm", "--rescale", "0", "--alphas", "0.1"], []),
+    # a benign map of 0: every level scores, but the ADR has no denominator,
+    # so every row fails with its reason and the CSV is still written
+    "optimize_zero_benign_map": ([*_OPT, "--mode", "untargeted", "--lens-kind", "concave",
+                                  *_CIRCLE, "--estimator", "external", "--maps",
+                                  "maps_zero_benign", "--alphas", "0.1,0.5", "--output",
+                                  "opt_b.csv"], ["opt_b.csv"]),
     # metrics: scalar and map modes, the error exits
     "metrics_adr_scalars": (["metrics", "--kind", "adr", "--attacked", "0.36",
                              "--benign", "0.28"], []),
@@ -449,6 +455,13 @@ def make_fixtures(directory: Path) -> None:
         write_pfm(directory / "maps_small_level" / name, np.ones((H // 2, W), np.float32))
     (directory / "maps_small_level" / "benign.pfm").write_bytes(
         (directory / "maps_le" / "benign.pfm").read_bytes())
+    # level maps whose benign map is 0 everywhere
+    (directory / "maps_zero_benign").mkdir()
+    write_pfm(directory / "maps_zero_benign" / "benign.pfm", np.zeros((H, W), np.float32))
+    for level in range(1, 10):
+        name = f"level_{level}.pfm"
+        (directory / "maps_zero_benign" / name).write_bytes(
+            (directory / "maps_le" / name).read_bytes())
 
 
 def _sha(data: bytes) -> str:

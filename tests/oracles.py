@@ -368,13 +368,16 @@ def dense_optimize_level(benign, estimator, cfg, lens_kind,
         except (DepthlensError, OSError, ValueError) as exc:
             raise OptimizationError(level, exc) from exc
     best = min(curve, key=lambda s: (s.l_total, s.level))
-    if cfg.mode is Mode.TARGETED:
-        metric_name = "AER"
-        metric_value = aer(attacked_means[best.level], cfg.y_tar)
-    else:
-        metric_name = "ADR"
-        metric_value = adr(attacked_means[best.level],
-                           two_step_masked_mean(est_benign, m_veh))
+    try:
+        if cfg.mode is Mode.TARGETED:
+            metric_name = "AER"
+            metric_value = aer(attacked_means[best.level], cfg.y_tar)
+        else:
+            metric_name = "ADR"
+            metric_value = adr(attacked_means[best.level],
+                               two_step_masked_mean(est_benign, m_veh))
+    except (DepthlensError, OSError, ValueError) as exc:
+        raise OptimizationError(best.level, exc) from exc
     return OptimizationResult(best_level=best.level, best_loss=best.l_total,
                               loss_curve=tuple(curve), metric_name=metric_name,
                               metric_value=metric_value)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from depthlens import attack_opt, imaging
-from depthlens.attack_opt import (LossConfig, Mode, OptimizationError, alpha_sweep,
-                                  loss_out, loss_vehicle_targeted,
+from depthlens.attack_opt import (LEVELS, LossConfig, Mode, OptimizationError,
+                                  alpha_sweep, loss_out, loss_vehicle_targeted,
                                   loss_vehicle_untargeted, optimize_level,
                                   sweep_to_csv, SWEEP_CSV_HEADER)
-from depthlens.errors import EmptyMask
+from depthlens.errors import EmptyMask, NonPositiveDenominator
 from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper)
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
@@ -308,6 +308,20 @@ class TestOptimizeLevel:
         with pytest.raises(OptimizationError) as err:
             optimize_level(image, est, cfg, LensKind.CONCAVE)
         assert err.value.level == 7
+
+    def test_metric_failure_tagged_with_the_best_level(self, tmp_path):
+        # a benign map of 0: every level scores, but the ADR has no denominator
+        write_pfm(tmp_path / "benign.pfm", np.zeros((8, 8), np.float32))
+        for lv in LEVELS:
+            write_pfm(tmp_path / f"level_{lv}.pfm", np.full((8, 8), 1.2, np.float32))
+        image = RasterImage(np.full((8, 8), 100, np.uint8))
+        cfg = LossConfig(alpha=0.2, mode=Mode.UNTARGETED, vehicle_box=Box(2, 2, 6, 6),
+                         region=LensRegion.circle(4, 4, 3))
+        with pytest.raises(OptimizationError) as err:
+            optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE)
+        assert err.value.level == 1
+        assert isinstance(err.value.__cause__, NonPositiveDenominator)
+        assert str(err.value) == "level 1: benign value must be positive, got 0.0"
 
 
 class LifetimeEstimator:
@@ -777,6 +791,18 @@ class TestAlphaSweep:
         csv_text = sweep_to_csv(rows)
         for line in csv_text.strip().split("\n")[1:]:
             assert ",failed," in line
+
+    def test_metric_failure_fails_every_row(self, tmp_path):
+        write_pfm(tmp_path / "benign.pfm", np.zeros((8, 8), np.float32))
+        for lv in LEVELS:
+            write_pfm(tmp_path / f"level_{lv}.pfm", np.full((8, 8), 1.2, np.float32))
+        image = RasterImage(np.full((8, 8), 100, np.uint8))
+        cfg = LossConfig(alpha=0.1, mode=Mode.UNTARGETED, vehicle_box=Box(2, 2, 6, 6),
+                         region=LensRegion.circle(4, 4, 3))
+        rows = alpha_sweep(image, DirectoryMapEstimator(tmp_path), cfg, [0.1, 0.2],
+                           LensKind.CONCAVE)
+        assert [row.error for row in rows] == [
+            "level 1: benign value must be positive, got 0.0"] * 2
 
     def test_empty_alpha_list_rejected(self):
         image, box, region, est = fake_setup({1: (1.0, 1.0)})

@@ -1,5 +1,6 @@
 """Closed-loop braking: the tick rules and the outcome dichotomy."""
 
+import io
 import math
 import tracemalloc
 
@@ -14,6 +15,14 @@ from depthlens.scenario import (TICK_DTYPE, Outcome, OutcomeKind, ScenarioConfig
 from oracles import reference_run_scenario, reference_ticks_to_csv
 
 BLOCK = scenario._BLOCK
+CSV_ROWS = scenario._CSV_ROWS
+
+
+def csv_text(ticks, cfg):
+    """What ``ticks_to_csv`` writes, as one string."""
+    out = io.StringIO()
+    assert ticks_to_csv(ticks, cfg, out) is None
+    return out.getvalue()
 
 
 def config(**overrides):
@@ -110,7 +119,7 @@ class TestRunScenario:
         ref_outcome, ref_ticks = reference_run_scenario(cfg)
         assert (outcome, ticks.tolist()) == (ref_outcome, ref_ticks)
         # == takes -0.0 for 0.0; the CSV bytes tell them apart
-        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+        assert csv_text(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
 
     def test_threshold_is_inclusive(self):
         # Stopping distance 10 m plus margin 2 m equals the 12 m gap exactly.
@@ -190,7 +199,7 @@ class TestColumnarRun:
         event(outcome.kind.value + (" noisy" if noisy else ""))
         event(f"{len(ticks) // BLOCK} full blocks")
         assert outcome == ref_outcome
-        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+        assert csv_text(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
 
     @pytest.mark.parametrize("onset", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
     @pytest.mark.parametrize("noise_sigma_m", [0.0, 1e-3])
@@ -207,7 +216,7 @@ class TestColumnarRun:
         assert outcome.kind is kind
         assert int(ticks["braking"].argmax()) == onset
         assert (outcome, ticks.tolist()) == (ref_outcome, ref_ticks)
-        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+        assert csv_text(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
 
     @pytest.mark.parametrize("n_ticks", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
     @pytest.mark.parametrize("noise_sigma_m", [0.0, 0.5])
@@ -219,7 +228,7 @@ class TestColumnarRun:
         assert outcome.kind is OutcomeKind.TIMEOUT
         assert len(ticks) == n_ticks
         assert (outcome, ticks.tolist()) == (ref_outcome, ref_ticks)
-        assert ticks_to_csv(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+        assert csv_text(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
 
     def test_memory_bounded_by_block_not_horizon(self):
         # The horizon allows 1e9 ticks and the gap 1e11 cruise ticks, but the
@@ -253,7 +262,7 @@ class TestIO:
     def test_csv_layout(self):
         cfg = config()
         outcome, ticks = run_scenario(cfg)
-        text = ticks_to_csv(ticks, cfg)
+        text = csv_text(ticks, cfg)
         lines = text.strip().split("\n")
         assert lines[0] == "t,true_gap,perceived_gap,speed,accel,braking"
         assert len(lines) == len(ticks) + 1
@@ -267,8 +276,41 @@ class TestIO:
     def test_csv_records_seed_for_noisy_runs(self):
         cfg = config(noise_sigma_m=0.2, seed=77)
         _, ticks = run_scenario(cfg)
-        text = ticks_to_csv(ticks, cfg)
+        text = csv_text(ticks, cfg)
         assert text.startswith("# seed=77 ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_ticks=st.sampled_from([n + d for n in (CSV_ROWS, BLOCK) for d in (-1, 0, 1)]),
+           noisy=st.booleans(), dt=st.floats(1e-3, 0.05), sigma=st.floats(0.01, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bytes_equal_the_reference_around_each_block_end(self, n_ticks, noisy, dt,
+                                                              sigma, seed):
+        # a log that ends at, one before or one past a CSV block or a tick
+        # block; the gap is too large for any onset, so the run times out
+        cfg = config(initial_gap_m=1e4, dt_s=dt, noise_sigma_m=sigma if noisy else 0.0,
+                     seed=seed, max_sim_time_s=dt * (n_ticks - 0.5))
+        outcome, ticks = run_scenario(cfg)
+        ref_outcome, ref_ticks = reference_run_scenario(cfg)
+        event(f"{n_ticks} ticks" + (" noisy" if noisy else ""))
+        assert outcome.kind is OutcomeKind.TIMEOUT
+        assert len(ticks) == n_ticks
+        assert csv_text(ticks, cfg) == reference_ticks_to_csv(ref_ticks, cfg)
+
+    def test_writing_a_long_log_holds_one_block_of_text(self, tmp_path):
+        # 41k noisy ticks make 2.6 MiB of CSV; the writer holds one block
+        cfg = config(initial_gap_m=1e4, dt_s=1e-3, noise_sigma_m=0.5, max_sim_time_s=41.0)
+        _, ticks = run_scenario(cfg)
+        assert len(ticks) >= 40_000
+        path = tmp_path / "ticks.csv"
+        tracemalloc.start()
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                ticks_to_csv(ticks, cfg, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 19
+        assert path.read_text(encoding="ascii") == csv_text(ticks, cfg)
 
     def test_summaries(self):
         assert outcome_summary(Outcome.stopped(2.0)) == "STOPPED gap=2"
