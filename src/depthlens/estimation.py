@@ -10,8 +10,9 @@ everything around them:
 * a file-backed estimator, ``DirectoryMapEstimator``, over externally
   produced maps, which divides disparity maps by a constant on request;
 * loaders for those maps (PFM, 16-bit PGM + sidecar scale), which mark
-  holes in the readers' float32 frame in place, strip by strip, and for
-  bounding-box text files;
+  holes in the readers' float32 frame in place, strip by strip (and divide
+  a rescaled map's float64 frame in the same pass), and for bounding-box
+  text files;
 * masked means, the reduction every metric and loss in this toolkit starts
   from; given a reference map or number they average
   ``|map - reference|`` in row strips, without a frame-sized difference
@@ -108,28 +109,34 @@ def _find_blob(gray: np.ndarray, fiducial: FiducialSpec) -> tuple[slice, slice]:
             slice(cols.start + xs.start, cols.start + xs.stop))
 
 
-def load_depth_map(path, kind: str = "depth") -> np.ndarray:
+def load_depth_map(path, kind: str = "depth", rescale: float | None = None) -> np.ndarray:
     """Load an externally produced map as float32 (h, w), as the file holds it.
 
     The format is sniffed from the magic bytes: ``Pf`` float PFM or a 16-bit
-    PGM with its sidecar scale file. The reader's float32 frame is the one
-    copy: ``kind`` ("depth" or "disparity") selects which samples are
-    invalid, non-positive depths or negative disparities, and they become
-    NaN in place, one row strip at a time.
+    PGM with its sidecar scale file. The reader's frame is the one copy:
+    ``kind`` ("depth" or "disparity") selects which samples are invalid,
+    non-positive depths or negative disparities, and they become NaN in
+    place, one row strip at a time. With ``rescale``, the reader widens the
+    values into a float64 frame, and each strip is divided by ``rescale``
+    in place once its holes are marked: the bits of dividing the float32
+    map in float64, without holding both.
     """
     if kind not in ("depth", "disparity"):
         raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
     with open(path, "rb") as fh:
         magic = fh.read(2)
+    dtype = np.float32 if rescale is None else np.float64
     if magic == b"Pf" or magic == b"PF":
-        values = formats.read_pfm(path)
+        values = formats.read_pfm(path, dtype)
     elif magic == b"P5":
-        values = formats.read_pgm16(path)
+        values = formats.read_pgm16(path, dtype)
     else:
         raise ParseError(f"unrecognized map format (magic {magic!r})", byte_offset=0)
     for strip in _strips(*values.shape):
         part = values[strip]
         part[~(part > 0) if kind == "depth" else part < 0] = np.nan
+        if rescale is not None:
+            part /= rescale
     return values
 
 
@@ -377,8 +384,9 @@ class DirectoryMapEstimator:
     Expects ``<tag>.pfm`` (or 16-bit ``<tag>.pgm``) in the directory, e.g.
     ``benign.pfm`` and ``level_1.pfm`` .. ``level_9.pfm`` produced offline by
     whatever estimator is under attack, and returned as loaded (float32).
-    ``rescale`` divides disparity maps by a constant on load, in float64:
-    under NEP 50 a float32 map divided by a Python float stays float32.
+    ``rescale`` divides disparity maps by a constant as ``load_depth_map``
+    reads them, in float64: under NEP 50 a float32 map divided by a Python
+    float stays float32.
     """
 
     def __init__(self, directory, kind: str = "disparity",
@@ -395,10 +403,7 @@ class DirectoryMapEstimator:
         for ext in ("pfm", "pgm"):
             candidate = os.path.join(str(self.directory), f"{tag}.{ext}")
             if os.path.exists(candidate):
-                values = load_depth_map(candidate, kind=self.kind)
-                if self.rescale is not None:
-                    values = np.divide(values, self.rescale, dtype=np.float64)
-                return values
+                return load_depth_map(candidate, kind=self.kind, rescale=self.rescale)
         raise FileNotFoundError(
             f"no {tag}.pfm / {tag}.pgm in {self.directory}"
         )

@@ -24,7 +24,8 @@ readers never hold the file: they read the raster in row strips
 (``imaging._strips``) into one reused buffer and write each strip into the
 float32 (h, w) frame they return, which the caller may modify. float32 is
 the files' own precision: PFM samples are float32, and 16-bit counts are
-scaled in float32.
+scaled in float32; a caller that computes in float64 asks for a float64
+frame, and each float32 value is widened into it as its strip is read.
 """
 
 from __future__ import annotations
@@ -192,8 +193,9 @@ def write_pnm(path, data: np.ndarray) -> None:
         fh.write(arr)  # the contiguous array's own buffer: no copy
 
 
-def read_pgm16(path) -> np.ndarray:
-    """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w).
+def read_pgm16(path, dtype=np.float32) -> np.ndarray:
+    """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w),
+    or the float32 values widened into a ``dtype`` (float64) frame.
 
     The sidecar ``<path>.scale`` holds one float, finite and positive in
     float32: physical units per raw count. Counts are scaled in float32, one
@@ -214,7 +216,7 @@ def read_pgm16(path) -> np.ndarray:
         except ValueError:
             raise ParseError(f"bad scale value in {sidecar}") from None
         scale32 = np.float32(scale)
-        out = np.empty((height, width), dtype=np.float32)
+        out = np.empty((height, width), dtype=dtype)
         for rows, counts in _raster_strips(fh, height, width, ">u2"):
             with np.errstate(over="ignore"):  # reported below as a ParseError
                 peak = counts.max() * scale32
@@ -225,16 +227,18 @@ def read_pgm16(path) -> np.ndarray:
     return out
 
 
-def read_pfm(path) -> np.ndarray:
-    """Load a grayscale PFM as native float32 (h, w), top-down row order.
+def read_pfm(path, dtype=np.float32) -> np.ndarray:
+    """Load a grayscale PFM as native float32 (h, w), top-down row order, or
+    widened into a ``dtype`` (float64) frame.
 
     The float32 rows, in either byte order, are copied strip by strip into
-    the frame, bit for bit; the file stores them bottom-up.
+    the frame, bit for bit (widening is exact); the file stores them
+    bottom-up.
     """
     with open(path, "rb") as fh:
         _, scale, height, width = _parse_header(
             fh, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
-        out = np.empty((height, width), dtype=np.float32)
+        out = np.empty((height, width), dtype=dtype)
         for rows, part in _raster_strips(fh, height, width,
                                          "<f4" if scale < 0 else ">f4"):
             out[height - rows.stop:height - rows.start] = part[::-1]

@@ -10,14 +10,18 @@ reproduces both effects on 8-bit rasters:
   (clipped at frame edges, integer round-half-up, so output is bit-exact
   across platforms);
 * ``apply_attack_transform`` composes the two per an ``AttackProfile``,
-  deferred: it checks the region against the frame and allocates the
-  frame when called; the first read of the result's ``data`` copies the
-  image into the frame and both kernels rewrite it in place, so a caller
-  that reads no pixels (a search scored on precomputed maps) renders
-  nothing;
+  deferred: it checks the region against the frame when called. A render
+  has one frame: the first read of the result's ``data`` has
+  ``RasterImage.copy_into`` fill it from the image and both kernels
+  rewrite it in place. The render of an image not yet read allocates its
+  frame on that first read, and the image reads its file straight into
+  it, so ``simulate`` holds one frame, and a caller that reads no pixels
+  (a search scored on precomputed maps) renders nothing and allocates no
+  frame; the render of an image already read allocates its frame when
+  called (see the function);
 * ``RasterImage.load`` is deferred in the same way: it checks the file's
   header when called, and ``formats.read_pnm`` reads the pixels into the
-  raster's frame on the first read of its ``data``;
+  frame that the first read of its ``data`` allocates;
 * ``level_to_profile`` maps the discretized lens strength 1..9 onto a
   (scale, blur) pair for a given lens region (``LensRegion.full_frame()``
   for the whole frame); strength 1 adds the least blur, 9 the most.
@@ -42,14 +46,18 @@ instead of frame-sized. ``scale_region`` interpolates the sorted union of
 the source rows a strip reads along x once each, then blends each output
 row's top and bottom row along y; a strip never interpolates more than two
 rows per output row; it gathers the source columns with ``take``, which
-returns contiguous blocks. ``box_blur`` forms its window sums, counts,
+returns contiguous blocks. Its strips are cut about the lens center's row
+and run outward from it when shrinking and inward when enlarging, so each
+strip reads only rows that no earlier strip wrote, and the rescale can
+write into the array it reads. ``box_blur`` forms its window sums, counts,
 the half-up division (by one scalar for the windows wholly inside the
 frame) and the masked write per strip, and ``RasterImage.to_gray`` adds
 each channel times its weight, in float64. Into a frame that already
-holds the image, both kernels store only what they change, through one
-masked writer: a strip whose mask is all set (every strip of a full-frame
-lens) is stored directly; any other is merged in uint8 by a bitwise
-select, ``box ^ ((new ^ box) & -mask)``, on the folded rows.
+holds the image (in a render, the frame they also read), both kernels
+store only what they change, through one masked writer: a strip whose
+mask is all set (every strip of a full-frame lens) is stored directly;
+any other is merged in uint8 by a bitwise select, ``box ^ ((new ^ box) &
+-mask)``, on the folded rows.
 
 ``_Footprint`` is the one owner of the lens footprint on a frame: the
 rescale's center, the bounding box of the in-lens pixels, the in-lens mask
@@ -102,6 +110,21 @@ def _strips(rows: int, row_values: int):
         yield slice(start, min(start + step, rows))
 
 
+def _strips_about(rows: int, row_values: int, split: int, inward: bool) -> list[slice]:
+    """Strips of ``rows`` rows sized as by ``_strips``, but cut about the
+    row boundary ``split`` instead of from row 0: one strip holds rows
+    ``split - 1`` and ``split`` (at least two rows), and the others step
+    away from it on either side. Ordered from that strip outward, or with
+    ``inward`` from the ends toward it."""
+    step = max(1, _STRIP_VALUES // max(row_values, 1))
+    first = split - max(step // 2, 1)
+    lo, hi = (min(max(row, 0), rows) for row in (first, first + max(step, 2)))
+    order = [slice(lo, hi)] if lo < hi else []
+    order += [slice(max(stop - step, 0), stop) for stop in range(lo, 0, -step)]
+    order += [slice(start, min(start + step, rows)) for start in range(hi, rows, step)]
+    return order[::-1] if inward else order
+
+
 def _span(hit: np.ndarray) -> slice:
     """From the first to the last set entry of a 1-d boolean array; an
     empty slice if none is set."""
@@ -112,9 +135,10 @@ def _span(hit: np.ndarray) -> slice:
 class RasterImage:
     """8-bit raster, gray (h, w) or RGB (h, w, 3), row-major. ``data`` is a
     read-only view of the array it was built from, so a function may return
-    its input raster instead of a copy; a ``deferred`` raster fills that
-    array on the first read of ``data``. Rasters compare and hash by
-    identity; compare ``data`` to compare pixels."""
+    its input raster instead of a copy; the first read of a ``deferred``
+    raster's ``data`` fills its frame (and allocates it, unless it was
+    given one). Rasters compare and hash by identity; compare ``data`` to
+    compare pixels."""
 
     def __init__(self, data: np.ndarray):
         if data.dtype != np.uint8:
@@ -128,20 +152,36 @@ class RasterImage:
         self._data, self._fill = view, None
 
     @classmethod
-    def deferred(cls, frame: np.ndarray, fill) -> "RasterImage":
-        """A raster of ``frame`` whose pixels ``fill()`` writes into it on
-        the first read of ``data``; the raster then drops ``fill`` and
-        whatever it holds."""
-        raster = cls(frame)
-        raster._fill = fill
+    def deferred(cls, shape: tuple[int, ...], fill,
+                 frame: np.ndarray | None = None) -> "RasterImage":
+        """A raster of ``shape`` whose frame ``fill(frame)`` writes on the
+        first read of ``data``; the raster then drops ``fill`` and whatever
+        it holds. The frame is ``frame``, or else allocated by that first
+        read, so that the raster holds no pixels until then. While unread,
+        ``copy_into`` runs ``fill`` on the caller's array instead."""
+        # A view of one value checks the shape and holds no pixels.
+        raster = cls(np.broadcast_to(np.uint8(0), shape))
+        raster._fill, raster._frame = fill, frame
         return raster
 
     @property
     def data(self) -> np.ndarray:
         if self._fill is not None:
-            self._fill()
-            self._fill = None
+            frame = np.empty(self.shape, np.uint8) if self._frame is None else self._frame
+            self._fill(frame)
+            frame.flags.writeable = False
+            self._data, self._fill, self._frame = frame, None, None
         return self._data
+
+    def copy_into(self, out: np.ndarray) -> None:
+        """Write the pixels into ``out``, a uint8 array of the raster's
+        shape. A deferred raster not yet read fills ``out`` itself and stays
+        unread, so a loaded image is read from its file again by each caller
+        that copies it; a raster that has been read is copied."""
+        if self._fill is not None:
+            self._fill(out)
+        else:
+            np.copyto(out, self._data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -179,9 +219,10 @@ class RasterImage:
     def load(cls, path) -> "RasterImage":
         """A deferred raster of the binary PGM/PPM at ``path``: the header is
         read and checked now, and ``formats.read_pnm`` reads the pixels into
-        the raster's frame on the first read of ``data``."""
-        frame = np.empty(formats.pnm_shape(path), np.uint8)
-        return cls.deferred(frame, lambda: formats.read_pnm(path, out=frame))
+        the frame on the first read of ``data`` (or into the array given to
+        ``copy_into`` while the raster is unread)."""
+        return cls.deferred(formats.pnm_shape(path),
+                            lambda out: formats.read_pnm(path, out=out))
 
     def save(self, path) -> None:
         formats.write_pnm(path, self.data)
@@ -386,8 +427,17 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     (content pushed past a circle boundary is simply clipped) and shrinking
     pulls from a widened one, edge-replicating wherever sources leave the
     frame. Pixels outside the region are untouched; scale 1 returns the input.
-    The result is written into a copy, or into ``out``: a uint8 array (not
-    the image's memory) that already holds the image's pixels.
+    The result is written into a copy, or into ``out``: a uint8 array that
+    already holds the image's pixels, such as the array ``image`` was built
+    from.
+
+    Output row y reads source rows about ``cy + (y - cy) / scale``: a
+    shrink reads rows no nearer the center than y, an enlarge rows no
+    farther. So the strips, cut about ``floor(cy)`` with the two rows
+    nearest the center in one strip (when enlarging they read each other),
+    run from the center outward when shrinking and from the edges inward
+    when enlarging: a strip reads only rows that no earlier strip wrote,
+    except with weight exactly 0, which changes no byte.
     """
     check_positive(scale=scale)
     _check_meets_frame(image.width, image.height, region)
@@ -403,7 +453,8 @@ def scale_region(image: RasterImage, region: LensRegion, scale: float,
     data = image.data
     out = data.copy() if out is None else out
     box = out[rows, cols]
-    for strip in _strips(len(y0), len(fx)):
+    split = int(np.floor(footprint.cy)) + 1 - rows.start
+    for strip in _strips_about(len(y0), len(fx), split, inward=scale > 1.0):
         n = strip.stop - strip.start
         # Each source row the strip reads is interpolated along x once.
         src, pick = np.unique(np.concatenate((y0[strip], y1[strip])),
@@ -591,26 +642,34 @@ def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> Raster
     """The attack render: rescale the in-lens content, then defocus the side
     selected by the profile's blur placement.
 
-    A region that misses the frame raises here, and the frame is allocated
-    here (untouched until filled, so it costs no page until then). The
-    first read of the result's ``data`` copies ``image``'s pixels at that
-    time into the frame, and the kernels this module binds then rewrite it
-    in place: the rescale the lens, the blur the defocused side. A reader of
-    the shape alone (or of nothing) costs no render. Scale 1 without blur
-    returns ``image``.
+    A region that misses the frame raises here. The render is a deferred
+    raster with one frame: allocated here if ``image`` has been read
+    (untouched until filled, so it costs no page until then), else by the
+    first read of the render's ``data``. That first read has
+    ``image.copy_into`` write ``image``'s pixels at that time into the
+    frame (an unread loaded image reads its file straight into it, once per
+    render that is read), and the kernels this module binds then rewrite
+    the frame in place: the rescale the lens, the blur the defocused side.
+    A reader of the shape alone (or of nothing) costs no render. Scale 1
+    without blur returns ``image``.
     """
     _check_meets_frame(image.width, image.height, profile.region)
     if profile.scale_factor == 1.0 and profile.blur_radius == 0:
         return image
-    frame = np.empty(image.shape, np.uint8)
+    # An image already read is copied: its render's frame is allocated now,
+    # so that a search that drops the last level's render after this call
+    # reuses that render's pages (allocated on first read instead, a 1080p
+    # proxy search faults about seven times the pages per op).
+    frame = None if image._fill is not None else np.empty(image.shape, np.uint8)
 
-    def fill() -> None:
-        np.copyto(frame, image.data)
+    def fill(frame: np.ndarray) -> None:
+        image.copy_into(frame)
         with profile.region.held():
-            scale_region(image, profile.region, profile.scale_factor, out=frame)
+            scale_region(RasterImage(frame), profile.region, profile.scale_factor,
+                         out=frame)
             mask = region_masks(image.width, image.height, profile.region,
                                 outside=profile.blur_placement is BlurPlacement.OUT_OF_LENS)
             if mask is not None:  # None: no pixel lies outside the lens
                 box_blur(RasterImage(frame), mask, profile.blur_radius, out=frame)
 
-    return RasterImage.deferred(frame, fill)
+    return RasterImage.deferred(image.shape, fill, frame)

@@ -1,6 +1,7 @@
 """Depth plumbing: the proxy estimator, rescaling, loaders, masked means."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,31 @@ class TestRescale:
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert (np.float64(f32 / np.float32(3.0)) != want).all()
+
+    @pytest.mark.parametrize("ext", ["pfm", "pgm"])
+    def test_a_1080p_rescaled_load_holds_one_float64_frame(self, tmp_path, ext):
+        """The reader widens the file's values into the float64 frame, and
+        the holes and the quotient are made in place, strip by strip: no
+        float32 frame is held beside the quotient (24.95 MB at the parent
+        for a 16.6 MB result)."""
+        values = np.random.default_rng(4).uniform(0.0, 60.0, (1080, 1920))
+        path = tmp_path / f"level_3.{ext}"
+        if ext == "pfm":
+            values[::7, ::5] = -1.0
+            write_pfm(path, values.astype(np.float32))
+        else:
+            write_pgm16(path, values, 0.001)
+        estimator = DirectoryMapEstimator(tmp_path, rescale=2.5)
+        tracemalloc.start()
+        try:
+            got = estimator.estimate_map(None, tag="level_3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17.5e6
+        want = reference_load_depth_map(path, "disparity").astype(np.float64) / 2.5
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_identity_and_zeros(self, tmp_path):
         vals = np.array([[0.0, 1.0], [2.0, 3.0]])

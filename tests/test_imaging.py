@@ -13,7 +13,7 @@ from depthlens.errors import BadLevel, DegenerateRegion, ParseError
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, box_blur,
                                level_to_profile, region_masks, scale_region)
-from depthlens import defense, imaging
+from depthlens import defense, formats, imaging
 
 from helpers import STRIPS, blob_extent, noise_image, strip_values, textured_image
 from oracles import (dense_attack, dense_box_blur, dense_in_lens, dense_scale_region,
@@ -93,6 +93,28 @@ def scales():
     """1, any factor in [0.2, 4], or one far below 0.5 or above 2."""
     return st.one_of(st.just(1.0), st.floats(0.2, 4.0),
                      st.sampled_from([0.01, 0.3, 2.5, 3.0]))
+
+
+@st.composite
+def centred_regions(draw, width, height):
+    """Full frame, or a circle whose center is whole, half-integer or
+    anywhere on each axis, on the frame or off it: the two rows nearest the
+    center fall on a pixel row or between two, inside the frame or not."""
+    if draw(st.integers(0, 3)) == 0:
+        return LensRegion.full_frame()
+
+    def axis(n):
+        return draw(st.one_of(st.integers(-2, n + 1).map(float),
+                              st.integers(-3, n + 1).map(lambda k: k + 0.5),
+                              st.floats(-2.0 * n, 3.0 * n)))
+    return LensRegion.circle(axis(width), axis(height),
+                             draw(st.floats(1.0, 2.0 * (width + height))))
+
+
+def scales_off_one():
+    """A shrink or an enlarge, from 0.3 to 7."""
+    return st.one_of(st.floats(0.3, 7.0).filter(lambda s: s != 1.0),
+                     st.sampled_from([0.5, 0.95, 1.1, 2.0, 3.0]))
 
 
 def assert_scale_matches_dense_oracle(img, region, scale):
@@ -295,6 +317,24 @@ class TestScaleRegion:
         assert got.data.base is out
         assert np.array_equal(out, expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_place_matches_dense_oracle(self, data):
+        """``out`` may be the image's own array: strips of one or a few rows,
+        cut about the center, read no row an earlier strip wrote."""
+        img = data.draw(rasters())
+        region = data.draw(centred_regions(img.width, img.height))
+        scale = data.draw(scales_off_one())
+        try:
+            expected = dense_scale_region(img, region, scale).data
+        except DegenerateRegion:
+            return
+        frame = np.array(img.data)
+        with strip_values(data.draw(st.integers(1, 7))):
+            got = scale_region(RasterImage(frame), region, scale, out=frame)
+        assert got.data.base is frame
+        assert np.array_equal(frame, expected)
+
     @pytest.mark.parametrize("strip", STRIPS)
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -325,11 +365,13 @@ class TestScaleRegion:
                     assert_scale_matches_dense_oracle(
                         img, LensRegion.circle(cx, cy, radius), scale)
 
-    @pytest.mark.parametrize("scale,total", [(0.01, 18), (0.55, 66), (3.0, 40)])
+    @pytest.mark.parametrize("scale,total", [(0.01, 21), (0.55, 71), (3.0, 42)])
     def test_a_strip_interpolates_at_most_two_rows_per_output_row(
             self, monkeypatch, scale, total):
-        # 60 output rows in strips of 5: interpolating two source rows per
-        # output row afresh would take 120 rows along x
+        # 60 output rows in strips of 5, cut about the center rows 29 and 30:
+        # rows 28..32, then 28 rows above them and 27 below (last strips of 3
+        # and 2 rows); interpolating two source rows per output row afresh
+        # would take 120 rows along x
         lerp = imaging._lerp
         calls = []
 
@@ -341,9 +383,9 @@ class TestScaleRegion:
         monkeypatch.setattr(imaging, "_STRIP_VALUES", 5 * 64)
         scale_region(noise_image((60, 64), seed=4), LensRegion.full_frame(), scale)
         along_x, along_y = calls[0::2], calls[1::2]
-        assert [ndim for _, ndim in along_x] == [1] * 12
-        assert along_y == [(5, 2)] * 12
-        assert all(rows <= 2 * 5 for rows, _ in along_x)
+        assert [ndim for _, ndim in along_x] == [1] * 13
+        assert sorted(along_y) == [(2, 2), (3, 2)] + [(5, 2)] * 11
+        assert all(rows <= 2 * n for (rows, _), (n, _) in zip(along_x, along_y))
         assert sum(rows for rows, _ in along_x) == total
 
     @pytest.mark.parametrize("scale", [0.01, 0.55, 3.0])
@@ -852,6 +894,31 @@ class TestDeferredRender:
             got = apply_attack_transform(img, profile).data
         assert got.tobytes() == expected.data.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_renders_in_place_from_a_source_it_leaves_unread(self, data):
+        """The render fills its one frame from its source and rescales and
+        blurs it there; a deferred source not yet read fills that frame and
+        stays unread."""
+        img = data.draw(rasters())
+        region = data.draw(centred_regions(img.width, img.height))
+        profile = AttackProfile(1, region, data.draw(scales_off_one()),
+                                data.draw(st.integers(0, 4)),
+                                data.draw(st.sampled_from(BlurPlacement)))
+        try:
+            expected = dense_attack(img, profile).data
+        except DegenerateRegion:
+            return
+        fills = []
+        source = RasterImage.deferred(
+            img.shape, lambda out: fills.append(np.copyto(out, img.data)))
+        with strip_values(data.draw(st.integers(1, 7))):
+            got = apply_attack_transform(source, profile).data
+        assert got.tobytes() == expected.tobytes()
+        assert len(fills) == 1
+        assert np.array_equal(source.data, img.data)
+        assert len(fills) == 2
+
     def test_a_circle_touching_one_pixel_renders(self):
         # (3, 4) is the only pixel center within the circle of radius 5
         # about (-1, 7): 4^2 + 3^2 = 25
@@ -890,6 +957,79 @@ class TestDeferredRender:
         expected = dense_attack(dense_attack(img, p1), p2)
         assert twice.data.tobytes() == expected.data.tobytes()
         assert kernel_calls["scale_region"] == 2
+
+
+@pytest.fixture(scope="module")
+def full_hd_ppm(tmp_path_factory, full_hd_rgb):
+    path = tmp_path_factory.mktemp("frames") / "frame.ppm"
+    full_hd_rgb.save(path)
+    return path
+
+
+class TestOneFrame:
+    """A render allocates its one frame when its pixels are first read, and
+    an unread loaded input is read from its file straight into it."""
+
+    @pytest.mark.parametrize("lens_kind", LensKind)
+    @pytest.mark.parametrize("region", [LensRegion.full_frame(),
+                                        LensRegion.circle(960, 540, 400)],
+                             ids=["full_frame", "circle"])
+    def test_a_loaded_1080p_render_holds_one_frame(self, full_hd_ppm, full_hd_rgb,
+                                                   lens_kind, region):
+        # at the parent the input's frame and the render's were both held:
+        # 15.3 MiB for a concave level-9 full-frame render; a circle's blur
+        # reads a frame-sized bool mask besides
+        profile = level_to_profile(lens_kind, 9, region)
+        mask = 0 if region == LensRegion.full_frame() else 1080 * 1920
+        tracemalloc.start()
+        try:
+            got = apply_attack_transform(RasterImage.load(full_hd_ppm), profile).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_hd_rgb.data.nbytes + mask + 4 * 2 ** 20
+        assert np.array_equal(got, apply_attack_transform(full_hd_rgb, profile).data)
+
+    @pytest.mark.parametrize("lens_kind", LensKind)
+    def test_the_call_allocates_a_frame_only_for_an_image_read(
+            self, full_hd_ppm, full_hd_rgb, lens_kind):
+        """A render of an unread image allocates nothing when called. One of
+        an image already read allocates its frame then, untouched, so that
+        a search that drops the last level's render after the call reuses
+        its pages."""
+        profile = level_to_profile(lens_kind, 9, LensRegion.circle(960, 540, 400))
+        peaks = []
+        for image in [RasterImage.load(full_hd_ppm), full_hd_rgb]:
+            tracemalloc.start()
+            try:
+                apply_attack_transform(image, profile)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1 * 2 ** 20
+        assert full_hd_rgb.data.nbytes <= peaks[1] < full_hd_rgb.data.nbytes + 0.1 * 2 ** 20
+
+    def test_a_render_reads_an_unread_file_and_leaves_it_unread(self, tmp_path,
+                                                                  monkeypatch):
+        path = tmp_path / "img.ppm"
+        old, new = noise_image((12, 10, 3), seed=2), noise_image((12, 10, 3), seed=3)
+        old.save(path)
+        reads = []
+        read_pnm = formats.read_pnm
+        monkeypatch.setattr(formats, "read_pnm",
+                            lambda *args, **kwargs: reads.append(1) or read_pnm(*args, **kwargs))
+        loaded = RasterImage.load(path)
+        profile = level_to_profile(LensKind.CONCAVE, 4, LensRegion.circle(5, 6, 4))
+        renders = [apply_attack_transform(loaded, profile) for _ in range(3)]
+        for render in renders[:2]:
+            assert render.data.tobytes() == dense_attack(old, profile).data.tobytes()
+        assert len(reads) == 2  # once per render that is read
+        new.save(path)  # same header, new pixels: the loaded raster is unread
+        assert np.array_equal(loaded.data, new.data)
+        assert len(reads) == 3
+        # a raster that has been read is copied, not read again
+        assert renders[2].data.tobytes() == dense_attack(new, profile).data.tobytes()
+        assert len(reads) == 3
 
 
 class TestPnmRoundTrip:
