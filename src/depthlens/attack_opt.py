@@ -26,12 +26,11 @@ next level's is made, and a render once its map is (a proxy map holds its
 render's gray frame). Renders are deferred
 (``imaging.apply_attack_transform``): an estimator that reads pixels
 renders the level inside its call, and one that reads precomputed maps
-renders nothing. A sweep's region holds the lens footprint
-(``imaging.LensRegion.held``) from the sweep's first search to its return,
-so the out-of-lens mask and every render's rescale and blur come from one
-evaluation of the in-lens predicate. The argmin over levels 1..9 is exact
-enumeration; ties break toward the smallest level (least conspicuous blur,
-and determinism needs a rule).
+renders nothing. A sweep's configs share one ``imaging.LensRegion``, which
+keeps its lens footprint, so the out-of-lens mask and every render's
+rescale and blur come from one evaluation of the in-lens predicate. The
+argmin over levels 1..9 is exact enumeration; ties break toward the
+smallest level (least conspicuous blur, and determinism needs a rule).
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ class OptimizationError(DepthlensError):
 
 
 def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
-                   lens_kind: LensKind, levels=LEVELS) -> OptimizationResult:
-    """Exhaustively score the candidate levels and return the argmin.
+                   lens_kind: LensKind) -> OptimizationResult:
+    """Exhaustively score the levels in ``LEVELS`` and return the argmin.
 
     The loss curve is complete and sorted by level; ``best_level`` is the
     smallest level attaining the minimal total loss. The reported metric is
@@ -149,8 +148,6 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     against the benign reading (untargeted), both computed on vehicle-mask
     means through the same estimator.
     """
-    if not levels:
-        raise ValueError("candidate level set must not be empty")
     try:
         est_benign = estimator.estimate_map(benign, tag="benign")
     except REPORTED_ERRORS as exc:
@@ -166,7 +163,7 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
 
     curve = []
     attacked_means = {}
-    for level in sorted(levels):
+    for level in LEVELS:
         try:
             profile = level_to_profile(lens_kind, level, region=cfg.region)
             attacked = apply_attack_transform(benign, profile)
@@ -228,21 +225,19 @@ def alpha_sweep(benign: RasterImage, estimator: Estimator, base_cfg: LossConfig,
 
     Every alpha is checked before any search runs. Failures are confined to
     their row (marked, not raised) so a sweep with one missing pre-computed
-    map still reports every other alpha.
+    map still reports every other alpha. The searches share ``base_cfg``'s
+    region, and so the lens footprint it keeps.
     """
     cfgs = [replace(base_cfg, alpha=alpha) for alpha in alphas]
     if not cfgs:
         raise ValueError("alpha list must not be empty")
     rows = []
-    # Every cfg shares base_cfg's region, which holds the lens footprint
-    # for all the searches' renders and losses and drops it at the end.
-    with base_cfg.region.held():
-        for cfg in cfgs:
-            try:
-                rows.append(SweepRow(cfg.alpha, cfg.mode, optimize_level(
-                    benign, estimator, cfg, lens_kind)))
-            except OptimizationError as exc:
-                rows.append(SweepRow(cfg.alpha, cfg.mode, None, error=str(exc)))
+    for cfg in cfgs:
+        try:
+            rows.append(SweepRow(cfg.alpha, cfg.mode, optimize_level(
+                benign, estimator, cfg, lens_kind)))
+        except OptimizationError as exc:
+            rows.append(SweepRow(cfg.alpha, cfg.mode, None, error=str(exc)))
     return rows
 
 

@@ -67,13 +67,12 @@ predicate, and evaluates it by row strips into the box mask.
 ``region_masks`` returns the box mask itself when the box is the whole
 frame, so a full-frame lens builds no frame-sized mask: its mask is a
 read-only view of one set value, its out-of-lens mask is ``None``, and the
-render skips its out-of-lens blur. Inside ``with region.held():`` the
-``LensRegion`` instance holds its footprint on each frame size, and the
-outermost block drops them: a render holds its region for its rescale and
-blur, and ``attack_opt.alpha_sweep`` for all its renders and losses, so a
-sweep evaluates the predicate once. Outside a block each call builds its
-own. The frame check builds no array: it evaluates a circle's predicate at
-the pixel nearest its center.
+render skips its out-of-lens blur. A ``LensRegion`` instance builds its
+footprint once per frame size, on first use, and keeps it until the region
+itself is dropped: a render's rescale and blur share one, and so do all the
+renders and losses of an ``attack_opt.alpha_sweep``, whose configs share one
+region, so a sweep evaluates the predicate once. The frame check builds no
+array: it evaluates a circle's predicate at the pixel nearest its center.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
@@ -83,9 +82,9 @@ in the same order, as in the dense reference kernels.
 from __future__ import annotations
 
 import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -237,7 +236,10 @@ class RegionKind(Enum):
 class LensRegion:
     """Footprint of the lens in the image: the whole frame or a circle.
 
-    A circle may extend past the frame; only the intersection counts.
+    A circle may extend past the frame; only the intersection counts. The
+    instance keeps its ``_Footprint`` on each frame size it is asked for,
+    built on first use; it is no field, so equality, hashing, ``repr`` and
+    ``replace`` ignore it.
     """
 
     kind: RegionKind
@@ -260,23 +262,6 @@ class LensRegion:
             raise ValueError(f"circle radius squared must be finite, got {radius}") from None
         return cls(RegionKind.CIRCLE, center_x, center_y, radius)
 
-    @contextmanager
-    def held(self):
-        """Within the block, this region holds its footprint on each frame
-        size it is asked for, so the kernels evaluate the in-lens predicate
-        once per size; the outermost block drops them when it ends, also on
-        an error. A sweep holds its region for all its renders and losses, a
-        render for its rescale and blur. The footprints are no field:
-        equality, hashing and ``replace`` ignore them."""
-        if "_footprints" in vars(self):
-            yield
-            return
-        object.__setattr__(self, "_footprints", {})
-        try:
-            yield
-        finally:
-            object.__delattr__(self, "_footprints")
-
 
 class _Footprint:
     """A lens region's footprint on a frame: the rescale's center ``cx``,
@@ -284,7 +269,7 @@ class _Footprint:
     in-lens pixels as two slices ``rows``, ``cols`` into the frame, the
     read-only in-lens mask ``inside`` over that box (a full-frame lens's is
     an all-set view of one value), and ``outside``, the read-only
-    out-of-lens frame mask, built on first use.
+    out-of-lens frame mask, built on first read.
 
     ``outside`` is ``None`` when no pixel lies outside the lens: a
     full-frame lens, or a circle that covers the frame. This is the one
@@ -299,15 +284,12 @@ class _Footprint:
     overflows is outside, as ``r**2`` is finite.
     """
 
-    __slots__ = ("cx", "cy", "rows", "cols", "inside", "width", "height", "_outside")
-
     def __init__(self, width: int, height: int, region: LensRegion):
         self.width, self.height = width, height
         if region.kind is RegionKind.FULL_FRAME:
             self.cx, self.cy = (width - 1) / 2.0, (height - 1) / 2.0
             self.rows, self.cols = slice(0, height), slice(0, width)
             self.inside = np.ndarray((height, width), bool, _ALL_SET, strides=(0, 0))
-            self._outside = None
             return
         self.cx, self.cy = float(region.center_x), float(region.center_y)
         r2 = region.radius ** 2
@@ -321,28 +303,25 @@ class _Footprint:
                 np.less_equal(dx2 + dy2[strip], r2, out=self.inside[strip])
         self.inside.flags.writeable = False
 
-    @property
+    @cached_property
     def outside(self) -> np.ndarray | None:
-        if not hasattr(self, "_outside"):
-            shape = (self.height, self.width)
-            self._outside = None
-            if not (self.inside.shape == shape and self.inside.all()):
-                # One frame: the box's complement is written into it in place.
-                self._outside = np.ones(shape, dtype=bool)
-                np.logical_not(self.inside, out=self._outside[self.rows, self.cols])
-                self._outside.flags.writeable = False
-        return self._outside
+        shape = (self.height, self.width)
+        if self.inside.shape == shape and self.inside.all():
+            return None
+        # One frame: the box's complement is written into it in place.
+        outside = np.ones(shape, dtype=bool)
+        np.logical_not(self.inside, out=outside[self.rows, self.cols])
+        outside.flags.writeable = False
+        return outside
 
 
 def _footprint(width: int, height: int, region: LensRegion) -> _Footprint:
-    """``region``'s footprint on a ``width`` x ``height`` frame: the one it
-    holds, inside ``region.held()``, else a new one."""
-    held = vars(region).get("_footprints")
-    if held is None:
-        return _Footprint(width, height, region)
-    if (width, height) not in held:
-        held[width, height] = _Footprint(width, height, region)
-    return held[width, height]
+    """``region``'s footprint on a ``width`` x ``height`` frame, built on the
+    first call for that size and kept by the region."""
+    footprints = vars(region).setdefault("_footprints", {})
+    if (width, height) not in footprints:
+        footprints[width, height] = _Footprint(width, height, region)
+    return footprints[width, height]
 
 
 def _check_meets_frame(width: int, height: int, region: LensRegion) -> None:
@@ -664,12 +643,10 @@ def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> Raster
 
     def fill(frame: np.ndarray) -> None:
         image.copy_into(frame)
-        with profile.region.held():
-            scale_region(RasterImage(frame), profile.region, profile.scale_factor,
-                         out=frame)
-            mask = region_masks(image.width, image.height, profile.region,
-                                outside=profile.blur_placement is BlurPlacement.OUT_OF_LENS)
-            if mask is not None:  # None: no pixel lies outside the lens
-                box_blur(RasterImage(frame), mask, profile.blur_radius, out=frame)
+        scale_region(RasterImage(frame), profile.region, profile.scale_factor, out=frame)
+        mask = region_masks(image.width, image.height, profile.region,
+                            outside=profile.blur_placement is BlurPlacement.OUT_OF_LENS)
+        if mask is not None:  # None: no pixel lies outside the lens
+            box_blur(RasterImage(frame), mask, profile.blur_radius, out=frame)
 
     return RasterImage.deferred(image.shape, fill, frame)

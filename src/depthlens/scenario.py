@@ -78,6 +78,11 @@ TICK_DTYPE = np.dtype([("time_s", np.float64), ("true_gap_m", np.float64),
 # the horizon.
 _BLOCK = 4096
 
+# The most ticks a run logs (a 43 MB log); a run that would log more raises.
+# Else a dt too fine for the horizon fills memory, and one too small to move
+# the gap never ends.
+MAX_TICKS = 2 ** 20
+
 # Rows per block of CSV text written at once; larger blocks hold more text
 # and write no faster.
 _CSV_ROWS = 256
@@ -132,6 +137,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
     a tick, braking onset on it, collision and stop after it. Gap, speed
     and dt are positive on every tick run, so ``gap * ratio`` is never -0.0
     and neither is its sum with the noise: the floor sees no signed zero.
+    A run that would log more than ``MAX_TICKS`` ticks raises ``ValueError``.
     """
     rng = np.random.default_rng(cfg.seed) if cfg.noise_sigma_m > 0 else None
     dt = cfg.dt_s
@@ -141,7 +147,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
     gap = cfg.initial_gap_m
     braking = False
     t = 0.0
-    log = []
+    log, logged = [], 0
     done = _BLOCK  # ticks of the current noise block already run
     while True:
         if done == _BLOCK:
@@ -164,6 +170,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[Outcome, np.ndarray]:
         onset = m if braking else _first(seen <= threshold)
         end = _first((gaps[1:] <= 0) | (speeds[1:] == 0)) + 1
         n = min(late, onset, end)
+        logged += n
+        if logged > MAX_TICKS:
+            raise ValueError(f"dt {dt!r} s: the run would log more than {MAX_TICKS} ticks")
         rows = np.empty(n, TICK_DTYPE)
         for name, column in zip(TICK_DTYPE.names, (times, gaps, seen, speeds)):
             rows[name] = column[:n]

@@ -340,6 +340,8 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "scenario_coerced_seed": (["scenario", "--sigma", "0.5", "--seed", "1_0"], []),
     "scenario_coerced_gap0": (["scenario", "--gap0", "\u0664\u0660"], []),
     "scenario_coarse_dt": (["scenario", "--dt", "0.1"], []),
+    # a dt too small to move the gap: the run stops at the tick bound
+    "scenario_dt_too_fine": (["scenario", "--dt", "1e-300"], []),
     "scenario_negative_sigma": (["scenario", "--sigma", "-1"], []),
     # a speed whose square overflows brakes at once; a deceleration whose
     # speeds overflow past the stop tick

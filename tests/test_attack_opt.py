@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,16 +71,16 @@ class TestLossPieces:
             b = rng.uniform(0, 10, (5, 5))
             assert loss_vehicle_untargeted(a, b, np.ones((5, 5), bool)) <= 0.0
 
-    def test_total_weighting(self):
+    def test_total_weighting(self, monkeypatch):
         # l_veh = |3 - 1| = 2 in the vehicle box, l_out = |5 - 1| = 4 outside
         # the lens, so the level's total is (1 - alpha) * 2 + alpha * 4
         image, box, region, est = fake_setup({1: (3.0, 5.0)})
+        monkeypatch.setattr(attack_opt, "LEVELS", (1,))
 
         def total(alpha):
             cfg = LossConfig(alpha=alpha, mode=Mode.TARGETED, vehicle_box=box,
                              region=region, y_tar=1.0)
-            (score,) = optimize_level(image, est, cfg, LensKind.CONCAVE,
-                                      levels=(1,)).loss_curve
+            (score,) = optimize_level(image, est, cfg, LensKind.CONCAVE).loss_curve
             assert (score.l_veh, score.l_out) == (2.0, 4.0)
             return score.l_total
 
@@ -199,11 +200,12 @@ def fake_setup(level_values, benign=(1.0, 1.0)):
 
 
 class TestOptimizeLevel:
-    def test_singleton_candidate_set(self):
+    def test_singleton_candidate_set(self, monkeypatch):
         image, box, region, est = fake_setup({5: (0.5, 1.0)})
         cfg = LossConfig(alpha=0.3, mode=Mode.TARGETED, vehicle_box=box,
                          region=region, y_tar=0.43)
-        result = optimize_level(image, est, cfg, LensKind.CONCAVE, levels=(5,))
+        monkeypatch.setattr(attack_opt, "LEVELS", (5,))
+        result = optimize_level(image, est, cfg, LensKind.CONCAVE)
         assert result.best_level == 5
         assert len(result.loss_curve) == 1
 
@@ -286,12 +288,13 @@ class TestOptimizeLevel:
         assert all(s.l_total == 0.6 * s.l_veh for s in result.loss_curve)
         assert result.best_level == 3
 
-    def test_out_of_lens_pixels_without_a_finite_estimate_fail(self):
+    def test_out_of_lens_pixels_without_a_finite_estimate_fail(self, monkeypatch):
         image, box, region, est = fake_setup({1: (0.5, np.nan)})
         cfg = LossConfig(alpha=0.3, mode=Mode.TARGETED, vehicle_box=box,
                          region=region, y_tar=0.43)
+        monkeypatch.setattr(attack_opt, "LEVELS", (1,))
         with pytest.raises(OptimizationError) as err:
-            optimize_level(image, est, cfg, LensKind.CONCAVE, levels=(1,))
+            optimize_level(image, est, cfg, LensKind.CONCAVE)
         assert err.value.level == 1
         assert isinstance(err.value.__cause__, EmptyMask)
 
@@ -399,7 +402,7 @@ def test_a_file_backed_search_renders_nothing(tmp_path, monkeypatch, region, len
     assert calls == {"scale_region": 0, "box_blur": 0, "apply_attack_transform": 9}
 
 
-def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
+def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path, monkeypatch):
     """Each external map stays the file's float32 frame from load to loss:
     the search's peak is the benign and one level's map at 4 bytes a pixel,
     the out-of-lens mask, and 4 MiB more. A float64 copy of either map would
@@ -414,10 +417,10 @@ def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
                      vehicle_box=Box(860, 440, 1060, 640), region=region)
     image = RasterImage(np.full((1080, 1920), 128, np.uint8))
     m_out = ~region_masks(1920, 1080, region)
+    monkeypatch.setattr(attack_opt, "LEVELS", (1, 2))
     tracemalloc.start()
     try:
-        optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE,
-                       levels=(1, 2))
+        optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,7 +428,7 @@ def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path):
     assert peak <= maps + m_out.size + 4 * 2 ** 20
 
 
-def test_a_1080p_full_frame_search_holds_no_out_of_lens_mask(tmp_path):
+def test_a_1080p_full_frame_search_holds_no_out_of_lens_mask(tmp_path, monkeypatch):
     """Nothing lies outside a full-frame lens, so the search holds no
     out-of-lens mask: its peak is the benign and one level's float32 map,
     the deferred render's frame, and 0.5 MiB more."""
@@ -436,10 +439,11 @@ def test_a_1080p_full_frame_search_holds_no_out_of_lens_mask(tmp_path):
     cfg = LossConfig(alpha=0.3, mode=Mode.TARGETED, vehicle_box=Box(860, 440, 1060, 640),
                      region=LensRegion.full_frame(), y_tar=1.2)
     image = RasterImage(np.full((1080, 1920), 128, np.uint8))
+    monkeypatch.setattr(attack_opt, "LEVELS", (1, 2))
     tracemalloc.start()
     try:
         result = optimize_level(image, DirectoryMapEstimator(tmp_path), cfg,
-                                LensKind.CONCAVE, levels=(1, 2))
+                                LensKind.CONCAVE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -647,8 +651,8 @@ def footprint_cases(draw):
 
 
 class TestSharedFootprint:
-    """A sweep's region holds the lens footprint for every render and loss
-    of the sweep, and drops it when the sweep returns."""
+    """A sweep's configs share one region, whose lens footprint serves every
+    render and loss of the sweep and goes when the region goes."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=footprint_cases(), lens_kind=st.sampled_from(LensKind),
@@ -657,7 +661,6 @@ class TestSharedFootprint:
         image, est, cfg = case
         got = _outcome(alpha_sweep, image, est, cfg, alphas, lens_kind)
         want = _outcome(dense_alpha_sweep, image, est, cfg, alphas, lens_kind)
-        assert "_footprints" not in vars(cfg.region)
         assert_same_rows(got, want)
 
     @pytest.fixture
@@ -683,9 +686,12 @@ class TestSharedFootprint:
 
     @staticmethod
     def proxy_sweep(footprints):
-        """A 4-alpha concave search of a circle, read by the proxy; only the
-        search's own footprints are recorded."""
+        """A 4-alpha concave search of a circle, read by the proxy. The
+        fixture's region has built its footprint, so the search is given an
+        equal region of its own; only that region's footprints are
+        recorded."""
         image, box, region, est, y_tar = concave_sweep_fixture(seed=42)
+        region = replace(region)
         footprints.clear()
         cfg = LossConfig(alpha=0.1, mode=Mode.TARGETED, vehicle_box=box, region=region,
                          y_tar=y_tar)
@@ -706,19 +712,21 @@ class TestSharedFootprint:
         # one footprint, its in-lens box mask and its out-of-lens frame mask
         assert len(footprints) == 3
 
-    def test_no_footprint_outlives_the_search(self, footprints):
+    def test_no_footprint_outlives_its_region(self, footprints):
         region, _ = self.proxy_sweep(footprints)
-        assert len(footprints) == 3 and all(ref() is None for ref in footprints)
-        assert "_footprints" not in vars(region)
+        assert len(footprints) == 3 and all(ref() is not None for ref in footprints)
+        del region
+        assert all(ref() is None for ref in footprints)
         # nor one whose search ends in an error that no row reports: this
-        # estimator has no level 2 map
+        # estimator has no level 2 map. The estimator holds the region too,
+        # and the error's traceback holds the frames that hold the config.
         image, box, region, est = fake_setup({1: (1.0, 1.1)})
-        footprints.clear()
         cfg = LossConfig(alpha=0.1, mode=Mode.UNTARGETED, vehicle_box=box, region=region)
-        with pytest.raises(KeyError, match="level_2"):
+        with pytest.raises(KeyError, match="level_2") as err:
             alpha_sweep(image, est, cfg, [0.1], LensKind.CONCAVE)
-        assert len(footprints) == 3 and all(ref() is None for ref in footprints)
-        assert "_footprints" not in vars(region)
+        assert len(footprints) == 6 and all(ref() is not None for ref in footprints[3:])
+        del region, est, cfg, err
+        assert all(ref() is None for ref in footprints)
 
 
 class TestAlphaMonotonicity:

@@ -24,11 +24,9 @@ ALLOWED = [
     # a Protocol method: the interface, never called
     ("attack_opt", "Estimator.estimate_map", "..."),
     # library guards the CLI pre-empts: it gives a targeted mode its
-    # default y_tar, and passes no level set and a non-empty --alphas list
+    # default y_tar, and passes a non-empty --alphas list
     ("attack_opt", "LossConfig.__post_init__",
      'raise ValueError("targeted mode needs a y_tar")'),
-    ("attack_opt", "optimize_level",
-     'raise ValueError("candidate level set must not be empty")'),
     ("attack_opt", "alpha_sweep", 'raise ValueError("alpha list must not be empty")'),
     # the console script's entry point; the corpus calls main() in process
     ("cli", "console_main", "raise SystemExit(main())"),

@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ class TestRegionMasks:
 
 
 class TestFootprint:
-    """The lens footprint: built by row strips, held by its region inside
-    ``region.held()`` and dropped by the outermost block."""
+    """The lens footprint: built by row strips, once per frame size by the
+    region instance, which keeps it until the region itself is dropped."""
 
     def test_a_radius_500_footprint_holds_no_float_box(self):
         """The 1001 x 1001 in-lens box mask and 1 MiB more; a float64 sum
@@ -248,8 +249,6 @@ class TestFootprint:
         sizes = []
 
         class Counted(imaging._Footprint):
-            __slots__ = ()
-
             def __init__(self, width, height, region):
                 sizes.append((width, height))
                 super().__init__(width, height, region)
@@ -257,41 +256,47 @@ class TestFootprint:
         monkeypatch.setattr(imaging, "_Footprint", Counted)
         return sizes
 
-    @pytest.mark.parametrize("region", [LensRegion.full_frame(),
-                                        LensRegion.circle(12, 9, 7)])
-    def test_one_footprint_per_frame_size_while_held(self, built, region):
+    # Each test makes its own region: a region keeps its footprints, so one
+    # shared by tests would carry them from one test to the next.
+    @pytest.mark.parametrize("make", [LensRegion.full_frame,
+                                      lambda: LensRegion.circle(12, 9, 7)],
+                             ids=["full_frame", "circle"])
+    def test_one_footprint_per_frame_size_per_region(self, built, make):
+        region = make()
         img = noise_image((20, 24), seed=6)
-        region_masks(24, 20, region)
+        inside = region_masks(24, 20, region)
+        outside = region_masks(24, 20, region, outside=True)
+        # a render's rescale and blur use the region's footprint too
+        apply_attack_transform(img, level_to_profile(LensKind.CONCAVE, 5, region)).data
         scale_region(img, region, 1.5)
-        assert built == [(24, 20)] * 2
-        built.clear()
-        with region.held():
-            inside = region_masks(24, 20, region)
-            outside = region_masks(24, 20, region, outside=True)
-            with region.held():
-                scale_region(img, region, 1.5)
-                assert region_masks(24, 20, region, outside=True) is outside
-                region_masks(30, 20, region)
-            assert np.array_equal(region_masks(24, 20, region), inside)
-            region_masks(30, 20, region, outside=True)
-            assert built == [(24, 20), (30, 20)]
-        assert "_footprints" not in vars(region)
-        region_masks(24, 20, region)
+        assert region_masks(24, 20, region, outside=True) is outside
+        assert np.array_equal(region_masks(24, 20, region), inside)
+        region_masks(30, 20, region)
+        region_masks(30, 20, region, outside=True)
+        assert built == [(24, 20), (30, 20)]
+        # an equal region is another instance, with footprints of its own
+        region_masks(24, 20, make())
         assert built == [(24, 20), (30, 20), (24, 20)]
 
-    def test_the_block_drops_the_footprints_on_an_error(self):
+    def test_the_footprints_are_no_part_of_the_regions_value(self):
         region = LensRegion.circle(12, 9, 7)
-        with pytest.raises(KeyError):
-            with region.held():
-                region_masks(24, 20, region, outside=True)
-                raise KeyError("any")
-        assert "_footprints" not in vars(region)
-        # held footprints are no part of the region's value
-        with region.held():
-            region_masks(24, 20, region)
-            assert region == LensRegion.circle(12, 9, 7)
-            assert hash(region) == hash(LensRegion.circle(12, 9, 7))
-            assert repr(region) == repr(LensRegion.circle(12, 9, 7))
+        region_masks(24, 20, region, outside=True)
+        assert list(vars(region)["_footprints"]) == [(24, 20)]
+        assert region == LensRegion.circle(12, 9, 7)
+        assert hash(region) == hash(LensRegion.circle(12, 9, 7))
+        assert repr(region) == repr(LensRegion.circle(12, 9, 7))
+        assert "_footprints" not in vars(replace(region))
+
+    def test_the_footprints_go_with_their_region(self):
+        region = LensRegion.circle(12, 9, 7)
+        region_masks(24, 20, region, outside=True)
+        (footprint,) = vars(region)["_footprints"].values()
+        refs = [weakref.ref(footprint), weakref.ref(footprint.inside),
+                weakref.ref(footprint.outside)]
+        del footprint
+        assert all(ref() is not None for ref in refs)
+        del region
+        assert all(ref() is None for ref in refs)
 
 
 class TestScaleRegion:

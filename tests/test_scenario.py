@@ -258,6 +258,31 @@ class TestColumnarRun:
         assert blocks.view(np.uint64).tolist() == scalars.view(np.uint64).tolist()
 
 
+class TestTickBound:
+    """A run whose log would pass ``MAX_TICKS`` ticks raises instead: a dt
+    too small to move the gap would run until memory ran out."""
+
+    def test_a_dt_that_never_moves_the_gap_fails(self):
+        # 40 - 10 * 1e-300 == 40: neither the gap nor the horizon is reached
+        cfg = config(dt_s=1e-300)
+        with pytest.raises(ValueError, match=rf"^dt 1e-300 s: .* {scenario.MAX_TICKS} ticks$"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 0.5])
+    def test_the_bound_counts_logged_ticks(self, monkeypatch, noise_sigma_m):
+        # a timeout run logs n ticks; the bound falls past a block end
+        monkeypatch.setattr(scenario, "MAX_TICKS", BLOCK + 1)
+
+        def run(n_ticks):
+            return run_scenario(config(initial_gap_m=1e4, noise_sigma_m=noise_sigma_m,
+                                       max_sim_time_s=0.01 * (n_ticks - 0.5)))
+        for n_ticks in (BLOCK, BLOCK + 1):
+            outcome, ticks = run(n_ticks)
+            assert outcome.kind is OutcomeKind.TIMEOUT and len(ticks) == n_ticks
+        with pytest.raises(ValueError, match=f"^dt 0.01 s: .* {BLOCK + 1} ticks$"):
+            run(BLOCK + 2)
+
+
 class TestIO:
     def test_csv_layout(self):
         cfg = config()
