@@ -18,7 +18,9 @@ everything around them:
   ``|map - reference|`` in row strips, without a frame-sized difference
   map or a held selection: the kept values stream through NumPy's
   pairwise-sum tree one subtree at a time, so a mean has the bits of
-  ``np.mean`` over the whole selection.
+  ``np.mean`` over the whole selection. Two maps of one proxy are
+  differenced by one look-up of each pixel's pair of gray levels in the
+  proxy's table of ramp differences, their fiducial boxes read as maps.
 
 A depth or disparity map of shape (h, w) is a plain float ``np.ndarray``
 (float32 as read from a PFM/PGM16 file; float64 when rescaled) or the
@@ -159,7 +161,9 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     difference that overflows costs one more pass. Strips are differenced
     in float64, a float32 operand widened into a strip buffer first, so a
     float32 map gives the mean of its float64 copy; a ``ProxyMap`` is read
-    into that buffer, so the mean never builds its frame.
+    into that buffer, so the mean never builds its frame. A ``ProxyMap``
+    against one that holds the same table is differenced by
+    ``ProxyMap.abs_diff`` instead, with the same bits in the same places.
     """
     if not isinstance(values, ProxyMap):
         values = np.asarray(values)
@@ -241,6 +245,7 @@ def _tree_sum(values, mask, reference, count: int, unchecked: bool):
     tree = np.empty(max(lengths))
     node = filled = kept = 0
     widened = None
+    paired = isinstance(values, ProxyMap) and getattr(reference, "table", None) is values.table
     for strip in _strips(values.shape[0], math.prod(values.shape[1:])):
         in_mask = mask[strip]
         if reference is None:
@@ -248,9 +253,13 @@ def _tree_sum(values, mask, reference, count: int, unchecked: bool):
         else:
             if widened is None:
                 widened = np.empty((2,) + in_mask.shape)
+                index = np.empty(in_mask.shape, np.uint16) if paired else None
             wide, wide_ref = widened[:, :len(in_mask)]
-            ref = _float64(reference, strip, wide_ref) if np.ndim(reference) else reference
-            part = np.subtract(_float64(values, strip, wide), ref, out=wide)
+            if paired:
+                part = values.abs_diff(reference, strip, index[:len(in_mask)], wide)
+            else:
+                ref = _float64(reference, strip, wide_ref) if np.ndim(reference) else reference
+                part = np.subtract(_float64(values, strip, wide), ref, out=wide)
         keep = in_mask
         if not unchecked:
             keep = np.isfinite(part)
@@ -315,7 +324,8 @@ class ProxyDepthMapper:
     (linear ramp from ``near_m`` at black to ``far_m`` at white). The ramp is
     what makes the estimator honest about image quality: defocusing a
     textured area moves its estimates, exactly the sensitivity the
-    out-of-lens consistency loss is meant to police.
+    out-of-lens consistency loss is meant to police. The ramp, and a table
+    of its differences, are built once; every map returned holds both.
     """
 
     def __init__(self, fiducial: FiducialSpec, focal_px: float,
@@ -334,30 +344,51 @@ class ProxyDepthMapper:
         if not np.isfinite(ramp).all():
             raise ValueError(f"depth span {near_m} to {far_m} overflows the brightness ramp")
         self._ramp = ramp
+        # |ramp[a] - ramp[b]| at a << 8 | b, 512 KiB: two maps' difference
+        # outside their boxes.
+        self._table = np.abs(ramp[:, None] - ramp[None, :]).reshape(-1)
 
     def estimate_map(self, image: RasterImage, tag: str | None = None) -> ProxyMap:
         gray = image.to_gray().data
         rows, cols = _find_blob(gray, self.fiducial)
         height_px = rows.stop - rows.start
         vehicle_depth = self.focal_px * self.fiducial.physical_height_m / height_px
-        return ProxyMap(gray, self._ramp, (rows, cols), vehicle_depth)
+        return ProxyMap(gray, self._ramp, self._table, (rows, cols), vehicle_depth)
 
 
 class ProxyMap:
     """The proxy's float64 depth map, computed where it is read: ``ramp``
     looked up by ``gray``, with ``depth`` over the fiducial's ``box``. It
-    holds the gray frame, 1 byte a pixel, not 8. ``read`` (strips, into a
-    caller's buffer) and a box's crop (``map[rows, cols]``, slices of step
-    1) look up only what they return; any other index, and ``np.asarray``,
-    build the whole frame."""
+    holds the gray frame, 1 byte a pixel, not 8, and its mapper's
+    difference ``table``, which every map of that mapper shares. ``read``
+    (strips, into a caller's buffer), ``abs_diff`` and a box's crop
+    (``map[rows, cols]``, slices of step 1) look up only what they return;
+    any other index, and ``np.asarray``, build the whole frame."""
 
     dtype = np.dtype(np.float64)
     ndim = 2
 
-    def __init__(self, gray: np.ndarray, ramp: np.ndarray,
+    def __init__(self, gray: np.ndarray, ramp: np.ndarray, table: np.ndarray,
                  box: tuple[slice, slice], depth: float):
-        self.gray, self.ramp, self.box, self.depth = gray, ramp, box, depth
+        self.gray, self.ramp, self.table, self.box, self.depth = gray, ramp, table, box, depth
         self.shape = gray.shape
+
+    def abs_diff(self, other: ProxyMap, rows: slice, index: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+        """``|self[rows] - other[rows]|`` for a map that holds the same
+        ``table``, written into ``out``: outside both boxes, one ``take`` of
+        the table at the uint16 ``index`` the gray pair is packed into;
+        inside either box, the two maps read and differenced. Each value has
+        the bits of the float64 difference of the maps' reads."""
+        np.left_shift(self.gray[rows], 8, out=index, dtype=np.uint16)
+        index |= other.gray[rows]
+        self.table.take(index, out=out, mode="clip")
+        for box_rows, cols in (self.box, other.box):
+            top = max(box_rows.start, rows.start)
+            patch = slice(top, max(top, min(box_rows.stop, rows.stop)))
+            out[patch.start - rows.start:patch.stop - rows.start, cols] = np.abs(
+                self.read(patch, cols) - other.read(patch, cols))
+        return out
 
     def read(self, rows: slice, cols: slice = slice(None), out=None) -> np.ndarray:
         """``map[rows, cols]`` for slices of step 1, written into ``out``."""

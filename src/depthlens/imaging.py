@@ -49,9 +49,10 @@ rows per output row; it gathers the source columns with ``take``, which
 returns contiguous blocks. Its strips are cut about the lens center's row
 and run outward from it when shrinking and inward when enlarging, so each
 strip reads only rows that no earlier strip wrote, and the rescale can
-write into the array it reads. ``box_blur`` forms its window sums, counts,
-the half-up division (by one scalar for the windows wholly inside the
-frame) and the masked write per strip, and ``RasterImage.to_gray`` adds
+write into the array it reads. ``box_blur`` forms its window sums, the
+half-up division ``(sum + count // 2) // count`` (by one scalar for the
+windows wholly inside the frame; only the clipped edges build counts) and
+the masked write per strip, and ``RasterImage.to_gray`` adds
 each channel times its weight, in float64. Into a frame that already
 holds the image (in a render, the frame they also read), both kernels
 store only what they change, through one masked writer: a strip whose
@@ -486,11 +487,11 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
     The window is clipped at frame edges and averaged over the in-frame
     samples, so borders do not darken. Unmasked pixels pass through
     untouched; radius 0 or an empty mask returns the input. Rounding is
-    half-up in exact integer arithmetic. The mask must be boolean. The
-    result is written into a copy, or into ``out``: a uint8 array that
-    already holds the image's pixels, such as the array ``image`` was built
-    from, as every source row enters the row sums before its output row is
-    written.
+    half-up in exact integer arithmetic, ``(sum + count // 2) // count``.
+    The mask must be boolean. The result is written into a copy, or into
+    ``out``: a uint8 array that already holds the image's pixels, such as
+    the array ``image`` was built from, as every source row enters the row
+    sums before its output row is written.
     """
     check_bool(blur_mask=mask)
     if mask.shape != (image.height, image.width):
@@ -507,7 +508,7 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
     h, w = mask.shape
     channels = image.channels
     y0, y1, x0, x1 = ys.start, ys.stop, xs.start, xs.stop
-    # The largest value formed is 2*sum + count <= 511*count <= 511*h*w.
+    # The largest value formed is sum + count // 2 < 256*count <= 256*h*w.
     dtype = np.int32 if 511 * h * w < 2 ** 31 else np.int64
     out = image.data.copy() if out is None else out
     length = 2 * radius + 1
@@ -545,18 +546,20 @@ def box_blur(image: RasterImage, mask: np.ndarray, radius: int,
         mean = ring[(np.minimum(i + radius + 1, h) - sy0) % len(ring)]
         mean -= ring[(np.maximum(i - radius, 0) - sy0) % len(ring)]
         count_y = _window_counts(top, bottom, h, radius).astype(dtype)
-        count = np.multiply.outer(count_y, count_x)
-        # (2 * sum + count) // (2 * count): round half-up, in place. Windows
-        # wholly inside the frame share one count, and NumPy divides by a
-        # scalar several times faster than elementwise.
-        mean *= 2
-        mean += count
-        count *= 2
         rows = _span(count_y == length)
-        for clipped in (np.s_[:rows.start], np.s_[rows.stop:],
-                        np.s_[rows, :cols.start], np.s_[rows, cols.stop:]):
-            mean[clipped] //= count[clipped]
-        mean[rows, cols] //= 2 * length * length
+        # (sum + count // 2) // count: round half-up, in place; for integers
+        # it equals (2 * sum + count) // (2 * count). Windows wholly inside
+        # the frame share one count, and NumPy divides by a scalar several
+        # times faster than elementwise; only the clipped edges build theirs.
+        for clip_y, clip_x in ((np.s_[:rows.start], np.s_[:]), (np.s_[rows.stop:], np.s_[:]),
+                               (rows, np.s_[:cols.start]), (rows, np.s_[cols.stop:])):
+            count = np.multiply.outer(count_y[clip_y], count_x[clip_x])
+            edge = mean[clip_y, clip_x]
+            edge += count // 2
+            edge //= count
+        inside = mean[rows, cols]
+        inside += length * length // 2
+        inside //= length * length
         _write_masked(box[strip], mean, mask[strip])
     return RasterImage(out)
 

@@ -5,17 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
 from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
-                                  ProxyDepthMapper, _find_blob, load_boxes,
+                                  ProxyDepthMapper, ProxyMap, _find_blob, load_boxes,
                                   load_depth_map, masked_mean)
 from depthlens import estimation, formats
 from depthlens.imaging import LensRegion, RasterImage, scale_region
 
-from helpers import (fiducial_reading, render_fiducial, strip_values, write_pfm,
+from helpers import (STRIPS, fiducial_reading, render_fiducial, strip_values, write_pfm,
                      write_pgm16)
 from oracles import (_dense_abs_diff, dense_box_mask, dense_proxy_map,
                      nonzero_blob_extent, reference_load_depth_map)
@@ -247,6 +247,61 @@ class TestProxyMap:
             got = _outcome(masked_mean, attacked, mask, reference)
             dense = _outcome(masked_mean, np.asarray(attacked), mask, frame)
         assert got == dense
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), strip=st.sampled_from(STRIPS + [2 ** 16]),
+           subtree=st.sampled_from([256, 2 ** 14]))
+    def test_loss_between_maps_of_one_mapper_reads_their_table(self, data, strip, subtree):
+        """Two maps of one mapper are differenced by a look-up in the table
+        they share, with each one's fiducial box read as a map. The mean
+        must have the bits of the same mean over both dense frames: for
+        boxes that differ and cross strip boundaries, and for a pinhole depth
+        of inf (focal 1e300), whose masked values, over a tree of 256-value
+        subtrees, send the mean to its checked pass. A map of a second
+        mapper with an equal ramp holds another table, and is differenced
+        by reading both maps' strips, with the same bits."""
+        h, w = data.draw(st.integers(2, 60)), data.draw(st.integers(2, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        threshold = data.draw(st.integers(0, 254))
+
+        def gray():
+            """A bright frame with one dark patch of at least 2x2 px."""
+            frame = rng.integers(threshold + 1, 256, (h, w), dtype=np.uint8)
+            y0, x0 = data.draw(st.integers(0, h - 2)), data.draw(st.integers(0, w - 2))
+            patch = frame[y0:y0 + data.draw(st.integers(2, h)),
+                          x0:x0 + data.draw(st.integers(2, w))]
+            patch[...] = rng.integers(0, threshold + 1, patch.shape)
+            return RasterImage(frame)
+
+        near_m = data.draw(st.floats(1e-6, 1e6))
+        args = (FiducialSpec(data.draw(st.sampled_from([1.5, 1e10])), threshold),
+                data.draw(st.sampled_from([700.0, 1e300])),  # 1e300 * 1e10 is inf
+                near_m, near_m + data.draw(st.sampled_from([1e-6, 36.0, 1e300])))
+        mapper = ProxyDepthMapper(*args)
+        benign, attacked = mapper.estimate_map(gray()), mapper.estimate_map(gray())
+        assume(benign.box != attacked.box)
+        twin = ProxyDepthMapper(*args).estimate_map(RasterImage(attacked.gray))
+        assert benign.table is attacked.table is mapper.estimate_map(gray()).table
+        assert twin.table is not benign.table and np.array_equal(twin.ramp, benign.ramp)
+        mask = rng.random((h, w)) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        paired = []
+        abs_diff = ProxyMap.abs_diff
+
+        def counted(*args):
+            paired.append(args)
+            return abs_diff(*args)
+
+        with strip_values(strip), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_SUBTREE", subtree)
+            patch.setattr(ProxyMap, "abs_diff", counted)
+            want = _outcome(masked_mean, np.asarray(attacked), mask, np.asarray(benign))
+            assert not paired
+            got = _outcome(masked_mean, attacked, mask, benign)
+            assert paired
+            paired.clear()
+            apart = _outcome(masked_mean, twin, mask, benign)
+            assert not paired
+        assert _bits(got) == _bits(want) == _bits(apart)
 
 
 class TestLoaders:

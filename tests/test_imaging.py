@@ -524,10 +524,21 @@ class TestBoxBlur:
         if radius and mask.any():
             assert got.data.base is own
 
+    def test_half_up_division_identity(self):
+        """The blur rounds by ``(sum + count // 2) // count``, which must
+        equal the half-up ``(2 * sum + count) // (2 * count)``: checked for
+        every window count up to the 19x19 window of level 9 and every sum
+        of 8-bit samples that count can hold."""
+        for count in range(1, 19 * 19 + 1):
+            total = np.arange(255 * count + 1)
+            assert np.array_equal((2 * total + count) // (2 * count),
+                                  (total + count // 2) // count), count
+
     @pytest.mark.parametrize("radius", [9, 1100])
     def test_wide_accumulator_exact(self, radius):
-        # 2*255*h*w exceeds int32 here; at radius 1100 the central windows
-        # cover the whole frame, so 2*sum + count itself would overflow it
+        # 2*255*h*w exceeds int32 here, so the blur's dtype guard (511*h*w)
+        # takes int64; at radius 1100 the central windows cover the whole
+        # frame, so their sums reach 255*h*w
         size = 2100
         assert 2 * 255 * size * size > 2 ** 31
         img = RasterImage(np.full((size, size), 255, np.uint8))
