@@ -11,7 +11,7 @@ Conventions shared by all commands:
 * every option can also come from a ``key = value`` config file via
   ``--config``; an option resolves flag > config file > registered default,
   a line is a comment only when its first non-blank character is ``#``, and
-  a key set twice is a usage error naming both lines;
+  a malformed line (a key set twice names both lines) raises ``ParseError``;
 * flag text and config text go through the option's one registered parser
   and fail alike (``option --x: ...``, ``config key 'x': ...``); a word
   option arrives as its enum member or word, and its message lists the
@@ -35,8 +35,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import attack_opt, defense, estimation, metrics, optics, scenario
-from .errors import REPORTED_ERRORS, SingularConfiguration
+from . import attack_opt, defense, estimation, formats, metrics, optics, scenario
+from .errors import REPORTED_ERRORS, ParseError, SingularConfiguration
 from .imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                       RasterImage, apply_attack_transform, level_to_profile,
                       region_masks)
@@ -139,27 +139,20 @@ class _Command:
 
 
 def _load_config_file(path: str, known) -> dict[str, tuple[int, str]]:
-    """Each key's line number and value text; every key must be ``known``."""
+    """Each key's line number and value text; every key must be ``known``,
+    and a malformed line raises ``ParseError``."""
     entries: dict[str, tuple[int, str]] = {}
-    # Undecodable bytes pass as surrogates, so the line that holds one is known.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if any("\udc80" <= c <= "\udcff" for c in raw):
-                data = raw.rstrip("\r\n").encode("utf-8", "surrogateescape")
-                raise ValueError(f"{path}:{lineno}: non-UTF-8 byte in {data!r}")
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}, "
-                                 f"first set on line {entries[key][0]}")
-            entries[key] = lineno, value.strip()
+    for lineno, raw, line in formats._text_lines(path, "utf-8"):
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in entries:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}, "
+                             f"first set on line {entries[key][0]}")
+        entries[key] = lineno, value.strip()
     return entries
 
 
@@ -215,7 +208,7 @@ def _first_box(ns) -> estimation.Box:
     _require(ns, "boxes")
     boxes = estimation.load_boxes(ns.boxes)
     if not boxes:
-        raise ValueError(f"no boxes in {ns.boxes}")
+        raise ParseError(f"no boxes in {ns.boxes}")
     return boxes[0]
 
 

@@ -62,7 +62,7 @@ class FiducialNotFound(DepthlensError):
 
 
 class ParseError(DepthlensError):
-    """Malformed image/map file.
+    """Malformed input file: raster, map, config or boxes.
 
     ``byte_offset`` points at (or near) the offending byte so truncated
     headers are easy to locate.

@@ -293,26 +293,17 @@ def load_boxes(path) -> list[Box]:
     """Bounding-box text file: one ``x_min y_min x_max y_max`` line per box,
     integer pixels (digits after an optional minus), inclusive-exclusive."""
     boxes = []
-    # Undecodable bytes pass as surrogates, so the line that holds one is known.
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raw = line.rstrip("\r\n").encode("ascii", "surrogateescape")
-                raise ParseError(f"{path}:{lineno}: non-ASCII byte in {raw!r}")
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 integers, got {line!r}")
-            # int() alone would also take "+3" and "1_0"
-            if not all(p.removeprefix("-").isdigit() for p in parts):
-                raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
-            x0, y0, x1, y1 = (int(p) for p in parts)
-            try:
-                boxes.append(Box(x0, y0, x1, y1))
-            except ValueError as exc:  # an empty box
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, _, line in formats._text_lines(path, "ascii"):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 integers, got {line!r}")
+        # int() alone would also take "+3" and "1_0"
+        if not all(p.removeprefix("-").isdigit() for p in parts):
+            raise ParseError(f"{path}:{lineno}: bad integer in {line!r}")
+        try:
+            boxes.append(Box(*map(int, parts)))
+        except ValueError as exc:  # an empty box, or more digits than int() reads
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return boxes
 
 

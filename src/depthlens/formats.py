@@ -1,6 +1,7 @@
-"""Binary image and float-map file formats.
+"""Image, float-map and line-oriented text file formats.
 
-Three interchange formats, all chosen for bit-exactness across platforms:
+Three binary interchange formats, all chosen for bit-exactness across
+platforms:
 
 * 8-bit binary PGM (P5) / PPM (P6), maxval 255 — raster interchange;
 * PFM ("Pf", float32, scale line whose sign encodes endianness, rows stored
@@ -26,6 +27,12 @@ float32 (h, w) frame they return, which the caller may modify. float32 is
 the files' own precision: PFM samples are float32, and 16-bit counts are
 scaled in float32; a caller that computes in float64 asks for a float64
 frame, and each float32 value is widened into it as its strip is read.
+
+The text inputs, a config file (``cli``) and a boxes file (``estimation``),
+are read by one line reader, ``_text_lines``: it skips blank and ``#``
+comment lines, and the first byte the file's encoding cannot decode raises
+``ParseError`` naming the file and line. Each caller reads its own grammar
+from the lines, and a malformed line raises ``ParseError`` too.
 """
 
 from __future__ import annotations
@@ -146,6 +153,22 @@ def _raster_strips(fh, height: int, width: int, dtype: str):
         part = buf[:count]
         _read_into(fh, part)
         yield rows, part.reshape(-1, width)
+
+
+def _text_lines(path, encoding: str):
+    """Yield the line number, raw line and stripped line of each line of the
+    text file that is neither blank nor a ``#`` comment. The first line
+    that holds a byte ``encoding`` cannot decode raises ``ParseError``
+    naming the file, the line and its bytes."""
+    # Undecodable bytes pass as surrogates, so the line that holds one is known.
+    with open(path, "r", encoding=encoding, errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if any("\udc80" <= c <= "\udcff" for c in raw):
+                data = raw.rstrip("\r\n").encode(encoding, "surrogateescape")
+                raise ParseError(f"{path}:{lineno}: non-{encoding.upper()} byte in {data!r}")
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, raw, line
 
 
 def _pnm_header(fh) -> tuple[int, ...]:

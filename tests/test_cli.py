@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depthlens import attack_opt, cli, defense, formats, scenario
 from depthlens.cli import main
-from depthlens.errors import EmptyMask
-from depthlens.estimation import DETECTION_THRESHOLDS, Box, FiducialSpec, load_depth_map
+from depthlens.errors import EmptyMask, ParseError
+from depthlens.estimation import (DETECTION_THRESHOLDS, Box, FiducialSpec, load_boxes,
+                                  load_depth_map)
 from depthlens.imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
                                RasterImage, apply_attack_transform, region_masks)
 
@@ -803,6 +804,37 @@ class TestConfigResolution:
         assert (code, out) == (2, "")
         assert err.startswith("error: config key 'sigma': ")
         assert "'abc'" in err
+
+
+# Lines of both grammars, comments, undecodable bytes, a coordinate longer
+# than int() reads, and noise; each ends in any line end or runs into the next.
+_TEXT_LINES = st.lists(st.tuples(
+    st.one_of(st.sampled_from([b"sigma = 0.5", b"seed=7", b"max-time = 1", b"width = 3",
+                               b"sigma", b"  # note", b" ", b"0 0 4 4", b"-3 -2 5 9",
+                               b"4 4 4 4", b"1 2 3", b"1_0 0 2 2", b"0 0 2 " + b"1" * 4301,
+                               b"seed = \xe9\xff", b"\xd9\xa4 0 8 8"]),
+              st.binary(max_size=12)),
+    st.sampled_from([b"\n", b"\r\n", b"\r", b""])), max_size=6)
+
+
+@pytest.mark.parametrize("reader", ["config", "boxes"])
+@settings(max_examples=200, deadline=None)
+@given(lines=_TEXT_LINES)
+@example(lines=[(b"0 0 2 " + b"1" * 4301, b"\n")])
+def test_text_inputs_return_or_raise_parse_error_only(tmp_path_factory, reader, lines):
+    """Any bytes, read as a config file or as a boxes file: the reader
+    returns its entries or its boxes, or raises ParseError, and nothing else."""
+    path = tmp_path_factory.mktemp("text") / "input.txt"
+    path.write_bytes(b"".join(line + end for line, end in lines))
+    try:
+        if reader == "config":
+            entries = cli._load_config_file(str(path), {"sigma", "seed", "max_time"})
+            assert all(type(lineno) is int and type(value) is str
+                       for lineno, value in entries.values())
+        else:
+            assert all(type(box) is Box for box in load_boxes(path))
+    except ParseError:
+        pass
 
 
 _PARSER, _COMMANDS = cli.build_parser()

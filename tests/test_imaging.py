@@ -167,9 +167,12 @@ class TestRegionMasks:
             LensRegion.circle(3, 3, radius)
 
     def test_full_frame_mask_is_one_read_only_value(self):
+        # the region is built untraced, so the bound measures region_masks
+        # alone whichever test files ran before
+        region = LensRegion.full_frame()
         tracemalloc.start()
         try:
-            mask = region_masks(1920, 1080, LensRegion.full_frame())
+            mask = region_masks(1920, 1080, region)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
