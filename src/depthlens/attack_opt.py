@@ -1,4 +1,4 @@
-"""Brute-force attack optimization over the nine discrete lens strengths.
+"""Brute-force attack optimization over the discrete lens levels.
 
 The setting is black-box: the attacker controls the attack level (which
 fixes rescale + blur through the level calibration), renders the attacked
@@ -12,25 +12,18 @@ better), and L_out penalizes any estimate drift outside the lens outline
 (0 for a full-frame lens, which leaves no pixel outside it).
 All reductions are masked L1 means, which keeps alpha meaningful regardless
 of mask sizes. Each loss is one ``estimation.masked_mean`` with the benign
-map or the target as reference, so ``|a - b|`` is formed strip by strip,
-never as a frame-sized map, and its kept values are summed as they come,
-never held as a selection; a map is scored in the dtype the estimator
-returns (float32 from a file): the mean widens each strip, so no map is
-copied to float64 and the losses are those of the float64 copy; the
-proxy's ``estimation.ProxyMap`` is computed strip by strip from its gray
-frame, so it is never a float64 frame.
-The vehicle terms are reduced on the vehicle box's crop: the pixels of its
-full-frame mask in the same order, so the same bits at the cost of a box.
+map or the target as reference, on the map in the dtype the estimator
+returns. The vehicle terms are reduced on the vehicle box's crop: the
+pixels of its full-frame mask in the same order, so the same bits at the
+cost of a box.
+
 The search holds one level's map at a time: a map is dropped before the
 next level's is made, and a render once its map is (a proxy map holds its
-render's gray frame). Renders are deferred
-(``imaging.apply_attack_transform``): an estimator that reads pixels
-renders the level inside its call, and one that reads precomputed maps
-renders nothing. A sweep's configs share one ``imaging.LensRegion``, which
-keeps its lens footprint, so the out-of-lens mask and every render's
-rescale and blur come from one evaluation of the in-lens predicate. The
-argmin over levels 1..9 is exact enumeration; ties break toward the
-smallest level (least conspicuous blur, and determinism needs a rule).
+render's gray frame). Renders are deferred, so an estimator that reads
+precomputed maps renders nothing, and a sweep's configs share one
+``imaging.LensRegion``, so one lens footprint. The argmin over
+``imaging.LEVELS`` is exact enumeration; ties break toward the smallest
+level (least conspicuous blur, and determinism needs a rule).
 """
 
 from __future__ import annotations
@@ -44,11 +37,9 @@ import numpy as np
 
 from .errors import REPORTED_ERRORS, DepthlensError, check_positive
 from .estimation import Box, ProxyMap, masked_mean
-from .imaging import (LensKind, LensRegion, RasterImage, apply_attack_transform,
-                      level_to_profile, region_masks)
+from .imaging import (LEVELS, LensKind, LensRegion, RasterImage,
+                      apply_attack_transform, level_to_profile, region_masks)
 from .metrics import adr, aer
-
-LEVELS = tuple(range(1, 10))
 
 # Default targets for disparity-scale estimators: attacked vehicle disparity
 # is driven to 0.43 under a concave lens (push away) and 0.60 under a convex
@@ -150,16 +141,19 @@ def optimize_level(benign: RasterImage, estimator: Estimator, cfg: LossConfig,
     """
     try:
         est_benign = estimator.estimate_map(benign, tag="benign")
+        # the lens region and the vehicle box are in the input's pixels
+        if est_benign.shape != benign.shape[:2]:
+            raise ValueError(f"estimator returned {est_benign.shape}, "
+                             f"input is {benign.shape[:2]}")
     except REPORTED_ERRORS as exc:
         raise OptimizationError("benign", exc) from exc
 
-    map_h, map_w = est_benign.shape
     veh = cfg.vehicle_box.slices()
     benign_veh = est_benign[veh]
     m_veh = np.ones(benign_veh.shape, dtype=bool)
     # None when nothing lies outside the lens (a full-frame lens), so nothing
     # can drift there.
-    m_out = region_masks(map_w, map_h, cfg.region, outside=True)
+    m_out = region_masks(benign.width, benign.height, cfg.region, outside=True)
 
     curve = []
     attacked_means = {}

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import attack_opt, defense, estimation, formats, metrics, optics, scenario
 from .errors import REPORTED_ERRORS, ParseError, SingularConfiguration
-from .imaging import (AttackProfile, BlurPlacement, LensKind, LensRegion,
+from .imaging import (LEVELS, AttackProfile, BlurPlacement, LensKind, LensRegion,
                       RasterImage, apply_attack_transform, level_to_profile,
                       region_masks)
 
@@ -256,7 +256,8 @@ def _add_simulate(sub) -> _Command:
     cmd.opt("--input", help="benign PGM/PPM")
     cmd.opt("--output", help="attacked image path")
     cmd.opt("--lens-kind", _LENS_KIND, LensKind.CONCAVE)
-    cmd.opt("--level", _Int(1, 9), help="discrete attack level 1..9")
+    cmd.opt("--level", _Int(LEVELS[0], LEVELS[-1]),
+            help=f"discrete attack level {LEVELS[0]}..{LEVELS[-1]}")
     cmd.opt("--scale", _finite, help="override rescale factor")
     cmd.opt("--blur", _Int(0), help="override blur radius, px")
     cmd.opt("--placement", _Words(BlurPlacement), help="override")

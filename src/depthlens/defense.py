@@ -83,23 +83,29 @@ class BlurVerdict:
         return f"verdict={verdict} score={self.score:.6g} threshold={self.threshold:.6g}"
 
 
+def _interior_strips(gray: np.ndarray, what: str):
+    """The row strips of a gray frame's interior, each with the frame rows
+    its 3x3 windows read. A frame with no interior pixel raises
+    ``TooSmall``, worded for ``what``, when called."""
+    h, w = gray.shape
+    if h < 3 or w < 3:
+        raise TooSmall(f"need at least 3x3 for {what}, got {w}x{h}")
+    return ((strip, gray[strip.start:strip.stop + 2]) for strip in _strips(h - 2, w))
+
+
 def variance_of_laplacian(image: RasterImage) -> float:
     """Population variance of the interior Laplacian responses, correctly
     rounded from exact integer sums."""
     gray = image.to_gray().data
-    h, w = gray.shape
-    if h < 3 or w < 3:
-        raise TooSmall(f"need at least 3x3 for the Laplacian, got {w}x{h}")
     s1 = s2 = 0
-    for strip in _strips(h - 2, w):
-        g = gray[strip.start:strip.stop + 2]
+    for _, g in _interior_strips(gray, "the Laplacian"):
         lap = np.add(g[:-2, 1:-1], g[2:, 1:-1], dtype=np.int32)
         lap += g[1:-1, :-2]
         lap += g[1:-1, 2:]
         lap -= np.multiply(g[1:-1, 1:-1], 4, dtype=np.int32)
         s1 += int(lap.sum(dtype=np.int64))
         s2 += int(np.square(lap, out=lap).sum(dtype=np.int64))
-    n = (h - 2) * (w - 2)
+    n = (gray.shape[0] - 2) * (gray.shape[1] - 2)
     # int / int is correctly rounded, however large the operands
     return (n * s2 - s1 * s1) / (n * n)
 
@@ -129,7 +135,6 @@ def _lbp_active(gray: np.ndarray, delta: int):
     Ring order is circular, N, NE, E, SE, S, SW, W, NW: ring neighbor p
     sets bit p of the code.
     """
-    h, w = gray.shape
 
     def differs(a, b):
         # |a - b| > delta without widening: max - min
@@ -137,8 +142,7 @@ def _lbp_active(gray: np.ndarray, delta: int):
         diff -= np.minimum(a, b)
         return np.greater(diff, delta).view(np.uint8)
 
-    for strip in _strips(h - 2, w):
-        g = gray[strip.start:strip.stop + 2]
+    for strip, g in _interior_strips(gray, "LBP codes"):
         # Each neighbor pair is compared once. The pairs of the E, SE, S and
         # SW directions of one pixel are the W, NW, N and NE pairs of
         # another, so all eight ring bits are views of four comparisons.
@@ -170,9 +174,6 @@ def lbp_sharpness_map(image: RasterImage, window: int = DEFAULT_TILE_PX,
         raise ValueError(f"lbp delta must be non-negative, got {lbp_threshold}")
     gray = image.to_gray().data
     h, w = gray.shape
-    if h < 3 or w < 3:
-        raise TooSmall(f"need at least 3x3 for LBP codes, got {w}x{h}")
-
     # Tiles start every ``window`` px. A tile's interior pixels are the
     # frame's rows (columns) 1..n-2 inside it; only the last tile along an
     # axis can hold none.

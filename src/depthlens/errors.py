@@ -54,7 +54,7 @@ class DegenerateRegion(DepthlensError):
 
 
 class BadLevel(DepthlensError):
-    """Discrete attack level outside the supported 1..9 range."""
+    """Discrete attack level outside ``imaging.LEVELS``."""
 
 
 class FiducialNotFound(DepthlensError):

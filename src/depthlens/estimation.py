@@ -3,32 +3,25 @@
 Neural monocular estimators stay out of this package; what lives here is
 everything around them:
 
-* a geometric proxy estimator, ``ProxyDepthMapper``, that reads depth off
-  a calibrated fiducial of known physical height (apparent size is
-  inversely proportional to distance, so depth = focal_px * height_m /
-  height_px); it is the one place that formula is computed;
-* a file-backed estimator, ``DirectoryMapEstimator``, over externally
+* ``ProxyDepthMapper``, a geometric proxy estimator that reads depth off a
+  calibrated fiducial of known physical height (apparent size is inversely
+  proportional to distance, so depth = focal_px * height_m / height_px);
+  it is the one place that formula is computed. Its map, a ``ProxyMap``,
+  is computed from the gray frame where it is read;
+* ``DirectoryMapEstimator``, a file-backed estimator over externally
   produced maps, which divides disparity maps by a constant on request;
-* loaders for those maps (PFM, 16-bit PGM + sidecar scale), which mark
-  holes in the readers' float32 frame in place, strip by strip (and divide
-  a rescaled map's float64 frame in the same pass), and for bounding-box
-  text files;
-* masked means, the reduction every metric and loss in this toolkit starts
-  from; given a reference map or number they average
-  ``|map - reference|`` in row strips, without a frame-sized difference
-  map or a held selection: the kept values stream through NumPy's
-  pairwise-sum tree one subtree at a time, so a mean has the bits of
-  ``np.mean`` over the whole selection. Two maps of one proxy are
-  differenced by one look-up of each pixel's pair of gray levels in the
-  proxy's table of ramp differences, their fiducial boxes read as maps.
+* ``load_depth_map`` for those maps (PFM, 16-bit PGM + sidecar scale) and
+  ``load_boxes`` for bounding-box text files;
+* ``masked_mean``, the reduction every metric and loss in this toolkit
+  starts from: it has the bits of ``np.mean`` over the whole selection,
+  and builds neither a frame-sized difference map nor the selection.
 
 A depth or disparity map of shape (h, w) is a plain float ``np.ndarray``
 (float32 as read from a PFM/PGM16 file; float64 when rescaled) or the
-proxy's float64 ``ProxyMap``, computed from its gray frame where it is
-read: by strips in ``masked_mean``, and by a box's crop. ``masked_mean``
-widens to float64 before it computes, so a map's dtype changes no loss or
-metric. Invalid pixels (holes, zero disparity) are marked NaN rather than
-raised: maps from real estimators contain them routinely.
+proxy's float64 ``ProxyMap``. ``masked_mean`` widens to float64 before it
+computes, so a map's dtype changes no loss or metric. Invalid pixels
+(holes, zero disparity) are marked NaN rather than raised: maps from real
+estimators contain them routinely.
 """
 
 from __future__ import annotations

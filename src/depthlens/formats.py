@@ -198,22 +198,14 @@ def read_pnm(path, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def write_pnm(path, data: np.ndarray) -> None:
-    """Write uint8 gray (h, w) or RGB (h, w, 3) as binary PGM/PPM; any other
-    dtype is an error, not a cast."""
-    if data.dtype != np.uint8:
-        raise ValueError(f"raster must be uint8, got {data.dtype}")
-    arr = np.ascontiguousarray(data)
-    if arr.ndim == 2:
-        magic = b"P5"
-        h, w = arr.shape
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"P6"
-        h, w = arr.shape[:2]
-    else:
-        raise ValueError(f"expected (h, w) or (h, w, 3) uint8, got shape {arr.shape}")
+    """Write a raster ``imaging.RasterImage`` accepts, uint8 gray (h, w) or
+    RGB (h, w, 3), as binary PGM/PPM; any other array is an error, not a
+    cast, raised before the file is opened."""
+    shape = imaging.RasterImage(data).shape  # the one raster check, on a view
+    magic = b"P5" if len(shape) == 2 else b"P6"
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(arr)  # the contiguous array's own buffer: no copy
+        fh.write(magic + b"\n%d %d\n255\n" % (shape[1], shape[0]))
+        fh.write(np.ascontiguousarray(data))  # a contiguous array's own buffer: no copy
 
 
 def read_pgm16(path, dtype=np.float32) -> np.ndarray:

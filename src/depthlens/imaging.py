@@ -4,80 +4,33 @@ A mounted lens shows a rescaled view of the scene inside its outline and,
 depending on lens type, defocuses one side of that boundary. This module
 reproduces both effects on 8-bit rasters:
 
-* ``scale_region`` resamples the in-lens content about the region center
-  (bilinear, inverse-mapped, edge-replicated where sources fall off-frame);
-* ``box_blur`` replaces masked pixels with the mean of a square window
-  (clipped at frame edges, integer round-half-up, so output is bit-exact
-  across platforms);
-* ``apply_attack_transform`` composes the two per an ``AttackProfile``,
-  deferred: it checks the region against the frame when called. A render
-  has one frame: the first read of the result's ``data`` has
-  ``RasterImage.copy_into`` fill it from the image and both kernels
-  rewrite it in place. The render of an image not yet read allocates its
-  frame on that first read, and the image reads its file straight into
-  it, so ``simulate`` holds one frame, and a caller that reads no pixels
-  (a search scored on precomputed maps) renders nothing and allocates no
-  frame; the render of an image already read allocates its frame when
-  called (see the function);
-* ``RasterImage.load`` is deferred in the same way: it checks the file's
-  header when called, and ``formats.read_pnm`` reads the pixels into the
-  frame that the first read of its ``data`` allocates;
-* ``level_to_profile`` maps the discretized lens strength 1..9 onto a
-  (scale, blur) pair for a given lens region (``LensRegion.full_frame()``
-  for the whole frame); strength 1 adds the least blur, 9 the most.
-  ``AttackProfile`` is the one check of a level: an integer in 1..9,
-  stored as ``int``.
-
-Both kernels touch only a bounding box: ``scale_region`` the box of the
-lens region, ``box_blur`` the box of its mask grown by the radius and
-clipped to the frame. Both are separable. Source x of a resampled pixel
-depends only on its column and source y only on its row. The blur streams
-the box's rows. The source rows a strip needs enter a zero-padded band
-once each; windows of doubling length sum each row's clipped windows
-(exactly, since the padding is zero), in uint16 while ``255 * (2r + 1)``
-fits. A running prefix over those row sums (a summed-area table, Crow
-1984) lives in a ring of strip rows + 2r + 1 rows, so each output row's
-window is the difference of two ring rows; the prefix is int32 whenever
-the frame is small enough for that to be exact, else int64.
+* ``RasterImage``, a read-only raster; ``RasterImage.load`` and
+  ``apply_attack_transform`` check their input when called and return
+  deferred rasters, whose pixels are read or rendered into one frame on
+  the first read of ``data``, so ``simulate`` holds one frame and a search
+  scored on precomputed maps reads and renders no pixel;
+* ``LensRegion``, a circle or the whole frame, and ``region_masks``; a
+  region instance keeps one ``_Footprint`` per frame size, the one owner
+  of the in-lens predicate, so the renders and losses of a sweep, whose
+  configs share one region, evaluate it once;
+* the two kernels, ``scale_region`` (bilinear, inverse-mapped) and
+  ``box_blur`` (a clipped mean, rounded half-up in integers, so its output
+  is bit-exact across platforms); each touches only a bounding box, writes
+  only the pixels it changes, and can rewrite the frame it reads;
+* ``LEVELS``, the discrete attack levels; ``AttackProfile``, the one check
+  of a level; ``level_to_profile``, the calibration of a level to a
+  (scale, blur) pair; and ``apply_attack_transform``, the render.
 
 The per-pixel arithmetic runs in row strips of at most ``_STRIP_VALUES``
 output values (about 512 KB of float64), so temporaries stay cache-sized
-instead of frame-sized. ``scale_region`` interpolates the sorted union of
-the source rows a strip reads along x once each, then blends each output
-row's top and bottom row along y; a strip never interpolates more than two
-rows per output row; it gathers the source columns with ``take``, which
-returns contiguous blocks. Its strips are cut about the lens center's row
-and run outward from it when shrinking and inward when enlarging, so each
-strip reads only rows that no earlier strip wrote, and the rescale can
-write into the array it reads. ``box_blur`` forms its window sums, the
-half-up division ``(sum + count // 2) // count`` (by one scalar for the
-windows wholly inside the frame; only the clipped edges build counts) and
-the masked write per strip, and ``RasterImage.to_gray`` adds
-each channel times its weight, in float64. Into a frame that already
-holds the image (in a render, the frame they also read), both kernels
-store only what they change, through one masked writer: a strip whose
-mask is all set (every strip of a full-frame lens) is stored directly;
-any other is merged in uint8 by a bitwise select, ``box ^ ((new ^ box) &
--mask)``, on the folded rows.
-
-``_Footprint`` is the one owner of the lens footprint on a frame: the
-rescale's center, the bounding box of the in-lens pixels, the in-lens mask
-over it, and the out-of-lens frame mask, or ``None`` when no pixel lies
-outside the lens; it alone builds the squared offsets of the in-lens
-predicate, and evaluates it by row strips into the box mask.
-``region_masks`` returns the box mask itself when the box is the whole
-frame, so a full-frame lens builds no frame-sized mask: its mask is a
-read-only view of one set value, its out-of-lens mask is ``None``, and the
-render skips its out-of-lens blur. A ``LensRegion`` instance builds its
-footprint once per frame size, on first use, and keeps it until the region
-itself is dropped: a render's rescale and blur share one, and so do all the
-renders and losses of an ``attack_opt.alpha_sweep``, whose configs share one
-region, so a sweep evaluates the predicate once. The frame check builds no
-array: it evaluates a circle's predicate at the pixel nearest its center.
+instead of frame-sized. The blur's window sums come from a running prefix
+over the rows (a summed-area table, Crow 1984), held in a ring of strip
+rows + 2r + 1 rows.
 
 Everything is deterministic and pure; identical inputs give bit-identical
 outputs: every pixel goes through the same float and integer operations,
-in the same order, as in the dense reference kernels.
+in the same order, as in the dense reference kernels. Each function's
+docstring gives its details.
 """
 
 from __future__ import annotations
@@ -97,6 +50,8 @@ from . import formats
 _STRIP_VALUES = 2 ** 16
 # Luma weight of each RGB channel.
 _LUMA = (0.299, 0.587, 0.114)
+# The discrete attack levels; level 1 adds the least blur, the last the most.
+LEVELS = range(1, 10)
 # The one value a full-frame lens's in-lens mask views.
 _ALL_SET = np.ones(1, dtype=bool)
 _ALL_SET.flags.writeable = False
@@ -591,8 +546,9 @@ class AttackProfile:
     blur_placement: BlurPlacement
 
     def __post_init__(self):
-        if not isinstance(self.level, numbers.Integral) or not 1 <= self.level <= 9:
-            raise BadLevel(f"level must be an integer in 1..9, got {self.level!r}")
+        if not isinstance(self.level, numbers.Integral) or self.level not in LEVELS:
+            raise BadLevel(f"level must be an integer in {LEVELS[0]}..{LEVELS[-1]}, "
+                           f"got {self.level!r}")
         object.__setattr__(self, "level", int(self.level))
         check_positive(scale_factor=self.scale_factor)
         if not isinstance(self.blur_radius, numbers.Integral) or self.blur_radius < 0:
@@ -601,8 +557,8 @@ class AttackProfile:
 
 
 # Default level calibration: blur radius grows one pixel per level; the
-# rescale factor sweeps linearly from a barely-visible change at level 1 to
-# the strongest change at level 9.
+# rescale factor sweeps linearly from a barely-visible change at the first
+# level to the strongest change at the last.
 BLUR_PX_PER_LEVEL = 1
 CONCAVE_SCALE_SPAN = (0.95, 0.55)
 CONVEX_SCALE_SPAN = (1.1, 3.0)
@@ -615,9 +571,9 @@ def level_to_profile(lens_kind: LensKind, level: int, region: LensRegion) -> Att
     # The profile checks the level before the calibration reads it.
     profile = AttackProfile(level, region, 1.0, 0, placement)
     span = CONCAVE_SCALE_SPAN if lens_kind is LensKind.CONCAVE else CONVEX_SCALE_SPAN
-    return replace(profile,
-                   scale_factor=span[0] + (span[1] - span[0]) * (profile.level - 1) / 8.0,
-                   blur_radius=BLUR_PX_PER_LEVEL * profile.level)
+    return replace(profile, blur_radius=BLUR_PX_PER_LEVEL * profile.level,
+                   scale_factor=span[0] + (span[1] - span[0]) * (profile.level - 1)
+                   / (len(LEVELS) - 1))
 
 
 def apply_attack_transform(image: RasterImage, profile: AttackProfile) -> RasterImage:

@@ -188,6 +188,16 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                         "concave", *_CIRCLE, "--estimator", "external",
                                         "--maps", "maps_small_level", "--alphas", "0.1"],
                                        []),
+    # maps of half the input's width and height: the lens circle and the
+    # vehicle box are in the input's pixels, so every row fails at the
+    # benign map, and the CSV is still written
+    "optimize_maps_dims_differ_input": (["optimize", "--input", "gray.pgm", "--boxes",
+                                         "boxes_half.txt", "--mode", "untargeted",
+                                         "--lens-kind", "concave", "--region", "circle",
+                                         "--cx", "120", "--cy", "90", "--radius", "30",
+                                         "--estimator", "external", "--maps", "maps_half",
+                                         "--alphas", "0.5", "--output", "opt_c.csv"],
+                                        ["opt_c.csv"]),
     "optimize_detect_threshold_zero": ([*_OPT, "--mode", "untargeted", "--lens-kind",
                                         "concave", *_PROXY, "--detect-threshold", "0",
                                         "--alphas", "0.1"], []),
@@ -464,6 +474,14 @@ def make_fixtures(directory: Path) -> None:
         name = f"level_{level}.pfm"
         (directory / "maps_zero_benign" / name).write_bytes(
             (directory / "maps_le" / name).read_bytes())
+    # maps of half the input's width and height, and a box inside them (the
+    # last fixture, so that no seeded draw above moves)
+    (directory / "maps_half").mkdir()
+    (directory / "boxes_half.txt").write_text("10 10 40 40\n")
+    for level in range(10):
+        tag = "benign" if level == 0 else f"level_{level}"
+        write_pfm(directory / "maps_half" / f"{tag}.pfm",
+                  np.full((H // 2, W // 2), 1.0 + 0.01 * level, np.float32))
 
 
 def _sha(data: bytes) -> str:

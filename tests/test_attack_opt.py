@@ -312,6 +312,19 @@ class TestOptimizeLevel:
             optimize_level(image, est, cfg, LensKind.CONCAVE)
         assert err.value.level == 7
 
+    def test_benign_map_of_another_size_than_the_input_fails(self, tmp_path):
+        # the lens circle and the vehicle box are in input pixels, so a map
+        # of another size cannot be scored
+        for tag in ("benign", *(f"level_{lv}" for lv in LEVELS)):
+            write_pfm(tmp_path / f"{tag}.pfm", np.full((4, 6), 1.2, np.float32))
+        image = RasterImage(np.full((8, 12), 100, np.uint8))
+        cfg = LossConfig(alpha=0.2, mode=Mode.UNTARGETED, vehicle_box=Box(2, 2, 6, 6),
+                         region=LensRegion.circle(4, 4, 3))
+        with pytest.raises(OptimizationError) as err:
+            optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE)
+        assert err.value.level == "benign"
+        assert str(err.value) == "level benign: estimator returned (4, 6), input is (8, 12)"
+
     def test_metric_failure_tagged_with_the_best_level(self, tmp_path):
         # a benign map of 0: every level scores, but the ADR has no denominator
         write_pfm(tmp_path / "benign.pfm", np.zeros((8, 8), np.float32))

@@ -72,10 +72,8 @@ ALLOWED = [
      'raise ParseError(f"raster truncated: read {got} of {buf.nbytes} bytes")'),
     ("formats", "read_pnm",
      'raise ParseError(f"raster shape {shape} does not match {out.shape}")'),
-    # the CLI writes only rasters it read or rendered: uint8, gray or RGB
-    ("formats", "write_pnm", 'raise ValueError(f"raster must be uint8, got {data.dtype}")'),
-    ("formats", "write_pnm",
-     'raise ValueError(f"expected (h, w) or (h, w, 3) uint8, got shape {arr.shape}")'),
+    # the CLI builds rasters, and writes files, only from what it read or
+    # rendered: uint8, gray or RGB, with at least one pixel
     ("imaging", "RasterImage.__init__",
      'raise ValueError(f"raster must be uint8, got {data.dtype}")'),
     ("imaging", "RasterImage.__init__",
@@ -87,7 +85,7 @@ ALLOWED = [
     ("imaging", "box_blur", "raise ValueError("),
     ("imaging", "box_blur", 'raise ValueError("blur radius must be non-negative")'),
     ("imaging", "AttackProfile.__post_init__",
-     'raise BadLevel(f"level must be an integer in 1..9, got {self.level!r}")'),
+     'raise BadLevel(f"level must be an integer in {LEVELS[0]}..{LEVELS[-1]}, "'),
     ("imaging", "AttackProfile.__post_init__",
      'raise ValueError(f"blur radius must be a non-negative integer, "'),
     # --seed is range-checked by the option parser

@@ -44,11 +44,13 @@ class TestLaplacian:
         assert (dense_laplacian(RasterImage(ramp)) == 0).all()
 
     def test_too_small(self):
-        for shape in ((2, 5), (5, 2)):
-            h, w = shape
-            with pytest.raises(TooSmall, match=f"need at least 3x3 for the Laplacian, "
-                                               f"got {w}x{h}"):
-                variance_of_laplacian(RasterImage(np.zeros(shape, np.uint8)))
+        # both detectors read 3x3 windows, each with its own wording
+        for detector, what in ((variance_of_laplacian, "the Laplacian"),
+                               (lbp_sharpness_map, "LBP codes")):
+            for h, w in ((2, 5), (5, 2), (1, 1)):
+                with pytest.raises(TooSmall,
+                                   match=f"^need at least 3x3 for {what}, got {w}x{h}$"):
+                    detector(RasterImage(np.zeros((h, w), np.uint8)))
 
     def test_rgb_converted_by_luma(self):
         rng = np.random.default_rng(2)

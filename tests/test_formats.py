@@ -246,6 +246,16 @@ def test_pnm_write_rejects_non_uint8_arrays(tmp_path, data):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0, 3)])
+def test_pnm_write_rejects_arrays_without_pixels(tmp_path, shape):
+    """A header of 0 width or height is one ``read_pnm`` rejects, so the
+    writer refuses the array before it opens the file."""
+    path = tmp_path / "f.pnm"
+    with pytest.raises(ValueError, match="^raster needs at least one pixel$"):
+        formats.write_pnm(path, np.zeros(shape, np.uint8))
+    assert not path.exists()
+
+
 # One or more whitespace bytes, then any mix of whitespace and ``#`` comments
 # running to a CR or LF.
 _COMMENT = st.tuples(st.binary(max_size=8), st.sampled_from([b"\n", b"\r"])).map(
