@@ -36,7 +36,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import REPORTED_ERRORS, DepthlensError, check_positive
-from .estimation import Box, ProxyMap, masked_mean
+from .estimation import Box, StripMap, masked_mean
 from .imaging import (LEVELS, LensKind, LensRegion, RasterImage,
                       apply_attack_transform, level_to_profile, region_masks)
 from .metrics import adr, aer
@@ -54,7 +54,7 @@ class Mode(Enum):
 
 class Estimator(Protocol):
     """Anything that turns an image into a 2-d float map: an array, or an
-    ``estimation.ProxyMap``, which the losses read without building it.
+    ``estimation.StripMap``, which the losses read without building it.
 
     ``tag`` identifies the evaluation ("benign", "level_1", ...) so that
     file-backed estimators can look up pre-computed maps; live estimators
@@ -62,7 +62,7 @@ class Estimator(Protocol):
     """
 
     def estimate_map(self, image: RasterImage,
-                     tag: str | None = None) -> np.ndarray | ProxyMap:
+                     tag: str | None = None) -> np.ndarray | StripMap:
         ...
 
 

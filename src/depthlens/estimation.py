@@ -9,19 +9,23 @@ everything around them:
   it is the one place that formula is computed. Its map, a ``ProxyMap``,
   is computed from the gray frame where it is read;
 * ``DirectoryMapEstimator``, a file-backed estimator over externally
-  produced maps, which divides disparity maps by a constant on request;
+  produced maps, which divides disparity maps by a constant on request.
+  Every level's loss reads the benign map, so it is loaded whole; a
+  level's map is a ``FileMap``, read from its file where it is read;
 * ``load_depth_map`` for those maps (PFM, 16-bit PGM + sidecar scale) and
-  ``load_boxes`` for bounding-box text files;
+  ``load_boxes`` for bounding-box text files. A load and a ``FileMap``
+  read both mark a strip's holes, then rescale it, in ``_convert``;
 * ``masked_mean``, the reduction every metric and loss in this toolkit
   starts from: it has the bits of ``np.mean`` over the whole selection,
   and builds neither a frame-sized difference map nor the selection.
 
 A depth or disparity map of shape (h, w) is a plain float ``np.ndarray``
-(float32 as read from a PFM/PGM16 file; float64 when rescaled) or the
-proxy's float64 ``ProxyMap``. ``masked_mean`` widens to float64 before it
-computes, so a map's dtype changes no loss or metric. Invalid pixels
-(holes, zero disparity) are marked NaN rather than raised: maps from real
-estimators contain them routinely.
+(float32 as read from a PFM/PGM16 file; float64 when rescaled) or a
+``StripMap``, which reads its own row strips and crops: the proxy's
+float64 ``ProxyMap`` or a level's ``FileMap``. ``masked_mean`` widens to
+float64 before it computes, so a map's dtype changes no loss or metric.
+Invalid pixels (holes, zero disparity) are marked NaN rather than raised:
+maps from real estimators contain them routinely.
 """
 
 from __future__ import annotations
@@ -114,25 +118,36 @@ def load_depth_map(path, kind: str = "depth", rescale: float | None = None) -> n
     place, one row strip at a time. With ``rescale``, the reader widens the
     values into a float64 frame, and each strip is divided by ``rescale``
     in place once its holes are marked: the bits of dividing the float32
-    map in float64, without holding both.
+    map in float64, without holding both. ``FileMap`` reads the same values
+    a strip at a time.
     """
+    read = formats.read_pgm16 if _is_pgm16(path, kind) else formats.read_pfm
+    values = read(path, np.float32 if rescale is None else np.float64)
+    for strip in _strips(*values.shape):
+        _convert(values[strip], kind, rescale)
+    return values
+
+
+def _is_pgm16(path, kind: str) -> bool:
+    """Check ``kind``, and tell a map file's format by its magic bytes: a
+    16-bit PGM, or a PFM (``PF``, color, is refused by its reader)."""
     if kind not in ("depth", "disparity"):
         raise ValueError(f"kind must be 'depth' or 'disparity', got {kind!r}")
     with open(path, "rb") as fh:
         magic = fh.read(2)
-    dtype = np.float32 if rescale is None else np.float64
-    if magic == b"Pf" or magic == b"PF":
-        values = formats.read_pfm(path, dtype)
-    elif magic == b"P5":
-        values = formats.read_pgm16(path, dtype)
-    else:
+    if magic not in (b"Pf", b"PF", b"P5"):
         raise ParseError(f"unrecognized map format (magic {magic!r})", byte_offset=0)
-    for strip in _strips(*values.shape):
-        part = values[strip]
-        part[~(part > 0) if kind == "depth" else part < 0] = np.nan
-        if rescale is not None:
-            part /= rescale
-    return values
+    return magic == b"P5"
+
+
+def _convert(part: np.ndarray, kind: str, rescale: float | None) -> None:
+    """Mark a strip's invalid samples NaN, then divide it by ``rescale``, in
+    place."""
+    holes = ~(part > 0) if kind == "depth" else part < 0
+    if holes.any():  # marking none costs a scan of the strip
+        part[holes] = np.nan
+    if rescale is not None:
+        part /= rescale
 
 
 def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
@@ -153,12 +168,12 @@ def masked_mean(values: np.ndarray, mask: np.ndarray, reference=None) -> float:
     counted, and the sum is made again over the finite values; a float64
     difference that overflows costs one more pass. Strips are differenced
     in float64, a float32 operand widened into a strip buffer first, so a
-    float32 map gives the mean of its float64 copy; a ``ProxyMap`` is read
+    float32 map gives the mean of its float64 copy; a ``StripMap`` is read
     into that buffer, so the mean never builds its frame. A ``ProxyMap``
     against one that holds the same table is differenced by
     ``ProxyMap.abs_diff`` instead, with the same bits in the same places.
     """
-    if not isinstance(values, ProxyMap):
+    if not isinstance(values, StripMap):
         values = np.asarray(values)
     check_bool(mask=mask)
     if mask.shape != values.shape:
@@ -193,8 +208,8 @@ def _subtree_lengths(count: int) -> list[int]:
 
 
 def _rows(values, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of a map: an array's own, or a ``ProxyMap``'s read into ``out``."""
-    return values.read(rows, out=out) if isinstance(values, ProxyMap) else values[rows]
+    """Rows of a map: an array's own, or a ``StripMap``'s read into ``out``."""
+    return values.read(rows, out=out) if isinstance(values, StripMap) else values[rows]
 
 
 def _float64(values, rows: slice, out: np.ndarray) -> np.ndarray:
@@ -212,8 +227,11 @@ def _finite_count(values, mask, reference) -> int:
     """How many masked pixels have finite operands: the kept count, unless a
     float64 difference of finite operands overflows."""
     count = 0
+    buffer = np.empty(0)
     for strip in _strips(values.shape[0], math.prod(values.shape[1:])):
-        finite = np.isfinite(_rows(values, strip))
+        if not len(buffer):  # a StripMap's rows; the first strip is the largest
+            buffer = np.empty(mask[strip].shape, values.dtype)
+        finite = np.isfinite(_rows(values, strip, buffer[:strip.stop - strip.start]))
         if reference is not None:
             finite &= np.isfinite(_rows(reference, strip) if np.ndim(reference) else reference)
         finite &= mask[strip]
@@ -241,18 +259,17 @@ def _tree_sum(values, mask, reference, count: int, unchecked: bool):
     paired = isinstance(values, ProxyMap) and getattr(reference, "table", None) is values.table
     for strip in _strips(values.shape[0], math.prod(values.shape[1:])):
         in_mask = mask[strip]
-        if reference is None:
-            part = _rows(values, strip)
+        if widened is None:  # the first strip is the largest
+            widened = np.empty((2,) + in_mask.shape)
+            index = np.empty(in_mask.shape, np.uint16) if paired else None
+        wide, wide_ref = widened[:, :len(in_mask)]
+        if reference is None:  # a StripMap's rows are read into the buffer
+            part = _rows(values, strip, wide)
+        elif paired:
+            part = values.abs_diff(reference, strip, index[:len(in_mask)], wide)
         else:
-            if widened is None:
-                widened = np.empty((2,) + in_mask.shape)
-                index = np.empty(in_mask.shape, np.uint16) if paired else None
-            wide, wide_ref = widened[:, :len(in_mask)]
-            if paired:
-                part = values.abs_diff(reference, strip, index[:len(in_mask)], wide)
-            else:
-                ref = _float64(reference, strip, wide_ref) if np.ndim(reference) else reference
-                part = np.subtract(_float64(values, strip, wide), ref, out=wide)
+            ref = _float64(reference, strip, wide_ref) if np.ndim(reference) else reference
+            part = np.subtract(_float64(values, strip, wide), ref, out=wide)
         keep = in_mask
         if not unchecked:
             keep = np.isfinite(part)
@@ -340,17 +357,35 @@ class ProxyDepthMapper:
         return ProxyMap(gray, self._ramp, self._table, (rows, cols), vehicle_depth)
 
 
-class ProxyMap:
+class StripMap:
+    """A 2-d map that is read where it is read, not held as a frame.
+    ``read(rows, cols, out)`` gives ``map[rows, cols]`` for slices of step
+    1, written into ``out`` if one is given, and so does indexing the map
+    with such slices, as a box's crop does; ``masked_mean`` reads the
+    strips it reduces into its own float64 buffers. A map that cannot be
+    read whole refuses any other index, and ``np.asarray``."""
+
+    ndim = 2
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and all(
+                isinstance(k, slice) and k.step in (None, 1) for k in key):
+            return self.read(*key)
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        raise TypeError(f"a {type(self).__name__} is read by row strips, not whole")
+
+
+class ProxyMap(StripMap):
     """The proxy's float64 depth map, computed where it is read: ``ramp``
     looked up by ``gray``, with ``depth`` over the fiducial's ``box``. It
     holds the gray frame, 1 byte a pixel, not 8, and its mapper's
-    difference ``table``, which every map of that mapper shares. ``read``
-    (strips, into a caller's buffer), ``abs_diff`` and a box's crop
-    (``map[rows, cols]``, slices of step 1) look up only what they return;
-    any other index, and ``np.asarray``, build the whole frame."""
+    difference ``table``, which every map of that mapper shares. ``read``,
+    ``abs_diff`` and a box's crop look up only what they return; any other
+    index, and ``np.asarray``, build the whole frame."""
 
     dtype = np.dtype(np.float64)
-    ndim = 2
 
     def __init__(self, gray: np.ndarray, ramp: np.ndarray, table: np.ndarray,
                  box: tuple[slice, slice], depth: float):
@@ -383,14 +418,31 @@ class ProxyMap:
             max(box_cols.start - left, 0):max(box_cols.stop - left, 0)] = self.depth
         return out
 
-    def __getitem__(self, key):
-        if isinstance(key, tuple) and len(key) == 2 and all(
-                isinstance(k, slice) and k.step in (None, 1) for k in key):
-            return self.read(*key)
-        return np.asarray(self)[key]
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.read(slice(None)), dtype=dtype)
+
+
+class FileMap(StripMap):
+    """An external map read from its file where it is read: the values
+    ``load_depth_map`` gives, a strip at a time. The file's header and
+    sidecar are checked when the map is made, with ``load_depth_map``'s
+    errors; each ``read`` reopens the file (``formats.MapFile``), marks
+    the strip's holes and divides it by ``rescale``. ``out``, if given,
+    takes the whole rows, in float64 or the map's ``dtype``."""
+
+    def __init__(self, path, kind: str = "depth", rescale: float | None = None):
+        self.file = formats.MapFile(path, _is_pgm16(path, kind))
+        self.kind, self.rescale, self.shape = kind, rescale, self.file.shape
+        self.dtype = np.dtype(np.float32 if rescale is None else np.float64)
+
+    def read(self, rows: slice, cols: slice = slice(None), out=None) -> np.ndarray:
+        top, stop, _ = rows.indices(self.shape[0])
+        rows = slice(top, max(top, stop))
+        if out is None:
+            out = np.empty((rows.stop - top, self.shape[1]), self.dtype)
+        self.file.read([(rows, out)])
+        _convert(out, self.kind, self.rescale)
+        return out if cols == slice(None) else out[:, cols].copy()
 
 
 class DirectoryMapEstimator:
@@ -398,10 +450,12 @@ class DirectoryMapEstimator:
 
     Expects ``<tag>.pfm`` (or 16-bit ``<tag>.pgm``) in the directory, e.g.
     ``benign.pfm`` and ``level_1.pfm`` .. ``level_9.pfm`` produced offline by
-    whatever estimator is under attack, and returned as loaded (float32).
-    ``rescale`` divides disparity maps by a constant as ``load_depth_map``
-    reads them, in float64: under NEP 50 a float32 map divided by a Python
-    float stays float32.
+    whatever estimator is under attack. Every level's loss reads the benign
+    map, so it is loaded whole (float32); a level's map is a ``FileMap``,
+    read from its file where the losses read it, so a search holds one
+    map frame. ``rescale`` divides disparity maps by a constant as they are
+    read, in float64: under NEP 50 a float32 map divided by a Python float
+    stays float32.
     """
 
     def __init__(self, directory, kind: str = "disparity",
@@ -412,13 +466,14 @@ class DirectoryMapEstimator:
         self.kind = kind
         self.rescale = rescale
 
-    def estimate_map(self, image: RasterImage, tag: str | None = None) -> np.ndarray:
+    def estimate_map(self, image: RasterImage, tag: str | None = None) -> np.ndarray | FileMap:
         if tag is None:
             raise ValueError("file-backed estimator needs an evaluation tag")
         for ext in ("pfm", "pgm"):
             candidate = os.path.join(str(self.directory), f"{tag}.{ext}")
             if os.path.exists(candidate):
-                return load_depth_map(candidate, kind=self.kind, rescale=self.rescale)
+                load = load_depth_map if tag == "benign" else FileMap
+                return load(candidate, kind=self.kind, rescale=self.rescale)
         raise FileNotFoundError(
             f"no {tag}.pfm / {tag}.pgm in {self.directory}"
         )

@@ -21,12 +21,16 @@ readers live here.
 frame, such as a deferred ``imaging.RasterImage.load``'s, which has the
 shape ``pnm_shape`` read from the header when the image was loaded; a
 file that holds another shape by then raises ``ParseError``. The map
-readers never hold the file: they read the raster in row strips
-(``imaging._strips``) into one reused buffer and write each strip into the
-float32 (h, w) frame they return, which the caller may modify. float32 is
-the files' own precision: PFM samples are float32, and 16-bit counts are
-scaled in float32; a caller that computes in float64 asks for a float64
-frame, and each float32 value is widened into it as its strip is read.
+readers share one row-range reader, ``MapFile``: a map's header (and
+sidecar) are parsed once, and each ``MapFile.read`` reopens the file,
+checks that it still holds that header and the raster, and writes any
+row ranges into the caller's arrays. ``read_pfm`` and ``read_pgm16``
+read the whole map, in row strips (``imaging._strips``), into a new frame
+the caller may modify; ``estimation.FileMap`` reads the strips a loss reads.
+float32 is the files' own precision: PFM samples are float32, and 16-bit
+counts are scaled in float32; a caller that computes in float64 reads
+into float64 arrays, and each float32 value is widened as its strip is
+read (a signaling NaN becomes a NaN, without a warning).
 
 The text inputs, a config file (``cli``) and a boxes file (``estimation``),
 are read by one line reader, ``_text_lines``: it skips blank and ``#``
@@ -126,12 +130,16 @@ def _parse_header(fh, px_bytes: dict[bytes, int], what: str, maxval: int | None)
             raise ParseError(f"unsupported maxval {third} (only {maxval})", byte_offset=pos)
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}", byte_offset=pos)
-    start, need = pos + 1, height * width * px_bytes[magic]
+    _check_raster(fh, pos + 1, height * width * px_bytes[magic])
+    return magic, third, height, width
+
+
+def _check_raster(fh, start: int, need: int) -> None:
+    """Check that the open file holds ``need`` raster bytes from ``start``."""
     got = min(need, max(os.fstat(fh.fileno()).st_size - start, 0))
     if got != need:
         raise ParseError(f"raster truncated: expected {need} bytes, got {got}",
                          byte_offset=start + got)
-    return magic, third, height, width
 
 
 def _read_into(fh, buf: np.ndarray) -> None:
@@ -139,20 +147,6 @@ def _read_into(fh, buf: np.ndarray) -> None:
     got = fh.readinto(buf)
     if got != buf.nbytes:  # the file shrank after the size check
         raise ParseError(f"raster truncated: read {got} of {buf.nbytes} bytes")
-
-
-def _raster_strips(fh, height: int, width: int, dtype: str):
-    """Read the raster in row strips of ``imaging._strips`` size, into one
-    reused buffer; yields each strip's row slice (in file order) and its
-    (rows, width) view of the buffer."""
-    buf = np.empty(0, dtype=dtype)
-    for rows in imaging._strips(height, width):
-        count = (rows.stop - rows.start) * width
-        if len(buf) < count:  # the first strip is the largest
-            buf = np.empty(count, dtype=dtype)
-        part = buf[:count]
-        _read_into(fh, part)
-        yield rows, part.reshape(-1, width)
 
 
 def _text_lines(path, encoding: str):
@@ -208,17 +202,35 @@ def write_pnm(path, data: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(data))  # a contiguous array's own buffer: no copy
 
 
-def read_pgm16(path, dtype=np.float32) -> np.ndarray:
-    """Load a 16-bit PGM and apply the sidecar scale, returning float32 (h, w),
-    or the float32 values widened into a ``dtype`` (float64) frame.
+class MapFile:
+    """A float map's file, a grayscale PFM or a 16-bit PGM with its sidecar
+    scale, whose rows are read where they are needed. The header, and the
+    sidecar, are parsed once; each ``read`` reopens the file, so the file
+    is not held between reads.
 
     The sidecar ``<path>.scale`` holds one float, finite and positive in
-    float32: physical units per raw count. Counts are scaled in float32, one
-    strip at a time, straight into the frame. A scaled count that overflows
-    float32 is an error, not an infinity.
+    float32: physical units per raw count. A scaled count that overflows
+    float32 is an error, not an infinity: when one can (65535 counts
+    overflow), the raster is scanned for one here, and each read checks its
+    own counts.
     """
-    with open(path, "rb") as fh:
-        _, _, height, width = _parse_header(fh, {b"P5": 2}, "16-bit PGM", 65535)
+
+    def __init__(self, path, pgm16: bool):
+        self.path = path
+        with open(path, "rb") as fh:
+            if pgm16:
+                _, _, height, width = _parse_header(fh, {b"P5": 2}, "16-bit PGM", 65535)
+            else:
+                _, scale, height, width = _parse_header(
+                    fh, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
+            start = fh.tell()
+            fh.seek(0)
+            self._head = fh.read(start)  # a read checks the file still has it
+        self.shape = (height, width)
+        self.scale32 = self._overflow = None
+        self._raw = np.dtype(">u2" if pgm16 else "<f4" if scale < 0 else ">f4")
+        if not pgm16:
+            return
         sidecar = str(path) + ".scale"
         try:
             with open(sidecar, "rb") as side:
@@ -230,31 +242,58 @@ def read_pgm16(path, dtype=np.float32) -> np.ndarray:
             raise ParseError(f"missing sidecar scale file {sidecar}") from None
         except ValueError:
             raise ParseError(f"bad scale value in {sidecar}") from None
-        scale32 = np.float32(scale)
-        out = np.empty((height, width), dtype=dtype)
-        for rows, counts in _raster_strips(fh, height, width, ">u2"):
-            with np.errstate(over="ignore"):  # reported below as a ParseError
-                peak = counts.max() * scale32
-            if not np.isfinite(peak):
-                raise ParseError(f"largest count at scale {scale!r} in {sidecar} "
-                                 "overflows float32")
-            np.multiply(counts, scale32, out=out[rows], dtype=np.float32)
+        self.scale32 = np.float32(scale)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(65535) * self.scale32):
+                self._overflow = (f"largest count at scale {scale!r} in {sidecar} "
+                                  "overflows float32")
+        if self._overflow:  # find a count that does, before any caller reads
+            self.read((rows, np.empty((rows.stop - rows.start, width), np.float32))
+                      for rows in imaging._strips(height, width))
+
+    def read(self, strips) -> None:
+        """Read each ``(rows, out)`` of ``strips``: the rows ``rows`` (top-down,
+        of step 1, within the map) into ``out``, a float32 or float64 array
+        of their shape. The file is opened once for them all, and a file
+        whose header changed, or that no longer holds the raster, raises
+        ``ParseError``. PFM samples, in either byte order and stored
+        bottom-up, are copied bit for bit (widening is exact); counts are
+        scaled in float32."""
+        height, width = self.shape
+        # A signaling NaN widens to a NaN, a hole either way: no warning. A
+        # count that overflows is reported as a ParseError.
+        with open(self.path, "rb") as fh, np.errstate(invalid="ignore", over="ignore"):
+            if fh.read(len(self._head)) != self._head:
+                raise ParseError(f"{self.path}: map header changed after it was read")
+            _check_raster(fh, len(self._head), height * width * self._raw.itemsize)
+            for rows, out in strips:
+                raw = np.empty((rows.stop - rows.start, width), self._raw)
+                first = rows.start if self.scale32 is not None else height - rows.stop
+                fh.seek(len(self._head) + first * width * raw.itemsize)
+                _read_into(fh, raw)
+                if self.scale32 is None:
+                    np.copyto(out, raw[::-1])
+                elif self._overflow and not np.isfinite(raw.max(initial=0) * self.scale32):
+                    raise ParseError(self._overflow)
+                else:
+                    np.multiply(raw, self.scale32, out=out, dtype=np.float32)
+
+
+def _read_map(file: MapFile, dtype) -> np.ndarray:
+    """The whole map, read strip by strip into a new ``dtype`` frame."""
+    out = np.empty(file.shape, dtype=dtype)
+    file.read((rows, out[rows]) for rows in imaging._strips(*file.shape))
     return out
+
+
+def read_pgm16(path, dtype=np.float32) -> np.ndarray:
+    """Load a 16-bit PGM and apply the sidecar scale (see ``MapFile``),
+    returning float32 (h, w), or the float32 values widened into a
+    ``dtype`` (float64) frame."""
+    return _read_map(MapFile(path, pgm16=True), dtype)
 
 
 def read_pfm(path, dtype=np.float32) -> np.ndarray:
     """Load a grayscale PFM as native float32 (h, w), top-down row order, or
-    widened into a ``dtype`` (float64) frame.
-
-    The float32 rows, in either byte order, are copied strip by strip into
-    the frame, bit for bit (widening is exact); the file stores them
-    bottom-up.
-    """
-    with open(path, "rb") as fh:
-        _, scale, height, width = _parse_header(
-            fh, {b"Pf": 4}, "grayscale PFM (color 'PF' is not supported)", None)
-        out = np.empty((height, width), dtype=dtype)
-        for rows, part in _raster_strips(fh, height, width,
-                                         "<f4" if scale < 0 else ">f4"):
-            out[height - rows.stop:height - rows.start] = part[::-1]
-    return out
+    widened into a ``dtype`` (float64) frame."""
+    return _read_map(MapFile(path, pgm16=False), dtype)

@@ -198,6 +198,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
                                          "--estimator", "external", "--maps", "maps_half",
                                          "--alphas", "0.5", "--output", "opt_c.csv"],
                                         ["opt_c.csv"]),
+    # signaling NaN samples in every map, read with a rescale that widens
+    # them to float64: they are holes, and nothing is printed on stderr
+    "optimize_pfm_signaling_nan_rescaled": ([*_OPT, "--mode", "untargeted", "--lens-kind",
+                                             "concave", *_CIRCLE, "--estimator",
+                                             "external", "--maps", "maps_snan",
+                                             "--rescale", "2", "--alphas", "0.3"], []),
     "optimize_detect_threshold_zero": ([*_OPT, "--mode", "untargeted", "--lens-kind",
                                         "concave", *_PROXY, "--detect-threshold", "0",
                                         "--alphas", "0.1"], []),
@@ -482,6 +488,18 @@ def make_fixtures(directory: Path) -> None:
         tag = "benign" if level == 0 else f"level_{level}"
         write_pfm(directory / "maps_half" / f"{tag}.pfm",
                   np.full((H // 2, W // 2), 1.0 + 0.01 * level, np.float32))
+    # maps_le's maps with signaling NaN samples, of either sign, in and out
+    # of the lens and the vehicle box (made last, and with no seeded draw)
+    (directory / "maps_snan").mkdir()
+    for level in range(10):
+        name = "benign.pfm" if level == 0 else f"level_{level}.pfm"
+        data = bytearray((directory / "maps_le" / name).read_bytes())
+        raster = len(data) - 4 * W * H
+        for pixel, bits in [(3 * W + 5, b"\x01\x00\x80\x7f"),
+                            (60 * W + 80, b"\x01\x00\x80\xff"),
+                            (100 * W + 10 + level, b"\x00\x00\xa0\x7f")]:
+            data[raster + 4 * pixel:raster + 4 * pixel + 4] = bits
+        (directory / "maps_snan" / name).write_bytes(bytes(data))
 
 
 def _sha(data: bytes) -> str:

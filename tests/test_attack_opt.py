@@ -14,13 +14,13 @@ from depthlens.attack_opt import (LEVELS, LossConfig, Mode, OptimizationError,
                                   alpha_sweep, loss_out, loss_vehicle_targeted,
                                   loss_vehicle_untargeted, optimize_level,
                                   sweep_to_csv, SWEEP_CSV_HEADER)
-from depthlens.errors import EmptyMask, NonPositiveDenominator
+from depthlens.errors import EmptyMask, NonPositiveDenominator, ParseError
 from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper)
 from depthlens.imaging import LensKind, LensRegion, RasterImage, region_masks
 
 from helpers import (STRIPS, concave_sweep_fixture, strip_values, textured_image,
-                     write_pfm)
+                     write_pfm, write_pgm16)
 from oracles import (_dense_abs_diff, dense_alpha_sweep, dense_in_lens,
                      dense_optimize_level, two_step_masked_mean)
 
@@ -439,6 +439,89 @@ def test_a_1080p_file_backed_search_holds_float32_maps(tmp_path, monkeypatch):
         tracemalloc.stop()
     maps = 2 * 4 * m_out.size
     assert peak <= maps + m_out.size + 4 * 2 ** 20
+
+
+def test_a_1080p_file_backed_search_holds_one_map_frame(tmp_path, monkeypatch):
+    """A level's map is read from its file where the losses read it: the
+    search's peak is the benign map's float32 frame, the out-of-lens mask,
+    and 4 MiB more, not a second map frame."""
+    rng = np.random.default_rng(7)
+    for tag in ["benign", "level_1", "level_2"]:
+        values = rng.uniform(0.5, 2.0, (1080, 1920)).astype(np.float32)
+        values[::7, ::5] = np.nan
+        write_pfm(tmp_path / f"{tag}.pfm", values)
+    region = LensRegion.circle(960, 540, 300)
+    cfg = LossConfig(alpha=0.3, mode=Mode.UNTARGETED,
+                     vehicle_box=Box(860, 440, 1060, 640), region=region)
+    image = RasterImage(np.full((1080, 1920), 128, np.uint8))
+    monkeypatch.setattr(attack_opt, "LEVELS", (1, 2))
+    tracemalloc.start()
+    try:
+        optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frame = 1080 * 1920
+    assert peak <= 4 * frame + frame + 4 * 2 ** 20
+
+
+class Rewriting:
+    """The directory estimator, but the file of the level ``tag`` is
+    rewritten by ``change`` once its map is made."""
+
+    def __init__(self, directory, tag, change):
+        self.estimator, self.tag, self.change = DirectoryMapEstimator(directory), tag, change
+        self.path = directory / f"{tag}.pfm"
+
+    def estimate_map(self, image, tag=None):
+        made = self.estimator.estimate_map(image, tag)
+        if tag == self.tag:
+            self.path.write_bytes(self.change(self.path.read_bytes()))
+        return made
+
+
+@pytest.mark.parametrize("change", [lambda data: data[:-4],
+                                    lambda data: data.replace(b"8 8", b"4 16", 1)],
+                         ids=["shrunk", "reshaped"])
+def test_a_level_file_changed_after_its_map_was_made_fails_its_level(tmp_path, change):
+    """A level's map rereads its file for every strip: a file that shrank or
+    changed shape by then fails that level, tagged with it."""
+    for tag in ["benign", *(f"level_{lv}" for lv in LEVELS)]:
+        write_pfm(tmp_path / f"{tag}.pfm", np.full((8, 8), 1.2, np.float32))
+    cfg = LossConfig(alpha=0.2, mode=Mode.UNTARGETED, vehicle_box=Box(2, 2, 6, 6),
+                     region=LensRegion.circle(4, 4, 3))
+    with pytest.raises(OptimizationError) as err:
+        optimize_level(RasterImage(np.full((8, 8), 100, np.uint8)),
+                       Rewriting(tmp_path, "level_4", change), cfg, LensKind.CONCAVE)
+    assert err.value.level == 4
+    assert isinstance(err.value.__cause__, ParseError)
+
+
+@pytest.mark.parametrize("count, fails", [(65535, True), (1000, False)])
+def test_a_level_map_whose_count_overflows_fails_with_a_full_frame_lens(tmp_path, count,
+                                                                         fails):
+    """At a scale of 1e35, 65535 counts overflow float32 and 1000 do not.
+    A full-frame lens leaves no out-of-lens loss to read every row, and the
+    count lies outside the vehicle box, so only the check made when the map
+    is made can find it: the level fails as a loaded map's would."""
+    write_pfm(tmp_path / "benign.pfm", np.full((8, 8), 1.0, np.float32))
+    for lv in LEVELS:
+        counts = np.full((8, 8), 10.0)
+        if lv == 3:
+            counts[7, 7] = count
+        write_pgm16(tmp_path / f"level_{lv}.pgm", counts * 1e35, 1e35)
+    cfg = LossConfig(alpha=0.2, mode=Mode.TARGETED, vehicle_box=Box(0, 0, 4, 4),
+                     region=LensRegion.full_frame(), y_tar=0.5)
+    image = RasterImage(np.full((8, 8), 100, np.uint8))
+    if not fails:
+        result = optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE)
+        assert len(result.loss_curve) == len(LEVELS)
+        return
+    with pytest.raises(OptimizationError) as err:
+        optimize_level(image, DirectoryMapEstimator(tmp_path), cfg, LensKind.CONCAVE)
+    assert err.value.level == 3
+    assert str(err.value) == (f"level 3: largest count at scale 1e+35 in "
+                              f"{tmp_path / 'level_3.pgm'}.scale overflows float32")
 
 
 def test_a_1080p_full_frame_search_holds_no_out_of_lens_mask(tmp_path, monkeypatch):

@@ -46,7 +46,7 @@ ALLOWED = [
     ("estimation", "FiducialSpec.__post_init__",
      'raise ValueError("detection threshold must be an 8-bit level")'),
     # --map-kind takes "depth" or "disparity" only
-    ("estimation", "load_depth_map",
+    ("estimation", "_is_pgm16",
      "raise ValueError(f\"kind must be 'depth' or 'disparity', got {kind!r}\")"),
     # the CLI builds masks and references from the map's own shape
     ("estimation", "masked_mean",
@@ -58,8 +58,11 @@ ALLOWED = [
     ("estimation", "ProxyDepthMapper.__init__",
      'raise ValueError(f"depth span {near_m} to {far_m} overflows the brightness ramp")'),
     # only whole-frame readers of a proxy map, such as tests and oracles,
-    # index it other than by a box or read it as an array
-    ("estimation", "ProxyMap.__getitem__", "return np.asarray(self)[key]"),
+    # index it other than by a box or read it as an array; a file map
+    # refuses both, and the CLI does neither
+    ("estimation", "StripMap.__getitem__", "return np.asarray(self)[key]"),
+    ("estimation", "StripMap.__array__",
+     'raise TypeError(f"a {type(self).__name__} is read by row strips, not whole")'),
     ("estimation", "ProxyMap.__array__",
      "return np.asarray(self.read(slice(None)), dtype=dtype)"),
     # the optimizer always passes a tag
@@ -72,6 +75,10 @@ ALLOWED = [
      'raise ParseError(f"raster truncated: read {got} of {buf.nbytes} bytes")'),
     ("formats", "read_pnm",
      'raise ParseError(f"raster shape {shape} does not match {out.shape}")'),
+    # a level map's file rewritten with another header between the search's
+    # estimate_map call and a loss's read of it
+    ("formats", "MapFile.read",
+     'raise ParseError(f"{self.path}: map header changed after it was read")'),
     # the CLI builds rasters, and writes files, only from what it read or
     # rendered: uint8, gray or RGB, with at least one pixel
     ("imaging", "RasterImage.__init__",

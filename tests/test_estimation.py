@@ -12,8 +12,8 @@ from depthlens.errors import EmptyMask, FiducialNotFound, ParseError
 from depthlens.estimation import (Box, DirectoryMapEstimator, FiducialSpec,
                                   ProxyDepthMapper, ProxyMap, _find_blob, load_boxes,
                                   load_depth_map, masked_mean)
-from depthlens import estimation, formats
-from depthlens.imaging import LensRegion, RasterImage, scale_region
+from depthlens import attack_opt, estimation, formats
+from depthlens.imaging import LensRegion, RasterImage, region_masks, scale_region
 
 from helpers import (STRIPS, fiducial_reading, render_fiducial, strip_values, write_pfm,
                      write_pgm16)
@@ -66,10 +66,9 @@ class TestRescale:
             write_pfm(path, values.astype(np.float32))
         else:
             write_pgm16(path, values, 0.001)
-        estimator = DirectoryMapEstimator(tmp_path, rescale=2.5)
         tracemalloc.start()
         try:
-            got = estimator.estimate_map(None, tag="level_3")
+            got = load_depth_map(path, "disparity", rescale=2.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -638,7 +637,8 @@ class TestMapEstimators:
         est = DirectoryMapEstimator(tmp_path, kind="disparity")
         img = RasterImage(np.zeros((4, 4), np.uint8))
         assert est.estimate_map(img, tag="benign")[0, 0] == 2.0
-        assert est.estimate_map(img, tag="level_3")[0, 0] == 5.0
+        # a level's map is read by strips: a crop, not an integer index
+        assert est.estimate_map(img, tag="level_3")[0:1, 0:1] == 5.0
         with pytest.raises(FileNotFoundError):
             est.estimate_map(img, tag="level_7")
 
@@ -647,3 +647,153 @@ class TestMapEstimators:
         est = DirectoryMapEstimator(tmp_path, rescale=5.4)
         img = RasterImage(np.zeros((2, 2), np.uint8))
         assert est.estimate_map(img, tag="benign")[0, 0] == pytest.approx(0.4)
+
+
+def _write_map(path, values: np.ndarray, fmt: str) -> None:
+    """float32 ``values`` as a PFM in byte order ``fmt``, or uint16
+    ``values`` as 16-bit PGM counts of 0.25 each (``fmt`` "pgm")."""
+    if fmt == "pgm":
+        write_pgm16(path, values * 0.25, 0.25)
+        return
+    h, w = values.shape
+    path.write_bytes(b"Pf\n%d %d\n%s\n" % (w, h, b"-1.0" if fmt == "<f4" else b"1.0")
+                     + values[::-1].astype(fmt).tobytes())
+
+
+@st.composite
+def file_map_cases(draw):
+    """A level map's values in a file's format, with or without holes (NaN,
+    the infinities, non-positive samples), the kind and rescale it is read
+    with, a benign map, a mask, a row range and a box."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    fmt = draw(st.sampled_from(["<f4", ">f4", "pgm"]))
+    holes = draw(st.booleans())
+    if fmt == "pgm":
+        values = draw(hnp.arrays(np.uint16, (h, w), elements=st.integers(
+            0 if holes else 1, 400)))
+    else:
+        values = draw(hnp.arrays(np.float32, (h, w), elements=(
+            _F32 if holes else st.floats(0.5, 50.0, width=32))))
+    kind = draw(st.sampled_from(["depth", "disparity"]))
+    rescale = draw(st.sampled_from([None, 2.5]))
+    benign = draw(hnp.arrays(np.float32, (h, w), elements=st.one_of(
+        st.floats(0.5, 50.0, width=32), st.just(np.nan))))
+    mask = draw(hnp.arrays(np.bool_, (h, w)))
+    rows = slice(draw(st.integers(-3, h + 3)), draw(st.integers(-3, h + 3)))
+    box = Box(draw(st.integers(-3, w)), draw(st.integers(-3, h)), w + 3, h + 3)
+    return values, fmt, kind, rescale, benign, mask, rows, box
+
+
+class TestFileMap:
+    """A level map of the directory estimator is read from its file where
+    it is read. Every read, crop and loss must have the bits of the same
+    call on ``load_depth_map``'s frame."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=file_map_cases(), strip=st.sampled_from([1, 7, 2 ** 16]),
+           subtree=st.sampled_from([256, 2 ** 14]))
+    def test_reads_crops_and_losses_have_the_loaded_frames_bits(
+            self, tmp_path_factory, case, strip, subtree):
+        values, fmt, kind, rescale, benign, mask, rows, box = case
+        directory = tmp_path_factory.mktemp("maps")
+        path = directory / ("level_1.pgm" if fmt == "pgm" else "level_1.pfm")
+        _write_map(path, values, fmt)
+        frame = load_depth_map(path, kind, rescale)
+        streamed = DirectoryMapEstimator(directory, kind, rescale).estimate_map(
+            None, tag="level_1")
+        assert isinstance(streamed, estimation.FileMap)
+        assert (streamed.shape, streamed.dtype) == (frame.shape, frame.dtype)
+        benign = benign.astype(frame.dtype)
+        crop, m_box = box.slices(), dense_box_mask(box, *frame.shape[::-1])
+        with np.errstate(invalid="ignore"):
+            wide = frame[rows].astype(np.float64)
+        losses = [
+            lambda m: masked_mean(m, mask),
+            lambda m: masked_mean(m, mask, benign),
+            lambda m: masked_mean(m, mask, 3.0),
+            lambda m: attack_opt.loss_out(m, benign, mask),
+            lambda m: attack_opt.loss_vehicle_targeted(m[crop], m_box[crop], 3.0),
+            lambda m: attack_opt.loss_vehicle_untargeted(m[crop], benign[crop],
+                                                         m_box[crop]),
+        ]
+        with strip_values(strip), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_SUBTREE", subtree)
+            assert _bits(streamed.read(slice(None))) == _bits(frame)
+            assert _bits(streamed.read(rows)) == _bits(frame[rows])
+            assert _bits(streamed.read(rows, out=np.empty(wide.shape))) == _bits(wide)
+            assert _bits(streamed[crop]) == _bits(frame[crop])
+            for loss in losses:
+                assert repr(_outcome(loss, streamed)) == repr(_outcome(loss, frame))
+
+    def test_a_whole_frame_read_fails_loudly(self, tmp_path):
+        """Only row ranges and crops are read: an integer index and
+        ``np.asarray`` raise, rather than build the frame or an object
+        array."""
+        write_pfm(tmp_path / "level_1.pfm", np.ones((3, 4), np.float32))
+        streamed = DirectoryMapEstimator(tmp_path).estimate_map(None, tag="level_1")
+        for whole in (lambda: np.asarray(streamed), lambda: streamed[0, 0],
+                      lambda: streamed[::2, :]):
+            with pytest.raises(TypeError, match="^a FileMap is read by row strips"):
+                whole()
+
+    @pytest.mark.parametrize("change, message", [
+        ("shrunk", "raster truncated: expected 48 bytes, got 47 (byte offset 59)"),
+        ("reshaped", "map header changed after it was read"),
+        ("reordered", "map header changed after it was read"),
+    ])
+    def test_a_file_changed_after_the_map_was_made_fails_on_the_read(
+            self, tmp_path, change, message):
+        """The file is reopened for each read and not held between reads: a
+        file that shrank, or whose header changed, raises ``ParseError``."""
+        path = tmp_path / "level_1.pfm"
+        write_pfm(path, np.ones((3, 4), np.float32))
+        streamed = DirectoryMapEstimator(tmp_path).estimate_map(None, tag="level_1")
+        data = path.read_bytes()
+        path.write_bytes({"shrunk": data[:-1],
+                          "reshaped": data.replace(b"4 3", b"3 4", 1),
+                          "reordered": data.replace(b"-1.0", b"+1.0", 1)}[change])
+        with pytest.raises(ParseError) as err:
+            streamed.read(slice(0, 1))
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("ext", ["pfm", "pgm"])
+    def test_a_1080p_level_map_is_made_without_its_frame(self, tmp_path, ext):
+        """``estimate_map`` of a level tag parses the header and the sidecar
+        and reads no raster: under 1 MB for an 8.3 MB map."""
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.5, 60.0, (1080, 1920))
+        if ext == "pfm":
+            write_pfm(tmp_path / "level_2.pfm", values.astype(np.float32))
+        else:
+            write_pgm16(tmp_path / "level_2.pgm", values, 0.001)
+        estimator = DirectoryMapEstimator(tmp_path, rescale=2.0)
+        tracemalloc.start()
+        try:
+            streamed = estimator.estimate_map(None, tag="level_2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed.shape == (1080, 1920)
+        assert peak < 1e6
+
+    def test_a_1080p_out_of_lens_loss_allocates_less_than_a_frame(self, tmp_path):
+        """The loss reads the level map strip by strip, holes and all: one
+        ``loss_out`` call allocates less than the map's float32 frame."""
+        rng = np.random.default_rng(6)
+        for tag in ("benign", "level_1"):
+            values = rng.uniform(0.5, 60.0, (1080, 1920)).astype(np.float32)
+            values[::9, ::7] = np.nan
+            write_pfm(tmp_path / f"{tag}.pfm", values)
+        estimator = DirectoryMapEstimator(tmp_path)
+        benign = estimator.estimate_map(None, tag="benign")
+        streamed = estimator.estimate_map(None, tag="level_1")
+        m_out = ~region_masks(1920, 1080, LensRegion.circle(960, 540, 300))
+        tracemalloc.start()
+        try:
+            loss = attack_opt.loss_out(streamed, benign, m_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loss == attack_opt.loss_out(load_depth_map(
+            tmp_path / "level_1.pfm", "disparity"), benign, m_out)
+        assert peak < 4 * 1080 * 1920

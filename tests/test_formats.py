@@ -3,15 +3,17 @@ round trips, the readers against the whole-file oracles."""
 
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from depthlens import formats
+from depthlens import estimation, formats, imaging
 from depthlens.errors import ParseError
 from depthlens.estimation import load_depth_map
+from depthlens.imaging import RasterImage
 
 from helpers import strip_values, write_pfm, write_pgm16
 from oracles import (reference_decimal, reference_load_depth_map, reference_read_pfm,
@@ -558,3 +560,115 @@ def test_load_depth_map_peak_is_the_frame(tmp_path, fmt):
         tracemalloc.stop()
     assert loaded.shape == (1080, 1920)
     assert peak <= 4 * 1080 * 1920 + 2 ** 20
+
+
+_SIGNALING = np.array([[0x7F800001, 0x3FC00000, 0xFF800001],
+                       [0x40400000, 0x7FA00000, 0x40800000]], np.uint32)
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize("rescale", [None, 2.0])
+def test_a_signaling_nan_in_a_pfm_map_reads_without_a_warning(tmp_path, order, rescale):
+    """Signaling NaN samples (0x7F800001, 0xFF800001, 0x7FA00000) are holes.
+    Widened to float64, by a load with ``rescale``, a float64 read or a
+    strip read into a loss's float64 buffer, each becomes a quiet NaN, and
+    no read warns (the suite makes a warning an error). Without
+    ``rescale`` the float32 frame keeps the file's bits."""
+    path = tmp_path / "level_1.pfm"
+    path.write_bytes(b"Pf\n3 2\n" + (b"-1.0" if order == "<" else b"1.0") + b"\n"
+                     + _SIGNALING[::-1].astype(order + "u4").tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = load_depth_map(path, "disparity", rescale)
+        wide = formats.read_pfm(path, np.float64)
+        streamed = estimation.FileMap(path, "disparity", rescale)
+        strips = [streamed.read(slice(row, row + 1)) for row in range(2)]
+        into = [streamed.read(slice(row, row + 1), out=np.empty((1, 3))) for row in range(2)]
+        mean = estimation.masked_mean(streamed, np.ones((2, 3), bool))
+    if rescale is None:
+        assert whole.view(np.uint32).tobytes() == _SIGNALING.tobytes()
+    with np.errstate(invalid="ignore"):
+        widened = whole.astype(np.float64)
+    assert np.isnan(wide).sum() == np.isnan(widened).sum() == 3
+    assert np.concatenate(strips).tobytes() == whole.tobytes()
+    assert np.concatenate(into).tobytes() == widened.tobytes()
+    assert mean == estimation.masked_mean(whole, np.ones((2, 3), bool))
+
+
+@st.composite
+def mutated_files(draw):
+    """A binary PGM or PPM, a PFM of either byte order or a 16-bit PGM, its
+    raster any bytes (signaling NaNs and overflowing counts included), then
+    mutated one to four times: a byte set, bytes inserted or deleted
+    anywhere, or the file cut."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    magic, third, px = draw(st.sampled_from([
+        (b"P5", b"255", 1), (b"P6", b"255", 3), (b"Pf", b"-1.0", 4), (b"Pf", b"1.0", 4),
+        (b"P5", b"65535", 2)]))
+    data = bytearray(b"%s\n%d %d\n%s\n" % (magic, w, h, third))
+    data += draw(st.binary(min_size=h * w * px, max_size=h * w * px))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        mutation = draw(st.sampled_from(["set", "insert", "delete", "cut"]))
+        if mutation == "set" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif mutation == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif mutation == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif mutation == "cut":
+            del data[at:]
+    return bytes(data)
+
+
+def _or_parse_error(make):
+    """What ``make`` returns, or None for a ParseError; any other exception,
+    or a warning, fails."""
+    try:
+        return make()
+    except ParseError:
+        return None
+
+
+def _map_or_parse_error(read):
+    """What ``read`` returns, which must be an array, or None for a
+    ParseError."""
+    values = _or_parse_error(read)
+    assert values is None or isinstance(values, np.ndarray)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_files(), rewrite=mutated_files(),
+       sidecar=st.sampled_from(["0.25", "0.001", "1e35", "3.5e38", "1e-50", "nan", "-1"]),
+       kind=st.sampled_from(["depth", "disparity"]), strip=st.sampled_from([1, 7, 2 ** 16]))
+def test_mutated_files_give_a_map_a_raster_or_parse_error(tmp_path_factory, data, rewrite,
+                                                          sidecar, kind, strip):
+    """Every reader of a mutated raster or map file, with a sidecar scale,
+    returns an array or raises ``ParseError``, and warns of nothing: the
+    raster readers, ``load_depth_map`` with and without ``rescale``, and
+    every strip and crop read of a level's streamed map, also after its
+    file is rewritten with other bytes, as is a loaded raster's before its
+    pixels are read."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.map"
+    path.write_bytes(data)
+    (path.parent / "m.map.scale").write_text(sidecar + "\n")
+    with warnings.catch_warnings(), strip_values(strip):
+        warnings.simplefilter("error")
+        _map_or_parse_error(lambda: formats.read_pnm(path))
+        for rescale in (None, 2.0):
+            _map_or_parse_error(lambda: load_depth_map(path, kind, rescale))
+        rasters = [_or_parse_error(lambda: RasterImage.load(path)) for _ in range(2)]
+        streamed = [_or_parse_error(lambda: estimation.FileMap(path, kind, rescale))
+                    for rescale in (None, 2.0)]
+        for raster, rewritten in zip(rasters, (False, True)):
+            if rewritten:
+                path.write_bytes(rewrite)
+            if raster is not None:
+                _map_or_parse_error(lambda: raster.data)
+            for fmap in filter(None, streamed):
+                height, width = fmap.shape
+                for rows in imaging._strips(height, width):
+                    _map_or_parse_error(lambda: fmap.read(rows))
+                    _map_or_parse_error(lambda: fmap.read(
+                        rows, out=np.empty((rows.stop - rows.start, width))))
+                _map_or_parse_error(lambda: fmap[1:height, 1:width])
